@@ -10,95 +10,6 @@ import (
 	"resparc/internal/tensor"
 )
 
-// classifyBoth runs the same (network, input, encoder seed) through the
-// stepped and the event-engine accounting paths and returns both reports.
-func classifyBoth(t *testing.T, net *snn.Network, size, steps int, seed int64) (perfStepped, perfEvent Report, resStepped, resEvent tensor.Vec) {
-	t.Helper()
-	m := mapped(t, net, size)
-	opt := DefaultOptions()
-	opt.Steps = steps
-
-	intensity := tensor.NewVec(net.Input.Size())
-	rng := rand.New(rand.NewSource(seed))
-	for i := range intensity {
-		intensity[i] = rng.Float64()
-	}
-
-	chipS, err := New(net, m, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rs, repS := chipS.ClassifyDetailed(intensity, snn.NewPoissonEncoder(0.8, seed))
-
-	opt.EventEngine = true
-	chipE, err := New(net, m, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	re, repE := chipE.ClassifyDetailed(intensity, snn.NewPoissonEncoder(0.8, seed))
-
-	return repS, repE, tensor.Vec{rs.Energy, float64(rs.Steps)}, tensor.Vec{re.Energy, float64(re.Steps)}
-}
-
-// TestEventSteppedBitIdentical is the tentpole invariant: the event-engine
-// accounting path must reproduce the stepped observer's predictions,
-// energies and event counters bit for bit — only Cycles (and the latency
-// derived from it) may differ, and only downward (pipelining overlaps
-// stages; it never adds work).
-func TestEventSteppedBitIdentical(t *testing.T) {
-	nets := map[string]*snn.Network{"mlp": smallMLP(t, 1), "cnn": smallCNN(t, 2)}
-	for name, net := range nets {
-		for _, size := range []int{8, 16, 64} {
-			repS, repE, resS, resE := classifyBoth(t, net, size, 25, 7)
-			if repS.Predicted != repE.Predicted {
-				t.Fatalf("%s/%d: predicted %d (stepped) vs %d (event)", name, size, repS.Predicted, repE.Predicted)
-			}
-			if repS.Energy != repE.Energy {
-				t.Fatalf("%s/%d: energy %+v vs %+v not bit-identical", name, size, repS.Energy, repE.Energy)
-			}
-			if !reflect.DeepEqual(repS.LayerEnergies, repE.LayerEnergies) {
-				t.Fatalf("%s/%d: per-layer energies diverged", name, size)
-			}
-			if !reflect.DeepEqual(resS, resE) {
-				t.Fatalf("%s/%d: result energy/steps diverged: %v vs %v", name, size, resS, resE)
-			}
-			// Counters: everything but Cycles must match exactly.
-			cs, ce := repS.Counts, repE.Counts
-			cs.Cycles, ce.Cycles = 0, 0
-			if cs != ce {
-				t.Fatalf("%s/%d: counters diverged (beyond Cycles): %+v vs %+v", name, size, cs, ce)
-			}
-			if !reflect.DeepEqual(repS.LayerCycles, repE.LayerCycles) {
-				t.Fatalf("%s/%d: per-layer cycle sums diverged: %v vs %v", name, size, repS.LayerCycles, repE.LayerCycles)
-			}
-			if repS.BusCycles != repE.BusCycles || repS.Breakdown != repE.Breakdown {
-				t.Fatalf("%s/%d: phase sums diverged: bus %d vs %d, breakdown %+v vs %+v",
-					name, size, repS.BusCycles, repE.BusCycles, repS.Breakdown, repE.Breakdown)
-			}
-			if !reflect.DeepEqual(repS.LayerSpikes, repE.LayerSpikes) {
-				t.Fatalf("%s/%d: spike counts diverged: %v vs %v", name, size, repS.LayerSpikes, repE.LayerSpikes)
-			}
-			// The pipelined makespan must beat (or match) the serial sum and
-			// respect its structural lower bounds.
-			if repE.Counts.Cycles > repS.Counts.Cycles {
-				t.Fatalf("%s/%d: event cycles %d exceed stepped %d", name, size, repE.Counts.Cycles, repS.Counts.Cycles)
-			}
-			lower := repE.BusCycles
-			for _, lc := range repE.LayerCycles {
-				if lc > lower {
-					lower = lc
-				}
-			}
-			if repE.Counts.Cycles < lower {
-				t.Fatalf("%s/%d: event cycles %d below structural bound %d", name, size, repE.Counts.Cycles, lower)
-			}
-			if repE.Stages == nil || repS.Stages != nil {
-				t.Fatalf("%s/%d: stage grids: event nil=%v stepped nil=%v", name, size, repE.Stages == nil, repS.Stages == nil)
-			}
-		}
-	}
-}
-
 // TestEventEngineViaOptions: the per-call sim.Options toggle selects the
 // event path on a chip constructed without it, and the batch runners return
 // the same pipelined cycles as the serial path.
