@@ -4,7 +4,7 @@
 // Usage:
 //
 //	resparc-bench [-fig all|8|9|10|11|12|13|14a|14b|ablations|checklist|bench|shard|fleet|event|mapper]
-//	              [-quick] [-out FILE] [-workers N] [-batch B] [-json FILE]
+//	              [-quick] [-out FILE] [-workers N] [-json FILE]
 //	              [-blocked=false] [-check] [-cpuprofile FILE] [-memprofile FILE]
 //
 // -fig bench measures the hot evaluation paths (functional SNN evaluator
@@ -39,7 +39,6 @@ func main() {
 	faultJSON := flag.String("faultjson", "FAULT_RESULTS.json", "where -fig faults and -fig lifetime merge their machine-readable results")
 	blocked := flag.Bool("blocked", true, "use the blocked layer-major SNN runner (bit-identical; -blocked=false selects the step-major reference)")
 	blockSize := flag.Int("blocksize", 0, "temporal block length of the blocked runner (<= 0: snn.DefaultBlockSize)")
-	batch := flag.Int("batch", 0, "batch-major group size inside the simulators (<= 1: per-image evaluation; bit-identical)")
 	check := flag.Bool("check", false, "with -fig bench: exit non-zero when a benchmark regresses more than 10% vs its previous entry")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -74,7 +73,6 @@ func main() {
 	cfg.Workers = *workers
 	cfg.Stepped = !*blocked
 	cfg.BlockSize = *blockSize
-	cfg.Batch = *batch
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {

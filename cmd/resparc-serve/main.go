@@ -6,7 +6,7 @@
 // Usage:
 //
 //	resparc-serve [-addr :8080] [-backend resparc|cmos] [-max-batch 8]
-//	              [-max-wait 2ms] [-queue 64] [-workers 0] [-sim-batch 0]
+//	              [-max-wait 2ms] [-queue 64] [-workers 0]
 //	              [-models mnist-mlp,...] [-model-files a.gob,...]
 //	              [-placement plan.json,...]
 //	              [-steps 48] [-seed 1] [-mca-size 64] [-blocked=false] [-pprof]
@@ -65,7 +65,6 @@ func main() {
 	maxWait := flag.Duration("max-wait", 2*time.Millisecond, "how long a non-full batch waits for company")
 	queue := flag.Int("queue", 64, "bounded queue size per (model, backend); a full queue answers 429")
 	workers := flag.Int("workers", 0, "simulator worker-pool size per batch (<= 0: one per CPU)")
-	simBatch := flag.Int("sim-batch", 0, "batch-major group size inside the simulator (<= 1: per-image evaluation; bit-identical)")
 	models := flag.String("models", "", "comma-separated Fig 10 benchmark names to serve (empty: all six)")
 	modelFiles := flag.String("model-files", "", "comma-separated snn.WriteNetwork files to serve in addition to -models")
 	placements := flag.String("placement", "", "comma-separated resparc-map placement files; a served network matching a placement's network name is realized from the artifact (per-layer MCA sizes, alignment, shard cuts)")
@@ -148,7 +147,6 @@ func main() {
 		MaxWait:          *maxWait,
 		QueueSize:        *queue,
 		Workers:          *workers,
-		SimBatch:         *simBatch,
 		RequestTimeout:   *reqTimeout,
 		BreakerThreshold: *brThreshold,
 		BreakerCooldown:  *brCooldown,
@@ -257,7 +255,7 @@ func runLoad(srv *serve.Server, reg *serve.Registry, backend serve.Backend, imag
 	// client gets without batching.
 	serialStart := time.Now()
 	for i, in := range inputs {
-		if _, _, err := model.ClassifyEach(backend, []tensor.Vec{in}, []int64{int64(i)}, 1, 0); err != nil {
+		if _, _, err := model.ClassifyEach(backend, []tensor.Vec{in}, []int64{int64(i)}, 1); err != nil {
 			return fmt.Errorf("load: serial reference: %w", err)
 		}
 	}

@@ -38,11 +38,11 @@ func benchInputs(tb testing.TB, bm Benchmark, net *snn.Network, n int) []tensor.
 	return out
 }
 
-// benchEvalCNN measures the calibrated mnist-cnn Fig 10 network — the real
-// workload behind BENCH_RESULTS.json's eval/mnist-cnn rows — through
-// snn.RunBatch with the given options. One op classifies 3 images over 48
-// timesteps on a single worker.
-func benchEvalCNN(b *testing.B, opt snn.Options) {
+// BenchmarkEvalMnistCNNSerial measures the calibrated mnist-cnn Fig 10
+// network — the real workload behind BENCH_RESULTS.json's eval/mnist-cnn
+// rows — through snn.RunBatch. One op classifies 3 images over 48 timesteps
+// on a single worker.
+func BenchmarkEvalMnistCNNSerial(b *testing.B) {
 	bm := findBenchmark(b, "mnist-cnn")
 	net, err := bm.Build(1)
 	if err != nil {
@@ -51,15 +51,10 @@ func benchEvalCNN(b *testing.B, opt snn.Options) {
 	inputs := benchInputs(b, bm, net, 3)
 	base := snn.NewPoissonEncoder(EncoderPeak, 8)
 	enc := func(i int) snn.Encoder { return base.ForkSeed(i) }
-	opt.Workers = 1
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := snn.RunBatch(net, inputs, enc, 48, opt); err != nil {
+		if _, err := snn.RunBatch(net, inputs, enc, 48, snn.Options{Workers: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
-
-func BenchmarkEvalMnistCNNSerial(b *testing.B) { benchEvalCNN(b, snn.Options{}) }
-
-func BenchmarkEvalMnistCNNBatched(b *testing.B) { benchEvalCNN(b, snn.Options{Batch: 8}) }

@@ -18,6 +18,7 @@ package cmosbase
 
 import (
 	"fmt"
+	"sync"
 
 	"resparc/internal/bitvec"
 	"resparc/internal/energy"
@@ -84,6 +85,8 @@ type Baseline struct {
 	// uniqueWeights per layer (kernel parameters for conv, full matrix for
 	// dense, none for pool).
 	uniqueWeights []int
+	// states recycles worker simulation states across classification calls.
+	states sync.Pool
 }
 
 // New prepares the baseline for a network: the weight memory is sized for
@@ -238,19 +241,33 @@ func (b *Baseline) Healthy() error { return nil }
 // Classify implements sim.Backend: one classification with the baseline's
 // configured runner and step budget.
 func (b *Baseline) Classify(intensity tensor.Vec, enc snn.Encoder) (perf.Result, sim.Report) {
-	res, rep, steps := b.classifyOne(snn.NewState(b.Net), intensity, enc, sim.Options{})
+	res, rep, steps := b.classify(intensity, enc)
 	return res, sim.Report{Predicted: rep.Predicted, Steps: steps, Detail: rep}
 }
 
 // ClassifyDetailed is Classify returning the baseline's own Report (event
 // counters, per-layer cycles) instead of the backend-neutral sim.Report.
 func (b *Baseline) ClassifyDetailed(intensity tensor.Vec, enc snn.Encoder) (perf.Result, Report) {
-	res, rep, _ := b.classifyOne(snn.NewState(b.Net), intensity, enc, sim.Options{})
+	res, rep, _ := b.classify(intensity, enc)
 	return res, rep
 }
 
-// classifyOne runs one classification on a caller-owned state (reused
-// across a worker's batch share) under the given per-call options.
+func (b *Baseline) getState() *snn.State {
+	if st, ok := b.states.Get().(*snn.State); ok {
+		return st
+	}
+	return snn.NewState(b.Net)
+}
+
+// classify runs one classification on a state taken from the pool.
+func (b *Baseline) classify(intensity tensor.Vec, enc snn.Encoder) (perf.Result, Report, int) {
+	st := b.getState()
+	defer b.states.Put(st)
+	return b.classifyOne(st, intensity, enc, sim.Options{})
+}
+
+// classifyOne runs one classification on a worker's state (reused across
+// calls) under the given per-call options.
 func (b *Baseline) classifyOne(st *snn.State, intensity tensor.Vec, enc snn.Encoder, opt sim.Options) (perf.Result, Report, int) {
 	obs := &observer{b: b}
 	if opt.EarlyExit {
@@ -295,53 +312,21 @@ func (b *Baseline) finish(cnt Counters, predicted int) (perf.Result, Report) {
 	return res, rep
 }
 
-// classifyGroup runs one contiguous group of images batch-major on a
-// caller-owned batch state, one observer per image. The batch runner hands
-// each observer exactly the per-step rasters the per-image runner produces,
-// so counters, energies and predictions match classifyOne bit for bit.
-func (b *Baseline) classifyGroup(bst *snn.BatchState, inputs []tensor.Vec, encs []snn.Encoder, opt sim.Options) ([]perf.Result, []sim.Report) {
-	nb := len(inputs)
-	obs := make([]snn.Observer, nb)
-	cobs := make([]*observer, nb)
-	for i := range obs {
-		o := &observer{b: b}
-		cobs[i] = o
-		obs[i] = o
-	}
-	bs := b.Opt.BlockSize
-	if opt.BlockSize > 0 {
-		bs = opt.BlockSize
-	}
-	runs := bst.RunBlocked(inputs, encs, b.Opt.Steps, bs, obs)
-	ress := make([]perf.Result, nb)
-	reps := make([]sim.Report, nb)
-	for i := range runs {
-		res, rep := b.finish(cobs[i].cnt, runs[i].Prediction)
-		rep.LayerCycles = cobs[i].layerCycles
-		ress[i] = res
-		reps[i] = sim.Report{Predicted: rep.Predicted, Steps: b.Opt.Steps, Detail: rep}
-	}
-	return ress, reps
-}
-
 // ClassifyEach implements sim.Backend: per-image classification across the
 // shared worker pool via the one fan-out in sim.Each. Each worker owns one
 // simulation state, each sample gets its own encoder, and image i's outcome
 // depends only on (input[i], enc(i)), so results are bit-identical for any
-// worker count. Options.Batch > 1 routes contiguous groups through the
-// batch-major runner (sim.EachGrouped) instead; grouping never changes
-// results.
+// worker count.
 func (b *Baseline) ClassifyEach(inputs []tensor.Vec, enc sim.EncoderFactory, opt sim.Options) ([]perf.Result, []sim.Report, error) {
-	if opt.Batch > 1 && !opt.Stepped && !b.Opt.Stepped && !opt.EarlyExit {
-		return sim.EachGrouped(inputs, enc, opt, func(batch int) sim.GroupSession {
-			bst := snn.NewBatchState(b.Net, batch)
-			return func(ins []tensor.Vec, encs []snn.Encoder, _ int) ([]perf.Result, []sim.Report) {
-				return b.classifyGroup(bst, ins, encs, opt)
-			}
-		})
-	}
+	var held []*snn.State
+	defer func() {
+		for _, st := range held {
+			b.states.Put(st)
+		}
+	}()
 	return sim.Each(inputs, enc, opt, func() sim.Session {
-		st := snn.NewState(b.Net)
+		st := b.getState()
+		held = append(held, st)
 		return func(in tensor.Vec, e snn.Encoder) (perf.Result, sim.Report) {
 			res, rep, steps := b.classifyOne(st, in, e, opt)
 			return res, sim.Report{Predicted: rep.Predicted, Steps: steps, Detail: rep}

@@ -109,61 +109,3 @@ func TestClassifyBatchAggregateShapeUnified(t *testing.T) {
 		}
 	}
 }
-
-// Options.Batch routes ClassifyEach through the batch-major runner; every
-// (batch, workers) combination must stay bit-identical to the per-image
-// serial reference — results, counters, per-layer cycles — on both the MLP
-// and the conv+pool CNN fixture.
-func TestClassifyEachBatchMajorEquivalence(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		net  *snn.Network
-	}{
-		{"mlp", mlp(t, 91)},
-		{"cnn", cnn(t, 92)},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			opt := DefaultOptions()
-			opt.Steps = 20
-			b, err := New(tc.net, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			inputs := make([]tensor.Vec, 7)
-			for i := range inputs {
-				inputs[i] = denseIntensity(tc.net.Input.Size(), 700+int64(i))
-			}
-			factory := func(i int) snn.Encoder { return snn.NewPoissonEncoder(0.8, 800+int64(i)) }
-			ref, refReps, err := b.ClassifyEach(inputs, factory, sim.Options{Workers: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, batch := range []int{2, 3, 8} {
-				for _, workers := range []int{1, 3} {
-					got, gotReps, err := b.ClassifyEach(inputs, factory, sim.Options{Workers: workers, Batch: batch})
-					if err != nil {
-						t.Fatal(err)
-					}
-					for i := range inputs {
-						if !reflect.DeepEqual(got[i], ref[i]) {
-							t.Fatalf("batch=%d workers=%d image %d: result %+v, want %+v",
-								batch, workers, i, got[i], ref[i])
-						}
-						gd := gotReps[i].Detail.(Report)
-						rd := refReps[i].Detail.(Report)
-						if gotReps[i].Predicted != refReps[i].Predicted || gd.Counts != rd.Counts ||
-							gd.Energy != rd.Energy || gd.Latency != rd.Latency {
-							t.Fatalf("batch=%d workers=%d image %d: report diverged", batch, workers, i)
-						}
-						for li := range rd.LayerCycles {
-							if gd.LayerCycles[li] != rd.LayerCycles[li] {
-								t.Fatalf("batch=%d workers=%d image %d layer %d: cycles diverged",
-									batch, workers, i, li)
-							}
-						}
-					}
-				}
-			}
-		})
-	}
-}

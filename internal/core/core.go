@@ -58,15 +58,6 @@ type Options struct {
 	// BlockSize overrides the temporal block length of the blocked runner
 	// (<= 0 selects snn.DefaultBlockSize). Ignored when Stepped is set.
 	BlockSize int
-	// EventEngine selects the discrete-event accounting path (see event.go):
-	// energies, predictions and event counters are bit-identical to the
-	// stepped accounting, but its cost scales with spike count instead of
-	// timesteps x mapped inputs, and Counters.Cycles/Latency come from a
-	// pipelined (Fig 7a) event simulation instead of serially summing every
-	// stage. Not to be confused with EventDriven, which is the paper's §3.2
-	// zero-check gating (a property of the modeled hardware, not of the
-	// simulator).
-	EventEngine bool
 }
 
 // DefaultOptions returns the paper's evaluation configuration.
@@ -132,25 +123,36 @@ type Report struct {
 	// BusCycles is the portion of Cycles spent on the shared global bus;
 	// bus phases of different stages cannot overlap.
 	BusCycles int
-	// Breakdown splits the total cycles by pipeline phase. Under the event
-	// engine the phases still sum the per-stage durations (identical to the
-	// stepped path), while Counts.Cycles is the smaller pipelined makespan —
-	// the difference is the overlap the pipeline wins.
+	// Breakdown splits the serial-sum cycles by pipeline phase; its Total is
+	// Counts.Cycles unless Pipeline replaced Cycles with the smaller
+	// pipelined makespan — the difference is the overlap the pipeline wins.
 	Breakdown CycleBreakdown
 	// LayerSpikes counts output spikes per (local) layer over the run — the
 	// sparsity record behind perf.Result's occupancy stats.
 	LayerSpikes []int
-	// Stages holds the per-(timestep, layer) stage durations recorded by the
-	// event engine (nil under stepped accounting), indexed [step][local
-	// layer]. internal/shard feeds the concatenated grids of its shards to
-	// one global pipeline simulation.
+	// Stages holds the per-(timestep, layer) stage durations the accountant
+	// recorded, indexed [step][local layer]: the grid both latency
+	// reductions read. Counts.Cycles is its serial sum; Pipeline reduces it
+	// to the pipelined makespan, and internal/shard feeds the concatenated
+	// grids of its shards to one global pipeline simulation.
 	Stages [][]StageDur
 	// BusWait is the total cycles stages spent queued for the shared global
-	// bus in the pipelined event simulation (zero under stepped accounting).
+	// bus in the pipelined reduction (zero unless Pipeline ran: the serial
+	// sum never overlaps two bus phases).
 	BusWait int64
 	// TraceError records the first trace-write failure, if tracing was
 	// enabled (the simulation itself is unaffected).
 	TraceError error
+}
+
+// Pipeline applies the second reduction of the stage grid: Counts.Cycles and
+// Latency become the Fig 7(a) pipelined makespan of Stages (see
+// PipelineMakespan) instead of its serial sum, and BusWait records the
+// cycles stages queued for the shared bus. Energies, the other counters,
+// Breakdown and the per-layer slices are unchanged.
+func (r *Report) Pipeline(cycleSeconds float64) {
+	r.Counts.Cycles = int(PipelineMakespan(r.Stages, &r.BusWait))
+	r.Latency = float64(r.Counts.Cycles) * cycleSeconds
 }
 
 // PipelineInterval returns the steady-state initiation interval (cycles per
@@ -186,16 +188,16 @@ type Chip struct {
 	Opt Options
 
 	sram energy.SRAM
-	// ownerMPE per layer per group: the mPE holding the group's neurons.
-	owner [][]int32
 	// faults holds the installed fault campaign (see faults.go); atomic so
 	// the serving layer can inject/clear while classifications are running.
 	faults atomic.Pointer[faultState]
-	// plans caches the event-engine layer plans (see event.go), built once
-	// on first use; fault campaigns never mutate the mapping, so the cache
-	// holds for the chip's lifetime.
-	plansOnce sync.Once
-	plans     []layerPlan
+	// plans caches the accountant's layer plans (see event.go), built on
+	// first use and dropped by Remapped; fault campaigns never mutate the
+	// mapping.
+	plansMu sync.Mutex
+	plans   []layerPlan
+	// sessions recycles worker sessions across classification calls.
+	sessions sync.Pool
 }
 
 // New validates and prepares a chip for the mapped network.
@@ -222,21 +224,6 @@ func New(net *snn.Network, m *mapping.Mapping, opt Options) (*Chip, error) {
 		bytes = 1024
 	}
 	c.sram = energy.NewSRAM(bytes)
-	c.owner = make([][]int32, len(m.Layers))
-	for li := range m.Layers {
-		lm := &m.Layers[li]
-		owner := make([]int32, lm.Groups)
-		for i := range owner {
-			owner[i] = -1
-		}
-		for ai := range lm.MCAs {
-			g := lm.MCAs[ai].Group
-			if owner[g] < 0 {
-				owner[g] = int32(lm.MCAs[ai].MPE)
-			}
-		}
-		c.owner[li] = owner
-	}
 	return c, nil
 }
 
@@ -255,6 +242,7 @@ func (c *Chip) Network() *snn.Network { return c.Net }
 type observer struct {
 	chip        *Chip
 	lo, hi      int // global layer range [lo, hi)
+	plans       []layerPlan
 	cnt         Counters
 	layerE      []perf.RESPARCEnergy // per local layer
 	layerCycles []int                // per local layer
@@ -263,27 +251,27 @@ type observer struct {
 	breakdown   CycleBreakdown
 	scratch     [][]int32 // per local layer: active-MCA count per group
 	traceErr    error
-	// ev, when non-nil, selects the event-engine accounting path (event.go).
-	ev *eventState
+	// Per local layer: spiking-row count per MCA and the visit stamps that
+	// validate row counts and word occupancy (see ObserveStep).
+	token                 int32
+	rows, rowTok, wordTok [][]int32
+	stages                [][]StageDur
+	nsteps                int
 }
 
-func newObserver(c *Chip, lo, hi int) observer {
-	return newObserverOpt(c, lo, hi, false)
-}
-
-func newObserverOpt(c *Chip, lo, hi int, eventEngine bool) observer {
+func newObserver(c *Chip, lo, hi int) *observer {
 	n := hi - lo
-	o := observer{
+	return &observer{
 		chip: c, lo: lo, hi: hi,
+		plans:       c.layerPlans(),
 		layerE:      make([]perf.RESPARCEnergy, n),
 		layerCycles: make([]int, n),
 		layerSpikes: make([]int, n),
 		scratch:     make([][]int32, n),
+		rows:        make([][]int32, n),
+		rowTok:      make([][]int32, n),
+		wordTok:     make([][]int32, n),
 	}
-	if eventEngine {
-		o.ev = newEventState(c, lo, hi)
-	}
-	return o
 }
 
 func (o *observer) groupScratch(j, groups int) []int32 {
@@ -294,210 +282,31 @@ func (o *observer) groupScratch(j, groups int) []int32 {
 }
 
 // reset clears the accumulated accounting, keeping the scratch allocations,
-// so one observer can be reused across a stream of classifications.
+// so one observer can be reused across a stream of classifications. It
+// picks up the chip's current layer plans (see Remapped).
 func (o *observer) reset() {
+	o.plans = o.chip.layerPlans()
 	o.cnt = Counters{}
-	for i := range o.layerE {
-		o.layerE[i] = perf.RESPARCEnergy{}
-	}
-	for i := range o.layerCycles {
-		o.layerCycles[i] = 0
-	}
-	for i := range o.layerSpikes {
-		o.layerSpikes[i] = 0
-	}
+	clear(o.layerE)
+	clear(o.layerCycles)
+	clear(o.layerSpikes)
 	o.busCycles = 0
 	o.breakdown = CycleBreakdown{}
 	o.traceErr = nil
-	if o.ev != nil {
-		o.ev.reset()
-	}
-}
-
-// ObserveStep implements snn.Observer: it charges one timestep's events.
-// layers holds the spike vectors of the observed range only (local indices);
-// input is the spike vector feeding the range's first layer.
-func (o *observer) ObserveStep(step int, input *bitvec.Bits, layers []*bitvec.Bits) {
-	if o.ev != nil {
-		o.observeEvent(step, input, layers)
-		return
-	}
-	c := o.chip
-	p := c.Opt.Params
-	w := c.Opt.PacketWidth
-	ed := c.Opt.EventDriven
-	cur := input
-	for j := 0; j < o.hi-o.lo; j++ {
-		gi := o.lo + j
-		lm := &c.Map.Layers[gi]
-		le := &o.layerE[j]
-		prevCnt := o.cnt
-		prevE := *le
-
-		// ---- Global control: event-flag synchronization (flags are read
-		// eight NeuroCells per access) ----
-		syncCycles := p.SyncCyclesPerNC * ((lm.NCLast - lm.NCFirst + 1 + 7) / 8)
-		o.cnt.Cycles += syncCycles
-		o.breakdown.Sync += syncCycles
-
-		// ---- Global bus & SRAM (§3.1.3) ----
-		if c.Map.CrossNC(gi) {
-			zero, total := cur.ZeroPackets(w)
-			sent := total - zero
-			if !ed {
-				sent = total
-				zero = 0
-			}
-			le.Peripherals += float64(total) * p.ZeroCheck
-			// Producer write to SRAM + broadcast read: two bus transactions
-			// and two SRAM accesses per surviving word (layer 0 is loaded by
-			// the host, so only the broadcast read applies).
-			per := 2.0
-			if gi == 0 {
-				per = 1.0
-			}
-			le.Peripherals += float64(sent) * per * (p.BusWord + c.sram.AccessEnergy())
-			o.cnt.BusWords += sent
-			o.cnt.BusWordsSuppressed += zero
-			// Broadcast serializes on the bus, several words per cycle.
-			busCycles := (sent + p.BusWordsPerCycle - 1) / p.BusWordsPerCycle
-			o.cnt.Cycles += busCycles
-			o.busCycles += busCycles
-			o.breakdown.Bus += busCycles
+	o.nsteps = 0
+	// Stamp tokens make clearing unnecessary; re-zero only on (absurdly
+	// rare) wraparound.
+	if o.token > 1<<30 {
+		o.token = 0
+		for j := range o.rowTok {
+			clear(o.rowTok[j])
+			clear(o.wordTok[j])
 		}
-
-		// ---- Switch network delivery + MCA activity ----
-		// Spike packets are the width-bit aligned words of the producer
-		// layer's spike vector, zero-checked at the sending switch (§3.2)
-		// and delivered once per target mPE (the mPE's buffers fan a word
-		// out to its resident MCAs). Precompute word occupancy once.
-		nonzeroWord := wordOccupancy(cur, w)
-		delivered := 0
-		maxMux := int32(0)
-		ga := o.groupScratch(j, lm.Groups)
-		for i := range ga {
-			ga[i] = 0
-		}
-		// Per-mPE delivery accounting: MCAs of one mPE are contiguous in
-		// allocation order.
-		// Words are deduped with a set but charged in insertion order: energy
-		// is a float sum, and ranging over the map directly would make the
-		// total depend on Go's randomized map order from run to run.
-		curMPE := -1
-		mpeSeen := map[int]bool{}
-		var mpeWords []int
-		flushMPE := func() {
-			for _, word := range mpeWords {
-				le.Peripherals += p.ZeroCheck
-				if nonzeroWord[word] || !ed {
-					delivered++
-					le.Peripherals += p.SwitchHop + 2*p.BufferAccess
-				} else {
-					o.cnt.PacketsSuppressed++
-				}
-			}
-			mpeWords = mpeWords[:0]
-			for w := range mpeSeen {
-				delete(mpeSeen, w)
-			}
-		}
-		for ai := range lm.MCAs {
-			mca := &lm.MCAs[ai]
-			if mca.MPE != curMPE {
-				flushMPE()
-				curMPE = mca.MPE
-			}
-			rows := 0
-			ins := mca.Inputs
-			lastWord := -1
-			for _, in := range ins {
-				word := int(in) / w
-				if word != lastWord {
-					lastWord = word
-					if !mpeSeen[word] {
-						mpeSeen[word] = true
-						mpeWords = append(mpeWords, word)
-					}
-				}
-				if cur.Get(int(in)) {
-					rows++
-				}
-			}
-
-			active := rows > 0
-			if !ed {
-				active = true
-			}
-			if !active {
-				continue
-			}
-			o.cnt.MCAActivations++
-			o.cnt.RowsDriven += rows
-			le.Peripherals += p.MPEControl
-			// Crossbar: every cross-point on a driven row conducts; used
-			// cells at programmed conductance, idle cells at the GMin pair
-			// (unless the counterfactual column gating is enabled).
-			usedPerRow := 0.0
-			if len(ins) > 0 {
-				usedPerRow = float64(mca.Taps) / float64(len(ins))
-			}
-			idlePerRow := float64(c.Map.LayerSize(gi)) - usedPerRow
-			if p.GateIdleColumns {
-				idlePerRow = 0
-			}
-			le.Crossbar += float64(rows) * (usedPerRow*p.XbarCellActive + idlePerRow*p.XbarCellActive*p.XbarIdleFrac)
-			// Neuron integration of this MCA's columns.
-			o.cnt.Integrations += len(mca.Outputs)
-			le.Neuron += float64(len(mca.Outputs)) * p.NeuronIntegrate
-			if int32(mca.MPE) != c.owner[gi][mca.Group] {
-				o.cnt.ExtTransfers++
-			}
-			if ga[mca.Group]++; ga[mca.Group] > maxMux {
-				maxMux = ga[mca.Group]
-			}
-		}
-		flushMPE()
-		o.cnt.PacketsDelivered += delivered
-		sw := lm.Switches(c.Map.Cfg)
-		deliveryCycles := (delivered + sw - 1) / sw
-		o.cnt.Cycles += deliveryCycles
-		o.breakdown.Delivery += deliveryCycles
-		integrateCycles := int(maxMux) * p.IntegrateCycles
-		o.cnt.Cycles += integrateCycles
-		o.breakdown.Integrate += integrateCycles
-
-		// ---- Fire ----
-		out := layers[j]
-		spikes := out.Count()
-		o.cnt.Spikes += spikes
-		o.layerSpikes[j] += spikes
-		le.Neuron += float64(spikes) * p.NeuronSpike
-		// Every spike is handled by the peripherals: oBUFF write, tBUFF
-		// target lookup, packet assembly.
-		le.Peripherals += float64(spikes) * p.SpikeHandling
-		// Spikes drain through the mPEs' output ports in parallel, one per
-		// mPE per cycle.
-		if spikes > 0 || maxMux > 0 {
-			mpes := lm.MPELast - lm.MPEFirst + 1
-			drainCycles := (spikes + mpes - 1) / mpes
-			if spikes == 0 {
-				drainCycles++ // threshold-check cycle with no spikes
-			}
-			o.cnt.Cycles += drainCycles
-			o.breakdown.Drain += drainCycles
-		}
-		o.layerCycles[j] += o.cnt.Cycles - prevCnt.Cycles
-
-		// Optional trace: per-(step, layer) deltas.
-		if c.Opt.Trace != nil {
-			o.writeTrace(step, gi, cur, out, prevCnt, prevE)
-		}
-		cur = out
 	}
 }
 
 // writeTrace emits one per-(step, layer) trace event from the accounting
-// deltas since the snapshot; shared by the stepped and event paths.
+// deltas since the snapshot.
 func (o *observer) writeTrace(step, gi int, cur, out *bitvec.Bits, prevCnt Counters, prevE perf.RESPARCEnergy) {
 	c := o.chip
 	lm := &c.Map.Layers[gi]
@@ -520,30 +329,37 @@ func (o *observer) writeTrace(step, gi int, cur, out *bitvec.Bits, prevCnt Count
 	}
 }
 
-// report reduces the accumulated accounting to a result/report pair. Under
-// the event engine, Cycles/Latency are the pipelined makespan from the
-// discrete-event simulation of the recorded stage grid; everything else is
-// bit-identical to the stepped accounting.
-func (o *observer) report(predicted, steps int) (perf.Result, Report) {
-	e := perf.SumRESPARC(o.layerE)
-	var stages [][]StageDur
-	var busWait int64
-	if o.ev != nil {
-		stages = o.ev.stages[:o.ev.nsteps]
-		o.cnt.Cycles = int(PipelineMakespan(stages, &busWait))
+// report reduces the accumulated accounting to a result/report pair, with
+// Cycles/Latency the serial sum of the recorded stage grid — or, when
+// pipelined is set, its pipelined makespan (Report.Pipeline). The per-layer
+// slices and the stage grid are copies: observers are reused across
+// classifications (reset), so reports must not alias their buffers.
+func (o *observer) report(predicted, steps int, pipelined bool) (perf.Result, Report) {
+	ncc := o.chip.Opt.Params.NCCycle()
+	n := o.hi - o.lo
+	grid := make([]StageDur, o.nsteps*n)
+	stages := make([][]StageDur, o.nsteps)
+	for t := range stages {
+		stages[t] = grid[t*n : (t+1)*n : (t+1)*n]
+		copy(stages[t], o.stages[t])
 	}
-	lat := float64(o.cnt.Cycles) * o.chip.Opt.Params.NCCycle()
 	rep := Report{
-		Energy: e, Latency: lat, Counts: o.cnt, Predicted: predicted,
-		LayerCycles: o.layerCycles, LayerEnergies: o.layerE,
-		LayerSpikes: o.layerSpikes, Stages: stages, BusWait: busWait,
-		BusCycles: o.busCycles, Breakdown: o.breakdown, TraceError: o.traceErr,
+		Energy: perf.SumRESPARC(o.layerE), Latency: float64(o.cnt.Cycles) * ncc,
+		Counts: o.cnt, Predicted: predicted,
+		LayerCycles:   append([]int(nil), o.layerCycles...),
+		LayerEnergies: append([]perf.RESPARCEnergy(nil), o.layerE...),
+		LayerSpikes:   append([]int(nil), o.layerSpikes...),
+		Stages:        stages,
+		BusCycles:     o.busCycles, Breakdown: o.breakdown, TraceError: o.traceErr,
+	}
+	if pipelined {
+		rep.Pipeline(ncc)
 	}
 	res := perf.Result{
 		Arch:    "resparc",
 		Network: o.chip.Net.Name,
-		Energy:  e.Total(),
-		Latency: lat,
+		Energy:  rep.Energy.Total(),
+		Latency: rep.Latency,
 		Steps:   steps,
 	}
 	res.SpikesPerStep, res.LayerOccupancy = o.sparsity(steps)
@@ -576,23 +392,15 @@ func (o *observer) sparsity(steps int) (float64, []float64) {
 // per-layer cycles/energies of adjacent ranges and reducing in layer order
 // reproduces the whole chip's report bit for bit.
 type Accountant struct {
-	obs observer
+	obs *observer
 }
 
-// NewAccountant returns an accountant for global layers [lo, hi), using the
-// chip's configured accounting path (Options.EventEngine).
+// NewAccountant returns an accountant for global layers [lo, hi).
 func (c *Chip) NewAccountant(lo, hi int) (*Accountant, error) {
-	return c.NewAccountantOpt(lo, hi, c.Opt.EventEngine)
-}
-
-// NewAccountantOpt is NewAccountant with an explicit accounting-path choice,
-// so callers honoring a per-call sim.Options.EventEngine override (the shard
-// executor) can select the event engine on a chip configured without it.
-func (c *Chip) NewAccountantOpt(lo, hi int, eventEngine bool) (*Accountant, error) {
 	if lo < 0 || hi > len(c.Net.Layers) || lo >= hi {
 		return nil, fmt.Errorf("core: accountant range [%d,%d) of %d layers", lo, hi, len(c.Net.Layers))
 	}
-	return &Accountant{obs: newObserverOpt(c, lo, hi, eventEngine)}, nil
+	return &Accountant{obs: newObserver(c, lo, hi)}, nil
 }
 
 // ObserveStep implements snn.Observer; layers holds the range's spike
@@ -605,80 +413,63 @@ func (a *Accountant) ObserveStep(step int, input *bitvec.Bits, layers []*bitvec.
 // are retained).
 func (a *Accountant) Reset() { a.obs.reset() }
 
-// Report reduces the range's accounting. Latency covers the charged range's
-// cycles only. The per-layer slices are copies: the accountant is reused
-// across classifications (Reset), so reports must not alias its buffers.
+// Report reduces the range's accounting with the serial-sum latency of the
+// charged range's cycles (Report.Pipeline applies the pipelined reduction).
+// The per-layer slices and the stage grid are copies: the accountant is
+// reused across classifications (Reset), so reports must not alias its
+// buffers.
 func (a *Accountant) Report(predicted, steps int) (perf.Result, Report) {
-	res, rep := a.obs.report(predicted, steps)
-	rep.LayerCycles = append([]int(nil), rep.LayerCycles...)
-	rep.LayerEnergies = append([]perf.RESPARCEnergy(nil), rep.LayerEnergies...)
-	rep.LayerSpikes = append([]int(nil), rep.LayerSpikes...)
-	if rep.Stages != nil {
-		st := make([][]StageDur, len(rep.Stages))
-		for i, row := range rep.Stages {
-			st[i] = append([]StageDur(nil), row...)
-		}
-		rep.Stages = st
-	}
-	return res, rep
+	return a.obs.report(predicted, steps, false)
 }
 
-// classifyOne runs one classification on a caller-owned state (reused
-// across a worker's batch share) under the given per-call options.
-func (c *Chip) classifyOne(st *snn.State, intensity tensor.Vec, enc snn.Encoder, opt sim.Options) (perf.Result, Report, int) {
-	obs := newObserverOpt(c, 0, len(c.Net.Layers), c.Opt.EventEngine || opt.EventEngine)
-	if opt.EarlyExit {
-		steps, predicted := sim.EarlyExitRun(st, intensity, enc, c.Opt.Steps, &obs)
-		res, rep := obs.report(predicted, steps)
-		return res, rep, steps
+// session is one worker's reusable simulation state: the functional State
+// and a whole-chip accountant. Sessions are pooled across calls, so a stream
+// of small batches does not rebuild them.
+type session struct {
+	st  *snn.State
+	obs *observer
+}
+
+func (c *Chip) getSession() *session {
+	if s, ok := c.sessions.Get().(*session); ok {
+		return s
 	}
-	var run snn.RunResult
-	if c.Opt.Stepped || opt.Stepped {
-		run = st.RunObserved(intensity, enc, c.Opt.Steps, &obs)
-	} else {
+	return &session{st: snn.NewState(c.Net), obs: newObserver(c, 0, len(c.Net.Layers))}
+}
+
+// classifyOne runs one classification on a worker's session under the
+// given per-call options.
+func (c *Chip) classifyOne(s *session, intensity tensor.Vec, enc snn.Encoder, opt sim.Options) (perf.Result, Report, int) {
+	st, obs := s.st, s.obs
+	obs.reset()
+	steps, predicted := c.Opt.Steps, 0
+	switch {
+	case opt.EarlyExit:
+		steps, predicted = sim.EarlyExitRun(st, intensity, enc, c.Opt.Steps, obs)
+	case c.Opt.Stepped || opt.Stepped:
+		predicted = st.RunObserved(intensity, enc, c.Opt.Steps, obs).Prediction
+	default:
 		bs := c.Opt.BlockSize
 		if opt.BlockSize > 0 {
 			bs = opt.BlockSize
 		}
-		run = st.RunBlockedK(intensity, enc, c.Opt.Steps, bs, &obs)
+		predicted = st.RunBlockedK(intensity, enc, c.Opt.Steps, bs, obs).Prediction
 	}
-	res, rep := obs.report(run.Prediction, c.Opt.Steps)
-	return res, rep, c.Opt.Steps
+	res, rep := obs.report(predicted, steps, opt.EventEngine)
+	return res, rep, steps
 }
 
-// classifyGroup runs one contiguous group of images batch-major on a
-// caller-owned batch state, with one observer per image. The observers see
-// exactly the per-step rasters the per-image runner produces (the batch
-// runner is bit-identical per image), so accounting, energies and
-// predictions match classifyOne bit for bit.
-func (c *Chip) classifyGroup(bst *snn.BatchState, inputs []tensor.Vec, encs []snn.Encoder, opt sim.Options) ([]perf.Result, []sim.Report) {
-	nb := len(inputs)
-	obs := make([]snn.Observer, nb)
-	cobs := make([]*observer, nb)
-	for i := range obs {
-		o := newObserverOpt(c, 0, len(c.Net.Layers), c.Opt.EventEngine || opt.EventEngine)
-		cobs[i] = &o
-		obs[i] = &o
-	}
-	bs := c.Opt.BlockSize
-	if opt.BlockSize > 0 {
-		bs = opt.BlockSize
-	}
-	runs := bst.RunBlocked(inputs, encs, c.Opt.Steps, bs, obs)
-	ress := make([]perf.Result, nb)
-	reps := make([]sim.Report, nb)
-	for i := range runs {
-		res, rep := cobs[i].report(runs[i].Prediction, c.Opt.Steps)
-		ress[i] = res
-		reps[i] = sim.Report{Predicted: rep.Predicted, Steps: c.Opt.Steps, Detail: rep}
-	}
-	return ress, reps
+// classify runs one classification on a session taken from the pool.
+func (c *Chip) classify(intensity tensor.Vec, enc snn.Encoder, opt sim.Options) (perf.Result, Report, int) {
+	s := c.getSession()
+	defer c.sessions.Put(s)
+	return c.classifyOne(s, intensity, enc, opt)
 }
 
 // Classify implements sim.Backend: one classification with the chip's
 // configured runner and step budget.
 func (c *Chip) Classify(intensity tensor.Vec, enc snn.Encoder) (perf.Result, sim.Report) {
-	res, rep, steps := c.classifyOne(snn.NewState(c.Net), intensity, enc, sim.Options{})
+	res, rep, steps := c.classify(intensity, enc, sim.Options{})
 	return res, sim.Report{Predicted: rep.Predicted, Steps: steps, Detail: rep}
 }
 
@@ -686,7 +477,7 @@ func (c *Chip) Classify(intensity tensor.Vec, enc snn.Encoder) (perf.Result, sim
 // counters, cycle breakdown, per-layer accounting) instead of the
 // backend-neutral sim.Report.
 func (c *Chip) ClassifyDetailed(intensity tensor.Vec, enc snn.Encoder) (perf.Result, Report) {
-	res, rep, _ := c.classifyOne(snn.NewState(c.Net), intensity, enc, sim.Options{})
+	res, rep, _ := c.classify(intensity, enc, sim.Options{})
 	return res, rep
 }
 
@@ -694,10 +485,8 @@ func (c *Chip) ClassifyDetailed(intensity tensor.Vec, enc snn.Encoder) (perf.Res
 // shared worker pool (internal/parallel) via the one fan-out in sim.Each.
 // Each worker owns one simulation state, each sample gets its own encoder,
 // and image i's outcome depends only on (input[i], enc(i)), so results are
-// bit-identical for any worker count. Options.Batch > 1 routes contiguous
-// groups through the batch-major runner (sim.EachGrouped) instead; grouping
-// never changes results. Tracing is not supported (the trace writer is not
-// concurrency-safe).
+// bit-identical for any worker count. Tracing is not supported (the trace
+// writer is not concurrency-safe).
 func (c *Chip) ClassifyEach(inputs []tensor.Vec, enc sim.EncoderFactory, opt sim.Options) ([]perf.Result, []sim.Report, error) {
 	if c.Opt.Trace != nil {
 		return nil, nil, fmt.Errorf("core: tracing is not supported with batched classification")
@@ -705,18 +494,17 @@ func (c *Chip) ClassifyEach(inputs []tensor.Vec, enc sim.EncoderFactory, opt sim
 	if err := c.Healthy(); err != nil {
 		return nil, nil, err
 	}
-	if opt.Batch > 1 && !opt.Stepped && !c.Opt.Stepped && !opt.EarlyExit {
-		return sim.EachGrouped(inputs, enc, opt, func(batch int) sim.GroupSession {
-			bst := snn.NewBatchState(c.Net, batch)
-			return func(ins []tensor.Vec, encs []snn.Encoder, _ int) ([]perf.Result, []sim.Report) {
-				return c.classifyGroup(bst, ins, encs, opt)
-			}
-		})
-	}
+	var held []*session
+	defer func() {
+		for _, s := range held {
+			c.sessions.Put(s)
+		}
+	}()
 	return sim.Each(inputs, enc, opt, func() sim.Session {
-		st := snn.NewState(c.Net)
+		s := c.getSession()
+		held = append(held, s)
 		return func(in tensor.Vec, e snn.Encoder) (perf.Result, sim.Report) {
-			res, rep, steps := c.classifyOne(st, in, e, opt)
+			res, rep, steps := c.classifyOne(s, in, e, opt)
 			return res, sim.Report{Predicted: rep.Predicted, Steps: steps, Detail: rep}
 		}
 	})
@@ -812,15 +600,6 @@ func batchSparsity(c *Chip, layerSpikes []int, images, steps int) (float64, []fl
 		}
 	}
 	return float64(total) / (float64(images) * float64(steps)), occ
-}
-
-// wordOccupancy returns, per width-bit aligned word of the spike vector,
-// whether it contains at least one spike.
-func wordOccupancy(v *bitvec.Bits, width int) []bool {
-	n := (v.Len() + width - 1) / width
-	out := make([]bool, n)
-	v.ForEachSet(func(i int) { out[i/width] = true })
-	return out
 }
 
 func addBreakdown(a, b CycleBreakdown) CycleBreakdown {

@@ -3,35 +3,31 @@ package core
 import (
 	"resparc/internal/bitvec"
 	"resparc/internal/event"
+	"resparc/internal/mapping"
 )
 
-// This file is the event-engine accounting path (Options.EventEngine): the
-// same transaction-level model as the stepped observer, restructured so its
-// cost scales with spike count instead of timesteps x mapped inputs, and its
-// Cycles/Latency come from a discrete-event pipeline simulation (Fig 7a)
-// instead of serially summing every stage.
+// This file is the chip's accountant: the transaction-level model of §4.2
+// charged once per (timestep, layer) visit. Its cost scales with spike count
+// rather than timesteps x mapped inputs: a chip-cached inverse adjacency
+// scatters each spike to the MCAs it drives, and word occupancy is stamped
+// during the same single pass over the set bits.
 //
-// Two invariants pin it to the stepped path:
+// Every visit records its per-phase durations in a StageDur grid, which
+// Report reduces two ways:
 //
-//  1. Bit-identical energies and counters (except Cycles). Float addition is
-//     not associative, so the event path replays the stepped observer's
-//     exact float-op sequence: per mPE run, first the active MCAs' charges
-//     in allocation order, then the run's word charges in first-encounter
-//     order (the stepped flushMPE interleaving). Per-MCA factors are
-//     precomputed with the very expressions the stepped path evaluates
-//     inline, so each added term is the same float64.
+//  1. Serially (the default, the paper's latency): Counts.Cycles is the sum
+//     of every stage's sync, bus, delivery, integrate and drain cycles —
+//     exactly Breakdown.Total().
+//  2. Pipelined (sim.Options.EventEngine): Report.Pipeline replaces Cycles
+//     with the makespan of a discrete-event simulation of the same grid
+//     (Fig 7a), where layer stages overlap across timesteps and the shared
+//     global bus is a FIFO resource.
 //
-//  2. The per-phase durations (sync/bus/delivery/integrate/drain) use the
-//     same closed forms; only their composition differs — the stepped path
-//     sums them serially, the event path feeds them to a pipeline DES where
-//     layer stages overlap across timesteps and the shared global bus is a
-//     FIFO resource (bus phases of different stages cannot overlap).
-//
-// The speedup comes from inverting the hot loop: instead of walking every
-// MCA's input list against the spike vector each timestep (and deduping
-// words through a per-step map), a chip-cached inverse adjacency scatters
-// each spike to the MCAs it drives, and word occupancy is stamped during
-// the same single pass over the set bits.
+// Energies are float sums, and float addition is not associative, so the
+// charges follow one fixed order: per mPE run, first the active MCAs'
+// charges in allocation order, then the run's word charges in
+// first-encounter order. A test-only copy of the original step-major loop
+// (oracle_test.go) pins every energy and counter to that order bit for bit.
 
 // StageDur is the modeled duration of one (timestep, layer) pipeline stage,
 // split by resource class: Sync is the global-control flag synchronization,
@@ -40,9 +36,8 @@ import (
 // integration, spike drain) that overlap freely across layers.
 type StageDur struct{ Sync, Bus, Local int32 }
 
-// mcaPlan precomputes one MCA's per-activation constants. The float factors
-// are evaluated with the stepped observer's exact expressions so the charges
-// they produce are bit-identical.
+// mcaPlan precomputes one MCA's per-activation constants, so each charge
+// adds the same float64 the per-row model produces.
 type mcaPlan struct {
 	factorXbar float64 // crossbar energy per driven row
 	integrateE float64 // neuron integration energy per activation
@@ -52,175 +47,187 @@ type mcaPlan struct {
 }
 
 // mpeRun is one contiguous run of same-mPE MCAs in allocation order, with
-// its deduped source-word list (indices into layerPlan.words) — the unit the
-// stepped observer's flushMPE charges per.
+// its deduped source-word list (indices into layerPlan.words): the mPE's
+// buffers receive each word once and fan it out to the run's MCAs.
 type mpeRun struct{ mcaLo, mcaHi, wordLo, wordHi int32 }
 
 // layerPlan is the chip-cached static structure of one layer's mapping.
 type layerPlan struct {
-	// inToMCA scatters an input bit to the MCAs whose input lists contain it
-	// (with multiplicity: an input wired to k rows of one MCA appears k
-	// times, matching the stepped per-row count).
-	inToMCA [][]int32
-	runs    []mpeRun
-	words   []int32 // concatenated per-run word lists, first-encounter order
-	mcas    []mcaPlan
-	nwords  int // words of the layer's input vector at the chip packet width
+	// inMCA[inOff[i]:inOff[i+1]] scatters input bit i to the MCAs whose
+	// input lists contain it, with multiplicity: an input wired to k rows of
+	// one MCA appears k times, once per driven row.
+	inOff  []int32
+	inMCA  []int32
+	runs   []mpeRun
+	words  []int32 // concatenated per-run word lists, first-encounter order
+	mcas   []mcaPlan
+	nwords int // words of the layer's input vector at the chip packet width
 }
 
-// eventPlans builds (once) the per-layer static plans. Fault campaigns never
-// mutate the mapping (they only gate Healthy), so the cache is safe for the
-// chip's lifetime.
-func (c *Chip) eventPlans() []layerPlan {
-	c.plansOnce.Do(func() {
-		p := c.Opt.Params
-		w := c.Opt.PacketWidth
-		plans := make([]layerPlan, len(c.Map.Layers))
-		for li := range c.Map.Layers {
-			lm := &c.Map.Layers[li]
-			pl := &plans[li]
-			insz := lm.Layer.InSize()
-			pl.nwords = (insz + w - 1) / w
-			pl.inToMCA = make([][]int32, insz)
-			pl.mcas = make([]mcaPlan, len(lm.MCAs))
-			curMPE := -1
-			mcaLo, wordLo := int32(0), int32(0)
-			seen := map[int]bool{}
-			for ai := range lm.MCAs {
-				mca := &lm.MCAs[ai]
-				if mca.MPE != curMPE {
-					if ai > 0 {
-						pl.runs = append(pl.runs, mpeRun{mcaLo, int32(ai), wordLo, int32(len(pl.words))})
-						mcaLo, wordLo = int32(ai), int32(len(pl.words))
-						seen = map[int]bool{}
-					}
-					curMPE = mca.MPE
-				}
-				// The stepped observer's inline crossbar/integration math,
-				// verbatim, so the precomputed factors carry identical bits.
-				usedPerRow := 0.0
-				if len(mca.Inputs) > 0 {
-					usedPerRow = float64(mca.Taps) / float64(len(mca.Inputs))
-				}
-				idlePerRow := float64(c.Map.LayerSize(li)) - usedPerRow
-				if p.GateIdleColumns {
-					idlePerRow = 0
-				}
-				pl.mcas[ai] = mcaPlan{
-					factorXbar: usedPerRow*p.XbarCellActive + idlePerRow*p.XbarCellActive*p.XbarIdleFrac,
-					integrateE: float64(len(mca.Outputs)) * p.NeuronIntegrate,
-					outs:       int32(len(mca.Outputs)),
-					group:      int32(mca.Group),
-					ext:        int32(mca.MPE) != c.owner[li][mca.Group],
-				}
-				lastWord := -1
-				for _, in := range mca.Inputs {
-					pl.inToMCA[in] = append(pl.inToMCA[in], int32(ai))
-					word := int(in) / w
-					if word != lastWord {
-						lastWord = word
-						if !seen[word] {
-							seen[word] = true
-							pl.words = append(pl.words, int32(word))
-						}
-					}
-				}
-			}
-			if len(lm.MCAs) > 0 {
-				pl.runs = append(pl.runs, mpeRun{mcaLo, int32(len(lm.MCAs)), wordLo, int32(len(pl.words))})
+// groupOwners returns, per layer per neuron group, the mPE holding the
+// group's first MCA — the group's owner, to which every other mPE serving
+// the group transfers its partial sums.
+func groupOwners(m *mapping.Mapping) [][]int32 {
+	owners := make([][]int32, len(m.Layers))
+	for li := range m.Layers {
+		lm := &m.Layers[li]
+		owner := make([]int32, lm.Groups)
+		for i := range owner {
+			owner[i] = -1
+		}
+		for ai := range lm.MCAs {
+			if g := lm.MCAs[ai].Group; owner[g] < 0 {
+				owner[g] = int32(lm.MCAs[ai].MPE)
 			}
 		}
-		c.plans = plans
-	})
+		owners[li] = owner
+	}
+	return owners
+}
+
+// layerPlans returns the per-layer plans, building them on first use. They
+// derive from the mapping's placements; Remapped drops them when those
+// change in place.
+func (c *Chip) layerPlans() []layerPlan {
+	c.plansMu.Lock()
+	defer c.plansMu.Unlock()
+	if c.plans == nil {
+		c.plans = buildPlans(c.Map, c.Opt)
+	}
 	return c.plans
 }
 
-// eventState is the per-observer scratch of the event accounting path. Row
-// counts and word occupancy are stamp-managed: a cell is valid only if its
-// token matches the current (step, layer) visit, so nothing is cleared
-// between steps.
-type eventState struct {
-	plans   []layerPlan
-	token   int32
-	rows    [][]int32 // per local layer: spiking-row count per MCA
-	rowTok  [][]int32
-	wordTok [][]int32 // per local layer: word-occupancy stamp
-	stages  [][]StageDur
-	nsteps  int
+// Remapped rebuilds what the chip derives from its mapping's placements —
+// the group owners and the layer plans — after the mapping was changed in
+// place (mapping.RemapFaulty moves MCAs to spare mPEs). The caller must keep
+// classifications off the chip while the mapping changes and until
+// Remapped returns.
+func (c *Chip) Remapped() {
+	c.plansMu.Lock()
+	c.plans = nil
+	c.plansMu.Unlock()
 }
 
-func newEventState(c *Chip, lo, hi int) *eventState {
-	n := hi - lo
-	return &eventState{
-		plans:   c.eventPlans(),
-		rows:    make([][]int32, n),
-		rowTok:  make([][]int32, n),
-		wordTok: make([][]int32, n),
-	}
-}
-
-func (ev *eventState) reset() {
-	ev.nsteps = 0
-	// Stamp tokens make clearing unnecessary; re-zero only on (absurdly
-	// rare) wraparound.
-	if ev.token > 1<<30 {
-		ev.token = 0
-		for j := range ev.rowTok {
-			for i := range ev.rowTok[j] {
-				ev.rowTok[j][i] = 0
-			}
-			for i := range ev.wordTok[j] {
-				ev.wordTok[j][i] = 0
+func buildPlans(m *mapping.Mapping, opt Options) []layerPlan {
+	p := opt.Params
+	w := opt.PacketWidth
+	owners := groupOwners(m)
+	plans := make([]layerPlan, len(m.Layers))
+	for li := range m.Layers {
+		lm := &m.Layers[li]
+		pl := &plans[li]
+		insz := lm.Layer.InSize()
+		pl.nwords = (insz + w - 1) / w
+		pl.mcas = make([]mcaPlan, len(lm.MCAs))
+		pl.inOff = make([]int32, insz+1)
+		for ai := range lm.MCAs {
+			for _, in := range lm.MCAs[ai].Inputs {
+				pl.inOff[in+1]++
 			}
 		}
+		for i := 0; i < insz; i++ {
+			pl.inOff[i+1] += pl.inOff[i]
+		}
+		pl.inMCA = make([]int32, pl.inOff[insz])
+		fill := append([]int32(nil), pl.inOff[:insz]...)
+		curMPE := -1
+		mcaLo, wordLo := int32(0), int32(0)
+		seen := map[int]bool{}
+		for ai := range lm.MCAs {
+			mca := &lm.MCAs[ai]
+			if mca.MPE != curMPE {
+				if ai > 0 {
+					pl.runs = append(pl.runs, mpeRun{mcaLo, int32(ai), wordLo, int32(len(pl.words))})
+					mcaLo, wordLo = int32(ai), int32(len(pl.words))
+					clear(seen)
+				}
+				curMPE = mca.MPE
+			}
+			// Crossbar: every cross-point on a driven row conducts; used
+			// cells at programmed conductance, idle cells at the GMin pair
+			// (unless the counterfactual column gating is enabled).
+			usedPerRow := 0.0
+			if len(mca.Inputs) > 0 {
+				usedPerRow = float64(mca.Taps) / float64(len(mca.Inputs))
+			}
+			idlePerRow := float64(m.LayerSize(li)) - usedPerRow
+			if p.GateIdleColumns {
+				idlePerRow = 0
+			}
+			pl.mcas[ai] = mcaPlan{
+				factorXbar: usedPerRow*p.XbarCellActive + idlePerRow*p.XbarCellActive*p.XbarIdleFrac,
+				integrateE: float64(len(mca.Outputs)) * p.NeuronIntegrate,
+				outs:       int32(len(mca.Outputs)),
+				group:      int32(mca.Group),
+				ext:        int32(mca.MPE) != owners[li][mca.Group],
+			}
+			lastWord := -1
+			for _, in := range mca.Inputs {
+				pl.inMCA[fill[in]] = int32(ai)
+				fill[in]++
+				word := int(in) / w
+				if word != lastWord {
+					lastWord = word
+					if !seen[word] {
+						seen[word] = true
+						pl.words = append(pl.words, int32(word))
+					}
+				}
+			}
+		}
+		if len(lm.MCAs) > 0 {
+			pl.runs = append(pl.runs, mpeRun{mcaLo, int32(len(lm.MCAs)), wordLo, int32(len(pl.words))})
+		}
 	}
+	return plans
 }
 
 // stageRow returns the (zeroed-by-overwrite) duration row for a step,
 // growing the grid as steps are observed.
-func (ev *eventState) stageRow(step, layers int) []StageDur {
-	for len(ev.stages) <= step {
-		ev.stages = append(ev.stages, make([]StageDur, layers))
+func (o *observer) stageRow(step int) []StageDur {
+	for len(o.stages) <= step {
+		o.stages = append(o.stages, make([]StageDur, o.hi-o.lo))
 	}
-	if step+1 > ev.nsteps {
-		ev.nsteps = step + 1
-	}
-	return ev.stages[step]
+	o.nsteps = max(o.nsteps, step+1)
+	return o.stages[step]
 }
 
-func (ev *eventState) layerScratch(j int, pl *layerPlan) (rows, rowTok, wordTok []int32) {
-	if ev.rows[j] == nil {
-		ev.rows[j] = make([]int32, len(pl.mcas))
-		ev.rowTok[j] = make([]int32, len(pl.mcas))
-		ev.wordTok[j] = make([]int32, pl.nwords)
+func (o *observer) layerScratch(j int, pl *layerPlan) (rows, rowTok, wordTok []int32) {
+	if len(o.rows[j]) != len(pl.mcas) || len(o.wordTok[j]) != pl.nwords {
+		o.rows[j] = make([]int32, len(pl.mcas))
+		o.rowTok[j] = make([]int32, len(pl.mcas))
+		o.wordTok[j] = make([]int32, pl.nwords)
 	}
-	return ev.rows[j], ev.rowTok[j], ev.wordTok[j]
+	return o.rows[j], o.rowTok[j], o.wordTok[j]
 }
 
-// observeEvent is the event-engine twin of the stepped ObserveStep: one pass
-// over the set bits stamps word occupancy and scatters per-MCA row counts,
-// then charges flow run by run in the stepped float order.
-func (o *observer) observeEvent(step int, input *bitvec.Bits, layers []*bitvec.Bits) {
+// ObserveStep implements snn.Observer: it charges one timestep's events.
+// layers holds the spike vectors of the observed range only (local indices);
+// input is the spike vector feeding the range's first layer. Per layer, one
+// pass over the input spikes stamps word occupancy and scatters per-MCA row
+// counts, then charges flow run by run in the fixed float order.
+func (o *observer) ObserveStep(step int, input *bitvec.Bits, layers []*bitvec.Bits) {
 	c := o.chip
 	p := c.Opt.Params
 	w := c.Opt.PacketWidth
 	ed := c.Opt.EventDriven
-	ev := o.ev
 	cur := input
-	row := ev.stageRow(step, o.hi-o.lo)
+	row := o.stageRow(step)
 	for j := 0; j < o.hi-o.lo; j++ {
 		gi := o.lo + j
 		lm := &c.Map.Layers[gi]
-		pl := &ev.plans[gi]
+		pl := &o.plans[gi]
 		le := &o.layerE[j]
 		prevCnt := o.cnt
 		prevE := *le
 
 		// One pass over the spikes: stamp packet-word occupancy and scatter
-		// each spike to the MCAs it drives.
-		ev.token++
-		tok := ev.token
-		rows, rowTok, wordTok := ev.layerScratch(j, pl)
+		// each spike to the MCAs it drives. Stamps are valid only when they
+		// match the current visit's token, so nothing is cleared between
+		// visits.
+		o.token++
+		tok := o.token
+		rows, rowTok, wordTok := o.layerScratch(j, pl)
 		occWords := 0
 		cur.ForEachSet(func(i int) {
 			wd := i / w
@@ -228,7 +235,7 @@ func (o *observer) observeEvent(step int, input *bitvec.Bits, layers []*bitvec.B
 				wordTok[wd] = tok
 				occWords++
 			}
-			for _, m := range pl.inToMCA[i] {
+			for _, m := range pl.inMCA[pl.inOff[i]:pl.inOff[i+1]] {
 				if rowTok[m] != tok {
 					rowTok[m] = tok
 					rows[m] = 0
@@ -237,7 +244,8 @@ func (o *observer) observeEvent(step int, input *bitvec.Bits, layers []*bitvec.B
 			}
 		})
 
-		// ---- Global control: event-flag synchronization ----
+		// ---- Global control: event-flag synchronization (flags are read
+		// eight NeuroCells per access) ----
 		syncCycles := p.SyncCyclesPerNC * ((lm.NCLast - lm.NCFirst + 1 + 7) / 8)
 		o.breakdown.Sync += syncCycles
 
@@ -252,6 +260,9 @@ func (o *observer) observeEvent(step int, input *bitvec.Bits, layers []*bitvec.B
 				zero = 0
 			}
 			le.Peripherals += float64(total) * p.ZeroCheck
+			// Producer write to SRAM + broadcast read: two bus transactions
+			// and two SRAM accesses per surviving word (layer 0 is loaded by
+			// the host, so only the broadcast read applies).
 			per := 2.0
 			if gi == 0 {
 				per = 1.0
@@ -259,21 +270,22 @@ func (o *observer) observeEvent(step int, input *bitvec.Bits, layers []*bitvec.B
 			le.Peripherals += float64(sent) * per * (p.BusWord + c.sram.AccessEnergy())
 			o.cnt.BusWords += sent
 			o.cnt.BusWordsSuppressed += zero
+			// Broadcast serializes on the bus, several words per cycle.
 			busCycles = (sent + p.BusWordsPerCycle - 1) / p.BusWordsPerCycle
 			o.busCycles += busCycles
 			o.breakdown.Bus += busCycles
 		}
 
 		// ---- Switch network delivery + MCA activity ----
-		// Run by run: active MCA charges in allocation order, then the run's
-		// word charges in first-encounter order — the stepped flushMPE
-		// interleaving, term for term.
+		// Spike packets are the width-bit aligned words of the producer
+		// layer's spike vector, zero-checked at the sending switch (§3.2)
+		// and delivered once per target mPE. Run by run: the active MCAs'
+		// charges in allocation order, then the run's word charges in
+		// first-encounter order.
 		delivered := 0
 		maxMux := int32(0)
 		ga := o.groupScratch(j, lm.Groups)
-		for i := range ga {
-			ga[i] = 0
-		}
+		clear(ga)
 		for ri := range pl.runs {
 			run := &pl.runs[ri]
 			for mi := run.mcaLo; mi < run.mcaHi; mi++ {
@@ -289,6 +301,7 @@ func (o *observer) observeEvent(step int, input *bitvec.Bits, layers []*bitvec.B
 				o.cnt.RowsDriven += int(r)
 				le.Peripherals += p.MPEControl
 				le.Crossbar += float64(r) * mp.factorXbar
+				// Neuron integration of this MCA's columns.
 				o.cnt.Integrations += int(mp.outs)
 				le.Neuron += mp.integrateE
 				if mp.ext {
@@ -321,7 +334,11 @@ func (o *observer) observeEvent(step int, input *bitvec.Bits, layers []*bitvec.B
 		o.cnt.Spikes += spikes
 		o.layerSpikes[j] += spikes
 		le.Neuron += float64(spikes) * p.NeuronSpike
+		// Every spike is handled by the peripherals: oBUFF write, tBUFF
+		// target lookup, packet assembly.
 		le.Peripherals += float64(spikes) * p.SpikeHandling
+		// Spikes drain through the mPEs' output ports in parallel, one per
+		// mPE per cycle.
 		drainCycles := 0
 		if spikes > 0 || maxMux > 0 {
 			mpes := lm.MPELast - lm.MPEFirst + 1
@@ -334,7 +351,9 @@ func (o *observer) observeEvent(step int, input *bitvec.Bits, layers []*bitvec.B
 
 		local := deliveryCycles + integrateCycles + drainCycles
 		row[j] = StageDur{Sync: int32(syncCycles), Bus: int32(busCycles), Local: int32(local)}
-		o.layerCycles[j] += syncCycles + busCycles + local
+		stage := syncCycles + busCycles + local
+		o.layerCycles[j] += stage
+		o.cnt.Cycles += stage
 
 		if c.Opt.Trace != nil {
 			o.writeTrace(step, gi, cur, out, prevCnt, prevE)

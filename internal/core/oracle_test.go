@@ -23,6 +23,7 @@ import (
 type oracle struct {
 	chip        *Chip
 	lo, hi      int
+	owner       [][]int32 // per layer per group: the owner mPE
 	cnt         Counters
 	layerE      []perf.RESPARCEnergy
 	layerCycles []int
@@ -36,6 +37,7 @@ func newOracle(c *Chip) *oracle {
 	n := len(c.Net.Layers)
 	return &oracle{
 		chip: c, lo: 0, hi: n,
+		owner:       groupOwners(c.Map),
 		layerE:      make([]perf.RESPARCEnergy, n),
 		layerCycles: make([]int, n),
 		layerSpikes: make([]int, n),
@@ -178,7 +180,7 @@ func (o *oracle) ObserveStep(step int, input *bitvec.Bits, layers []*bitvec.Bits
 			// Neuron integration of this MCA's columns.
 			o.cnt.Integrations += len(mca.Outputs)
 			le.Neuron += float64(len(mca.Outputs)) * p.NeuronIntegrate
-			if int32(mca.MPE) != c.owner[gi][mca.Group] {
+			if int32(mca.MPE) != o.owner[gi][mca.Group] {
 				o.cnt.ExtTransfers++
 			}
 			if ga[mca.Group]++; ga[mca.Group] > maxMux {
@@ -218,6 +220,15 @@ func (o *oracle) ObserveStep(step int, input *bitvec.Bits, layers []*bitvec.Bits
 		o.layerCycles[j] += o.cnt.Cycles - prevCnt.Cycles
 		cur = out
 	}
+}
+
+// wordOccupancy returns, per width-bit aligned word of the spike vector,
+// whether it contains at least one spike.
+func wordOccupancy(v *bitvec.Bits, width int) []bool {
+	n := (v.Len() + width - 1) / width
+	out := make([]bool, n)
+	v.ForEachSet(func(i int) { out[i/width] = true })
+	return out
 }
 
 // report reduces the oracle's accounting the way the chip reports it, with

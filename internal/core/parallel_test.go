@@ -207,73 +207,6 @@ func TestClassifyEachMatchesSerialReference(t *testing.T) {
 	}
 }
 
-// Options.Batch routes ClassifyEach through the batch-major runner; every
-// (batch, workers) combination must stay bit-identical to the per-image
-// serial reference — results, predictions, counters, per-layer accounting —
-// on both the MLP and the conv+pool CNN fixture.
-func TestClassifyEachBatchMajorEquivalence(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		net  *snn.Network
-	}{
-		{"mlp", smallMLP(t, 91)},
-		{"cnn", smallCNN(t, 92)},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			m := mapped(t, tc.net, 16)
-			opt := DefaultOptions()
-			opt.Steps = 20
-			chip, err := New(tc.net, m, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			inputs := batchInputs(tc.net, 7, 93)
-			factory := func(i int) snn.Encoder { return snn.NewPoissonEncoder(0.8, 600+int64(i)) }
-			ref, refReps, err := chip.ClassifyEach(inputs, factory, sim.Options{Workers: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, batch := range []int{2, 3, 8} {
-				for _, workers := range []int{1, 3} {
-					got, gotReps, err := chip.ClassifyEach(inputs, factory, sim.Options{Workers: workers, Batch: batch})
-					if err != nil {
-						t.Fatal(err)
-					}
-					for i := range inputs {
-						if !reflect.DeepEqual(got[i], ref[i]) {
-							t.Fatalf("batch=%d workers=%d image %d: result %+v, want %+v",
-								batch, workers, i, got[i], ref[i])
-						}
-						gd := gotReps[i].Detail.(Report)
-						rd := refReps[i].Detail.(Report)
-						if gotReps[i].Predicted != refReps[i].Predicted || gd.Counts != rd.Counts ||
-							gd.BusCycles != rd.BusCycles || gd.Breakdown != rd.Breakdown {
-							t.Fatalf("batch=%d workers=%d image %d: report diverged", batch, workers, i)
-						}
-						for li := range rd.LayerCycles {
-							if gd.LayerCycles[li] != rd.LayerCycles[li] || gd.LayerEnergies[li] != rd.LayerEnergies[li] {
-								t.Fatalf("batch=%d workers=%d image %d layer %d: accounting diverged",
-									batch, workers, i, li)
-							}
-						}
-					}
-				}
-			}
-			// Stepped forces the per-image reference path; Batch must be a
-			// silent no-op there, not an error.
-			st, _, err := chip.ClassifyEach(inputs, factory, sim.Options{Workers: 1, Stepped: true, Batch: 4})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range inputs {
-				if !reflect.DeepEqual(st[i], ref[i]) {
-					t.Fatalf("stepped+batch image %d diverged", i)
-				}
-			}
-		})
-	}
-}
-
 // Any worker count must return the same aggregated shape: averaged
 // energy/latency, summed counters, populated per-layer cycles and breakdown,
 // and Predicted == -1 on the aggregate.

@@ -50,13 +50,6 @@ type Config struct {
 	// BlockSize overrides the blocked runner's temporal block length
 	// (<= 0 selects snn.DefaultBlockSize). Ignored when Stepped is set.
 	BlockSize int
-	// Batch is the batch-major group size: each driver's image batch is cut
-	// into contiguous groups of up to Batch images integrated together by
-	// one network instance (<= 1: per-image evaluation). Results are
-	// bit-identical either way (see snn.BatchState); the knob trades state
-	// footprint for weight-traffic amortization. Ignored when Stepped is
-	// set.
-	Batch int
 	// Tech is the memristive technology (must allow the largest swept MCA).
 	Tech device.Technology
 }
@@ -109,10 +102,9 @@ func (c Config) encoders() func(sample int) snn.Encoder {
 
 // simOptions translates the experiment configuration to the shared batch
 // options of the sim.Backend entry points. Stepped/BlockSize are baked into
-// each backend at construction; the worker count and batch-major group size
-// are per-call.
+// each backend at construction; the worker count is per-call.
 func (c Config) simOptions() sim.Options {
-	return sim.Options{Workers: c.Workers, Batch: c.Batch}
+	return sim.Options{Workers: c.Workers}
 }
 
 // Pair is one benchmark evaluated on both architectures.

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
-	"testing"
 
 	"resparc/internal/bench"
 	"resparc/internal/core"
@@ -45,13 +44,13 @@ func eventChip(cfg Config, b bench.Benchmark) (*core.Chip, []tensor.Vec, error) 
 	return chip, inputs, nil
 }
 
-// FigEvent compares the stepped and the event-engine accounting paths: per
-// benchmark the modeled classification cycles (serial sum vs pipelined
-// makespan), the simulator's own wall-clock per batch, the x{1,2,4} sharded
+// FigEvent compares the two latency reductions of the accountant's stage
+// grid: per benchmark the modeled classification cycles (the "stepped"
+// serial sum vs the "event" pipelined makespan), the x{1,2,4} sharded
 // makespans with link backpressure, and the NoC fabric's congestion against
-// the contention-free bound. The modeled rows are pure functions of the seed
-// (merging them header-preservingly keeps BENCH_RESULTS.json byte-identical
-// across same-seed reruns); only the event/walltime rows carry real time.
+// the contention-free bound. Every row is modeled, a pure function of the
+// seed, so merging them header-preservingly keeps BENCH_RESULTS.json
+// byte-identical across same-seed reruns.
 func FigEvent(cfg Config) ([]perf.BenchEntry, *report.Table, error) {
 	var entries []perf.BenchEntry
 	t := report.NewTable("Event-driven engine (stepped vs event)",
@@ -64,7 +63,7 @@ func FigEvent(cfg Config) ([]perf.BenchEntry, *report.Table, error) {
 		}
 		n := len(inputs)
 
-		// Modeled latency: the same classifications, accounted both ways.
+		// Modeled latency: the same classifications, reduced both ways.
 		// Predictions/energies are bit-identical; only Cycles differ.
 		var cycles [2]int64
 		var wait, spikes [2]float64
@@ -94,35 +93,6 @@ func FigEvent(cfg Config) ([]perf.BenchEntry, *report.Table, error) {
 			fmt.Sprintf("%d", cycles[0]), fmt.Sprintf("%d", cycles[1]),
 			fmt.Sprintf("%.2fx", float64(cycles[0])/float64(cycles[1])),
 			fmt.Sprintf("%.0f", wait[1]), fmt.Sprintf("%.1f", spikes[1]))
-
-		// Simulator wall-clock: the event path's cost scales with spikes, the
-		// stepped path's with timesteps x mapped inputs.
-		var ns [2]float64
-		for mi, evt := range []bool{false, true} {
-			var runErr error
-			res := testing.Benchmark(func(tb *testing.B) {
-				tb.ReportAllocs()
-				for i := 0; i < tb.N; i++ {
-					if _, _, err := chip.ClassifyBatch(inputs, cfg.encoders(), sim.Options{Workers: 1, EventEngine: evt}); err != nil {
-						runErr = err
-						tb.FailNow()
-					}
-				}
-			})
-			if runErr != nil {
-				return nil, nil, fmtErr("event", runErr)
-			}
-			label := "stepped"
-			if evt {
-				label = "event"
-			}
-			e := benchEntry(fmt.Sprintf("event/walltime/%s/%s", b.Name, label), res, n, 1)
-			ns[mi] = e.NsPerOp
-			entries = append(entries, e)
-		}
-		t.Add("walltime/"+b.Name+" (ns/op)",
-			fmt.Sprintf("%.0f", ns[0]), fmt.Sprintf("%.0f", ns[1]),
-			fmt.Sprintf("%.2fx", ns[0]/ns[1]), "", "")
 
 		// Sharded pipeline: global makespan with serialized, credit-limited
 		// inter-chip links; WaitCycles records the link backpressure.

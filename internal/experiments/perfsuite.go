@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 	"testing"
 
 	"resparc/internal/bench"
@@ -65,15 +64,6 @@ func PerfSuite(cfg Config) ([]perf.BenchEntry, *report.Table, error) {
 		if name != "cifar-cnn" {
 			pool := parallel.Clamp(cfg.Workers, len(inputs))
 			if err := addEval(name, net, inputs, pool, "parallel", snn.Options{}); err != nil {
-				return nil, nil, fmtErr("perfsuite", err)
-			}
-		}
-		// The CNN benchmarks additionally measure the batch-major (SoA)
-		// runner — the mode serving and bulk evaluation use — at one worker,
-		// so the JSON records its cost next to the per-image serial path
-		// (bit-identical results; see snn.BatchState).
-		if strings.HasSuffix(name, "-cnn") {
-			if err := addEval(name, net, inputs, 1, "batched", snn.Options{Batch: 8}); err != nil {
 				return nil, nil, fmtErr("perfsuite", err)
 			}
 		}

@@ -373,10 +373,10 @@ func newEvaluator(net *snn.Network, cons Constraints) (*evaluator, error) {
 }
 
 // buildStats packs layer li at Sizes[szIdx] (position-free) and replays the
-// probe rasters through the packing, mirroring the event-engine accounting:
-// an inverse input->MCA adjacency scatters each spike, word occupancy is
+// probe rasters through the packing, mirroring core's accountant: an
+// inverse input->MCA adjacency scatters each spike, word occupancy is
 // stamped in the same pass, and per-mPE word lists are deduped in
-// first-encounter order — the same structure core's eventPlans caches.
+// first-encounter order — the same structure core's layer plans cache.
 func (ev *evaluator) buildStats(li, szIdx int) (*sizeStats, error) {
 	cfg := ev.cons.Hierarchy
 	n := ev.cons.Sizes[szIdx]

@@ -54,11 +54,11 @@ func TestPlacementRegistryMatchesDirect(t *testing.T) {
 	for i := range seeds {
 		seeds[i] = int64(i)
 	}
-	_, want, err := dm.ClassifyEach(BackendRESPARC, inputs, seeds, 1, 0)
+	_, want, err := dm.ClassifyEach(BackendRESPARC, inputs, seeds, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, got, err := placed.ClassifyEach(BackendRESPARC, inputs, seeds, 1, 0)
+	_, got, err := placed.ClassifyEach(BackendRESPARC, inputs, seeds, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,11 +102,11 @@ func TestPlacementShardCuts(t *testing.T) {
 	}
 	inputs := inputBatch(m.Net.Input.Size(), 3)
 	seeds := []int64{0, 1, 2}
-	_, want, err := m.ClassifyEach(BackendRESPARC, inputs, seeds, 1, 0)
+	_, want, err := m.ClassifyEach(BackendRESPARC, inputs, seeds, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, got, err := m.ClassifyEach(Backend(multi), inputs, seeds, 1, 0)
+	_, got, err := m.ClassifyEach(Backend(multi), inputs, seeds, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,11 +165,11 @@ func TestPlacementBenchmarksMatchDirect(t *testing.T) {
 		}
 		inputs := inputBatch(dm.Net.Input.Size(), 2)
 		seeds := []int64{3, 4}
-		_, want, err := dm.ClassifyEach(BackendRESPARC, inputs, seeds, 1, 0)
+		_, want, err := dm.ClassifyEach(BackendRESPARC, inputs, seeds, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, got, err := pm.ClassifyEach(BackendRESPARC, inputs, seeds, 1, 0)
+		_, got, err := pm.ClassifyEach(BackendRESPARC, inputs, seeds, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

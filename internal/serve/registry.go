@@ -135,12 +135,10 @@ func (m *Model) Backends() []string {
 // ClassifyEach classifies the batch on the requested backend, one encoder
 // fork per request seed, and returns per-request results and predictions in
 // input order. Request i's outcome depends only on (inputs[i], seeds[i]), so
-// it is independent of batch composition, worker count and the batch-major
-// group size — the serving determinism contract. batch > 1 evaluates the
-// flush batch-major inside the simulator (sim.Options.Batch); <= 1 evaluates
-// per image. Every backend is driven through the one sim.Backend interface;
-// the model never special-cases a backend type.
-func (m *Model) ClassifyEach(backend Backend, inputs []tensor.Vec, seeds []int64, workers, batch int) ([]perf.Result, []int, error) {
+// it is independent of batch composition and worker count — the serving
+// determinism contract. Every backend is driven through the one sim.Backend
+// interface; the model never special-cases a backend type.
+func (m *Model) ClassifyEach(backend Backend, inputs []tensor.Vec, seeds []int64, workers int) ([]perf.Result, []int, error) {
 	// The read lock spans the whole evaluation: a repair pass (write side)
 	// rewrites the network's weights in place and must see no batch in
 	// flight. Nested locking is avoided — the backend lookup happens under
@@ -152,7 +150,7 @@ func (m *Model) ClassifyEach(backend Backend, inputs []tensor.Vec, seeds []int64
 		return nil, nil, fmt.Errorf("serve: unknown backend %q", backend)
 	}
 	enc := func(i int) snn.Encoder { return m.enc.ForkSeed(int(seeds[i])) }
-	ress, reps, err := bk.ClassifyEach(inputs, enc, sim.Options{Workers: workers, Batch: batch})
+	ress, reps, err := bk.ClassifyEach(inputs, enc, sim.Options{Workers: workers})
 	if err != nil {
 		return nil, nil, err
 	}

@@ -189,6 +189,10 @@ func (r *Repairer) Pass() (repair.Outcome, error) {
 		}
 	}
 	out, err := repair.RunOnce(r.dep, r.det, r.cfg.Policy, r.cfg.Ladder)
+	if out.Escalated {
+		// The remap tier moved allocations inside the served mapping.
+		r.model.Chip.Remapped()
+	}
 	return out, r.record(out, err)
 }
 

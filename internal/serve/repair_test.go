@@ -10,8 +10,13 @@ import (
 	"testing"
 	"time"
 
+	"resparc/internal/core"
 	"resparc/internal/fault"
 	"resparc/internal/repair"
+	"resparc/internal/shard"
+	"resparc/internal/sim"
+	"resparc/internal/snn"
+	"resparc/internal/tensor"
 )
 
 // repairTestServer builds a one-model server with an aggressive lifetime
@@ -262,5 +267,84 @@ func TestRepairConcurrentWithClassification(t *testing.T) {
 	}
 	if got := r.Status().Passes; got != 3 {
 		t.Fatalf("pass counter %d, want 3", got)
+	}
+}
+
+// An escalated pass moves allocations to spare mPEs inside the served
+// mapping; the live chip must then account exactly like a chip freshly
+// built on the remapped mapping — on the chip itself and on the sharded
+// backend that wraps it.
+func TestRepairRemapRefreshesChip(t *testing.T) {
+	reg := testRegistry(t)
+	srv, err := New(DefaultConfig(reg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	model := reg.Models()[0]
+	inputs := make([]tensor.Vec, 3)
+	for i := range inputs {
+		inputs[i] = testInput(model.Net.Input.Size(), 40+int64(i))
+	}
+	enc := func(i int) snn.Encoder { return snn.NewPoissonEncoder(0.8, 5).ForkSeed(i) }
+	// Classify once first so the chip caches its plans before the remap.
+	if _, _, err := model.Chip.ClassifyEach(inputs, enc, sim.Options{Workers: 1}); err != nil {
+		t.Fatal(err)
+	}
+
+	camp := fault.NewCampaign(7, reg.Config().Tech)
+	ladder := repair.DefaultConfig()
+	ladder.Detect.CriticalFloor = 2 // every probe is critical: climb to remap
+	ladder.MaxBadTaps = 0
+	ladder.SpareMPEs = 8
+	if err := srv.StartRepair(RepairConfig{
+		Life:     fault.Lifetime{Camp: camp, EOL: 100, WearFraction: 0.01},
+		Policy:   repair.PolicyFull,
+		Ladder:   ladder,
+		Interval: time.Hour,
+		Canaries: 4,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	model.served.Store(100)
+	out, err := srv.Repairers()[0].Pass()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Moves == 0 {
+		t.Fatalf("pass moved nothing: %+v", out)
+	}
+
+	fresh, err := core.New(model.Net, model.Map, model.Chip.Opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, want, err := fresh.ClassifyEach(inputs, enc, sim.Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range model.Backends() {
+		if name == string(BackendCMOS) {
+			continue
+		}
+		be, _ := model.Backend(name)
+		_, got, err := be.ClassifyEach(inputs, enc, sim.Options{Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range inputs {
+			var rep core.Report
+			switch d := got[i].Detail.(type) {
+			case core.Report:
+				rep = d
+			case shard.Report:
+				rep = d.Chip
+			}
+			w := want[i].Detail.(core.Report)
+			if rep.Counts.ExtTransfers != w.Counts.ExtTransfers || rep.Energy != w.Energy || got[i].Predicted != want[i].Predicted {
+				t.Fatalf("%s image %d after remap: ext transfers %d energy %+v, fresh chip %d %+v",
+					name, i, rep.Counts.ExtTransfers, rep.Energy, w.Counts.ExtTransfers, w.Energy)
+			}
+		}
 	}
 }

@@ -425,35 +425,3 @@ func TestRegistryValidation(t *testing.T) {
 		t.Fatal("empty registry accepted")
 	}
 }
-
-// Config.SimBatch routes every flushed micro-batch through the simulator's
-// batch-major runner; request outcomes must stay bit-identical to the
-// per-image evaluation for every backend and any group size.
-func TestSimBatchMatchesPerImage(t *testing.T) {
-	reg := testRegistry(t)
-	model := reg.Models()[0]
-	inputs := make([]tensor.Vec, 7)
-	seeds := make([]int64, 7)
-	for i := range inputs {
-		inputs[i] = tensor.Vec(testInput(model.Net.Input.Size(), 900+int64(i)))
-		seeds[i] = int64(10 + i)
-	}
-	for _, backend := range model.Backends() {
-		ref, refPreds, err := model.ClassifyEach(Backend(backend), inputs, seeds, 1, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, batch := range []int{2, 4, 16} {
-			got, preds, err := model.ClassifyEach(Backend(backend), inputs, seeds, 1, batch)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range inputs {
-				if !reflect.DeepEqual(got[i], ref[i]) || preds[i] != refPreds[i] {
-					t.Fatalf("%s batch=%d request %d: %+v pred %d, want %+v pred %d",
-						backend, batch, i, got[i], preds[i], ref[i], refPreds[i])
-				}
-			}
-		}
-	}
-}

@@ -60,11 +60,6 @@ type Config struct {
 	// Workers is the simulator worker-pool size per batch (<= 0: one per
 	// CPU).
 	Workers int
-	// SimBatch is the simulator's batch-major group size: each flushed
-	// micro-batch is cut into groups of up to SimBatch images integrated
-	// together by one network instance (<= 1: per-image evaluation). Results
-	// are bit-identical either way; this is a throughput knob.
-	SimBatch int
 	// RequestTimeout bounds a request end-to-end (enqueue through batch
 	// completion); expiry answers 504 without waiting for the batch
 	// (<= 0: 30 s).
@@ -148,7 +143,7 @@ func New(cfg Config) (*Server, error) {
 		for _, name := range m.Backends() {
 			model, backend := m, Backend(name)
 			run := func(inputs []tensor.Vec, seeds []int64) ([]perf.Result, []int, error) {
-				return model.ClassifyEach(backend, inputs, seeds, cfg.Workers, cfg.SimBatch)
+				return model.ClassifyEach(backend, inputs, seeds, cfg.Workers)
 			}
 			br := newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown)
 			onResult := func(err error) {

@@ -72,6 +72,12 @@ func TestShardEventSteppedEquivalence(t *testing.T) {
 								n, i, ed.Chip.Counts.Cycles, s, part.Counts.Cycles)
 						}
 					}
+					// Without the option the merge keeps the paper's serial
+					// sum even though every part carries its stage grid.
+					if sd.Chip.Counts.Cycles != sd.Chip.Breakdown.Total() || sd.Chip.BusWait != 0 || sd.Link.WaitCycles != 0 {
+						t.Fatalf("x%d image %d: default run not the serial sum: cycles %d, breakdown %d, bus wait %d, link wait %d",
+							n, i, sd.Chip.Counts.Cycles, sd.Chip.Breakdown.Total(), sd.Chip.BusWait, sd.Link.WaitCycles)
+					}
 					if n == 1 && ed.Link.WaitCycles != 0 {
 						t.Fatalf("x1 reports link wait %d with no links", ed.Link.WaitCycles)
 					}
@@ -119,7 +125,8 @@ func TestShardEventMatchesSingleChipEvent(t *testing.T) {
 }
 
 // TestShardEventDeterministic: event-mode sharded results are a pure function
-// of the inputs — identical across repeated runs and batch-major grouping.
+// of the inputs — identical across repeated runs and both functional
+// runners.
 func TestShardEventDeterministic(t *testing.T) {
 	b := bench.All()[0]
 	chip := chipFor(t, b)
@@ -134,7 +141,7 @@ func TestShardEventDeterministic(t *testing.T) {
 	}
 	for _, opt := range []sim.Options{
 		{EventEngine: true},
-		{EventEngine: true, Batch: 2},
+		{EventEngine: true, Stepped: true},
 	} {
 		g, gReps, err := multi.ClassifyEach(inputs, factoryFor(7), opt)
 		if err != nil {

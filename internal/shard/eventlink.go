@@ -5,9 +5,9 @@ import (
 	"resparc/internal/event"
 )
 
-// This file is the event-engine composition of the multi-chip pipeline
-// (sim.Options.EventEngine / core.Options.EventEngine): instead of summing
-// per-shard cycles and closed-form link occupancy, the per-(timestep, layer)
+// This file is the pipelined composition of the multi-chip pipeline
+// (sim.Options.EventEngine): instead of summing per-shard cycles and
+// closed-form link occupancy, the per-(timestep, layer)
 // stage durations recorded by each shard's accountant and the per-timestep
 // link transfers are composed by one global discrete-event simulation —
 // stages overlap across timesteps inside each chip, each chip serializes on

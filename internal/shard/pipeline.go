@@ -32,9 +32,9 @@ type token struct {
 // bit-identical to sequential Classify calls.
 //
 // Options.Workers is ignored — the parallelism degree is the shard count
-// fixed at New. Options.Batch > 1 moves groups of images down the pipeline
-// batch-major (one BatchState integration per stage visit) without changing
-// results. Options.EarlyExit is rejected: time-to-first-spike decoding needs
+// fixed at New. Options.EventEngine composes the merged Cycles and Latency
+// with the global pipeline simulation instead of the serial sum (see
+// finish). Options.EarlyExit is rejected: time-to-first-spike decoding needs
 // the output layer's verdict before upstream shards stop, which a pipeline
 // cannot know retroactively.
 func (m *Multi) ClassifyEach(inputs []tensor.Vec, enc sim.EncoderFactory, opt sim.Options) ([]perf.Result, []sim.Report, error) {
@@ -53,11 +53,8 @@ func (m *Multi) ClassifyEach(inputs []tensor.Vec, enc sim.EncoderFactory, opt si
 	if err := m.Healthy(); err != nil {
 		return nil, nil, err
 	}
-	if opt.Batch > 1 && !opt.Stepped && !m.chip.Opt.Stepped {
-		return m.classifyEachGrouped(inputs, enc, opt)
-	}
 	S := len(m.ranges)
-	evt := m.chip.Opt.EventEngine || opt.EventEngine
+	evt := opt.EventEngine
 	ress := make([]perf.Result, len(inputs))
 	reps := make([]sim.Report, len(inputs))
 	// chans[s] connects stage s to stage s+1; small buffers decouple stage
@@ -71,11 +68,8 @@ func (m *Multi) ClassifyEach(inputs []tensor.Vec, enc sim.EncoderFactory, opt si
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
-			st := snn.NewState(m.subnets[s])
-			acct, err := m.chip.NewAccountantOpt(m.ranges[s].Lo, m.ranges[s].Hi, evt)
-			if err != nil {
-				panic("shard: " + err.Error()) // ranges are validated at New
-			}
+			w := m.getWorker(s)
+			defer m.workers[s].Put(w)
 			process := func(tok *token) {
 				var out []*bitvec.Bits
 				if s < S-1 {
@@ -87,138 +81,24 @@ func (m *Multi) ClassifyEach(inputs []tensor.Vec, enc sim.EncoderFactory, opt si
 					intensity = inputs[tok.idx]
 					e = enc(tok.idx)
 				}
-				rep, run := m.runStage(s, st, acct, intensity, e, tok.raster, out, opt)
+				rep, run := m.runStage(s, w.st, w.acct, intensity, e, tok.raster, out, opt)
 				tok.parts[s] = rep
+				if s > 0 {
+					m.rasters[s-1].Put(tok.raster)
+				}
 				if s < S-1 {
 					tok.hops[s], tok.hopSteps[s] = m.linkCost(out, evt)
 					tok.raster = out
 					chans[s] <- tok
 				} else {
 					tok.raster = nil
-					ress[tok.idx], reps[tok.idx] = m.finish(tok.parts, tok.hops, tok.hopSteps, run.Prediction)
+					ress[tok.idx], reps[tok.idx] = m.finish(tok.parts, tok.hops, tok.hopSteps, run.Prediction, evt)
 				}
 			}
 			if s == 0 {
 				for idx := range inputs {
 					process(&token{idx: idx, parts: make([]core.Report, S),
 						hops: make([]LinkStats, S-1), hopSteps: make([][]int64, S-1)})
-				}
-			} else {
-				for tok := range chans[s-1] {
-					process(tok)
-				}
-			}
-			if s < S-1 {
-				close(chans[s])
-			}
-		}(s)
-	}
-	wg.Wait()
-	return ress, reps, nil
-}
-
-// groupToken is one in-flight group of images moving down the batch-major
-// shard pipeline.
-type groupToken struct {
-	lo, n    int
-	rasters  [][]*bitvec.Bits // per image: boundary spikes feeding the next stage
-	parts    [][]core.Report  // per image, per shard
-	hops     [][]LinkStats    // per image, per boundary link
-	hopSteps [][][]int64      // per image, per boundary per-timestep cycles
-}
-
-// classifyEachGrouped is the batch-major pipeline: tokens carry contiguous
-// groups of up to opt.Batch images, and each stage integrates its whole group
-// with one snn.BatchState per layer visit — the shard's weights stream once
-// per group instead of once per image. Per image the batch runner replays the
-// exact operation sequence of the per-image blocked runner, each image keeps
-// its own accountant, capture raster and replay encoder, so results and
-// accounting are bit-identical to the per-image pipeline for any group size.
-func (m *Multi) classifyEachGrouped(inputs []tensor.Vec, enc sim.EncoderFactory, opt sim.Options) ([]perf.Result, []sim.Report, error) {
-	S := len(m.ranges)
-	evt := m.chip.Opt.EventEngine || opt.EventEngine
-	gb := opt.Batch
-	if gb > len(inputs) {
-		gb = len(inputs)
-	}
-	ress := make([]perf.Result, len(inputs))
-	reps := make([]sim.Report, len(inputs))
-	chans := make([]chan *groupToken, S-1)
-	for s := range chans {
-		chans[s] = make(chan *groupToken, 2)
-	}
-	var wg sync.WaitGroup
-	for s := 0; s < S; s++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			bst := snn.NewBatchState(m.subnets[s], gb)
-			accts := make([]*core.Accountant, gb)
-			for i := range accts {
-				a, err := m.chip.NewAccountantOpt(m.ranges[s].Lo, m.ranges[s].Hi, evt)
-				if err != nil {
-					panic("shard: " + err.Error()) // ranges are validated at New
-				}
-				accts[i] = a
-			}
-			steps := m.chip.Opt.Steps
-			bs := m.chip.Opt.BlockSize
-			if opt.BlockSize > 0 {
-				bs = opt.BlockSize
-			}
-			process := func(tok *groupToken) {
-				n := tok.n
-				ins := make([]tensor.Vec, n)
-				encs := make([]snn.Encoder, n)
-				obs := make([]snn.Observer, n)
-				var outs [][]*bitvec.Bits
-				if s < S-1 {
-					outs = make([][]*bitvec.Bits, n)
-				}
-				for i := 0; i < n; i++ {
-					accts[i].Reset()
-					if s == 0 {
-						ins[i] = inputs[tok.lo+i]
-						encs[i] = enc(tok.lo + i)
-					} else {
-						encs[i] = &replayEncoder{raster: tok.rasters[i]}
-					}
-					if s < S-1 {
-						outs[i] = m.newRaster(s)
-						obs[i] = &captureObserver{inner: accts[i], out: outs[i]}
-					} else {
-						obs[i] = accts[i]
-					}
-				}
-				runs := bst.RunBlocked(ins, encs, steps, bs, obs)
-				for i := 0; i < n; i++ {
-					_, rep := accts[i].Report(runs[i].Prediction, steps)
-					tok.parts[i][s] = rep
-					if s < S-1 {
-						tok.hops[i][s], tok.hopSteps[i][s] = m.linkCost(outs[i], evt)
-					} else {
-						ress[tok.lo+i], reps[tok.lo+i] = m.finish(tok.parts[i], tok.hops[i], tok.hopSteps[i], runs[i].Prediction)
-					}
-				}
-				if s < S-1 {
-					tok.rasters = outs
-					chans[s] <- tok
-				}
-			}
-			if s == 0 {
-				for lo := 0; lo < len(inputs); lo += gb {
-					n := gb
-					if len(inputs)-lo < n {
-						n = len(inputs) - lo
-					}
-					tok := &groupToken{lo: lo, n: n, parts: make([][]core.Report, n),
-						hops: make([][]LinkStats, n), hopSteps: make([][][]int64, n)}
-					for i := 0; i < n; i++ {
-						tok.parts[i] = make([]core.Report, S)
-						tok.hops[i] = make([]LinkStats, S-1)
-						tok.hopSteps[i] = make([][]int64, S-1)
-					}
-					process(tok)
 				}
 			} else {
 				for tok := range chans[s-1] {

@@ -20,6 +20,7 @@ package shard
 
 import (
 	"fmt"
+	"sync"
 
 	"resparc/internal/bitvec"
 	"resparc/internal/core"
@@ -48,9 +49,10 @@ type LinkParams struct {
 	// SyncCycles is the per-timestep handshake overhead of the hop.
 	SyncCycles int
 	// RecvBuf bounds the receiving pad's raster buffer (in timesteps) under
-	// the event engine: the hop holds at most RecvBuf delivered-but-unconsumed
-	// rasters, so a slow downstream shard backpressures the sender (<= 0
-	// selects one slot). Ignored by the stepped closed-form accounting.
+	// the pipelined reduction (sim.Options.EventEngine): the hop holds at
+	// most RecvBuf delivered-but-unconsumed rasters, so a slow downstream
+	// shard backpressures the sender (<= 0 selects one slot). Ignored by the
+	// serial-sum closed-form accounting.
 	RecvBuf int
 }
 
@@ -80,7 +82,8 @@ type LinkStats struct {
 	EnergyJ         float64
 	// WaitCycles is the time rasters sat at the sender pad after being ready
 	// — channel serialization plus receive-buffer backpressure. Only the
-	// event engine models flow control; it is zero under stepped accounting.
+	// pipelined reduction (sim.Options.EventEngine) models flow control; it
+	// is zero otherwise.
 	WaitCycles int
 }
 
@@ -124,6 +127,27 @@ type Multi struct {
 	name    string
 	ranges  []Range
 	subnets []*snn.Network
+	// workers[s] recycles shard s's stage workers and rasters[s] the
+	// boundary rasters between shards s and s+1 across classification calls.
+	workers []sync.Pool
+	rasters []sync.Pool
+}
+
+// stageWorker is one shard's reusable simulation state and accountant.
+type stageWorker struct {
+	st   *snn.State
+	acct *core.Accountant
+}
+
+func (m *Multi) getWorker(s int) *stageWorker {
+	if w, ok := m.workers[s].Get().(*stageWorker); ok {
+		return w
+	}
+	acct, err := m.chip.NewAccountant(m.ranges[s].Lo, m.ranges[s].Hi)
+	if err != nil {
+		panic("shard: " + err.Error()) // ranges are validated at New
+	}
+	return &stageWorker{st: snn.NewState(m.subnets[s]), acct: acct}
 }
 
 var _ sim.Backend = (*Multi)(nil)
@@ -197,7 +221,9 @@ func New(chip *core.Chip, cfg Config) (*Multi, error) {
 	}
 	m := &Multi{
 		chip: chip, cfg: cfg, ranges: ranges, subnets: subnets,
-		name: fmt.Sprintf("%s-x%d", chip.Name(), len(ranges)),
+		name:    fmt.Sprintf("%s-x%d", chip.Name(), len(ranges)),
+		workers: make([]sync.Pool, len(ranges)),
+		rasters: make([]sync.Pool, len(ranges)-1),
 	}
 	return m, nil
 }
@@ -338,9 +364,14 @@ func (m *Multi) linkCost(raster []*bitvec.Bits, perStep bool) (LinkStats, []int6
 	return st, steps
 }
 
-// newRaster allocates the boundary raster between shard s and s+1: one spike
-// vector per timestep, sized to the downstream shard's input.
+// newRaster returns a boundary raster between shard s and s+1: one spike
+// vector per timestep, sized to the downstream shard's input. Shard s+1
+// returns each raster to rasters[s] once it has replayed it; the capture
+// overwrites every timestep, so recycled rasters need no clearing.
 func (m *Multi) newRaster(s int) []*bitvec.Bits {
+	if r, ok := m.rasters[s].Get().([]*bitvec.Bits); ok {
+		return r
+	}
 	size := m.subnets[s+1].Input.Size()
 	r := make([]*bitvec.Bits, m.chip.Opt.Steps)
 	for t := range r {
@@ -401,6 +432,9 @@ func (m *Multi) runStage(s int, st *snn.State, acct *core.Accountant, intensity 
 		run = st.RunBlockedK(intensity, enc, steps, bs, obs)
 	}
 	_, rep := acct.Report(run.Prediction, steps)
+	if opt.EventEngine {
+		rep.Pipeline(m.chip.Opt.Params.NCCycle())
+	}
 	return rep, run
 }
 
@@ -410,18 +444,20 @@ func (m *Multi) runStage(s int, st *snn.State, acct *core.Accountant, intensity 
 // bit-identical to a single-chip run; the link cost rides on top of the
 // returned perf.Result.
 //
-// Under the event engine (the parts carry stage grids) the merged Cycles and
-// Latency come from one global pipeline DES over every shard's stages plus
-// the serialized, credit-limited inter-chip hops — link time overlaps
+// By default the merged Cycles are the serial sum of the shards' stages and
+// the hops' closed-form link cycles ride on top of the latency. When
+// pipelined (sim.Options.EventEngine) the merged Cycles and Latency come
+// from one global pipeline DES over every shard's stage grid plus the
+// serialized, credit-limited inter-chip hops — link time overlaps
 // computation instead of being added on top, and each hop's WaitCycles
 // records the backpressure it suffered.
-func (m *Multi) finish(parts []core.Report, hops []LinkStats, hopSteps [][]int64, predicted int) (perf.Result, sim.Report) {
+func (m *Multi) finish(parts []core.Report, hops []LinkStats, hopSteps [][]int64, predicted int, pipelined bool) (perf.Result, sim.Report) {
 	chip := m.mergeChip(parts)
 	chip.Predicted = predicted
 	ncc := m.chip.Opt.Params.NCCycle()
 	steps := m.chip.Opt.Steps
 	linkSeconds := 0.0
-	if len(parts) > 0 && parts[len(parts)-1].Stages != nil {
+	if pipelined {
 		makespan, lw, busWait := eventMakespan(parts, hopSteps, m.cfg.Link.RecvBuf)
 		for h := range lw {
 			hops[h].WaitCycles = int(lw[h])
@@ -530,27 +566,25 @@ func addBreakdown(a, b core.CycleBreakdown) core.CycleBreakdown {
 // sequence (the pipeline only pays off on a stream — see ClassifyEach).
 func (m *Multi) Classify(intensity tensor.Vec, enc snn.Encoder) (perf.Result, sim.Report) {
 	S := len(m.ranges)
-	evt := m.chip.Opt.EventEngine
 	parts := make([]core.Report, S)
 	hops := make([]LinkStats, S-1)
-	hopSteps := make([][]int64, S-1)
 	var run snn.RunResult
 	var in []*bitvec.Bits
 	for s := 0; s < S; s++ {
-		st := snn.NewState(m.subnets[s])
-		acct, err := m.chip.NewAccountant(m.ranges[s].Lo, m.ranges[s].Hi)
-		if err != nil {
-			panic("shard: " + err.Error()) // ranges are validated at New
-		}
+		w := m.getWorker(s)
 		var out []*bitvec.Bits
 		if s < S-1 {
 			out = m.newRaster(s)
 		}
-		parts[s], run = m.runStage(s, st, acct, intensity, enc, in, out, sim.Options{})
+		parts[s], run = m.runStage(s, w.st, w.acct, intensity, enc, in, out, sim.Options{})
+		m.workers[s].Put(w)
+		if s > 0 {
+			m.rasters[s-1].Put(in)
+		}
 		if s < S-1 {
-			hops[s], hopSteps[s] = m.linkCost(out, evt)
+			hops[s], _ = m.linkCost(out, false)
 		}
 		in = out
 	}
-	return m.finish(parts, hops, hopSteps, run.Prediction)
+	return m.finish(parts, hops, nil, run.Prediction, false)
 }

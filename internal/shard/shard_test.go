@@ -298,46 +298,3 @@ func TestClassifyBatchAggregate(t *testing.T) {
 		t.Fatalf("aggregate counters %+v, want %+v", rep.Chip.Counts, wantCounts)
 	}
 }
-
-// Options.Batch moves groups of images down the pipeline batch-major; every
-// group size (including ones that don't divide the input count, and ones
-// larger than it) must stay bit-identical to the per-image pipeline on a
-// conv benchmark — results, chip counters, link traffic, per-shard parts.
-func TestPipelineBatchMajorMatchesPerImage(t *testing.T) {
-	b, err := bench.ByName("mnist-cnn")
-	if err != nil {
-		t.Fatal(err)
-	}
-	chip := chipFor(t, b)
-	inputs := benchInputs(t, b, chip.Net, 5)
-	multi, err := New(chip, Config{Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ress, reps, err := multi.ClassifyEach(inputs, factoryFor(11), sim.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, batch := range []int{2, 3, 8} {
-		got, gotReps, err := multi.ClassifyEach(inputs, factoryFor(11), sim.Options{Batch: batch})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range inputs {
-			if !reflect.DeepEqual(got[i], ress[i]) {
-				t.Fatalf("batch=%d image %d: result %+v, want %+v", batch, i, got[i], ress[i])
-			}
-			gd := gotReps[i].Detail.(Report)
-			rd := reps[i].Detail.(Report)
-			if gotReps[i].Predicted != reps[i].Predicted || gd.Chip.Counts != rd.Chip.Counts ||
-				gd.Chip.Energy != rd.Chip.Energy || gd.Link != rd.Link || gd.Interval != rd.Interval {
-				t.Fatalf("batch=%d image %d: report diverged from per-image pipeline", batch, i)
-			}
-			for s := range rd.Shards {
-				if gd.Shards[s].Counts != rd.Shards[s].Counts || gd.Shards[s].Latency != rd.Shards[s].Latency {
-					t.Fatalf("batch=%d image %d shard %d: accounting diverged", batch, i, s)
-				}
-			}
-		}
-	}
-}

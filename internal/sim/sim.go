@@ -47,20 +47,14 @@ type Options struct {
 	// Report.Steps records the steps actually executed. Backends without an
 	// early-exit path reject the option with an error.
 	EarlyExit bool
-	// Batch selects batch-major (structure-of-arrays) evaluation: inputs are
-	// cut into contiguous groups of up to Batch images and each group is
-	// integrated by one network instance per layer visit, amortizing weight
-	// traffic across the group. Results stay bit-identical to the per-image
-	// runners for any value. <= 1 keeps per-image evaluation; the option is
-	// ignored when Stepped or EarlyExit forces a per-image runner.
-	Batch int
-	// EventEngine selects the event-driven cycle-accounting path on backends
-	// that support it (the RESPARC chip and its sharded executor): per-layer
-	// phase durations are composed by a virtual-time discrete-event engine
-	// (pipeline overlap, shared-bus contention) instead of the stepped serial
-	// sum. Predictions and energies are bit-identical either way; only
-	// Cycles/Latency change. It ors with the backend's construction-time
-	// setting; backends without an event path ignore it.
+	// EventEngine selects the pipelined latency reduction on backends that
+	// support it (the RESPARC chip and its sharded executor): the per-stage
+	// durations the accountant records on every run are composed by a
+	// virtual-time discrete-event engine (pipeline overlap, shared-bus
+	// contention) instead of summed serially, the paper's latency.
+	// Predictions, energies and event counters are bit-identical either
+	// way; only Cycles/Latency and the wait counters change. Backends
+	// without a stage grid ignore it.
 	EventEngine bool
 }
 
@@ -127,57 +121,6 @@ func Each(inputs []tensor.Vec, enc EncoderFactory, opt Options, newSession func(
 	reps := make([]Report, len(inputs))
 	parallel.ForEach(len(inputs), workers, func(worker, i int) {
 		ress[i], reps[i] = sessions[worker](inputs[i], enc(i))
-	})
-	return ress, reps, nil
-}
-
-// GroupSession classifies one contiguous group of inputs batch-major on
-// worker-owned state, returning per-image results and reports in group
-// order. base is the global index of the group's first input. encs[i] is the
-// deterministic encoder for global sample base+i.
-type GroupSession func(inputs []tensor.Vec, encs []snn.Encoder, base int) ([]perf.Result, []Report)
-
-// EachGrouped is the batch-major counterpart of Each: it cuts the inputs
-// into contiguous groups of up to opt.Batch images, builds one group session
-// per worker and classifies the groups across the pool, scattering per-image
-// results back in input order. Grouping never changes results — image i's
-// outcome depends only on (inputs[i], enc(i)) — so any (Batch, Workers)
-// combination is bit-identical to the serial per-image reference.
-func EachGrouped(inputs []tensor.Vec, enc EncoderFactory, opt Options, newSession func(batch int) GroupSession) ([]perf.Result, []Report, error) {
-	if len(inputs) == 0 {
-		return nil, nil, fmt.Errorf("sim: empty batch")
-	}
-	if enc == nil {
-		return nil, nil, fmt.Errorf("sim: nil encoder factory")
-	}
-	if opt.Batch <= 1 {
-		return nil, nil, fmt.Errorf("sim: EachGrouped requires Options.Batch > 1 (got %d)", opt.Batch)
-	}
-	b := opt.Batch
-	if b > len(inputs) {
-		b = len(inputs)
-	}
-	groups := (len(inputs) + b - 1) / b
-	workers := parallel.Clamp(opt.Workers, groups)
-	sessions := make([]GroupSession, workers)
-	for w := range sessions {
-		sessions[w] = newSession(b)
-	}
-	ress := make([]perf.Result, len(inputs))
-	reps := make([]Report, len(inputs))
-	parallel.ForEach(groups, workers, func(worker, g int) {
-		lo := g * b
-		hi := lo + b
-		if hi > len(inputs) {
-			hi = len(inputs)
-		}
-		encs := make([]snn.Encoder, hi-lo)
-		for i := range encs {
-			encs[i] = enc(lo + i)
-		}
-		rs, rp := sessions[worker](inputs[lo:hi], encs, lo)
-		copy(ress[lo:hi], rs)
-		copy(reps[lo:hi], rp)
 	})
 	return ress, reps, nil
 }

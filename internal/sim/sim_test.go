@@ -81,108 +81,6 @@ func TestEachSessionsAndOrdering(t *testing.T) {
 	}
 }
 
-// EachGrouped must cut the inputs into contiguous groups of up to Batch
-// images (clamped to the input count), build one session per worker, hand
-// every image to exactly one group with its own encoder index, and scatter
-// results back in input order — the contract every backend's batch-major
-// ClassifyEach inherits.
-func TestEachGroupedGroupsAndOrdering(t *testing.T) {
-	inputs := make([]tensor.Vec, 17)
-	for i := range inputs {
-		inputs[i] = tensor.Vec{float64(i)}
-	}
-	enc := func(i int) snn.Encoder { return snn.NewPoissonEncoder(0.5, int64(i)) }
-	for _, batch := range []int{2, 5, 32} {
-		for _, workers := range []int{1, 4} {
-			var mu sync.Mutex
-			built := 0
-			var sizes []int
-			newSession := func(b int) GroupSession {
-				mu.Lock()
-				built++
-				mu.Unlock()
-				want := batch
-				if want > len(inputs) {
-					want = len(inputs)
-				}
-				if b != want {
-					t.Errorf("session built for batch %d, want %d", b, want)
-				}
-				return func(ins []tensor.Vec, encs []snn.Encoder, base int) ([]perf.Result, []Report) {
-					mu.Lock()
-					sizes = append(sizes, len(ins))
-					mu.Unlock()
-					if len(encs) != len(ins) {
-						t.Errorf("group of %d inputs got %d encoders", len(ins), len(encs))
-					}
-					ress := make([]perf.Result, len(ins))
-					reps := make([]Report, len(ins))
-					for i, in := range ins {
-						if in[0] != float64(base+i) {
-							t.Errorf("group base %d slot %d holds input %v", base, i, in[0])
-						}
-						ress[i] = perf.Result{Energy: in[0]}
-						reps[i] = Report{Predicted: int(in[0])}
-					}
-					return ress, reps
-				}
-			}
-			ress, reps, err := EachGrouped(inputs, enc, Options{Workers: workers, Batch: batch}, newSession)
-			if err != nil {
-				t.Fatal(err)
-			}
-			b := batch
-			if b > len(inputs) {
-				b = len(inputs)
-			}
-			groups := (len(inputs) + b - 1) / b
-			wantSessions := workers
-			if wantSessions > groups {
-				wantSessions = groups
-			}
-			if built != wantSessions {
-				t.Fatalf("batch=%d workers=%d: built %d sessions, want %d", batch, workers, built, wantSessions)
-			}
-			total := 0
-			for _, n := range sizes {
-				if n < 1 || n > b {
-					t.Fatalf("batch=%d: group of %d images", batch, n)
-				}
-				total += n
-			}
-			if total != len(inputs) || len(sizes) != groups {
-				t.Fatalf("batch=%d: %d groups covering %d images, want %d covering %d",
-					batch, len(sizes), total, groups, len(inputs))
-			}
-			for i := range inputs {
-				if ress[i].Energy != float64(i) || reps[i].Predicted != i {
-					t.Fatalf("batch=%d workers=%d: result %d out of order: %+v %+v",
-						batch, workers, i, ress[i], reps[i])
-				}
-			}
-		}
-	}
-}
-
-func TestEachGroupedValidation(t *testing.T) {
-	newSession := func(int) GroupSession {
-		return func(ins []tensor.Vec, _ []snn.Encoder, _ int) ([]perf.Result, []Report) {
-			return make([]perf.Result, len(ins)), make([]Report, len(ins))
-		}
-	}
-	enc := func(i int) snn.Encoder { return snn.NewPoissonEncoder(0.5, int64(i)) }
-	one := []tensor.Vec{make(tensor.Vec, 4)}
-	if _, _, err := EachGrouped(nil, enc, Options{Batch: 4}, newSession); err == nil {
-		t.Fatal("empty batch accepted")
-	}
-	if _, _, err := EachGrouped(one, nil, Options{Batch: 4}, newSession); err == nil {
-		t.Fatal("nil encoder factory accepted")
-	}
-	if _, _, err := EachGrouped(one, enc, Options{Batch: 1}, newSession); err == nil {
-		t.Fatal("Batch <= 1 accepted")
-	}
-}
-
 // The early-exit runner must stop at the first output spike, agree with the
 // functional TTFS decode at that step, and feed the observer every executed
 // step.

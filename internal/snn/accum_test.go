@@ -92,8 +92,8 @@ func TestBlockPanelMatchesReference(t *testing.T) {
 	}
 }
 
-// A non-zero offs[0] (the batch-major layout hands blockPanel a window of a
-// larger offsets table) must behave exactly like a rebased table.
+// A non-zero offs[0] (a window of a larger offsets table) must behave
+// exactly like a rebased table.
 func TestBlockPanelOffsetWindow(t *testing.T) {
 	rng := rand.New(rand.NewSource(78))
 	panel := make([]float64, 16*panelLanes)

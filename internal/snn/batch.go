@@ -26,20 +26,6 @@ type Options struct {
 	// BlockSize overrides the temporal block length of the blocked runner
 	// (<= 0 selects DefaultBlockSize). Ignored when Stepped is set.
 	BlockSize int
-	// Batch, when > 1, evaluates contiguous groups of up to Batch images
-	// batch-major: one BatchState integrates the whole group per layer
-	// visit, streaming each layer's weights once per group instead of once
-	// per image. Per-image results are bit-identical to Batch <= 1 for any
-	// group size (see BatchState). Ignored when Stepped is set.
-	Batch int
-}
-
-// BatchOptions is the legacy runner selection of RunBatchOpt.
-//
-// Deprecated: use Options, which folds the worker count in.
-type BatchOptions struct {
-	Stepped   bool
-	BlockSize int
 }
 
 // RunBatch classifies every input across a worker pool and returns the
@@ -54,9 +40,6 @@ func RunBatch(net *Network, inputs []tensor.Vec, enc EncoderFactory, steps int, 
 	}
 	if steps < 1 {
 		return nil, fmt.Errorf("snn: steps %d", steps)
-	}
-	if opt.Batch > 1 && !opt.Stepped {
-		return runBatchMajor(net, inputs, enc, steps, opt)
 	}
 	workers := parallel.Clamp(opt.Workers, len(inputs))
 	runOne := func(st *State, i int) RunResult {
@@ -85,67 +68,6 @@ func RunBatch(net *Network, inputs []tensor.Vec, enc EncoderFactory, steps int, 
 		results[i] = runOne(states[worker], i).Clone()
 	})
 	return results, nil
-}
-
-// runBatchMajor is the Options.Batch > 1 path of RunBatch: inputs are cut
-// into contiguous groups of up to opt.Batch images and each group runs
-// batch-major on one BatchState. Grouping never changes per-image results —
-// image i's outcome depends only on (inputs[i], enc(i)) — so any
-// (Batch, Workers) combination is bit-identical to the per-image path.
-func runBatchMajor(net *Network, inputs []tensor.Vec, enc EncoderFactory, steps int, opt Options) ([]RunResult, error) {
-	b := opt.Batch
-	if b > len(inputs) {
-		// Never size state for images that don't exist: the group rasters and
-		// potential matrices scale with the state's B, and an oversized state
-		// costs cache footprint for no extra parallelism.
-		b = len(inputs)
-	}
-	groups := (len(inputs) + b - 1) / b
-	workers := parallel.Clamp(opt.Workers, groups)
-	results := make([]RunResult, len(inputs))
-	run := func(bst *BatchState, encs []Encoder, g int) {
-		lo := g * b
-		hi := lo + b
-		if hi > len(inputs) {
-			hi = len(inputs)
-		}
-		encs = encs[:0]
-		for i := lo; i < hi; i++ {
-			encs = append(encs, enc(i))
-		}
-		rs := bst.RunBlocked(inputs[lo:hi], encs, steps, opt.BlockSize, nil)
-		for i, r := range rs {
-			results[lo+i] = r.Clone()
-		}
-	}
-	if workers == 1 {
-		bst := NewBatchState(net, b)
-		encs := make([]Encoder, 0, b)
-		for g := 0; g < groups; g++ {
-			run(bst, encs, g)
-		}
-		return results, nil
-	}
-	states := make([]*BatchState, workers)
-	encbufs := make([][]Encoder, workers)
-	for w := range states {
-		states[w] = NewBatchState(net, b)
-		encbufs[w] = make([]Encoder, 0, b)
-	}
-	parallel.ForEach(groups, workers, func(worker, g int) {
-		run(states[worker], encbufs[worker], g)
-	})
-	return results, nil
-}
-
-// RunBatchOpt is the legacy spelling of RunBatch with the worker count as a
-// positional argument.
-//
-// Deprecated: call RunBatch with Options directly.
-func RunBatchOpt(net *Network, inputs []tensor.Vec, enc EncoderFactory, steps, workers int, opt BatchOptions) ([]RunResult, error) {
-	return RunBatch(net, inputs, enc, steps, Options{
-		Workers: workers, Stepped: opt.Stepped, BlockSize: opt.BlockSize,
-	})
 }
 
 // EvaluateBatch classifies the inputs in parallel and returns accuracy

@@ -420,29 +420,6 @@ func BenchmarkRunSteppedMnistCNN(b *testing.B) {
 	}
 }
 
-// BenchmarkRunBatchMajorMnistCNN measures one batch-major group (3 images x
-// 48 steps) of the mnist-cnn topology — one op covers the same work as three
-// BenchmarkRunBlockedMnistCNN ops with each layer's weights streamed once per
-// group instead of once per image.
-func BenchmarkRunBatchMajorMnistCNN(b *testing.B) {
-	net := benchMnistCNN(b)
-	const nb = 3
-	bst := NewBatchState(net, nb)
-	inputs := make([]tensor.Vec, nb)
-	encs := make([]Encoder, nb)
-	base := NewPoissonEncoder(0.8, 9)
-	for i := range inputs {
-		inputs[i] = benchImage(net.Input.Size())
-		encs[i] = base.ForkSeed(i)
-	}
-	bst.RunBlocked(inputs, encs, 48, 0, nil)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		bst.RunBlocked(inputs, encs, 48, 0, nil)
-	}
-}
-
 // The blocked conv/pool panel kernels must be allocation-free on a warm
 // State: the flat/offsets spike buffers and fire bytes all live in reused
 // block scratch.
@@ -455,24 +432,5 @@ func TestRunBlockedConvAllocFree(t *testing.T) {
 	allocs := testing.AllocsPerRun(3, func() { st.RunBlocked(img, enc, 48, nil) })
 	if allocs != 0 {
 		t.Fatalf("blocked CNN run allocates %.0f objects per classification on a warm State, want 0", allocs)
-	}
-}
-
-// Batch-major groups must also be allocation-free once warm.
-func TestBatchMajorAllocFree(t *testing.T) {
-	net := benchMnistCNN(t)
-	const nb = 3
-	bst := NewBatchState(net, nb)
-	inputs := make([]tensor.Vec, nb)
-	encs := make([]Encoder, nb)
-	base := NewPoissonEncoder(0.8, 9)
-	for i := range inputs {
-		inputs[i] = benchImage(net.Input.Size())
-		encs[i] = base.ForkSeed(i)
-	}
-	bst.RunBlocked(inputs, encs, 48, 0, nil)
-	allocs := testing.AllocsPerRun(3, func() { bst.RunBlocked(inputs, encs, 48, 0, nil) })
-	if allocs != 0 {
-		t.Fatalf("batch-major run allocates %.0f objects per group on a warm BatchState, want 0", allocs)
 	}
 }

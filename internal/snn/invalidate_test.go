@@ -1,8 +1,8 @@
 // Regression suite for weight-cache coherence: a network whose weights are
 // mutated in place after first use (fault injection, in-place repair) must —
 // after InvalidateWeightCaches — classify bit-identically to a freshly
-// constructed network holding the same weights, on the stepped, blocked and
-// batch-major paths alike.
+// constructed network holding the same weights, on the stepped and blocked
+// paths alike.
 package snn_test
 
 import (
@@ -28,16 +28,15 @@ func mutateWeights(net *snn.Network) {
 	}
 }
 
-// runAll classifies the same inputs through the stepped, blocked and
-// batch-major paths and returns the three result sets.
-func runAll(t *testing.T, net *snn.Network, inputs []tensor.Vec, steps int) [3][]snn.RunResult {
+// runAll classifies the same inputs through the stepped and blocked paths
+// and returns both result sets.
+func runAll(t *testing.T, net *snn.Network, inputs []tensor.Vec, steps int) [2][]snn.RunResult {
 	t.Helper()
 	enc := func(i int) snn.Encoder { return snn.NewPoissonEncoder(0.8, 99).ForkSeed(i) }
-	var out [3][]snn.RunResult
+	var out [2][]snn.RunResult
 	for i, opt := range []snn.Options{
 		{Workers: 1, Stepped: true},
 		{Workers: 1, BlockSize: 8},
-		{Workers: 1, Batch: len(inputs)},
 	} {
 		res, err := snn.RunBatch(net, inputs, enc, steps, opt)
 		if err != nil {
@@ -94,7 +93,7 @@ func assertMutateThenClassify(t *testing.T, dirty, fresh *snn.Network) {
 
 	got := runAll(t, dirty, inputs, steps)
 	want := runAll(t, fresh, inputs, steps)
-	for i, path := range []string{"stepped", "blocked", "batch-major"} {
+	for i, path := range []string{"stepped", "blocked"} {
 		assertSameResults(t, path, got[i], want[i])
 	}
 }

@@ -434,9 +434,9 @@ func (l *Layer) panelW() []float64 {
 // InvalidateWeightCaches drops the layer's weight-derived simulation
 // layouts (event adjacency, transposed weights, packed panels) so the next
 // integration rebuilds them from the current W. It must be called after any
-// in-place mutation of W — fault injection or crossbar repair — or stepped,
-// blocked and batch-major evaluation keep reading the stale layouts. The
-// conv tap plan depends only on geometry and is deliberately kept.
+// in-place mutation of W — fault injection or crossbar repair — or stepped
+// and blocked evaluation keep reading the stale layouts. The conv tap plan
+// depends only on geometry and is deliberately kept.
 //
 // The caller is responsible for quiescence: invalidate while no evaluation
 // over this layer is in flight (the serving integration takes the model's

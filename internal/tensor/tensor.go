@@ -221,25 +221,6 @@ func (m *Mat) MulVecT(x, out Vec) Vec {
 	return out
 }
 
-// GatherCol copies rows [r0, r0+len(dst)) of column c into dst. The
-// batch-major SNN runner keeps membrane potentials as a neurons x B matrix
-// (one column per image); this is the strided load that pulls one image's
-// lane-group potentials into a register-resident accumulator before a block
-// of timesteps.
-func (m *Mat) GatherCol(c, r0 int, dst []float64) {
-	for i := range dst {
-		dst[i] = m.Data[(r0+i)*m.Cols+c]
-	}
-}
-
-// ScatterCol stores src into rows [r0, r0+len(src)) of column c — the
-// write-back counterpart of GatherCol.
-func (m *Mat) ScatterCol(c, r0 int, src []float64) {
-	for i, x := range src {
-		m.Data[(r0+i)*m.Cols+c] = x
-	}
-}
-
 // MaxAbs returns the maximum absolute value in m.
 func (m *Mat) MaxAbs() float64 {
 	var mx float64

@@ -357,36 +357,3 @@ func TestMatAddRowMatchesColumnWalk(t *testing.T) {
 		}
 	}
 }
-
-// GatherCol/ScatterCol round-trip one column window of a matrix and leave
-// every other element untouched.
-func TestMatGatherScatterCol(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	m := NewMat(9, 4)
-	for i := range m.Data {
-		m.Data[i] = rng.NormFloat64()
-	}
-	orig := m.Clone()
-	buf := make([]float64, 5)
-	m.GatherCol(2, 3, buf)
-	for i, x := range buf {
-		if x != m.At(3+i, 2) {
-			t.Fatalf("GatherCol[%d] = %v, want %v", i, x, m.At(3+i, 2))
-		}
-	}
-	for i := range buf {
-		buf[i] += 1.5
-	}
-	m.ScatterCol(2, 3, buf)
-	for r := 0; r < m.Rows; r++ {
-		for c := 0; c < m.Cols; c++ {
-			want := orig.At(r, c)
-			if c == 2 && r >= 3 && r < 8 {
-				want += 1.5
-			}
-			if m.At(r, c) != want {
-				t.Fatalf("after ScatterCol, (%d,%d) = %v, want %v", r, c, m.At(r, c), want)
-			}
-		}
-	}
-}

@@ -30,10 +30,11 @@ go run ./cmd/resparc-bench -fig bench "${check[@]}" "$@"
 echo "== fleet SLO rows (delta is warn-only)"
 go run ./cmd/resparc-bench -fig fleet "$@"
 
-# Event-engine rows (event/latency, event/walltime, event/shard, event/noc):
-# the modeled cycle rows are pure functions of the -seed; the walltime rows
-# measure the simulator itself. Cycle deltas only move when the timing model
-# changes, so the table is warn-only — reviewers eyeball it in the PR.
+# Event-engine rows (event/latency, event/shard, event/noc): modeled cycle
+# rows — the serial-sum and pipelined reductions of the accountant's stage
+# grid, the sharded makespans and the NoC fabric — all pure functions of the
+# -seed. Cycle deltas only move when the timing model changes, so the table
+# is warn-only — reviewers eyeball it in the PR.
 echo "== event-engine rows (delta is warn-only)"
 go run ./cmd/resparc-bench -fig event "$@"
 
