@@ -520,19 +520,26 @@ func main() {
 	})
 }
 
-// benchRegressions lists the fresh entries that run more than tol slower
-// (by ns/op) than the previous entry of the same name. Entries without a
-// previous measurement never regress.
+// benchRegressions lists the fresh entries whose fastest sample runs more
+// than tol slower (by ns/op) than the previous entry's median. Machine noise
+// only slows samples down, so one slow sample cannot fail the gate, while a
+// real regression slows every sample, the fastest included. Entries without
+// a previous measurement never regress; entries without a fastest sample
+// compare their ns/op.
 func benchRegressions(prev, fresh []perf.BenchEntry, tol float64) []string {
 	var regs []string
 	for _, e := range fresh {
 		old, ok := perf.FindEntry(prev, e.Name)
-		if !ok || old.NsPerOp <= 0 || e.NsPerOp <= 0 {
+		ns := e.NsPerOpMin
+		if ns <= 0 {
+			ns = e.NsPerOp
+		}
+		if !ok || old.NsPerOp <= 0 || ns <= 0 {
 			continue
 		}
-		if e.NsPerOp > old.NsPerOp*(1+tol) {
-			regs = append(regs, fmt.Sprintf("regression: %s %.0f -> %.0f ns/op (%.1f%% slower)",
-				e.Name, old.NsPerOp, e.NsPerOp, 100*(e.NsPerOp/old.NsPerOp-1)))
+		if ns > old.NsPerOp*(1+tol) {
+			regs = append(regs, fmt.Sprintf("regression: %s %.0f -> %.0f ns/op fastest sample (%.1f%% slower)",
+				e.Name, old.NsPerOp, ns, 100*(ns/old.NsPerOp-1)))
 		}
 	}
 	return regs

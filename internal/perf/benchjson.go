@@ -28,8 +28,12 @@ const BenchSchemaVersion = 5
 // and SLO attainment; those fields stay zero (and are omitted from the
 // JSON) on ordinary throughput rows.
 type BenchEntry struct {
-	Name         string  `json:"name"`
-	NsPerOp      float64 `json:"ns_per_op"`
+	Name    string  `json:"name"`
+	NsPerOp float64 `json:"ns_per_op"`
+	// NsPerOpMin is the fastest of the repeated samples behind a wall-clock
+	// row (NsPerOp is their median). Files written before rows were sampled
+	// repeatedly omit it.
+	NsPerOpMin   float64 `json:"ns_per_op_min,omitempty"`
 	ImagesPerSec float64 `json:"images_per_sec,omitempty"`
 	AllocsPerOp  int64   `json:"allocs_per_op"`
 	BytesPerOp   int64   `json:"bytes_per_op"`

@@ -14,7 +14,7 @@ import (
 // predictions, merged event counters (except Cycles) and chip energies under
 // sim.Options.EventEngine are bit-identical to stepped sharded accounting,
 // and the global makespan respects its structural bounds. Run with -race:
-// the pipeline stages exchange stage grids over channels.
+// images fan out across workers that share the Multi's session pool.
 func TestShardEventSteppedEquivalence(t *testing.T) {
 	for _, b := range bench.All() {
 		b := b

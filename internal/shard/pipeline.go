@@ -2,7 +2,6 @@ package shard
 
 import (
 	"fmt"
-	"sync"
 
 	"resparc/internal/bitvec"
 	"resparc/internal/core"
@@ -12,110 +11,122 @@ import (
 	"resparc/internal/tensor"
 )
 
-// token is one in-flight image moving down the shard pipeline.
-type token struct {
-	idx      int
-	raster   []*bitvec.Bits // boundary spikes feeding the next stage
-	parts    []core.Report  // per-shard accounting, filled stage by stage
-	hops     []LinkStats    // per-boundary link accounting
-	hopSteps [][]int64      // per-boundary per-timestep cycles (event engine)
+// session is one worker's reusable state for a whole image: a stage worker
+// per shard and one boundary raster per hop. Sessions are pooled across
+// calls, so a stream of small batches does not rebuild them. Every capture
+// overwrites all timesteps of its raster, so a recycled session needs no
+// clearing.
+type session struct {
+	stages  []stageWorker
+	rasters [][]*bitvec.Bits // rasters[h]: shard h's boundary spikes into shard h+1
 }
 
-// ClassifyEach implements sim.Backend with pipeline parallelism: one
-// goroutine per shard, connected by channels, so while shard 1 integrates
-// image i, shard 0 is already encoding image i+1 — every chip stays busy on
-// a stream of inputs, which is where the partition's throughput comes from.
+// stageWorker is one shard's simulation state and accountant.
+type stageWorker struct {
+	st   *snn.State
+	acct *core.Accountant
+}
+
+func (m *Multi) getSession() *session {
+	if s, ok := m.sessions.Get().(*session); ok {
+		return s
+	}
+	s := &session{
+		stages:  make([]stageWorker, len(m.ranges)),
+		rasters: make([][]*bitvec.Bits, len(m.ranges)-1),
+	}
+	for i, r := range m.ranges {
+		acct, err := m.chip.NewAccountant(r.Lo, r.Hi)
+		if err != nil {
+			panic("shard: " + err.Error()) // ranges are validated at New
+		}
+		s.stages[i] = stageWorker{st: snn.NewState(m.subnets[i]), acct: acct}
+	}
+	for h := range s.rasters {
+		raster := make([]*bitvec.Bits, m.chip.Opt.Steps)
+		for t := range raster {
+			raster[t] = bitvec.New(m.subnets[h+1].Input.Size())
+		}
+		s.rasters[h] = raster
+	}
+	return s
+}
+
+// classifyOne runs one image through every shard stage in order on a
+// worker's session: each stage replays the previous stage's boundary raster,
+// each hop is charged to the link model, and finish merges the parts under
+// the per-call options.
+func (m *Multi) classifyOne(s *session, intensity tensor.Vec, enc snn.Encoder, opt sim.Options) (perf.Result, sim.Report) {
+	S := len(m.ranges)
+	parts := make([]core.Report, S)
+	hops := make([]LinkStats, S-1)
+	hopSteps := make([][]int64, S-1)
+	var run snn.RunResult
+	var in []*bitvec.Bits
+	for i, w := range s.stages {
+		var out []*bitvec.Bits
+		if i < S-1 {
+			out = s.rasters[i]
+		}
+		parts[i], run = m.runStage(i, w.st, w.acct, intensity, enc, in, out, opt)
+		if out != nil {
+			hops[i], hopSteps[i] = m.linkCost(out, opt.EventEngine)
+		}
+		in = out
+	}
+	return m.finish(parts, hops, hopSteps, run.Prediction, opt.EventEngine)
+}
+
+// Classify implements sim.Backend: one image through all shards in
+// sequence.
+func (m *Multi) Classify(intensity tensor.Vec, enc snn.Encoder) (perf.Result, sim.Report) {
+	s := m.getSession()
+	defer m.sessions.Put(s)
+	return m.classifyOne(s, intensity, enc, sim.Options{})
+}
+
+// ClassifyEach implements sim.Backend through the shared sim.Each fan-out,
+// like the single-chip backends: images run in parallel across
+// Options.Workers, and each image passes through every shard stage in order
+// on one worker's session. Host execution is therefore image-parallel; the
+// chips' layer pipeline is modeled, not executed — Report.Interval bounds
+// its steady-state throughput and, under Options.EventEngine, the merged
+// Cycles and Latency come from the global pipeline simulation
+// (eventMakespan) instead of the serial sum (see finish).
 //
-// Determinism is unchanged from the single-chip backends: stage 0 draws
-// enc(i) in input order, each boundary raster is captured per image, and
-// image i's outcome depends only on (inputs[i], enc(i)). Results are
-// bit-identical to sequential Classify calls.
-//
-// Options.Workers is ignored — the parallelism degree is the shard count
-// fixed at New. Options.EventEngine composes the merged Cycles and Latency
-// with the global pipeline simulation instead of the serial sum (see
-// finish). Options.EarlyExit is rejected: time-to-first-spike decoding needs
-// the output layer's verdict before upstream shards stop, which a pipeline
-// cannot know retroactively.
+// Image i's outcome depends only on (inputs[i], enc(i)), so results are
+// bit-identical to sequential Classify calls for any worker count.
+// Options.EarlyExit is rejected: time-to-first-spike decoding needs the
+// output layer's verdict before upstream shards stop, which a chip pipeline
+// cannot know retroactively. Tracing is not supported (the trace writer is
+// not concurrency-safe).
 func (m *Multi) ClassifyEach(inputs []tensor.Vec, enc sim.EncoderFactory, opt sim.Options) ([]perf.Result, []sim.Report, error) {
-	if len(inputs) == 0 {
-		return nil, nil, fmt.Errorf("shard: empty batch")
-	}
-	if enc == nil {
-		return nil, nil, fmt.Errorf("shard: nil encoder factory")
-	}
 	if opt.EarlyExit {
 		return nil, nil, fmt.Errorf("shard: early exit is not supported on the multi-chip pipeline")
 	}
 	if m.chip.Opt.Trace != nil {
-		return nil, nil, fmt.Errorf("shard: tracing is not supported with pipelined classification")
+		return nil, nil, fmt.Errorf("shard: tracing is not supported with batched classification")
 	}
 	if err := m.Healthy(); err != nil {
 		return nil, nil, err
 	}
-	S := len(m.ranges)
-	evt := opt.EventEngine
-	ress := make([]perf.Result, len(inputs))
-	reps := make([]sim.Report, len(inputs))
-	// chans[s] connects stage s to stage s+1; small buffers decouple stage
-	// jitter without holding many rasters in flight.
-	chans := make([]chan *token, S-1)
-	for s := range chans {
-		chans[s] = make(chan *token, 2)
-	}
-	var wg sync.WaitGroup
-	for s := 0; s < S; s++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			w := m.getWorker(s)
-			defer m.workers[s].Put(w)
-			process := func(tok *token) {
-				var out []*bitvec.Bits
-				if s < S-1 {
-					out = m.newRaster(s)
-				}
-				var intensity tensor.Vec
-				var e snn.Encoder
-				if s == 0 {
-					intensity = inputs[tok.idx]
-					e = enc(tok.idx)
-				}
-				rep, run := m.runStage(s, w.st, w.acct, intensity, e, tok.raster, out, opt)
-				tok.parts[s] = rep
-				if s > 0 {
-					m.rasters[s-1].Put(tok.raster)
-				}
-				if s < S-1 {
-					tok.hops[s], tok.hopSteps[s] = m.linkCost(out, evt)
-					tok.raster = out
-					chans[s] <- tok
-				} else {
-					tok.raster = nil
-					ress[tok.idx], reps[tok.idx] = m.finish(tok.parts, tok.hops, tok.hopSteps, run.Prediction, evt)
-				}
-			}
-			if s == 0 {
-				for idx := range inputs {
-					process(&token{idx: idx, parts: make([]core.Report, S),
-						hops: make([]LinkStats, S-1), hopSteps: make([][]int64, S-1)})
-				}
-			} else {
-				for tok := range chans[s-1] {
-					process(tok)
-				}
-			}
-			if s < S-1 {
-				close(chans[s])
-			}
-		}(s)
-	}
-	wg.Wait()
-	return ress, reps, nil
+	var held []*session
+	defer func() {
+		for _, s := range held {
+			m.sessions.Put(s)
+		}
+	}()
+	return sim.Each(inputs, enc, opt, func() sim.Session {
+		s := m.getSession()
+		held = append(held, s)
+		return func(in tensor.Vec, e snn.Encoder) (perf.Result, sim.Report) {
+			return m.classifyOne(s, in, e, opt)
+		}
+	})
 }
 
 // ClassifyBatch implements sim.Backend: it classifies every input through
-// the pipeline and reduces to the batch aggregate — chip energies and
+// ClassifyEach and reduces to the batch aggregate — chip energies and
 // latency averaged per classification, event counters summed (the same
 // shape as core.Chip.ClassifyBatch), link traffic summed over the batch and
 // the pipeline interval averaged.

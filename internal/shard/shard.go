@@ -6,8 +6,15 @@
 // The partitioner cuts the layer stack into N contiguous ranges balanced by
 // per-chip mPE load (taken from the existing internal/mapping placement), an
 // inter-chip link model carries each boundary layer's spike raster as
-// zero-checked packet flits with per-hop energy/latency accounting, and a
-// pipeline-parallel executor keeps every shard busy on a stream of inputs.
+// zero-checked packet flits with per-hop energy/latency accounting, and the
+// chips' layer pipeline is modeled: Report.Interval bounds its steady-state
+// throughput and, under sim.Options.EventEngine, eventMakespan composes the
+// shards' stage grids and the hops into one pipelined latency.
+//
+// Host execution is independent of that model. ClassifyEach fans images out
+// over sim.Options.Workers through sim.Each, like the single-chip backends,
+// and each image runs through every shard stage in order on one worker's
+// pooled session — no goroutine or channel per shard.
 //
 // Equivalence is exact, not approximate: the shards do not re-map the
 // network. Every shard charges the one shared core.Chip's accounting for its
@@ -127,27 +134,8 @@ type Multi struct {
 	name    string
 	ranges  []Range
 	subnets []*snn.Network
-	// workers[s] recycles shard s's stage workers and rasters[s] the
-	// boundary rasters between shards s and s+1 across classification calls.
-	workers []sync.Pool
-	rasters []sync.Pool
-}
-
-// stageWorker is one shard's reusable simulation state and accountant.
-type stageWorker struct {
-	st   *snn.State
-	acct *core.Accountant
-}
-
-func (m *Multi) getWorker(s int) *stageWorker {
-	if w, ok := m.workers[s].Get().(*stageWorker); ok {
-		return w
-	}
-	acct, err := m.chip.NewAccountant(m.ranges[s].Lo, m.ranges[s].Hi)
-	if err != nil {
-		panic("shard: " + err.Error()) // ranges are validated at New
-	}
-	return &stageWorker{st: snn.NewState(m.subnets[s]), acct: acct}
+	// sessions recycles worker sessions across classification calls.
+	sessions sync.Pool
 }
 
 var _ sim.Backend = (*Multi)(nil)
@@ -221,9 +209,7 @@ func New(chip *core.Chip, cfg Config) (*Multi, error) {
 	}
 	m := &Multi{
 		chip: chip, cfg: cfg, ranges: ranges, subnets: subnets,
-		name:    fmt.Sprintf("%s-x%d", chip.Name(), len(ranges)),
-		workers: make([]sync.Pool, len(ranges)),
-		rasters: make([]sync.Pool, len(ranges)-1),
+		name: fmt.Sprintf("%s-x%d", chip.Name(), len(ranges)),
 	}
 	return m, nil
 }
@@ -320,7 +306,7 @@ type Report struct {
 	// Interval is the modeled pipeline initiation interval in seconds per
 	// image: the slowest of the shard stages and the busiest single hop
 	// (each hop is its own point-to-point channel), which bounds the
-	// steady-state throughput of the pipeline-parallel executor.
+	// steady-state throughput of the modeled chip pipeline.
 	Interval float64
 	// Predicted is the decoded class from the final shard.
 	Predicted int
@@ -362,22 +348,6 @@ func (m *Multi) linkCost(raster []*bitvec.Bits, perStep bool) (LinkStats, []int6
 		}
 	}
 	return st, steps
-}
-
-// newRaster returns a boundary raster between shard s and s+1: one spike
-// vector per timestep, sized to the downstream shard's input. Shard s+1
-// returns each raster to rasters[s] once it has replayed it; the capture
-// overwrites every timestep, so recycled rasters need no clearing.
-func (m *Multi) newRaster(s int) []*bitvec.Bits {
-	if r, ok := m.rasters[s].Get().([]*bitvec.Bits); ok {
-		return r
-	}
-	size := m.subnets[s+1].Input.Size()
-	r := make([]*bitvec.Bits, m.chip.Opt.Steps)
-	for t := range r {
-		r[t] = bitvec.New(size)
-	}
-	return r
 }
 
 // captureObserver forwards every step to the shard's accountant and copies
@@ -560,31 +530,4 @@ func addBreakdown(a, b core.CycleBreakdown) core.CycleBreakdown {
 	a.Integrate += b.Integrate
 	a.Drain += b.Drain
 	return a
-}
-
-// Classify implements sim.Backend: one image through all shards in
-// sequence (the pipeline only pays off on a stream — see ClassifyEach).
-func (m *Multi) Classify(intensity tensor.Vec, enc snn.Encoder) (perf.Result, sim.Report) {
-	S := len(m.ranges)
-	parts := make([]core.Report, S)
-	hops := make([]LinkStats, S-1)
-	var run snn.RunResult
-	var in []*bitvec.Bits
-	for s := 0; s < S; s++ {
-		w := m.getWorker(s)
-		var out []*bitvec.Bits
-		if s < S-1 {
-			out = m.newRaster(s)
-		}
-		parts[s], run = m.runStage(s, w.st, w.acct, intensity, enc, in, out, sim.Options{})
-		m.workers[s].Put(w)
-		if s > 0 {
-			m.rasters[s-1].Put(in)
-		}
-		if s < S-1 {
-			hops[s], _ = m.linkCost(out, false)
-		}
-		in = out
-	}
-	return m.finish(parts, hops, nil, run.Prediction, false)
 }

@@ -9,6 +9,7 @@ import (
 	"resparc/internal/core"
 	"resparc/internal/dataset"
 	"resparc/internal/mapping"
+	"resparc/internal/perf"
 	"resparc/internal/sim"
 	"resparc/internal/snn"
 	"resparc/internal/tensor"
@@ -16,7 +17,7 @@ import (
 
 const testSteps = 16
 
-func chipFor(t *testing.T, b bench.Benchmark) *core.Chip {
+func chipFor(t testing.TB, b bench.Benchmark) *core.Chip {
 	t.Helper()
 	net, err := b.Build(1)
 	if err != nil {
@@ -35,7 +36,7 @@ func chipFor(t *testing.T, b bench.Benchmark) *core.Chip {
 	return chip
 }
 
-func benchInputs(t *testing.T, b bench.Benchmark, net *snn.Network, n int) []tensor.Vec {
+func benchInputs(t testing.TB, b bench.Benchmark, net *snn.Network, n int) []tensor.Vec {
 	t.Helper()
 	set := dataset.Generate(b.Dataset, n, 101)
 	out := make([]tensor.Vec, len(set.Samples))
@@ -57,7 +58,7 @@ func factoryFor(seed int64) sim.EncoderFactory {
 // The sharded pipeline's defining contract: for every Fig 10 benchmark and
 // every shard count, predictions, merged event counters, and the summed
 // chip energy are bit-identical to the single-chip simulation. Run with
-// -race: the pipeline stages exchange boundary rasters over channels.
+// -race: images fan out across workers that share the Multi's session pool.
 func TestShardedMatchesSingleChip(t *testing.T) {
 	for _, b := range bench.All() {
 		b := b
@@ -114,9 +115,8 @@ func TestShardedMatchesSingleChip(t *testing.T) {
 	}
 }
 
-// The sequential Classify and the pipelined ClassifyEach must agree exactly,
-// and ClassifyEach must be order-deterministic: the pipeline hands images
-// through the stages in input order.
+// The sequential Classify and the fanned-out ClassifyEach must agree
+// exactly, and ClassifyEach must return results in input order.
 func TestPipelineMatchesSequential(t *testing.T) {
 	b, err := bench.ByName("mnist-mlp")
 	if err != nil {
@@ -143,6 +143,87 @@ func TestPipelineMatchesSequential(t *testing.T) {
 			t.Fatalf("image %d: pipeline report diverged from sequential", i)
 		}
 	}
+}
+
+// TestClassifyEachWorkerEquivalence: ClassifyEach fans images out over
+// sim.Options.Workers, and every worker count must reproduce the images run
+// one at a time — the full per-image perf.Result and shard Report (Chip,
+// Shards, Hops, Link, Interval, prediction), with and without the event
+// engine. The merged Chip must also match the single-chip serial reference.
+// Run with -race: workers share the Multi and its session pool.
+func TestClassifyEachWorkerEquivalence(t *testing.T) {
+	for _, b := range bench.All() {
+		b := b
+		t.Run(b.Name, func(t *testing.T) {
+			chip := chipFor(t, b)
+			inputs := benchInputs(t, b, chip.Net, 4)
+			enc := factoryFor(13)
+			for _, evt := range []bool{false, true} {
+				_, refReps, err := chip.ClassifyEach(inputs, enc, sim.Options{Workers: 1, EventEngine: evt})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, n := range []int{2, 4} {
+					multi, err := New(chip, Config{Shards: n})
+					if err != nil {
+						t.Fatal(err)
+					}
+					// Sequential reference: one image per call. Classify takes
+					// no options, so the event-engine reference is a
+					// single-image ClassifyEach on one worker.
+					seqRess := make([]perf.Result, len(inputs))
+					seqReps := make([]sim.Report, len(inputs))
+					for i := range inputs {
+						if !evt {
+							seqRess[i], seqReps[i] = multi.Classify(inputs[i], enc(i))
+							continue
+						}
+						i := i
+						r, p, err := multi.ClassifyEach(inputs[i:i+1], func(int) snn.Encoder { return enc(i) },
+							sim.Options{Workers: 1, EventEngine: true})
+						if err != nil {
+							t.Fatal(err)
+						}
+						seqRess[i], seqReps[i] = r[0], p[0]
+					}
+					for _, w := range []int{1, 2, 4} {
+						ress, reps, err := multi.ClassifyEach(inputs, enc, sim.Options{Workers: w, EventEngine: evt})
+						if err != nil {
+							t.Fatal(err)
+						}
+						for i := range inputs {
+							if !reflect.DeepEqual(ress[i], seqRess[i]) {
+								t.Fatalf("x%d workers %d event %v image %d: result %+v, sequential %+v",
+									n, w, evt, i, ress[i], seqRess[i])
+							}
+							if !reflect.DeepEqual(reps[i], seqReps[i]) {
+								t.Fatalf("x%d workers %d event %v image %d: report diverged from sequential\ngot:  %+v\nwant: %+v",
+									n, w, evt, i, reps[i], seqReps[i])
+							}
+							got := singleChipView(reps[i].Detail.(Report).Chip, evt)
+							want := singleChipView(refReps[i].Detail.(core.Report), evt)
+							if !reflect.DeepEqual(got, want) {
+								t.Fatalf("x%d workers %d event %v image %d: merged chip report diverged from single chip\nsharded: %+v\nsingle:  %+v",
+									n, w, evt, i, got, want)
+							}
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// singleChipView strips what a merged shard report does not share with a
+// single-chip report of the same image: the stage grid stays per shard
+// (Report.Shards), and under the event engine Cycles, Latency and BusWait
+// come from the global pipeline, whose hops one chip does not have.
+func singleChipView(r core.Report, evt bool) core.Report {
+	r.Stages = nil
+	if evt {
+		r.Counts.Cycles, r.Latency, r.BusWait = 0, 0, 0
+	}
+	return r
 }
 
 // The interval (modeled initiation interval) must make a multi-shard

@@ -4,9 +4,12 @@
 # measurements, a delta table against the previous file, and then merges the
 # fresh entries into the file (matching names are replaced, history is kept).
 #
-# A benchmark that regresses more than 10% against its previous entry fails
-# the script (and with it scripts/ci.sh). Benchmarks are timing-sensitive —
-# on a loaded machine the numbers drift — so an explicit escape hatch exists:
+# Every row is sampled three times (median = ns_per_op, fastest =
+# ns_per_op_min). A benchmark whose fastest fresh sample runs more than 10%
+# slower than its previous entry's median fails the script (and with it
+# scripts/ci.sh): machine noise slows single samples, a real regression
+# slows all of them. Benchmarks are still timing-sensitive — on a loaded
+# machine every sample can drift — so an explicit escape hatch exists:
 #
 #   ALLOW_BENCH_REGRESS=1 ./scripts/bench_compare.sh
 #

@@ -66,10 +66,11 @@ fi
 echo "== fuzz smoke (FuzzFaultMap, 5s)"
 go test -run Fuzz -fuzz=FuzzFaultMap -fuzztime=5s ./internal/fault/
 
-# Perf regression check — fatal: a committed benchmark that regresses more
-# than 10% against its previous entry fails the build. Timings drift with
-# machine load, so a known-noisy run can be waved through explicitly with
-# ALLOW_BENCH_REGRESS=1 (bench_compare.sh then only prints the delta table).
+# Perf regression check — fatal: a committed benchmark whose fastest of
+# three samples runs more than 10% slower than its previous entry fails the
+# build. Timings drift with machine load, so a known-noisy run can be waved
+# through explicitly with ALLOW_BENCH_REGRESS=1 (bench_compare.sh then only
+# prints the delta table).
 echo "== bench compare"
 ./scripts/bench_compare.sh -quick
 
