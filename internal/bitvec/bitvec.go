@@ -59,6 +59,12 @@ func (b *Bits) panicIndex(i int) {
 	panic(fmt.Sprintf("bitvec: index %d out of range [0,%d)", i, b.n))
 }
 
+// Words returns the vector's 64-bit storage words (bit i is bit i&63 of word
+// i>>6; bits past Len are zero). The slice aliases the vector and is for
+// reading only: hot loops that gather spikes through precomputed word
+// masks index it directly.
+func (b *Bits) Words() []uint64 { return b.words }
+
 // Reset clears every bit.
 func (b *Bits) Reset() {
 	for i := range b.words {

@@ -250,13 +250,10 @@ type observer struct {
 	busCycles   int
 	breakdown   CycleBreakdown
 	scratch     [][]int32 // per local layer: active-MCA count per group
+	occ         []bool    // per packet word of the visited layer's input: holds a spike
 	traceErr    error
-	// Per local layer: spiking-row count per MCA and the visit stamps that
-	// validate row counts and word occupancy (see ObserveStep).
-	token                 int32
-	rows, rowTok, wordTok [][]int32
-	stages                [][]StageDur
-	nsteps                int
+	stages      [][]StageDur
+	nsteps      int
 }
 
 func newObserver(c *Chip, lo, hi int) *observer {
@@ -268,9 +265,6 @@ func newObserver(c *Chip, lo, hi int) *observer {
 		layerCycles: make([]int, n),
 		layerSpikes: make([]int, n),
 		scratch:     make([][]int32, n),
-		rows:        make([][]int32, n),
-		rowTok:      make([][]int32, n),
-		wordTok:     make([][]int32, n),
 	}
 }
 
@@ -294,15 +288,6 @@ func (o *observer) reset() {
 	o.breakdown = CycleBreakdown{}
 	o.traceErr = nil
 	o.nsteps = 0
-	// Stamp tokens make clearing unnecessary; re-zero only on (absurdly
-	// rare) wraparound.
-	if o.token > 1<<30 {
-		o.token = 0
-		for j := range o.rowTok {
-			clear(o.rowTok[j])
-			clear(o.wordTok[j])
-		}
-	}
 }
 
 // writeTrace emits one per-(step, layer) trace event from the accounting

@@ -1,16 +1,20 @@
 package core
 
 import (
+	"math/bits"
+
 	"resparc/internal/bitvec"
 	"resparc/internal/event"
 	"resparc/internal/mapping"
 )
 
 // This file is the chip's accountant: the transaction-level model of §4.2
-// charged once per (timestep, layer) visit. Its cost scales with spike count
-// rather than timesteps x mapped inputs: a chip-cached inverse adjacency
-// scatters each spike to the MCAs it drives, and word occupancy is stamped
-// during the same single pass over the set bits.
+// charged once per (timestep, layer) visit. Each MCA's driven-row count is
+// gathered rather than scattered: the chip-cached layer plan stores every
+// MCA's input rows as (64-bit spike storage word, bit mask) pairs, so a
+// visit costs one popcount per mapped (MCA, word) pair however dense the
+// spikes are. Packet-word occupancy is read straight off the spike words at
+// the chip packet width.
 //
 // Every visit records its per-phase durations in a StageDur grid, which
 // Report reduces two ways:
@@ -53,11 +57,13 @@ type mpeRun struct{ mcaLo, mcaHi, wordLo, wordHi int32 }
 
 // layerPlan is the chip-cached static structure of one layer's mapping.
 type layerPlan struct {
-	// inMCA[inOff[i]:inOff[i+1]] scatters input bit i to the MCAs whose
-	// input lists contain it, with multiplicity: an input wired to k rows of
-	// one MCA appears k times, once per driven row.
-	inOff  []int32
-	inMCA  []int32
+	// MCA a's driven rows are Σ popcount(spikes.Words()[gWord[k]] & gMask[k])
+	// over k in [gOff[a], gOff[a+1]). A mask holds distinct bits of one
+	// storage word; an input wired to several rows of one MCA opens a new
+	// pair for each repeat, so it counts once per driven row.
+	gOff   []int32
+	gWord  []int32
+	gMask  []uint64
 	runs   []mpeRun
 	words  []int32 // concatenated per-run word lists, first-encounter order
 	mcas   []mcaPlan
@@ -119,17 +125,7 @@ func buildPlans(m *mapping.Mapping, opt Options) []layerPlan {
 		insz := lm.Layer.InSize()
 		pl.nwords = (insz + w - 1) / w
 		pl.mcas = make([]mcaPlan, len(lm.MCAs))
-		pl.inOff = make([]int32, insz+1)
-		for ai := range lm.MCAs {
-			for _, in := range lm.MCAs[ai].Inputs {
-				pl.inOff[in+1]++
-			}
-		}
-		for i := 0; i < insz; i++ {
-			pl.inOff[i+1] += pl.inOff[i]
-		}
-		pl.inMCA = make([]int32, pl.inOff[insz])
-		fill := append([]int32(nil), pl.inOff[:insz]...)
+		pl.gOff = make([]int32, len(lm.MCAs)+1)
 		curMPE := -1
 		mcaLo, wordLo := int32(0), int32(0)
 		seen := map[int]bool{}
@@ -163,8 +159,13 @@ func buildPlans(m *mapping.Mapping, opt Options) []layerPlan {
 			}
 			lastWord := -1
 			for _, in := range mca.Inputs {
-				pl.inMCA[fill[in]] = int32(ai)
-				fill[in]++
+				sw, bit := in>>6, uint64(1)<<(in&63)
+				if g := len(pl.gWord) - 1; g >= int(pl.gOff[ai]) && pl.gWord[g] == sw && pl.gMask[g]&bit == 0 {
+					pl.gMask[g] |= bit
+				} else {
+					pl.gWord = append(pl.gWord, sw)
+					pl.gMask = append(pl.gMask, bit)
+				}
 				word := int(in) / w
 				if word != lastWord {
 					lastWord = word
@@ -174,6 +175,7 @@ func buildPlans(m *mapping.Mapping, opt Options) []layerPlan {
 					}
 				}
 			}
+			pl.gOff[ai+1] = int32(len(pl.gWord))
 		}
 		if len(lm.MCAs) > 0 {
 			pl.runs = append(pl.runs, mpeRun{mcaLo, int32(len(lm.MCAs)), wordLo, int32(len(pl.words))})
@@ -192,20 +194,11 @@ func (o *observer) stageRow(step int) []StageDur {
 	return o.stages[step]
 }
 
-func (o *observer) layerScratch(j int, pl *layerPlan) (rows, rowTok, wordTok []int32) {
-	if len(o.rows[j]) != len(pl.mcas) || len(o.wordTok[j]) != pl.nwords {
-		o.rows[j] = make([]int32, len(pl.mcas))
-		o.rowTok[j] = make([]int32, len(pl.mcas))
-		o.wordTok[j] = make([]int32, pl.nwords)
-	}
-	return o.rows[j], o.rowTok[j], o.wordTok[j]
-}
-
 // ObserveStep implements snn.Observer: it charges one timestep's events.
 // layers holds the spike vectors of the observed range only (local indices);
-// input is the spike vector feeding the range's first layer. Per layer, one
-// pass over the input spikes stamps word occupancy and scatters per-MCA row
-// counts, then charges flow run by run in the fixed float order.
+// input is the spike vector feeding the range's first layer. Per layer, the
+// charges flow run by run in the fixed float order, each MCA's driven rows
+// gathered from the input's storage words as it is charged.
 func (o *observer) ObserveStep(step int, input *bitvec.Bits, layers []*bitvec.Bits) {
 	c := o.chip
 	p := c.Opt.Params
@@ -221,44 +214,33 @@ func (o *observer) ObserveStep(step int, input *bitvec.Bits, layers []*bitvec.Bi
 		prevCnt := o.cnt
 		prevE := *le
 
-		// One pass over the spikes: stamp packet-word occupancy and scatter
-		// each spike to the MCAs it drives. Stamps are valid only when they
-		// match the current visit's token, so nothing is cleared between
-		// visits.
-		o.token++
-		tok := o.token
-		rows, rowTok, wordTok := o.layerScratch(j, pl)
-		occWords := 0
-		cur.ForEachSet(func(i int) {
-			wd := i / w
-			if wordTok[wd] != tok {
-				wordTok[wd] = tok
-				occWords++
-			}
-			for _, m := range pl.inMCA[pl.inOff[i]:pl.inOff[i+1]] {
-				if rowTok[m] != tok {
-					rowTok[m] = tok
-					rows[m] = 0
-				}
-				rows[m]++
-			}
-		})
-
 		// ---- Global control: event-flag synchronization (flags are read
 		// eight NeuroCells per access) ----
 		syncCycles := p.SyncCyclesPerNC * ((lm.NCLast - lm.NCFirst + 1 + 7) / 8)
 		o.breakdown.Sync += syncCycles
 
+		// Packet-word occupancy, read off the spike words once per visit.
+		if cap(o.occ) < pl.nwords {
+			o.occ = make([]bool, pl.nwords)
+		}
+		occ := o.occ[:pl.nwords]
+		sent := pl.nwords
+		if ed {
+			sent = 0
+			for k := range occ {
+				lo := k * w
+				occ[k] = cur.LoadBits(lo, min(w, cur.Len()-lo)) != 0
+				if occ[k] {
+					sent++
+				}
+			}
+		}
+
 		// ---- Global bus & SRAM (§3.1.3) ----
 		busCycles := 0
 		if c.Map.CrossNC(gi) {
-			total := (cur.Len() + w - 1) / w
-			sent := occWords
+			total := pl.nwords
 			zero := total - sent
-			if !ed {
-				sent = total
-				zero = 0
-			}
 			le.Peripherals += float64(total) * p.ZeroCheck
 			// Producer write to SRAM + broadcast read: two bus transactions
 			// and two SRAM accesses per surviving word (layer 0 is loaded by
@@ -286,19 +268,22 @@ func (o *observer) ObserveStep(step int, input *bitvec.Bits, layers []*bitvec.Bi
 		maxMux := int32(0)
 		ga := o.groupScratch(j, lm.Groups)
 		clear(ga)
+		spikeWords := cur.Words()
 		for ri := range pl.runs {
 			run := &pl.runs[ri]
 			for mi := run.mcaLo; mi < run.mcaHi; mi++ {
-				var r int32
-				if rowTok[mi] == tok {
-					r = rows[mi]
+				r := 0
+				gw := pl.gWord[pl.gOff[mi]:pl.gOff[mi+1]]
+				gm := pl.gMask[pl.gOff[mi]:pl.gOff[mi+1]]
+				for k, sw := range gw {
+					r += bits.OnesCount64(spikeWords[sw] & gm[k])
 				}
 				if r == 0 && ed {
 					continue
 				}
 				mp := &pl.mcas[mi]
 				o.cnt.MCAActivations++
-				o.cnt.RowsDriven += int(r)
+				o.cnt.RowsDriven += r
 				le.Peripherals += p.MPEControl
 				le.Crossbar += float64(r) * mp.factorXbar
 				// Neuron integration of this MCA's columns.
@@ -313,7 +298,7 @@ func (o *observer) ObserveStep(step int, input *bitvec.Bits, layers []*bitvec.Bi
 			}
 			for wi := run.wordLo; wi < run.wordHi; wi++ {
 				le.Peripherals += p.ZeroCheck
-				if wordTok[pl.words[wi]] == tok || !ed {
+				if !ed || occ[pl.words[wi]] {
 					delivered++
 					le.Peripherals += p.SwitchHop + 2*p.BufferAccess
 				} else {

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"resparc/internal/bench"
@@ -381,5 +382,75 @@ func checkOracle(t *testing.T, name string, got, want Report, pipelined bool) {
 	}
 	if gc != want.Counts {
 		t.Fatalf("%s: counters %+v, oracle %+v", name, got.Counts, want.Counts)
+	}
+}
+
+// checkChipOracle classifies in once on a chip over (net, m) with the given
+// options and checks its report against the oracle's bit for bit.
+func checkChipOracle(t *testing.T, name string, net *snn.Network, m *mapping.Mapping, opt Options, in tensor.Vec) {
+	t.Helper()
+	chip, err := New(net, m, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc := snn.NewPoissonEncoder(0.8, 7)
+	want := oracleRun(chip, in, enc.ForkSeed(0), false)
+	_, reps, err := chip.ClassifyEach([]tensor.Vec{in},
+		func(i int) snn.Encoder { return enc.ForkSeed(i) }, sim.Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkOracle(t, name, reps[0].Detail.(Report), want, false)
+}
+
+// TestAccountantRowMultiplicityAndOrder hand-edits the mapping so that, in
+// every layer, the first MCA lists its first input twice in a row (one
+// storage word, two rows) and the last MCA lists its inputs in reverse. The
+// accountant must still match the oracle bit for bit with zero-check gating
+// on and off: a repeated input drives one row per listing, and packet words
+// are charged in each MCA's list order, not in input order.
+func TestAccountantRowMultiplicityAndOrder(t *testing.T) {
+	for _, name := range []string{"mnist-mlp", "mnist-cnn"} {
+		net, m, in := fig10Mapping(t, name)
+		// Saturate the input so the repeated layer-0 input spikes.
+		for i := range in {
+			in[i] = 1
+		}
+		for li := range m.Layers {
+			mcas := m.Layers[li].MCAs
+			dup := &mcas[0]
+			dup.Inputs = slices.Clone(dup.Inputs)
+			dup.Inputs[1] = dup.Inputs[0]
+			rev := &mcas[len(mcas)-1]
+			rev.Inputs = slices.Clone(rev.Inputs)
+			slices.Reverse(rev.Inputs)
+		}
+		for _, ed := range []bool{true, false} {
+			for _, w := range []int{16, 64} {
+				opt := DefaultOptions()
+				opt.Steps = 6
+				opt.EventDriven = ed
+				opt.PacketWidth = w
+				checkChipOracle(t, fmt.Sprintf("%s/ed=%v/w=%d", name, ed, w), net, m, opt, in)
+			}
+		}
+	}
+}
+
+// TestEventSteppedStraddlingPacketWidths runs the oracle at packet widths
+// whose words straddle the 64-bit storage words (and at one-bit packets),
+// so packet occupancy is read across storage-word boundaries.
+func TestEventSteppedStraddlingPacketWidths(t *testing.T) {
+	for _, name := range []string{"mnist-mlp", "mnist-cnn"} {
+		net, m, in := fig10Mapping(t, name)
+		for _, w := range []int{1, 24, 63} {
+			for _, ed := range []bool{true, false} {
+				opt := DefaultOptions()
+				opt.Steps = 6
+				opt.EventDriven = ed
+				opt.PacketWidth = w
+				checkChipOracle(t, fmt.Sprintf("%s/ed=%v/w=%d", name, ed, w), net, m, opt, in)
+			}
+		}
 	}
 }

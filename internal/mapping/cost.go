@@ -2,6 +2,7 @@ package mapping
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 
 	"resparc/internal/bitvec"
@@ -373,10 +374,11 @@ func newEvaluator(net *snn.Network, cons Constraints) (*evaluator, error) {
 }
 
 // buildStats packs layer li at Sizes[szIdx] (position-free) and replays the
-// probe rasters through the packing, mirroring core's accountant: an
-// inverse input->MCA adjacency scatters each spike, word occupancy is
-// stamped in the same pass, and per-mPE word lists are deduped in
-// first-encounter order — the same structure core's layer plans cache.
+// probe rasters through the packing, mirroring core's accountant: each MCA's
+// driven rows are popcounts of the spike storage words under per-MCA
+// (word, mask) pairs, packet occupancy is read off the spike words, and
+// per-mPE word lists are deduped in first-encounter order — the same
+// structure core's layer plans cache.
 func (ev *evaluator) buildStats(li, szIdx int) (*sizeStats, error) {
 	cfg := ev.cons.Hierarchy
 	n := ev.cons.Sizes[szIdx]
@@ -391,7 +393,9 @@ func (ev *evaluator) buildStats(li, szIdx int) (*sizeStats, error) {
 
 	insz := l.InSize()
 	nwords := (insz + w - 1) / w
-	inToMCA := make([][]int32, insz)
+	gOff := make([]int32, len(lm.MCAs)+1)
+	var gWord []int32
+	var gMask []uint64
 	factorXbar := make([]float64, len(lm.MCAs))
 	outs := make([]int32, len(lm.MCAs))
 	groupOf := make([]int32, len(lm.MCAs))
@@ -425,7 +429,13 @@ func (ev *evaluator) buildStats(li, szIdx int) (*sizeStats, error) {
 		groupOf[ai] = int32(mca.Group)
 		lastWord := -1
 		for _, in := range mca.Inputs {
-			inToMCA[in] = append(inToMCA[in], int32(ai))
+			sw, bit := in>>6, uint64(1)<<(in&63)
+			if g := len(gWord) - 1; g >= int(gOff[ai]) && gWord[g] == sw && gMask[g]&bit == 0 {
+				gMask[g] |= bit
+			} else {
+				gWord = append(gWord, sw)
+				gMask = append(gMask, bit)
+			}
 			word := int(in) / w
 			if word != lastWord {
 				lastWord = word
@@ -435,6 +445,7 @@ func (ev *evaluator) buildStats(li, szIdx int) (*sizeStats, error) {
 				}
 			}
 		}
+		gOff[ai+1] = int32(len(gWord))
 	}
 	if len(lm.MCAs) > 0 {
 		runs = append(runs, run{mcaLo, int32(len(lm.MCAs)), wordLo, int32(len(words))})
@@ -445,25 +456,15 @@ func (ev *evaluator) buildStats(li, szIdx int) (*sizeStats, error) {
 		mpeSpan: (len(lm.MCAs) + cfg.MCAsPerMPE - 1) / cfg.MCAsPerMPE,
 		step:    make([]stepCost, ev.cons.Steps),
 	}
-	rows := make([]int32, len(lm.MCAs))
-	rowTok := make([]int32, len(lm.MCAs))
-	wordTok := make([]int32, nwords)
+	occ := make([]bool, nwords)
 	ga := make([]int32, lm.Groups)
 	for t := 0; t < ev.cons.Steps; t++ {
-		tok := int32(t + 1)
-		ev.in[li][t].ForEachSet(func(i int) {
-			wd := i / w
-			if wordTok[wd] != tok {
-				wordTok[wd] = tok
-			}
-			for _, m := range inToMCA[i] {
-				if rowTok[m] != tok {
-					rowTok[m] = tok
-					rows[m] = 0
-				}
-				rows[m]++
-			}
-		})
+		v := ev.in[li][t]
+		spikeWords := v.Words()
+		for k := range occ {
+			lo := k * w
+			occ[k] = v.LoadBits(lo, min(w, insz-lo)) != 0
+		}
 		sc := &st.step[t]
 		for i := range ga {
 			ga[i] = 0
@@ -471,8 +472,9 @@ func (ev *evaluator) buildStats(li, szIdx int) (*sizeStats, error) {
 		for _, r := range runs {
 			for mi := r.mcaLo; mi < r.mcaHi; mi++ {
 				var rr int32
-				if rowTok[mi] == tok {
-					rr = rows[mi]
+				gm := gMask[gOff[mi]:gOff[mi+1]]
+				for k, sw := range gWord[gOff[mi]:gOff[mi+1]] {
+					rr += int32(bits.OnesCount64(spikeWords[sw] & gm[k]))
 				}
 				if rr == 0 && ed {
 					continue
@@ -487,7 +489,7 @@ func (ev *evaluator) buildStats(li, szIdx int) (*sizeStats, error) {
 			}
 			for wi := r.wordLo; wi < r.wordHi; wi++ {
 				sc.words++
-				if wordTok[words[wi]] == tok || !ed {
+				if !ed || occ[words[wi]] {
 					sc.delivered++
 				}
 			}
