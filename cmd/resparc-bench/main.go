@@ -5,7 +5,7 @@
 //
 //	resparc-bench [-fig all|8|9|10|11|12|13|14a|14b|ablations|checklist|bench|shard|fleet|event|mapper]
 //	              [-quick] [-out FILE] [-workers N] [-json FILE]
-//	              [-blocked=false] [-check] [-cpuprofile FILE] [-memprofile FILE]
+//	              [-blocksize K] [-check] [-cpuprofile FILE] [-memprofile FILE]
 //
 // -fig bench measures the hot evaluation paths (functional SNN evaluator
 // and chip simulation, serial vs parallel) and writes the machine-readable
@@ -37,7 +37,6 @@ func main() {
 	workers := flag.Int("workers", 0, "evaluation worker-pool size (<= 0: one per CPU); results are identical for any value")
 	jsonPath := flag.String("json", "BENCH_RESULTS.json", "where -fig bench writes its machine-readable results")
 	faultJSON := flag.String("faultjson", "FAULT_RESULTS.json", "where -fig faults and -fig lifetime merge their machine-readable results")
-	blocked := flag.Bool("blocked", true, "use the blocked layer-major SNN runner (bit-identical; -blocked=false selects the step-major reference)")
 	blockSize := flag.Int("blocksize", 0, "temporal block length of the blocked runner (<= 0: snn.DefaultBlockSize)")
 	check := flag.Bool("check", false, "with -fig bench: exit non-zero when a benchmark regresses more than 10% vs its previous entry")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -71,7 +70,6 @@ func main() {
 	}
 	cfg.Seed = *seed
 	cfg.Workers = *workers
-	cfg.Stepped = !*blocked
 	cfg.BlockSize = *blockSize
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -426,7 +424,6 @@ func main() {
 		// shared flags.
 		fc.Seed = *seed
 		fc.Workers = *workers
-		fc.Stepped = !*blocked
 		fc.BlockSize = *blockSize
 		r, t, err := experiments.FigFaults(fc)
 		if err != nil {
@@ -449,7 +446,6 @@ func main() {
 		}
 		lc.Seed = *seed
 		lc.Workers = *workers
-		lc.Stepped = !*blocked
 		lc.BlockSize = *blockSize
 		r, t, err := experiments.FigLifetime(lc)
 		if err != nil {

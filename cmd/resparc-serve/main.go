@@ -9,7 +9,7 @@
 //	              [-max-wait 2ms] [-queue 64] [-workers 0]
 //	              [-models mnist-mlp,...] [-model-files a.gob,...]
 //	              [-placement plan.json,...]
-//	              [-steps 48] [-seed 1] [-mca-size 64] [-blocked=false] [-pprof]
+//	              [-steps 48] [-seed 1] [-mca-size 64] [-pprof]
 //	              [-repair full] [-repair-interval 30s] [-fault-seed 1]
 //	              [-eol 1e6] [-wear-fraction 0.002] [-drift-sigma 0.12]
 //	              [-age-per-inference 1]
@@ -71,7 +71,6 @@ func main() {
 	steps := flag.Int("steps", 0, "SNN timesteps per classification (0: the paper default)")
 	seed := flag.Int64("seed", 0, "base encoder seed (0: the paper default)")
 	mcaSize := flag.Int("mca-size", 0, "crossbar dimension for the RESPARC mapping (0: the paper default)")
-	blocked := flag.Bool("blocked", true, "use the blocked layer-major SNN runner (bit-identical; -blocked=false selects the step-major reference)")
 	reqTimeout := flag.Duration("request-timeout", 30*time.Second, "per-request deadline; expiry answers 504")
 	brThreshold := flag.Int("breaker-threshold", 3, "consecutive batch failures that open a (model, backend) circuit")
 	brCooldown := flag.Duration("breaker-cooldown", 2*time.Second, "how long an open circuit answers 503 + Retry-After before probing")
@@ -105,7 +104,6 @@ func main() {
 	if *mcaSize > 0 {
 		rcfg.MCASize = *mcaSize
 	}
-	rcfg.Stepped = !*blocked
 	for _, path := range splitList(*placements) {
 		p, err := mapping.ReadPlacementFile(path)
 		if err != nil {

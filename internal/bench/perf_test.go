@@ -3,6 +3,7 @@ package bench
 import (
 	"testing"
 
+	"resparc/internal/bitvec"
 	"resparc/internal/dataset"
 	"resparc/internal/snn"
 	"resparc/internal/tensor"
@@ -55,6 +56,49 @@ func BenchmarkEvalMnistCNNSerial(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := snn.RunBatch(net, inputs, enc, 48, snn.Options{Workers: 1}); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkBuild measures Build on the three Fig 10 CNNs: weight fill plus
+// the threshold calibration that steps every layer over the frontier spike
+// train — the setup cost every study pays before its first classification.
+func BenchmarkBuild(b *testing.B) {
+	for _, name := range []string{"mnist-cnn", "svhn-cnn", "cifar-cnn"} {
+		bm := findBenchmark(b, name)
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := bm.Build(1); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// A warm State.Step allocates nothing: Step is a one-timestep blocked run,
+// and every scratch buffer it touches lives in the State.
+func TestStepAllocFree(t *testing.T) {
+	for _, name := range []string{"mnist-cnn", "mnist-mlp"} {
+		bm := findBenchmark(t, name)
+		net, err := bm.Build(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		img := benchInputs(t, bm, net, 1)[0]
+		enc := snn.NewPoissonEncoder(EncoderPeak, 3)
+		in := bitvec.New(net.Input.Size())
+		st := snn.NewState(net)
+		step := func() {
+			enc.Encode(img, in)
+			st.Step(in)
+		}
+		for i := 0; i < 48; i++ { // pack the panels and size the scratch
+			step()
+		}
+		if allocs := testing.AllocsPerRun(20, step); allocs != 0 {
+			t.Errorf("%s: warm Step allocates %.0f objects, want 0", name, allocs)
 		}
 	}
 }

@@ -40,12 +40,9 @@ type Options struct {
 	EventDriven bool
 	// Steps is the number of SNN timesteps per classification.
 	Steps int
-	// Stepped forces the step-major functional runner instead of the
-	// default blocked layer-major one (see snn.RunBlocked); both produce
-	// bit-identical rasters and counters.
-	Stepped bool
 	// BlockSize overrides the blocked runner's temporal block length
-	// (<= 0 selects snn.DefaultBlockSize). Ignored when Stepped is set.
+	// (<= 0 selects snn.DefaultBlockSize; see snn.RunBlocked). Any value
+	// produces bit-identical rasters and counters.
 	BlockSize int
 }
 
@@ -156,9 +153,8 @@ func (o *observer) ObserveStep(_ int, input *bitvec.Bits, layers []*bitvec.Bits)
 	cur := input
 	for li, l := range b.Net.Layers {
 		prevCycles := o.cnt.Cycles
-		// Synaptic work: event-driven skips silent inputs entirely. The
-		// adjacency lookup inside ActiveSynOps is hoisted out of the
-		// per-spike loop (FanOut re-fetched it per spike).
+		// Synaptic work: event-driven skips silent inputs entirely; the
+		// spiking inputs' fan-outs come from the layer's closed-form table.
 		ops := 0
 		if b.Opt.EventDriven {
 			ops = l.ActiveSynOps(cur)
@@ -277,16 +273,7 @@ func (b *Baseline) classifyOne(st *snn.State, intensity tensor.Vec, enc snn.Enco
 		res.Steps = steps
 		return res, rep, steps
 	}
-	var run snn.RunResult
-	if b.Opt.Stepped || opt.Stepped {
-		run = st.RunObserved(intensity, enc, b.Opt.Steps, obs)
-	} else {
-		bs := b.Opt.BlockSize
-		if opt.BlockSize > 0 {
-			bs = opt.BlockSize
-		}
-		run = st.RunBlockedK(intensity, enc, b.Opt.Steps, bs, obs)
-	}
+	run := st.RunBlockedK(intensity, enc, b.Opt.Steps, sim.BlockSize(b.Opt.BlockSize, opt), obs)
 	res, rep := b.finish(obs.cnt, run.Prediction)
 	rep.LayerCycles = obs.layerCycles
 	return res, rep, b.Opt.Steps

@@ -50,13 +50,10 @@ type Options struct {
 	// Trace, when non-nil, receives one event per (timestep, layer) — see
 	// internal/trace. Classification results are unaffected.
 	Trace *trace.Writer
-	// Stepped forces the step-major functional runner instead of the
-	// default blocked layer-major one (see snn.RunBlocked). Both are
-	// bit-identical — predictions, spike rasters and therefore every event
-	// counter match — so this is purely a performance escape hatch.
-	Stepped bool
 	// BlockSize overrides the temporal block length of the blocked runner
-	// (<= 0 selects snn.DefaultBlockSize). Ignored when Stepped is set.
+	// (<= 0 selects snn.DefaultBlockSize; see snn.RunBlocked). Any value is
+	// bit-identical — predictions, spike rasters and therefore every event
+	// counter match — so this is purely a performance knob.
 	BlockSize int
 }
 
@@ -428,17 +425,10 @@ func (c *Chip) classifyOne(s *session, intensity tensor.Vec, enc snn.Encoder, op
 	st, obs := s.st, s.obs
 	obs.reset()
 	steps, predicted := c.Opt.Steps, 0
-	switch {
-	case opt.EarlyExit:
+	if opt.EarlyExit {
 		steps, predicted = sim.EarlyExitRun(st, intensity, enc, c.Opt.Steps, obs)
-	case c.Opt.Stepped || opt.Stepped:
-		predicted = st.RunObserved(intensity, enc, c.Opt.Steps, obs).Prediction
-	default:
-		bs := c.Opt.BlockSize
-		if opt.BlockSize > 0 {
-			bs = opt.BlockSize
-		}
-		predicted = st.RunBlockedK(intensity, enc, c.Opt.Steps, bs, obs).Prediction
+	} else {
+		predicted = st.RunBlockedK(intensity, enc, c.Opt.Steps, sim.BlockSize(c.Opt.BlockSize, opt), obs).Prediction
 	}
 	res, rep := obs.report(predicted, steps, opt.EventEngine)
 	return res, rep, steps

@@ -42,13 +42,9 @@ type Config struct {
 	Workers int
 	// Params is the energy/timing calibration.
 	Params energy.Params
-	// Stepped forces the step-major functional runner in every simulator
-	// instead of the default blocked layer-major one. Results are
-	// bit-identical either way (see snn.RunBlocked); the toggle exists for
-	// performance comparison and as an escape hatch.
-	Stepped bool
-	// BlockSize overrides the blocked runner's temporal block length
-	// (<= 0 selects snn.DefaultBlockSize). Ignored when Stepped is set.
+	// BlockSize overrides the blocked runner's temporal block length in
+	// every simulator (<= 0 selects snn.DefaultBlockSize). Results are
+	// bit-identical for any value (see snn.RunBlocked).
 	BlockSize int
 	// Tech is the memristive technology (must allow the largest swept MCA).
 	Tech device.Technology
@@ -101,7 +97,7 @@ func (c Config) encoders() func(sample int) snn.Encoder {
 }
 
 // simOptions translates the experiment configuration to the shared batch
-// options of the sim.Backend entry points. Stepped/BlockSize are baked into
+// options of the sim.Backend entry points. BlockSize is baked into
 // each backend at construction; the worker count is per-call.
 func (c Config) simOptions() sim.Options {
 	return sim.Options{Workers: c.Workers}
@@ -144,7 +140,6 @@ func runPairOn(net *snn.Network, b bench.Benchmark, size int, cfg Config) (Pair,
 	copt := core.DefaultOptions()
 	copt.Params = cfg.Params
 	copt.Steps = cfg.Steps
-	copt.Stepped = cfg.Stepped
 	copt.BlockSize = cfg.BlockSize
 	chip, err := core.New(net, m, copt)
 	if err != nil {
@@ -163,7 +158,6 @@ func runPairOn(net *snn.Network, b bench.Benchmark, size int, cfg Config) (Pair,
 	bopt := cmosbase.DefaultOptions()
 	bopt.Params = cfg.Params
 	bopt.Steps = cfg.Steps
-	bopt.Stepped = cfg.Stepped
 	bopt.BlockSize = cfg.BlockSize
 	base, err := cmosbase.New(net, bopt)
 	if err != nil {
@@ -195,7 +189,6 @@ func RunRESPARC(b bench.Benchmark, size int, cfg Config, eventDriven bool, packe
 	copt := core.DefaultOptions()
 	copt.Params = cfg.Params
 	copt.Steps = cfg.Steps
-	copt.Stepped = cfg.Stepped
 	copt.BlockSize = cfg.BlockSize
 	copt.EventDriven = eventDriven
 	if packetWidth > 0 {

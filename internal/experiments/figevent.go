@@ -31,7 +31,6 @@ func eventChip(cfg Config, b bench.Benchmark) (*core.Chip, []tensor.Vec, error) 
 	copt := core.DefaultOptions()
 	copt.Params = cfg.Params
 	copt.Steps = cfg.Steps
-	copt.Stepped = cfg.Stepped
 	copt.BlockSize = cfg.BlockSize
 	chip, err := core.New(net, m, copt)
 	if err != nil {

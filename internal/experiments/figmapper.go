@@ -65,7 +65,6 @@ func FigMapper(cfg Config) ([]perf.BenchEntry, *report.Table, error) {
 			copt := core.DefaultOptions()
 			copt.Params = cfg.Params
 			copt.Steps = cfg.Steps
-			copt.Stepped = cfg.Stepped
 			copt.BlockSize = cfg.BlockSize
 			chip, err := core.New(net, m, copt)
 			if err != nil {

@@ -48,7 +48,6 @@ func FigShard(cfg Config) ([]perf.BenchEntry, *report.Table, error) {
 		copt := core.DefaultOptions()
 		copt.Params = cfg.Params
 		copt.Steps = cfg.Steps
-		copt.Stepped = cfg.Stepped
 		copt.BlockSize = cfg.BlockSize
 		chip, err := core.New(net, m, copt)
 		if err != nil {

@@ -65,9 +65,9 @@ func PerfSuite(cfg Config) ([]perf.BenchEntry, *report.Table, error) {
 		}
 	}
 
-	// Blocked vs stepped functional runner on the largest dense benchmark
-	// (cifar-mlp), single worker: the pair isolates the layer-major
-	// temporal-blocking speedup of snn.RunBlocked from pool scaling.
+	// The blocked functional runner on the largest dense benchmark
+	// (cifar-mlp), single worker: the layer-major temporal-blocking cost of
+	// snn.RunBlocked without pool scaling.
 	{
 		b, err := bench.ByName("cifar-mlp")
 		if err != nil {
@@ -82,9 +82,6 @@ func PerfSuite(cfg Config) ([]perf.BenchEntry, *report.Table, error) {
 			return nil, nil, fmtErr("perfsuite", err)
 		}
 		if err := addEval("cifar-mlp", net, inputs, 1, "blocked", snn.Options{}); err != nil {
-			return nil, nil, fmtErr("perfsuite", err)
-		}
-		if err := addEval("cifar-mlp", net, inputs, 1, "stepped", snn.Options{Stepped: true}); err != nil {
 			return nil, nil, fmtErr("perfsuite", err)
 		}
 	}
@@ -106,7 +103,6 @@ func PerfSuite(cfg Config) ([]perf.BenchEntry, *report.Table, error) {
 	copt := core.DefaultOptions()
 	copt.Params = cfg.Params
 	copt.Steps = cfg.Steps
-	copt.Stepped = cfg.Stepped
 	copt.BlockSize = cfg.BlockSize
 	chip, err := core.New(net, m, copt)
 	if err != nil {

@@ -45,10 +45,6 @@ type RegistryConfig struct {
 	Params energy.Params
 	// Tech is the memristive technology.
 	Tech device.Technology
-	// Stepped forces the step-major functional runner instead of the
-	// default blocked layer-major one (bit-identical results; see
-	// snn.RunBlocked).
-	Stepped bool
 	// Shards, when > 1, also registers a multi-chip pipeline backend
 	// (internal/shard) per model under its own name ("resparc-x4"); the
 	// shard count is clamped to the model's layer count.
@@ -266,7 +262,6 @@ func (r *Registry) AddNetwork(net *snn.Network) (*Model, error) {
 	copt := core.DefaultOptions()
 	copt.Params = r.cfg.Params
 	copt.Steps = r.cfg.Steps
-	copt.Stepped = r.cfg.Stepped
 	chip, err := core.New(net, m, copt)
 	if err != nil {
 		return nil, fmt.Errorf("serve: preparing chip for %q: %w", net.Name, err)
@@ -274,7 +269,6 @@ func (r *Registry) AddNetwork(net *snn.Network) (*Model, error) {
 	bopt := cmosbase.DefaultOptions()
 	bopt.Params = r.cfg.Params
 	bopt.Steps = r.cfg.Steps
-	bopt.Stepped = r.cfg.Stepped
 	base, err := cmosbase.New(net, bopt)
 	if err != nil {
 		return nil, fmt.Errorf("serve: preparing baseline for %q: %w", net.Name, err)

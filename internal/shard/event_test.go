@@ -125,8 +125,8 @@ func TestShardEventMatchesSingleChipEvent(t *testing.T) {
 }
 
 // TestShardEventDeterministic: event-mode sharded results are a pure function
-// of the inputs — identical across repeated runs and both functional
-// runners.
+// of the inputs — identical across repeated runs and block sizes (a block
+// of one timestep is the step-major loop nest).
 func TestShardEventDeterministic(t *testing.T) {
 	b := bench.All()[0]
 	chip := chipFor(t, b)
@@ -141,7 +141,7 @@ func TestShardEventDeterministic(t *testing.T) {
 	}
 	for _, opt := range []sim.Options{
 		{EventEngine: true},
-		{EventEngine: true, Stepped: true},
+		{EventEngine: true, BlockSize: 1},
 	} {
 		g, gReps, err := multi.ClassifyEach(inputs, factoryFor(7), opt)
 		if err != nil {

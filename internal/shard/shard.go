@@ -391,16 +391,7 @@ func (m *Multi) runStage(s int, st *snn.State, acct *core.Accountant, intensity 
 		intensity = nil
 	}
 	steps := m.chip.Opt.Steps
-	var run snn.RunResult
-	if m.chip.Opt.Stepped || opt.Stepped {
-		run = st.RunObserved(intensity, enc, steps, obs)
-	} else {
-		bs := m.chip.Opt.BlockSize
-		if opt.BlockSize > 0 {
-			bs = opt.BlockSize
-		}
-		run = st.RunBlockedK(intensity, enc, steps, bs, obs)
-	}
+	run := st.RunBlockedK(intensity, enc, steps, sim.BlockSize(m.chip.Opt.BlockSize, opt), obs)
 	_, rep := acct.Report(run.Prediction, steps)
 	if opt.EventEngine {
 		rep.Pipeline(m.chip.Opt.Params.NCCycle())

@@ -35,12 +35,10 @@ type Options struct {
 	// Workers is the worker-pool size (<= 0 selects one per CPU). Results
 	// are bit-identical for any value; Workers: 1 is the serial reference.
 	Workers int
-	// Stepped forces the step-major functional runner instead of the
-	// default blocked layer-major one (bit-identical; a performance escape
-	// hatch). It ors with the backend's own construction-time setting.
-	Stepped bool
 	// BlockSize overrides the blocked runner's temporal block length
-	// (<= 0 keeps the backend's configured length). Ignored when stepped.
+	// (<= 0 keeps the backend's configured length). Results are
+	// bit-identical for any value; it only trades raster memory against
+	// weight reuse (see snn.RunBlockedK).
 	BlockSize int
 	// EarlyExit decodes by time-to-first-spike and stops simulating at the
 	// first output spike (or after the full step budget if none arrives).
@@ -123,6 +121,16 @@ func Each(inputs []tensor.Vec, enc EncoderFactory, opt Options, newSession func(
 		ress[i], reps[i] = sessions[worker](inputs[i], enc(i))
 	})
 	return ress, reps, nil
+}
+
+// BlockSize resolves the blocked runner's temporal block length for one
+// call: the per-call override when set, else the backend's configured
+// length (<= 0 leaves the choice to snn.DefaultBlockSize).
+func BlockSize(configured int, opt Options) int {
+	if opt.BlockSize > 0 {
+		return opt.BlockSize
+	}
+	return configured
 }
 
 // EarlyExitRun is the shared time-to-first-spike runner: it resets the

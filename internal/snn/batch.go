@@ -13,18 +13,15 @@ import (
 type EncoderFactory func(sample int) Encoder
 
 // Options select how a batch run executes. The zero value is the default:
-// the blocked layer-major runner (bit-identical to the step-major reference,
-// measurably faster — see blocked.go) with DefaultBlockSize, one worker per
-// CPU.
+// the blocked layer-major runner (see blocked.go) with DefaultBlockSize, one
+// worker per CPU.
 type Options struct {
 	// Workers is the worker-pool size (<= 0 selects one per CPU). Results
 	// are bit-identical for any value; Workers: 1 is the serial reference.
 	Workers int
-	// Stepped forces the step-major reference runner (RunObserved's loop
-	// nest) instead of the blocked layer-major one.
-	Stepped bool
 	// BlockSize overrides the temporal block length of the blocked runner
-	// (<= 0 selects DefaultBlockSize). Ignored when Stepped is set.
+	// (<= 0 selects DefaultBlockSize). Results are bit-identical for any
+	// value; BlockSize: 1 runs the step-major loop nest.
 	BlockSize int
 }
 
@@ -43,9 +40,6 @@ func RunBatch(net *Network, inputs []tensor.Vec, enc EncoderFactory, steps int, 
 	}
 	workers := parallel.Clamp(opt.Workers, len(inputs))
 	runOne := func(st *State, i int) RunResult {
-		if opt.Stepped {
-			return st.Run(inputs[i], enc(i), steps)
-		}
 		return st.RunBlockedK(inputs[i], enc(i), steps, opt.BlockSize, nil)
 	}
 	results := make([]RunResult, len(inputs))

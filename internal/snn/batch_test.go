@@ -1,6 +1,7 @@
 package snn
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -218,23 +219,29 @@ func TestPoissonForkSeedContract(t *testing.T) {
 	}
 }
 
-// The transposed-weight fast path must match the naive column walk over W.
+// The dense panel kernel behind Step must integrate exactly the naive
+// column walk over W (the threshold is out of reach, so nothing fires and
+// Vmem holds the integrated currents).
 func TestDenseIntegrateMatchesColumnWalk(t *testing.T) {
-	net := testMLP(t)
-	l := net.Layers[0]
+	l := testMLP(t).Layers[0]
+	l.Threshold = math.Inf(1)
+	net, err := NewNetwork("dense", tensor.Shape3{H: 1, W: 1, C: l.InSize()}, l)
+	if err != nil {
+		t.Fatal(err)
+	}
 	in := bitvec.New(l.InSize())
 	for i := 0; i < l.InSize(); i += 3 {
 		in.Set(i)
 	}
-	got := tensor.NewVec(l.OutSize())
-	integrate(l, in, got, nil)
+	st := NewState(net)
+	st.Step(in)
 	want := tensor.NewVec(l.OutSize())
 	in.ForEachSet(func(i int) {
 		for o := 0; o < l.W.Rows; o++ {
 			want[o] += l.W.At(o, i)
 		}
 	})
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("transposed integrate diverged:\ngot  %v\nwant %v", got, want)
+	if !reflect.DeepEqual(st.Vmem[0], want) {
+		t.Fatalf("dense integrate diverged:\ngot  %v\nwant %v", st.Vmem[0], want)
 	}
 }

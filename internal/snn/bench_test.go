@@ -53,7 +53,7 @@ func BenchmarkStepMLP(b *testing.B) {
 }
 
 // BenchmarkStepConv measures one timestep of a same-padded 3x3x32
-// convolution layer (event-driven adjacency walk).
+// convolution layer (the blocked conv kernel at a block of one step).
 func BenchmarkStepConv(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	geom := tensor.ConvGeom{In: tensor.Shape3{H: 28, W: 28, C: 1}, K: 3, Stride: 1, Pad: 1, OutC: 32}
@@ -79,95 +79,6 @@ func BenchmarkStepConv(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		st.Step(in)
-	}
-}
-
-// BenchmarkIntegrateDense measures the dense event-driven integration kernel
-// in isolation: per input spike, one contiguous W^T row accumulation.
-func BenchmarkIntegrateDense(b *testing.B) {
-	net := benchMLP(b)
-	l := net.Layers[0]
-	rng := rand.New(rand.NewSource(6))
-	in := bitvec.New(l.InSize())
-	for i := 0; i < l.InSize(); i++ {
-		if rng.Float64() < 0.15 {
-			in.Set(i)
-		}
-	}
-	v := tensor.NewVec(l.OutSize())
-	l.transposedW() // build the cache outside the timed loop
-	buf := make([]int32, 0, l.InSize())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf = integrate(l, in, v, buf[:0])
-	}
-}
-
-// BenchmarkIntegrateConv measures the convolutional integration kernel: per
-// input spike, a walk over its resolved CSR taps (out index + weight).
-func BenchmarkIntegrateConv(b *testing.B) {
-	rng := rand.New(rand.NewSource(7))
-	geom := tensor.ConvGeom{In: tensor.Shape3{H: 28, W: 28, C: 1}, K: 3, Stride: 1, Pad: 1, OutC: 32}
-	w := tensor.NewMat(32, 9)
-	for i := range w.Data {
-		w.Data[i] = rng.NormFloat64() * 0.1
-	}
-	conv, err := NewConv("c", geom, w, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	in := bitvec.New(conv.InSize())
-	for i := 0; i < conv.InSize(); i++ {
-		if rng.Float64() < 0.15 {
-			in.Set(i)
-		}
-	}
-	v := tensor.NewVec(conv.OutSize())
-	conv.buildAdjacency()
-	buf := make([]int32, 0, conv.InSize())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf = integrate(conv, in, v, buf[:0])
-	}
-}
-
-// The integration kernels must not allocate once caches and the scratch
-// buffer are warm — the buffer is reused across steps, never regrown.
-func TestIntegrateAllocFree(t *testing.T) {
-	net := benchMLP(t)
-	dense := net.Layers[0]
-	rng := rand.New(rand.NewSource(6))
-	in := bitvec.New(dense.InSize())
-	for i := 0; i < dense.InSize(); i++ {
-		if rng.Float64() < 0.15 {
-			in.Set(i)
-		}
-	}
-	v := tensor.NewVec(dense.OutSize())
-	dense.transposedW()
-	buf := make([]int32, 0, dense.InSize())
-	if allocs := testing.AllocsPerRun(10, func() {
-		buf = integrate(dense, in, v, buf[:0])
-	}); allocs != 0 {
-		t.Fatalf("dense integrate allocates %.0f/op, want 0", allocs)
-	}
-	cnn := benchMnistCNN(t)
-	conv := cnn.Layers[0]
-	cin := bitvec.New(conv.InSize())
-	for i := 0; i < conv.InSize(); i++ {
-		if rng.Float64() < 0.15 {
-			cin.Set(i)
-		}
-	}
-	cv := tensor.NewVec(conv.OutSize())
-	conv.buildAdjacency()
-	cbuf := make([]int32, 0, conv.InSize())
-	if allocs := testing.AllocsPerRun(10, func() {
-		cbuf = integrate(conv, cin, cv, cbuf[:0])
-	}); allocs != 0 {
-		t.Fatalf("conv integrate allocates %.0f/op, want 0", allocs)
 	}
 }
 
@@ -206,25 +117,9 @@ func benchImage(n int) tensor.Vec {
 	return img
 }
 
-// BenchmarkRunSteppedCifarMLP measures one full classification (64 timesteps)
-// of the cifar-mlp topology with the step-major reference runner.
-func BenchmarkRunSteppedCifarMLP(b *testing.B) {
-	net := benchCifarMLP(b)
-	st := NewState(net)
-	img := benchImage(net.Input.Size())
-	enc := NewPoissonEncoder(0.8, 9)
-	st.Run(img, enc, 64) // warm caches and scratch outside the timed loop
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		st.Run(img, enc, 64)
-	}
-}
-
-// BenchmarkRunBlockedCifarMLP measures the same classification through the
-// blocked layer-major runner (default block size). Compare against
-// BenchmarkRunSteppedCifarMLP for the temporal-blocking speedup; results are
-// bit-identical by construction (see blocked_test.go).
+// BenchmarkRunBlockedCifarMLP measures one full classification (64
+// timesteps) of the cifar-mlp topology through the blocked layer-major
+// runner (default block size).
 func BenchmarkRunBlockedCifarMLP(b *testing.B) {
 	net := benchCifarMLP(b)
 	st := NewState(net)
@@ -245,7 +140,7 @@ func TestRunObservedAllocFree(t *testing.T) {
 	st := NewState(net)
 	img := benchImage(net.Input.Size())
 	enc := NewPoissonEncoder(0.8, 9)
-	st.Run(img, enc, 24) // first run builds W^T caches and sizes scratch
+	st.Run(img, enc, 24) // first run packs the weight panels and sizes scratch
 	allocs := testing.AllocsPerRun(5, func() { st.Run(img, enc, 24) })
 	if allocs != 0 {
 		t.Fatalf("Run allocates %.0f objects per classification on a warm State, want 0", allocs)
@@ -402,21 +297,6 @@ func BenchmarkRunBlockedMnistCNN(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		st.RunBlocked(img, enc, 48, nil)
-	}
-}
-
-// BenchmarkRunSteppedMnistCNN is the step-major reference for the conv-panel
-// speedup (bit-identical results; see blocked_test.go).
-func BenchmarkRunSteppedMnistCNN(b *testing.B) {
-	net := benchMnistCNN(b)
-	st := NewState(net)
-	img := benchImage(net.Input.Size())
-	enc := NewPoissonEncoder(0.8, 9)
-	st.Run(img, enc, 48)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		st.Run(img, enc, 48)
 	}
 }
 

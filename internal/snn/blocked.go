@@ -20,11 +20,12 @@ const DefaultBlockSize = 64
 // K times while they are cache-resident — before the next layer runs. For
 // the feed-forward networks this package models, layer l at timestep t
 // depends only on layer l-1 at timestep t, so inverting the (timestep,
-// layer) loop nest is legal and the result is bit-identical to RunObserved:
-// per neuron, the same floating-point operations happen in the same order
-// (leak, ascending-index spike accumulation, threshold/reset, per
-// timestep), and membrane potentials carry across block boundaries through
-// Vmem exactly as they carry across timesteps.
+// layer) loop nest is legal and the result is bit-identical to a
+// step-major loop (pinned by the CSR oracle in oracle_test.go): per neuron,
+// the same floating-point operations happen in the same order (leak,
+// ascending-index spike accumulation, threshold/reset, per timestep), and
+// membrane potentials carry across block boundaries through Vmem exactly as
+// they carry across timesteps.
 //
 // Observers still see the step-major view: the per-layer rasters of each
 // block are buffered and replayed through ObserveStep in timestep order, so
@@ -58,7 +59,7 @@ func (s *State) RunBlockedK(intensity tensor.Vec, enc Encoder, steps, blockK int
 		lastKn = kn
 		// Encode the block's input raster. The encoder is invoked once per
 		// timestep in timestep order — the identical call sequence (and so
-		// the identical spike streams) as the step-major runner.
+		// the identical spike streams) as a Step loop.
 		for k := 0; k < kn; k++ {
 			enc.Encode(intensity, s.blockIn[k])
 			inputSpikes += s.blockIn[k].Count()
@@ -92,13 +93,10 @@ func (s *State) RunBlockedK(intensity tensor.Vec, enc Encoder, steps, blockK int
 			}
 		}
 	}
-	// Leave the last-step views (InputSpikes/LayerSpikes) consistent with
-	// what a step-major run of the same input would expose.
+	// Point the last-step views (InputSpikes/LayerSpikes) at the final
+	// timestep, the same views a Step loop over the input would leave.
 	if lastKn > 0 {
-		s.input.CopyFrom(s.blockIn[lastKn-1])
-		for li := range s.spikes {
-			s.spikes[li].CopyFrom(s.blockOut[li][lastKn-1])
-		}
+		s.last = lastKn - 1
 	}
 	return s.finishResult(steps, inputSpikes)
 }
@@ -167,14 +165,13 @@ func (s *State) runLayerBlock(li int, l *Layer, cur []*bitvec.Bits, kn int) {
 // denseBlock runs one dense layer over a block of timesteps in output-major
 // order. Neurons are independent, so per output neuron j it replays the
 // exact step-major sequence — leak, accumulate the spiking inputs of step k
-// in ascending index order (W[j][i] equals the W^T[i][j] the step-major
-// kernel adds), threshold, reset — across all kn steps with W's row j held
+// in ascending index order (weight W[j][i] per spike i), threshold, reset — across all kn steps with W's row j held
 // in cache. Outputs are processed eight at a time purely for data-level
 // parallelism: the spike accumulation of one panel-step is accumPanel
 // (SSE2 on amd64, pure Go elsewhere), which adds each spike's packed
 // 8-lane weight line into eight independent accumulators. Each neuron's
 // own operation order (the only order float rounding depends on) is
-// unchanged, so results stay bit-identical to the step-major runner.
+// unchanged, so results stay bit-identical to the step-major reference.
 func denseBlock(l *Layer, v tensor.Vec, flat, offs []int32, fires []uint8, outR []*bitvec.Bits) {
 	w := l.W
 	cols := w.Cols
@@ -329,7 +326,7 @@ func groupHot(acc *[panelLanes]float64, th float64) bool {
 // accumPanel over the shared OutC x FanIn kernel panel, threshold, reset —
 // with its eight accumulators held in registers for the whole block.
 //
-// Bit-identity with the step-major runner: for a fixed output neuron the
+// Bit-identity with the step-major reference: for a fixed output neuron the
 // maps (ky,kx,ic) -> input index and (ky,kx,ic) -> kernel index are both
 // strictly increasing over the valid (non-padding) taps, so ascending
 // kernel-index lists deliver each neuron's spike adds in exactly the
@@ -493,7 +490,7 @@ func convBlock(l *Layer, v tensor.Vec, cur, outR []*bitvec.Bits, flat0, offs []i
 // consecutive channels' spike bits per tap at once. Each set bit adds
 // PoolWeight as its own scalar IEEE addition (a popcount*weight multiply
 // would round differently), preserving bit-identity with the step-major
-// runner.
+// reference.
 func poolBlock(l *Layer, v tensor.Vec, cur, outR []*bitvec.Bits) {
 	g := l.Geom
 	c := l.Out.C

@@ -1,7 +1,8 @@
-// Equivalence suite for the blocked layer-major runner: RunBlockedK must be
-// bit-identical to the step-major RunObserved reference — same RunResult and
-// the same per-step observer view — for every layer kind, reset mode, leak,
-// quantization, and block size.
+// Equivalence suite for the blocked layer-major runner: RunBlockedK and a
+// Step loop must be bit-identical to the step-major CSR oracle
+// (oracle_test.go) — same RunResult and the same per-step observer view —
+// for every layer kind, reset mode, leak, threshold sign, quantization, and
+// block size.
 package snn_test
 
 import (
@@ -72,18 +73,38 @@ func equalIdx(a, b []int32) bool {
 	return true
 }
 
+// assertRastersEqual requires two recorded runs to agree event for event.
+func assertRastersEqual(t *testing.T, what string, want, got *rasterRecorder, steps int) {
+	t.Helper()
+	if len(want.input) != steps || len(got.input) != steps {
+		t.Fatalf("%s: observed %d/%d steps, want %d", what, len(want.input), len(got.input), steps)
+	}
+	for step := range want.input {
+		if !equalIdx(want.input[step], got.input[step]) {
+			t.Fatalf("%s step %d: input rasters differ", what, step)
+		}
+		for li := range want.layers[step] {
+			if !equalIdx(want.layers[step][li], got.layers[step][li]) {
+				t.Fatalf("%s step %d layer %d: rasters differ\noracle %v\ngot    %v",
+					what, step, li, want.layers[step][li], got.layers[step][li])
+			}
+		}
+	}
+}
+
 // assertBlockedMatchesStepped runs the same classification through the
-// step-major reference and the blocked runner and requires identical results
-// and identical observed rasters.
+// step-major CSR oracle, the blocked runner at block size blockK and a Step
+// loop, and requires identical results, identical observed rasters and
+// identical last-step views.
 func assertBlockedMatchesStepped(t *testing.T, net *snn.Network, steps, blockK int) {
 	t.Helper()
 	in := make(tensor.Vec, net.Input.Size())
 	for i := range in {
 		in[i] = float64((i*13+5)%100) / 99
 	}
-	sSt, bSt := snn.NewState(net), snn.NewState(net)
-	var sRec, bRec rasterRecorder
-	sr := sSt.RunObserved(in, snn.NewPoissonEncoder(0.8, 23), steps, &sRec)
+	var sRec, bRec, stepRec rasterRecorder
+	sr, sIn, sLayers := snn.OracleRun(net, in, snn.NewPoissonEncoder(0.8, 23), steps, &sRec)
+	bSt := snn.NewState(net)
 	br := bSt.RunBlockedK(in, snn.NewPoissonEncoder(0.8, 23), steps, blockK, &bRec)
 	if sr.Prediction != br.Prediction || sr.InputSpikes != br.InputSpikes || sr.Steps != br.Steps {
 		t.Fatalf("K=%d: prediction %d/%d, input spikes %d/%d, steps %d/%d",
@@ -95,29 +116,33 @@ func assertBlockedMatchesStepped(t *testing.T, net *snn.Network, steps, blockK i
 				blockK, c, sr.OutCounts[c], br.OutCounts[c], sr.FirstSpike[c], br.FirstSpike[c])
 		}
 	}
-	if len(sRec.input) != steps || len(bRec.input) != steps {
-		t.Fatalf("K=%d: observed %d/%d steps, want %d", blockK, len(sRec.input), len(bRec.input), steps)
-	}
-	for step := range sRec.input {
-		if !equalIdx(sRec.input[step], bRec.input[step]) {
-			t.Fatalf("K=%d step %d: input rasters differ", blockK, step)
-		}
-		for li := range sRec.layers[step] {
-			if !equalIdx(sRec.layers[step][li], bRec.layers[step][li]) {
-				t.Fatalf("K=%d step %d layer %d: rasters differ\nstepped %v\nblocked %v",
-					blockK, step, li, sRec.layers[step][li], bRec.layers[step][li])
-			}
-		}
-	}
+	assertRastersEqual(t, fmt.Sprintf("K=%d", blockK), &sRec, &bRec, steps)
 	// The post-run step views must match too (consumers peek at LayerSpikes).
-	if !equalIdx(sSt.InputSpikes().AppendSet(nil), bSt.InputSpikes().AppendSet(nil)) {
+	if !equalIdx(sIn.AppendSet(nil), bSt.InputSpikes().AppendSet(nil)) {
 		t.Fatalf("K=%d: final InputSpikes views differ", blockK)
 	}
 	for li := range net.Layers {
-		if !equalIdx(sSt.LayerSpikes(li).AppendSet(nil), bSt.LayerSpikes(li).AppendSet(nil)) {
+		if !equalIdx(sLayers[li].AppendSet(nil), bSt.LayerSpikes(li).AppendSet(nil)) {
 			t.Fatalf("K=%d: final LayerSpikes(%d) views differ", blockK, li)
 		}
 	}
+
+	// A Step loop on a State warmed by a blocked run of another input.
+	stSt := snn.NewState(net)
+	stSt.RunBlockedK(make(tensor.Vec, len(in)), snn.NewPoissonEncoder(0.8, 1), 3, blockK, nil)
+	stSt.Reset()
+	enc := snn.NewPoissonEncoder(0.8, 23)
+	bits := bitvec.New(net.Input.Size())
+	views := make([]*bitvec.Bits, len(net.Layers))
+	for step := 0; step < steps; step++ {
+		enc.Encode(in, bits)
+		stSt.Step(bits)
+		for li := range views {
+			views[li] = stSt.LayerSpikes(li)
+		}
+		stepRec.ObserveStep(step, stSt.InputSpikes(), views)
+	}
+	assertRastersEqual(t, "Step loop", &sRec, &stepRec, steps)
 }
 
 var blockSizes = []int{1, 7, 64}
@@ -155,6 +180,85 @@ func TestBlockedMatchesSteppedConvPool(t *testing.T) {
 	}
 }
 
+// wideConvPoolFixture builds conv(3x3, 11 ch) -> pool 2x2 -> conv(3x3,
+// stride 2, 9 ch) -> pool 3x3 -> dense, so every kernel runs both its
+// 8-lane panel path and its remainder lanes, and the pools cover the 2x2
+// and the general-K paths. leak, hard and th (threshold scale; negative
+// flips the sign) apply to every hidden layer.
+func wideConvPoolFixture(t *testing.T, leak float64, hard bool, th float64) *snn.Network {
+	t.Helper()
+	rng := rand.New(rand.NewSource(77))
+	fill := func(w *tensor.Mat) *tensor.Mat {
+		for i := range w.Data {
+			w.Data[i] = rng.NormFloat64() * 0.3
+		}
+		return w
+	}
+	in := tensor.Shape3{H: 12, W: 12, C: 2}
+	g1 := tensor.ConvGeom{In: in, K: 3, Stride: 1, Pad: 1, OutC: 11}
+	conv1, err := snn.NewConv("conv1", g1, fill(tensor.NewMat(11, g1.FanIn())), 0.6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool1, err := snn.NewPool("pool1", conv1.Out, 2, 0.499)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g2 := tensor.ConvGeom{In: pool1.Out, K: 3, Stride: 2, Pad: 1, OutC: 9}
+	conv2, err := snn.NewConv("conv2", g2, fill(tensor.NewMat(9, g2.FanIn())), 0.7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool2, err := snn.NewPool("pool2", conv2.Out, 3, 0.3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fc, err := snn.NewDense("fc", pool2.OutSize(), 5, fill(tensor.NewMat(5, pool2.OutSize())), 0.8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hidden := []*snn.Layer{conv1, pool1, conv2, pool2}
+	for _, l := range hidden {
+		l.Leak = leak
+		l.HardReset = hard
+		l.Threshold *= th
+	}
+	net, err := snn.NewNetwork("wide-conv-pool", in, append(hidden, fc)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return net
+}
+
+// Conv and pool panel paths with leak, with hard reset, and with both.
+func TestBlockedMatchesSteppedConvPoolLeakyHard(t *testing.T) {
+	for _, tc := range []struct {
+		leak float64
+		hard bool
+	}{{0, false}, {0.15, false}, {0, true}, {0.1, true}} {
+		net := wideConvPoolFixture(t, tc.leak, tc.hard, 1)
+		for _, k := range blockSizes {
+			assertBlockedMatchesStepped(t, net, 20, k)
+		}
+	}
+}
+
+// Negative thresholds fire neurons without input, so no silent step can be
+// skipped (under leak a negative potential decays toward zero and may cross
+// the threshold). Dense, conv and pool layers, with and without leak.
+func TestBlockedMatchesSteppedNegativeThreshold(t *testing.T) {
+	for _, leak := range []float64{0, 0.2} {
+		mlp := mlpFixture(t, leak, false)
+		mlp.Layers[0].Threshold = -0.05
+		mlp.Layers[1].Threshold = -0.4
+		for _, net := range []*snn.Network{mlp, wideConvPoolFixture(t, leak, false, -0.1), wideConvPoolFixture(t, leak, true, -0.1)} {
+			for _, k := range blockSizes {
+				assertBlockedMatchesStepped(t, net, 20, k)
+			}
+		}
+	}
+}
+
 // 4-bit quantized weights (the memristive crossbar configuration) stay
 // bit-identical through the blocked path.
 func TestBlockedMatchesSteppedQuantized(t *testing.T) {
@@ -162,22 +266,27 @@ func TestBlockedMatchesSteppedQuantized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	qwide, err := quant.QuantizeNetwork(wideConvPoolFixture(t, 0.1, false, 1), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, k := range blockSizes {
 		assertBlockedMatchesStepped(t, qnet, 20, k)
+		assertBlockedMatchesStepped(t, qwide, 20, k)
 	}
 }
 
-// RunBlocked (default block size) matches Run on a stateful deterministic
-// encoder: the blocked runner must invoke Encode in strict timestep order.
+// RunBlocked (default block size) matches the oracle on a stateful
+// deterministic encoder: the blocked runner must invoke Encode in strict
+// timestep order.
 func TestBlockedDefaultWithRegularEncoder(t *testing.T) {
 	net := mlpFixture(t, 0, false)
 	in := make(tensor.Vec, net.Input.Size())
 	for i := range in {
 		in[i] = float64((i*7+3)%50) / 49
 	}
-	sSt, bSt := snn.NewState(net), snn.NewState(net)
-	sr := sSt.Run(in, snn.NewRegularEncoder(0.7), 30)
-	br := bSt.RunBlocked(in, snn.NewRegularEncoder(0.7), 30, nil)
+	sr, _, _ := snn.OracleRun(net, in, snn.NewRegularEncoder(0.7), 30, nil)
+	br := snn.NewState(net).RunBlocked(in, snn.NewRegularEncoder(0.7), 30, nil)
 	if sr.Prediction != br.Prediction || sr.InputSpikes != br.InputSpikes {
 		t.Fatalf("prediction %d/%d, input spikes %d/%d",
 			sr.Prediction, br.Prediction, sr.InputSpikes, br.InputSpikes)
@@ -190,7 +299,7 @@ func TestBlockedDefaultWithRegularEncoder(t *testing.T) {
 }
 
 // A State must be reusable across blocked runs with different block sizes
-// and interleaved step-major runs without cross-contamination.
+// and interleaved default-block runs without cross-contamination.
 func TestBlockedStateReuse(t *testing.T) {
 	net := mlpFixture(t, 0.1, false)
 	in := make(tensor.Vec, net.Input.Size())
@@ -198,7 +307,7 @@ func TestBlockedStateReuse(t *testing.T) {
 		in[i] = float64((i*11+1)%80) / 79
 	}
 	st := snn.NewState(net)
-	ref := snn.NewState(net).Run(in, snn.NewPoissonEncoder(0.8, 5), 24).Clone()
+	ref, _, _ := snn.OracleRun(net, in, snn.NewPoissonEncoder(0.8, 5), 24, nil)
 	for trial, k := range []int{64, 3, 24, 1, 5} {
 		got := st.RunBlockedK(in, snn.NewPoissonEncoder(0.8, 5), 24, k, nil)
 		for c := range ref.OutCounts {
@@ -207,10 +316,10 @@ func TestBlockedStateReuse(t *testing.T) {
 					trial, k, c, got.OutCounts[c], ref.OutCounts[c])
 			}
 		}
-		// Interleave a step-major run on the same State.
+		// Interleave a default-block run on the same State.
 		mid := st.Run(in, snn.NewPoissonEncoder(0.8, 5), 24)
 		if mid.Prediction != ref.Prediction {
-			t.Fatalf("trial %d: interleaved stepped run diverged", trial)
+			t.Fatalf("trial %d: interleaved default-block run diverged", trial)
 		}
 	}
 }

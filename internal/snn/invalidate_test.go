@@ -1,8 +1,8 @@
 // Regression suite for weight-cache coherence: a network whose weights are
 // mutated in place after first use (fault injection, in-place repair) must —
-// after InvalidateWeightCaches — classify bit-identically to a freshly
-// constructed network holding the same weights, on the stepped and blocked
-// paths alike.
+// after InvalidateWeightCaches — classify bit-identically to the CSR oracle
+// (oracle_test.go) over the same weights, at a block of one step (the Step
+// path) and at a longer block alike.
 package snn_test
 
 import (
@@ -28,21 +28,28 @@ func mutateWeights(net *snn.Network) {
 	}
 }
 
-// runAll classifies the same inputs through the stepped and blocked paths
-// and returns both result sets.
-func runAll(t *testing.T, net *snn.Network, inputs []tensor.Vec, steps int) [2][]snn.RunResult {
+// paths names the evaluations runAll returns, in order.
+var paths = []string{"oracle", "step", "blocked"}
+
+// runAll classifies the same inputs through the oracle, the blocked runner
+// at K=1 (Step's kernels) and the blocked runner at K=8.
+func runAll(t *testing.T, net *snn.Network, inputs []tensor.Vec, steps int) [3][]snn.RunResult {
 	t.Helper()
 	enc := func(i int) snn.Encoder { return snn.NewPoissonEncoder(0.8, 99).ForkSeed(i) }
-	var out [2][]snn.RunResult
+	var out [3][]snn.RunResult
+	for i, in := range inputs {
+		r, _, _ := snn.OracleRun(net, in, enc(i), steps, nil)
+		out[0] = append(out[0], r)
+	}
 	for i, opt := range []snn.Options{
-		{Workers: 1, Stepped: true},
+		{Workers: 1, BlockSize: 1},
 		{Workers: 1, BlockSize: 8},
 	} {
 		res, err := snn.RunBatch(net, inputs, enc, steps, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		out[i] = res
+		out[i+1] = res
 	}
 	return out
 }
@@ -84,7 +91,7 @@ func assertMutateThenClassify(t *testing.T, dirty, fresh *snn.Network) {
 	}
 	const steps = 20
 
-	// Prime the adjacency, W^T and panel caches on every path.
+	// Prime the panel caches on every path.
 	runAll(t, dirty, inputs, steps)
 
 	mutateWeights(dirty)
@@ -93,8 +100,9 @@ func assertMutateThenClassify(t *testing.T, dirty, fresh *snn.Network) {
 
 	got := runAll(t, dirty, inputs, steps)
 	want := runAll(t, fresh, inputs, steps)
-	for i, path := range []string{"stepped", "blocked"} {
-		assertSameResults(t, path, got[i], want[i])
+	for i, path := range paths {
+		assertSameResults(t, path, got[i], want[0])
+		assertSameResults(t, "fresh "+path, want[i], want[0])
 	}
 }
 
@@ -102,8 +110,11 @@ func TestInvalidateWeightCachesMLP(t *testing.T) {
 	assertMutateThenClassify(t, mlpFixture(t, 0, false), mlpFixture(t, 0, false))
 }
 
+// The wide fixture's conv layers have full 8-channel panels, so a stale
+// conv panel would show.
 func TestInvalidateWeightCachesConvPool(t *testing.T) {
 	assertMutateThenClassify(t, convPoolFixture(t), convPoolFixture(t))
+	assertMutateThenClassify(t, wideConvPoolFixture(t, 0, false, 1), wideConvPoolFixture(t, 0, false, 1))
 }
 
 // Without invalidation the stale caches must keep answering (documented

@@ -74,16 +74,15 @@ type Layer struct {
 	// Lazily built simulation caches behind atomic pointers, so the hot
 	// path stays lock-free and concurrent first use from parallel
 	// evaluation workers is safe. Each cached layout is a pure function of
-	// W (and the fixed geometry), so a duplicate concurrent build is
+	// W or of the fixed geometry, so a duplicate concurrent build is
 	// benign: every builder produces bit-identical content and the last
 	// Store wins. Code that mutates W after construction — fault
 	// injection, in-place repair — must call InvalidateWeightCaches so the
-	// weight-derived layouts (adj, wT, pan) are rebuilt; cp depends only
-	// on geometry and survives weight mutation.
-	adj atomic.Pointer[adjacency]  // input->output adjacency for event-driven sim
-	wT  atomic.Pointer[tensor.Mat] // dense W^T: one contiguous row per input neuron
-	pan atomic.Pointer[panelCache] // W packed into 8-row panels (see panelW)
-	cp  atomic.Pointer[convPlan]   // conv valid-tap ranges (see convPlan)
+	// one weight-derived layout (pan) is rebuilt; cp and fo depend only on
+	// geometry and survive weight mutation.
+	pan atomic.Pointer[panelCache]  // W packed into 8-row panels (see panelW)
+	cp  atomic.Pointer[convPlan]    // conv valid-tap ranges (see convPlan)
+	fo  atomic.Pointer[fanOutCache] // conv/pool per-input fan-out (see fanOut)
 }
 
 // InSize returns the flattened input length.
@@ -249,9 +248,9 @@ func (n *Network) Summary() string {
 }
 
 // FanOut returns how many postsynaptic neurons the presynaptic neuron in
-// drives in this layer (dense: every output; conv/pool: from the adjacency
-// index). The event-driven CMOS baseline uses it to count synaptic
-// operations per input spike.
+// drives in this layer (dense: every output; conv/pool: from the closed-form
+// fan-out table, see fanOut). The event-driven CMOS baseline uses it to
+// count synaptic operations per input spike.
 func (l *Layer) FanOut(in int) int {
 	if in < 0 || in >= l.InSize() {
 		return 0
@@ -259,8 +258,7 @@ func (l *Layer) FanOut(in int) int {
 	if l.Kind == DenseLayer {
 		return l.OutSize()
 	}
-	adj := l.buildAdjacency()
-	return int(adj.start[in+1] - adj.start[in])
+	return int(l.fanOut()[in])
 }
 
 // Weight returns the synaptic weight between flat postsynaptic index out
@@ -297,95 +295,6 @@ func (l *Layer) Weight(out, in int) (float64, bool) {
 	default:
 		panic("snn: unknown layer kind")
 	}
-}
-
-// adjacency is a CSR-like input->output tap index enabling event-driven
-// propagation: for each presynaptic neuron, the list of (postsynaptic
-// neuron, weight) pairs. Weights are resolved at build time into wval so
-// the per-spike inner loop is a pure contiguous accumulate with no index
-// arithmetic or matrix lookups.
-type adjacency struct {
-	start []int32   // len InSize+1
-	out   []int32   // postsynaptic flat index
-	kidx  []int32   // kernel weight index (conv/pool); -1 semantics unused for dense
-	wval  []float64 // resolved synaptic weight per tap
-}
-
-// buildAdjacency constructs the event-driven index. Dense layers do not
-// need one (they use the transposed-weight cache instead); conv and pool
-// layers get a flat CSR built from the shared ConvGeom walker. Safe for
-// concurrent first use.
-func (l *Layer) buildAdjacency() *adjacency {
-	if a := l.adj.Load(); a != nil {
-		return a
-	}
-	a := l.makeAdjacency()
-	l.adj.Store(a)
-	return a
-}
-
-func (l *Layer) makeAdjacency() *adjacency {
-	// Pool layers connect same-channel only; the geometry walker enumerates
-	// every channel combination, so filter the cross-channel taps out.
-	keep := func(outIdx, inIdx int) bool {
-		if inIdx < 0 {
-			return false
-		}
-		if l.Kind == PoolLayer {
-			return inIdx%l.In.C == outIdx%l.Out.C
-		}
-		return true
-	}
-	counts := make([]int32, l.InSize()+1)
-	err := l.Geom.ForEachTap(func(outIdx, inIdx, _ int) {
-		if keep(outIdx, inIdx) {
-			counts[inIdx+1]++
-		}
-	})
-	if err != nil {
-		panic("snn: " + err.Error())
-	}
-	for i := 1; i < len(counts); i++ {
-		counts[i] += counts[i-1]
-	}
-	total := counts[len(counts)-1]
-	adj := &adjacency{
-		start: counts,
-		out:   make([]int32, total),
-		kidx:  make([]int32, total),
-		wval:  make([]float64, total),
-	}
-	cursor := make([]int32, l.InSize())
-	copy(cursor, counts[:l.InSize()])
-	pw := l.PoolWeight()
-	_ = l.Geom.ForEachTap(func(outIdx, inIdx, kIdx int) {
-		if !keep(outIdx, inIdx) {
-			return
-		}
-		p := cursor[inIdx]
-		adj.out[p] = int32(outIdx)
-		adj.kidx[p] = int32(kIdx)
-		if l.Kind == PoolLayer {
-			adj.wval[p] = pw
-		} else {
-			adj.wval[p] = l.W.At(outIdx%l.Out.C, kIdx)
-		}
-		cursor[inIdx] = p + 1
-	})
-	return adj
-}
-
-// transposedW returns the lazily built W^T of a dense layer: row i holds the
-// weights every output neuron receives from input i, contiguously. It turns
-// the event-driven dense integration from a stride-Cols column walk into a
-// streaming row accumulation per input spike. Safe for concurrent first use.
-func (l *Layer) transposedW() *tensor.Mat {
-	if t := l.wT.Load(); t != nil {
-		return t
-	}
-	t := l.W.Transpose()
-	l.wT.Store(t)
-	return t
 }
 
 // panelCache wraps the packed panel slice so it can live behind an
@@ -431,20 +340,18 @@ func (l *Layer) panelW() []float64 {
 	return pan
 }
 
-// InvalidateWeightCaches drops the layer's weight-derived simulation
-// layouts (event adjacency, transposed weights, packed panels) so the next
-// integration rebuilds them from the current W. It must be called after any
-// in-place mutation of W — fault injection or crossbar repair — or stepped
-// and blocked evaluation keep reading the stale layouts. The conv tap plan
-// depends only on geometry and is deliberately kept.
+// InvalidateWeightCaches drops the layer's one weight-derived simulation
+// layout (the packed panels) so the next integration rebuilds it from the
+// current W. It must be called after any in-place mutation of W — fault
+// injection or crossbar repair — or evaluation keeps reading the stale
+// panels. The conv tap plan and the fan-out table depend only on geometry
+// and are deliberately kept.
 //
 // The caller is responsible for quiescence: invalidate while no evaluation
 // over this layer is in flight (the serving integration takes the model's
 // repair write-lock for exactly this reason). Concurrent rebuilds after the
 // invalidation are safe.
 func (l *Layer) InvalidateWeightCaches() {
-	l.adj.Store(nil)
-	l.wT.Store(nil)
 	l.pan.Store(nil)
 }
 
@@ -507,18 +414,63 @@ func (l *Layer) makeConvPlan() *convPlan {
 	return p
 }
 
+// fanOutCache wraps the fan-out table so it can live behind an
+// atomic.Pointer.
+type fanOutCache struct{ n []int32 }
+
+// fanOut returns the lazily built per-input fan-out of a conv or pool
+// layer: entry i is the number of output neurons whose receptive field
+// covers input i. Output rows and columns cover inputs independently, so
+// for an input at (iy, ix) the entry is countY[iy] * countX[ix] times the
+// channels it feeds (OutC for conv, its own channel for pool), where
+// countY[iy] counts the output rows whose window spans row iy. The table
+// depends only on geometry. Safe for concurrent first use.
+func (l *Layer) fanOut() []int32 {
+	if t := l.fo.Load(); t != nil {
+		return t.n
+	}
+	g := l.Geom
+	cover := func(in, out int) []int32 {
+		c := make([]int32, in)
+		for o := 0; o < out; o++ {
+			for k := 0; k < g.K; k++ {
+				if i := o*g.Stride - g.Pad + k; i >= 0 && i < in {
+					c[i]++
+				}
+			}
+		}
+		return c
+	}
+	countY, countX := cover(g.In.H, l.Out.H), cover(g.In.W, l.Out.W)
+	chans := int32(l.Out.C)
+	if l.Kind == PoolLayer {
+		chans = 1
+	}
+	n := make([]int32, 0, l.InSize())
+	for _, cy := range countY {
+		for _, cx := range countX {
+			f := cy * cx * chans
+			for ic := 0; ic < g.In.C; ic++ {
+				n = append(n, f)
+			}
+		}
+	}
+	l.fo.Store(&fanOutCache{n: n})
+	return n
+}
+
 // ActiveSynOps returns the number of synaptic accumulations an event-driven
 // pass over the layer performs for the given input spike vector — the hot
-// counter of the CMOS baseline model. The adjacency lookup is hoisted out of
-// the per-spike loop.
+// counter of the CMOS baseline model: the summed fan-out of every spiking
+// input.
 func (l *Layer) ActiveSynOps(in *bitvec.Bits) int {
 	if l.Kind == DenseLayer {
 		return in.Count() * l.OutSize()
 	}
-	adj := l.buildAdjacency()
+	fo := l.fanOut()
 	ops := 0
 	in.ForEachSet(func(i int) {
-		ops += int(adj.start[i+1] - adj.start[i])
+		ops += int(fo[i])
 	})
 	return ops
 }

@@ -147,8 +147,8 @@ func TestNetworkCounts(t *testing.T) {
 	}
 }
 
-// The adjacency built for event-driven conv propagation must contain
-// exactly the in-bounds taps of ConvGeom.
+// The oracle's CSR adjacency (oracle_test.go) must contain exactly the
+// in-bounds taps of ConvGeom.
 func TestBuildAdjacencyMatchesGeometry(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -167,7 +167,7 @@ func TestBuildAdjacencyMatchesGeometry(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		adj := l.buildAdjacency()
+		adj := makeAdjacency(l)
 		// Reference: count in-bounds taps per input.
 		type tap struct{ out, k int }
 		ref := make(map[int][]tap)

@@ -21,17 +21,15 @@ type State struct {
 	Net  *Network
 	Vmem []tensor.Vec // one per layer
 
-	spikes []*bitvec.Bits // per layer output spikes of the last step
-	input  *bitvec.Bits   // encoded input spikes of the last step
-
 	// Run scratch, reused across classifications so steady-state runs are
-	// allocation-free: the spike-index buffer of the integration kernels and
-	// the output counters returned (aliased) in RunResult.
+	// allocation-free: the spike-index buffer of output decoding and the
+	// output counters returned (aliased) in RunResult.
 	idx    []int32
 	counts []int
 	first  []int
 
-	// Blocked-runner scratch (see blocked.go), sized on first use.
+	// Blocked-runner scratch (see blocked.go), sized on first use. Step is
+	// a block of one timestep, so it shares these buffers.
 	blockK     int
 	blockIn    []*bitvec.Bits   // input raster of the current block
 	blockOut   [][]*bitvec.Bits // per layer, output raster of the current block
@@ -39,18 +37,18 @@ type State struct {
 	blockOffs  []int32          // per-step segment bounds into blockFlat (blockK+1)
 	blockFires []uint8          // per-step fired-lane bytes of one panel group
 	stepView   []*bitvec.Bits   // per-step layer view for observer replay
+	last       int              // block slot of the last executed timestep
 }
 
 // NewState allocates simulation state for the network.
 func NewState(net *Network) *State {
-	s := &State{Net: net, Vmem: make([]tensor.Vec, len(net.Layers)), spikes: make([]*bitvec.Bits, len(net.Layers))}
+	s := &State{Net: net, Vmem: make([]tensor.Vec, len(net.Layers))}
 	for i, l := range net.Layers {
 		s.Vmem[i] = tensor.NewVec(l.OutSize())
-		s.spikes[i] = bitvec.New(l.OutSize())
 	}
-	s.input = bitvec.New(net.Input.Size())
 	s.counts = make([]int, net.OutSize())
 	s.first = make([]int, net.OutSize())
+	s.ensureBlock(1)
 	return s
 }
 
@@ -61,85 +59,33 @@ func (s *State) Reset() {
 	}
 }
 
-// InputSpikes returns the input spike vector of the last Step (aliased, not
-// a copy).
-func (s *State) InputSpikes() *bitvec.Bits { return s.input }
+// InputSpikes returns the input spike vector of the last executed timestep
+// (aliased, not a copy; valid until the next Step or run).
+func (s *State) InputSpikes() *bitvec.Bits { return s.blockIn[s.last] }
 
-// LayerSpikes returns the output spike vector of layer i from the last Step
-// (aliased, not a copy).
-func (s *State) LayerSpikes(i int) *bitvec.Bits { return s.spikes[i] }
+// LayerSpikes returns the output spike vector of layer i at the last
+// executed timestep (aliased, not a copy; valid until the next Step or run).
+func (s *State) LayerSpikes(i int) *bitvec.Bits { return s.blockOut[i][s.last] }
 
 // Step advances the network by one timestep given the input spike vector.
 // It returns the spike vector of the final layer (aliased; valid until the
-// next Step). Propagation is event-driven: only spiking presynaptic neurons
-// contribute current.
+// next Step). Step is a blocked run of one timestep: every layer goes
+// through the same event-driven kernels as RunBlocked (see blocked.go), so
+// stepping a network T times is bit-identical to one run of T steps.
 func (s *State) Step(in *bitvec.Bits) *bitvec.Bits {
 	if in.Len() != s.Net.Input.Size() {
 		panic(fmt.Sprintf("snn: Step input %d bits, want %d", in.Len(), s.Net.Input.Size()))
 	}
-	if in != s.input {
-		s.input.CopyFrom(in)
+	if in != s.blockIn[0] {
+		s.blockIn[0].CopyFrom(in)
 	}
-	cur := s.input
+	s.last = 0
+	cur := s.blockIn
 	for li, l := range s.Net.Layers {
-		v := s.Vmem[li]
-		if l.Leak > 0 {
-			v.Scale(1 - l.Leak)
-		}
-		s.idx = integrate(l, cur, v, s.idx[:0])
-		out := s.spikes[li]
-		out.Reset()
-		fire(l, v, out)
-		cur = out
+		s.runLayerBlock(li, l, cur, 1)
+		cur = s.blockOut[li]
 	}
-	return cur
-}
-
-// fire emits a spike for every neuron at or above the layer threshold and
-// applies the reset (subtraction by default, to zero for hard-reset layers).
-func fire(l *Layer, v tensor.Vec, out *bitvec.Bits) {
-	th := l.Threshold
-	hard := l.HardReset
-	for i, p := range v {
-		if p >= th {
-			out.Set(i)
-			if hard {
-				v[i] = 0
-			} else {
-				v[i] = p - th
-			}
-		}
-	}
-}
-
-// integrate adds the layer's weighted input-spike currents into v. The input
-// spike indices are collected into buf (reused, typically s.idx[:0]) so the
-// inner loops index a flat list instead of paying a closure call per spike;
-// the extended buffer is returned for reuse.
-func integrate(l *Layer, in *bitvec.Bits, v tensor.Vec, buf []int32) []int32 {
-	buf = in.AppendSet(buf)
-	switch l.Kind {
-	case DenseLayer:
-		// Row accumulation over the cached W^T: each input spike streams one
-		// contiguous weight row into v instead of striding down a column of W.
-		wt := l.transposedW()
-		for _, i := range buf {
-			wt.AddRow(int(i), v)
-		}
-	case ConvLayer, PoolLayer:
-		// The adjacency caches resolved per-tap weights, so the inner loop is
-		// a pure CSR accumulate with no index arithmetic per tap.
-		adj := l.buildAdjacency()
-		out, wval, start := adj.out, adj.wval, adj.start
-		for _, i := range buf {
-			for p := start[i]; p < start[i+1]; p++ {
-				v[out[p]] += wval[p]
-			}
-		}
-	default:
-		panic("snn: unknown layer kind")
-	}
-	return buf
+	return cur[0]
 }
 
 // Encoder converts an analog input vector into per-timestep spike vectors.
@@ -293,7 +239,7 @@ func (r RunResult) TTFSPrediction() int {
 // Run classifies one input by simulating T timesteps and counting output
 // spikes; the class with the most spikes wins. The state is reset first.
 func (s *State) Run(intensity tensor.Vec, enc Encoder, steps int) RunResult {
-	return s.RunObserved(intensity, enc, steps, nil)
+	return s.RunBlocked(intensity, enc, steps, nil)
 }
 
 // Observer receives the spike vectors of every timestep of a run; the
@@ -304,29 +250,10 @@ type Observer interface {
 	ObserveStep(t int, input *bitvec.Bits, layers []*bitvec.Bits)
 }
 
-// RunObserved is Run with a per-timestep observer hook. It encodes directly
-// into the State's input vector and counts output spikes into the State's
-// result scratch, so a warm State classifies without allocating.
+// RunObserved is Run with a per-timestep observer hook; it is RunBlocked.
+// A warm State classifies without allocating.
 func (s *State) RunObserved(intensity tensor.Vec, enc Encoder, steps int, obs Observer) RunResult {
-	s.Reset()
-	counts, first := s.resetResult()
-	inputSpikes := 0
-	for t := 0; t < steps; t++ {
-		enc.Encode(intensity, s.input)
-		inputSpikes += s.input.Count()
-		out := s.Step(s.input)
-		if obs != nil {
-			obs.ObserveStep(t, s.input, s.spikes)
-		}
-		s.idx = out.AppendSet(s.idx[:0])
-		for _, i := range s.idx {
-			counts[i]++
-			if first[i] < 0 {
-				first[i] = t
-			}
-		}
-	}
-	return s.finishResult(steps, inputSpikes)
+	return s.RunBlocked(intensity, enc, steps, obs)
 }
 
 // resetResult clears the per-run output counters and returns them.

@@ -78,8 +78,8 @@ func TestSilenceStaysSilent(t *testing.T) {
 	}
 }
 
-// The event-driven conv integration must equal a dense reference computed
-// from the same geometry.
+// The conv kernel behind Step must integrate what a dense reference matrix
+// built from the same geometry computes.
 func TestConvIntegrationMatchesDenseReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	geom := tensor.ConvGeom{In: tensor.Shape3{H: 6, W: 6, C: 2}, K: 3, Stride: 1, Pad: 1, OutC: 4}
@@ -87,7 +87,11 @@ func TestConvIntegrationMatchesDenseReference(t *testing.T) {
 	for i := range w.Data {
 		w.Data[i] = rng.NormFloat64()
 	}
-	conv, err := NewConv("c", geom, w, 1)
+	conv, err := NewConv("c", geom, w, math.Inf(1)) // never fires: Vmem holds the currents
+	if err != nil {
+		t.Fatal(err)
+	}
+	net, err := NewNetwork("conv", geom.In, conv)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,8 +108,9 @@ func TestConvIntegrationMatchesDenseReference(t *testing.T) {
 	for i := 0; i < geom.In.Size(); i += 3 {
 		in.Set(i)
 	}
-	got := tensor.NewVec(out.Size())
-	integrate(conv, in, got, nil)
+	st := NewState(net)
+	st.Step(in)
+	got := st.Vmem[0]
 	x := tensor.NewVec(geom.In.Size())
 	in.ForEachSet(func(i int) { x[i] = 1 })
 	want := ref.MulVec(x, nil)

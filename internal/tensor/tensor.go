@@ -155,17 +155,13 @@ func (m *Mat) Clone() *Mat {
 }
 
 // AddRow accumulates row r into v in place (v += m[r][:]). Because rows are
-// contiguous in the row-major layout, this is a single streaming pass — the
-// cache-friendly primitive behind the SNN simulator's transposed-weight
-// integration.
+// contiguous in the row-major layout, this is a single streaming pass.
 func (m *Mat) AddRow(r int, v Vec) {
 	v.Add(m.Row(r))
 }
 
 // Transpose returns a new Cols x Rows matrix with m's elements flipped
-// across the diagonal. The SNN simulator caches W^T per dense layer so each
-// input spike accumulates one contiguous row instead of striding down a
-// column.
+// across the diagonal.
 func (m *Mat) Transpose() *Mat {
 	t := NewMat(m.Cols, m.Rows)
 	for r := 0; r < m.Rows; r++ {
