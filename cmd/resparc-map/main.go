@@ -32,7 +32,6 @@ import (
 
 	"resparc/internal/bench"
 	"resparc/internal/device"
-	"resparc/internal/experiments"
 	"resparc/internal/mapping"
 	"resparc/internal/report"
 )
@@ -313,23 +312,17 @@ func runLegacy() {
 	}
 
 	if *best {
-		cfgE := experiments.DefaultConfig()
-		cfgE.Tech = tech
-		cfgE.Steps = 24
-		cfgE.Samples = 1
-		sizes := []int{32, 64, 128, 256}
-		bestSize, cost, err := mapping.BestMCASize(sizes, tech, func(size int) (float64, error) {
-			res, _, _, err := experiments.RunRESPARC(b, size, cfgE, true, 0)
-			if err != nil {
-				return 0, err
-			}
-			return res.Energy, nil
-		})
+		// Minimize modeled energy alone: the default objective also weighs
+		// latency, which favors small arrays.
+		cons := mapping.DefaultConstraints(cfg)
+		cons.Sizes = []int{32, 64, 128, 256}
+		cons.Weights = mapping.Weights{Energy: 1}
+		p, err := mapping.BestUniform(net, cons)
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("\nTechnology-aware best MCA size on %s (candidates %v, those above %d skipped): %d (%.3e J/classification)\n",
-			tech.Name, sizes, tech.MaxSize, bestSize, cost)
+		fmt.Printf("\nTechnology-aware best MCA size on %s (candidates %v, those above %d skipped): %d (%.3e J/classification, modeled)\n",
+			tech.Name, cons.Sizes, tech.MaxSize, p.Layers[0].MCASize, p.Cost.EnergyJ)
 	}
 }
 

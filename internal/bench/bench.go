@@ -234,35 +234,35 @@ func newBuilder(inputSize int, inputRate float64, rng *rand.Rand) *builder {
 	return b
 }
 
-// measureRate runs the single layer over the frontier train with the given
-// threshold and returns the mean output spike rate.
-func (b *builder) measureRate(l *snn.Layer, th float64) (float64, error) {
+// measureRate runs the single-layer calibration network on st over the
+// frontier train with the given threshold and returns the mean output spike
+// rate.
+func (b *builder) measureRate(st *snn.State, th float64) float64 {
+	l := st.Net.Layers[0]
 	old := l.Threshold
 	l.Threshold = th
 	defer func() { l.Threshold = old }()
-	net, err := snn.NewNetwork("calib", l.In, l)
-	if err != nil {
-		return 0, err
-	}
-	st := snn.NewState(net)
+	run := st.RunBlockedK(nil, &snn.ReplayEncoder{Raster: b.train}, len(b.train), 0, nil)
 	spikes := 0
-	for _, in := range b.train {
-		spikes += st.Step(in).Count()
+	for _, n := range run.OutCounts {
+		spikes += n
 	}
-	return float64(spikes) / float64(l.OutSize()*len(b.train)), nil
+	return float64(spikes) / float64(l.OutSize()*len(b.train))
 }
 
 // add calibrates the layer's threshold toward targetRate (skipped for pool
 // layers, whose 0.499 threshold is rate-preserving by construction), then
 // advances the frontier train through it.
 func (b *builder) add(l *snn.Layer, targetRate float64) error {
+	net, err := snn.NewNetwork("calib", l.In, l)
+	if err != nil {
+		return err
+	}
+	st := snn.NewState(net)
 	if l.Kind != snn.PoolLayer && targetRate > 0 {
 		th := l.Threshold
 		for iter := 0; iter < 2; iter++ {
-			r, err := b.measureRate(l, th)
-			if err != nil {
-				return err
-			}
+			r := b.measureRate(st, th)
 			if r <= 0 {
 				th /= 4 // too cold to measure; thaw aggressively
 				continue
@@ -275,15 +275,11 @@ func (b *builder) add(l *snn.Layer, targetRate float64) error {
 		l.Threshold = th
 	}
 	// Advance the frontier.
-	net, err := snn.NewNetwork("calib", l.In, l)
-	if err != nil {
-		return err
-	}
-	st := snn.NewState(net)
 	next := make([]*bitvec.Bits, len(b.train))
-	for t, in := range b.train {
-		next[t] = st.Step(in).Clone()
+	for t := range next {
+		next[t] = bitvec.New(l.OutSize())
 	}
+	st.RunBlockedK(nil, &snn.ReplayEncoder{Raster: b.train}, len(b.train), 0, &snn.CaptureObserver{Out: next})
 	b.train = next
 	b.layers = append(b.layers, l)
 	return nil

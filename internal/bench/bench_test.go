@@ -1,7 +1,11 @@
 package bench
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"resparc/internal/bitvec"
@@ -166,5 +170,39 @@ func TestPrepareInput(t *testing.T) {
 	// Incompatible.
 	if _, err := PrepareInput(img, from, tensor.Shape3{H: 5, W: 5, C: 1}); err == nil {
 		t.Fatal("incompatible shapes accepted")
+	}
+}
+
+// TestBuildPinned pins every calibrated Fig 10 network byte for byte: the
+// sha256 of its serialized form at seed 1 must not move. Threshold
+// calibration is a chain of float roundings over simulated spike counts, so
+// any change to the functional runner or the calibration loop that is not
+// bit-exact shows up here. The hashes hold on amd64 only: Go fuses
+// multiply-adds into FMA instructions on arm64 (and other targets), which
+// rounds differently.
+func TestBuildPinned(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("hashes recorded on amd64; %s may fuse multiply-adds (FMA)", runtime.GOARCH)
+	}
+	want := map[string]string{
+		"svhn-mlp":  "7e2e0a7d67bed9b3d00cdfbc1dcf297d8b88285a4d85540948ce12063210854c",
+		"svhn-cnn":  "216415cd6d02fd4fdce365793e5f2a6009da6849e2a3bd40a424df2ab4090fae",
+		"mnist-mlp": "8646c681384805a475da0d7919f0f393ced77886ca94b5de241d9995c1d4fb79",
+		"mnist-cnn": "ae32bfb5e718e21bf7bde86ac0d8e3315dbf49d364974f30304e5ab6d7d73efc",
+		"cifar-mlp": "32153464e99f3604dfc4dbab1db49025088f78a6bec82238070d683233a81790",
+		"cifar-cnn": "10398b8a0f38ee0b9b79668aa87561b9da30dce2e0f21d00b66346ec16d1386e",
+	}
+	for _, b := range All() {
+		net, err := b.Build(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := snn.WriteNetwork(&buf, net); err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != want[b.Name] {
+			t.Errorf("%s: sha256 %s, want %s", b.Name, got, want[b.Name])
+		}
 	}
 }

@@ -41,8 +41,8 @@ type Options struct {
 	// Steps is the number of SNN timesteps per classification.
 	Steps int
 	// BlockSize overrides the blocked runner's temporal block length
-	// (<= 0 selects snn.DefaultBlockSize; see snn.RunBlocked). Any value
-	// produces bit-identical rasters and counters.
+	// (<= 0 selects snn.DefaultBlockSize; see snn.State.RunBlockedK). Any
+	// value produces bit-identical rasters and counters.
 	BlockSize int
 }
 
@@ -266,17 +266,11 @@ func (b *Baseline) classify(intensity tensor.Vec, enc snn.Encoder) (perf.Result,
 // calls) under the given per-call options.
 func (b *Baseline) classifyOne(st *snn.State, intensity tensor.Vec, enc snn.Encoder, opt sim.Options) (perf.Result, Report, int) {
 	obs := &observer{b: b}
-	if opt.EarlyExit {
-		steps, predicted := sim.EarlyExitRun(st, intensity, enc, b.Opt.Steps, obs)
-		res, rep := b.finish(obs.cnt, predicted)
-		rep.LayerCycles = obs.layerCycles
-		res.Steps = steps
-		return res, rep, steps
-	}
-	run := st.RunBlockedK(intensity, enc, b.Opt.Steps, sim.BlockSize(b.Opt.BlockSize, opt), obs)
-	res, rep := b.finish(obs.cnt, run.Prediction)
+	steps, predicted := sim.Run(st, intensity, enc, b.Opt.Steps, b.Opt.BlockSize, opt, obs)
+	res, rep := b.finish(obs.cnt, predicted)
 	rep.LayerCycles = obs.layerCycles
-	return res, rep, b.Opt.Steps
+	res.Steps = steps
+	return res, rep, steps
 }
 
 func (b *Baseline) finish(cnt Counters, predicted int) (perf.Result, Report) {

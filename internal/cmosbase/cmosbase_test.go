@@ -257,7 +257,7 @@ func TestPredictionMatchesFunctionalModel(t *testing.T) {
 	intensity := denseIntensity(net.Input.Size(), 27)
 	_, rep := b.ClassifyDetailed(intensity, snn.NewPoissonEncoder(0.8, 28))
 	st := snn.NewState(net)
-	want := st.Run(intensity, snn.NewPoissonEncoder(0.8, 28), b.Opt.Steps).Prediction
+	want := st.RunBlockedK(intensity, snn.NewPoissonEncoder(0.8, 28), b.Opt.Steps, 0, nil).Prediction
 	if rep.Predicted != want {
 		t.Fatalf("baseline predicted %d, functional %d", rep.Predicted, want)
 	}

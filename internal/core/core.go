@@ -51,9 +51,9 @@ type Options struct {
 	// internal/trace. Classification results are unaffected.
 	Trace *trace.Writer
 	// BlockSize overrides the temporal block length of the blocked runner
-	// (<= 0 selects snn.DefaultBlockSize; see snn.RunBlocked). Any value is
-	// bit-identical — predictions, spike rasters and therefore every event
-	// counter match — so this is purely a performance knob.
+	// (<= 0 selects snn.DefaultBlockSize; see snn.State.RunBlockedK). Any
+	// value is bit-identical — predictions, spike rasters and therefore every
+	// event counter match — so this is purely a performance knob.
 	BlockSize int
 }
 
@@ -424,12 +424,7 @@ func (c *Chip) getSession() *session {
 func (c *Chip) classifyOne(s *session, intensity tensor.Vec, enc snn.Encoder, opt sim.Options) (perf.Result, Report, int) {
 	st, obs := s.st, s.obs
 	obs.reset()
-	steps, predicted := c.Opt.Steps, 0
-	if opt.EarlyExit {
-		steps, predicted = sim.EarlyExitRun(st, intensity, enc, c.Opt.Steps, obs)
-	} else {
-		predicted = st.RunBlockedK(intensity, enc, c.Opt.Steps, sim.BlockSize(c.Opt.BlockSize, opt), obs).Prediction
-	}
+	steps, predicted := sim.Run(st, intensity, enc, c.Opt.Steps, c.Opt.BlockSize, opt, obs)
 	res, rep := obs.report(predicted, steps, opt.EventEngine)
 	return res, rep, steps
 }

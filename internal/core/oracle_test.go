@@ -275,13 +275,8 @@ var oracleCases = []oracleCase{
 // chip uses for the options and returns its report.
 func oracleRun(chip *Chip, in tensor.Vec, enc snn.Encoder, early bool) Report {
 	o := newOracle(chip)
-	st := snn.NewState(chip.Net)
-	if early {
-		_, predicted := sim.EarlyExitRun(st, in, enc, chip.Opt.Steps, o)
-		return o.report(predicted)
-	}
-	run := st.RunObserved(in, enc, chip.Opt.Steps, o)
-	return o.report(run.Prediction)
+	_, predicted := sim.Run(snn.NewState(chip.Net), in, enc, chip.Opt.Steps, 0, sim.Options{EarlyExit: early}, o)
+	return o.report(predicted)
 }
 
 // TestEventSteppedBitIdentical pins the chip's accountant to the stepped

@@ -146,7 +146,7 @@ func TestClassifyEarlyExit(t *testing.T) {
 	}
 	// Agreement with the functional model's TTFS decode at the exit step.
 	st := snn.NewState(net)
-	ref := st.Run(intensity, snn.NewPoissonEncoder(0.9, 83), steps)
+	ref := st.RunBlockedK(intensity, snn.NewPoissonEncoder(0.9, 83), steps, 0, nil)
 	if eeRep.Predicted != ref.TTFSPrediction() {
 		t.Fatalf("early-exit predicted %d, functional TTFS %d", eeRep.Predicted, ref.TTFSPrediction())
 	}

@@ -44,7 +44,7 @@ type Config struct {
 	Params energy.Params
 	// BlockSize overrides the blocked runner's temporal block length in
 	// every simulator (<= 0 selects snn.DefaultBlockSize). Results are
-	// bit-identical for any value (see snn.RunBlocked).
+	// bit-identical for any value (see snn.State.RunBlockedK).
 	BlockSize int
 	// Tech is the memristive technology (must allow the largest swept MCA).
 	Tech device.Technology

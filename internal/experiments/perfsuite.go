@@ -67,7 +67,7 @@ func PerfSuite(cfg Config) ([]perf.BenchEntry, *report.Table, error) {
 
 	// The blocked functional runner on the largest dense benchmark
 	// (cifar-mlp), single worker: the layer-major temporal-blocking cost of
-	// snn.RunBlocked without pool scaling.
+	// snn.State.RunBlockedK without pool scaling.
 	{
 		b, err := bench.ByName("cifar-mlp")
 		if err != nil {

@@ -259,6 +259,15 @@ type evaluator struct {
 	stats [][]*sizeStats
 }
 
+// ObserveStep makes the evaluator the probe run's observer: it copies the
+// input raster and every layer's output raster of step t.
+func (ev *evaluator) ObserveStep(t int, input *bitvec.Bits, layers []*bitvec.Bits) {
+	ev.in[0][t].CopyFrom(input)
+	for li, o := range layers {
+		ev.out[li][t].CopyFrom(o)
+	}
+}
+
 // newEvaluator captures the probe rasters and precomputes the per-(layer,
 // size) packing statistics for every admissible size.
 func newEvaluator(net *snn.Network, cons Constraints) (*evaluator, error) {
@@ -291,30 +300,26 @@ func newEvaluator(net *snn.Network, cons Constraints) (*evaluator, error) {
 	}
 
 	// Capture the probe classification's rasters once: they depend only on
-	// (input, encoder), never on any placement decision.
+	// (input, encoder), never on any placement decision. Layer li+1's input
+	// raster is layer li's output raster.
 	L := len(net.Layers)
-	st := snn.NewState(net)
-	enc := snn.NewPoissonEncoder(cons.MaxProb, cons.Seed+7).ForkSeed(0)
-	ev.in = make([][]*bitvec.Bits, L)
-	ev.out = make([][]*bitvec.Bits, L)
-	for li := 0; li < L; li++ {
-		ev.in[li] = make([]*bitvec.Bits, cons.Steps)
-		ev.out[li] = make([]*bitvec.Bits, cons.Steps)
+	raster := func(n int) []*bitvec.Bits {
+		r := make([]*bitvec.Bits, cons.Steps)
+		for t := range r {
+			r[t] = bitvec.New(n)
+		}
+		return r
 	}
-	for t := 0; t < cons.Steps; t++ {
-		inBits := bitvec.New(net.Input.Size())
-		enc.Encode(probe, inBits)
-		st.Step(inBits)
-		ev.in[0][t] = inBits
-		for li := 0; li < L; li++ {
-			o := bitvec.New(net.Layers[li].OutSize())
-			o.CopyFrom(st.LayerSpikes(li))
-			ev.out[li][t] = o
-			if li+1 < L {
-				ev.in[li+1][t] = o
-			}
+	ev.in = [][]*bitvec.Bits{raster(net.Input.Size())}
+	ev.out = make([][]*bitvec.Bits, L)
+	for li, l := range net.Layers {
+		ev.out[li] = raster(l.OutSize())
+		if li+1 < L {
+			ev.in = append(ev.in, ev.out[li])
 		}
 	}
+	enc := snn.NewPoissonEncoder(cons.MaxProb, cons.Seed+7).ForkSeed(0)
+	snn.NewState(net).RunBlockedK(probe, enc, cons.Steps, 0, ev)
 
 	// Raster-only statistics (independent of any mapping decision).
 	w := cons.PacketWidth

@@ -52,8 +52,9 @@ func (Greedy) Plan(net *snn.Network, cons Constraints) (*Placement, error) {
 
 // BestUniform sweeps the constraint's candidate sizes with Greedy plans and
 // returns the uniform placement minimizing the modeled objective — the
-// Mapper-API successor of BestMCASize (heterogeneous search is Annealed's
-// job). The returned placement's Objective is relative to the plan at the
+// technology-aware uniform sizing of contribution 3 (heterogeneous search is
+// Annealed's job). Sizes beyond the technology's MaxSize are skipped, and an
+// error is returned when none is left. The returned placement's Objective is relative to the plan at the
 // baseline Hierarchy.MCASize.
 func BestUniform(net *snn.Network, cons Constraints) (*Placement, error) {
 	if err := cons.normalize(); err != nil {

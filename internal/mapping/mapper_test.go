@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"resparc/internal/device"
 	"resparc/internal/snn"
 	"resparc/internal/tensor"
 )
@@ -218,6 +219,33 @@ func TestBestUniform(t *testing.T) {
 	}
 	if first != 32 && first != 64 && first != 128 {
 		t.Fatalf("size %d not among the default candidates", first)
+	}
+
+	// Technology limits. With energy alone weighted, 128 is the cheapest
+	// size on Ag-Si; Spintronic (max 64) must skip it even so.
+	cons.Weights = Weights{Energy: 1}
+	p, err = BestUniform(net, cons)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Layers[0].MCASize != 128 {
+		t.Fatalf("Ag-Si energy-only sweep chose size %d, want 128", p.Layers[0].MCASize)
+	}
+	spin := cons
+	spin.Hierarchy.Tech = device.Spintronic
+	p, err = BestUniform(net, spin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, lp := range p.Layers {
+		if lp.MCASize > device.Spintronic.MaxSize {
+			t.Fatalf("Spintronic plan uses size %d beyond its max %d", lp.MCASize, device.Spintronic.MaxSize)
+		}
+	}
+	// Every candidate beyond the technology limit: an error, not a plan.
+	spin.Sizes = []int{128, 256}
+	if _, err := BestUniform(net, spin); err == nil {
+		t.Fatal("expected an error when no candidate size fits the technology")
 	}
 }
 

@@ -651,34 +651,3 @@ func (lm *LayerMapping) Switches(cfg Config) int {
 	}
 	return ncs * per
 }
-
-// BestMCASize returns the crossbar size (among candidates permitted by the
-// technology) minimizing the given cost function — the technology-aware
-// mapping of contribution 3 with a caller-supplied cost (typically
-// energy-per-classification from the full architecture simulator).
-//
-// Deprecated: this is the single-knob, uniform-size special case of the
-// Mapper API. New code should plan through a Mapper — Greedy with
-// Constraints.Sizes = []int{size} prices one uniform size with the built-in
-// cost model, and BestUniform sweeps the candidate sizes the way this
-// function does, returning a full Placement instead of a bare size.
-func BestMCASize(candidates []int, tech device.Technology, cost func(size int) (float64, error)) (int, float64, error) {
-	best, bestCost := 0, 0.0
-	found := false
-	for _, n := range candidates {
-		if n > tech.MaxSize {
-			continue
-		}
-		c, err := cost(n)
-		if err != nil {
-			return 0, 0, err
-		}
-		if !found || c < bestCost {
-			best, bestCost, found = n, c, true
-		}
-	}
-	if !found {
-		return 0, 0, fmt.Errorf("mapping: no candidate size permitted by %s (max %d)", tech.Name, tech.MaxSize)
-	}
-	return best, bestCost, nil
-}

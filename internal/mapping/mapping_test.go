@@ -310,39 +310,6 @@ func TestMapErrors(t *testing.T) {
 	}
 }
 
-func TestBestMCASize(t *testing.T) {
-	// Cost minimized at 64.
-	cost := func(n int) (float64, error) {
-		d := float64(n - 64)
-		return d*d + 10, nil
-	}
-	best, c, err := BestMCASize([]int{32, 64, 128, 512}, device.AgSi, cost)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if best != 64 || c != 10 {
-		t.Fatalf("best=%d cost=%v", best, c)
-	}
-	// All candidates beyond the technology limit -> error.
-	if _, _, err := BestMCASize([]int{512}, device.Spintronic, cost); err == nil {
-		t.Fatal("expected error when no size fits the technology")
-	}
-	// Spintronic (max 64) must skip 128 even if cheaper.
-	cheap128 := func(n int) (float64, error) {
-		if n == 128 {
-			return 0, nil
-		}
-		return 5, nil
-	}
-	best, _, err = BestMCASize([]int{32, 64, 128}, device.Spintronic, cheap128)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if best == 128 {
-		t.Fatal("technology constraint violated")
-	}
-}
-
 // Property: for random dense layers, every MCA respects the array bounds,
 // groups tile the outputs exactly, and taps total the synapse count.
 func TestMapDenseProperty(t *testing.T) {

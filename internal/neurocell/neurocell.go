@@ -422,7 +422,7 @@ func wordNonZero(v *bitvec.Bits, word, width int) bool {
 }
 
 // Run classifies one input over the given timesteps, mirroring
-// snn.State.Run, and returns the predicted class.
+// snn.State.RunBlockedK, and returns the predicted class.
 func (s *Sim) Run(intensity tensor.Vec, enc snn.Encoder, steps int) int {
 	s.Reset()
 	counts := make([]int, s.Net.OutSize())

@@ -305,7 +305,7 @@ func TestRunPredicts(t *testing.T) {
 	p := sim.Run(intensity, snn.NewPoissonEncoder(0.9, 14), 40)
 	// Must agree with the functional model under the same encoder seed.
 	st := snn.NewState(net)
-	want := st.Run(intensity, snn.NewPoissonEncoder(0.9, 14), 40).Prediction
+	want := st.RunBlockedK(intensity, snn.NewPoissonEncoder(0.9, 14), 40, 0, nil).Prediction
 	if p != want {
 		t.Fatalf("prediction %d, functional model %d", p, want)
 	}

@@ -98,7 +98,7 @@ func (d *Deployment) calibrate(inputs []tensor.Vec, enc snn.EncoderFactory, step
 	st := snn.NewState(d.ref)
 	for si, in := range inputs {
 		o := newRateObserver(d.ref)
-		st.RunObserved(in, enc(si), steps, o)
+		st.RunBlockedK(in, enc(si), steps, 0, o)
 		for li := range d.ref.Layers {
 			cal.perLayer[li][si] = o.rates(li)
 		}

@@ -61,20 +61,20 @@ func (m *Multi) classifyOne(s *session, intensity tensor.Vec, enc snn.Encoder, o
 	parts := make([]core.Report, S)
 	hops := make([]LinkStats, S-1)
 	hopSteps := make([][]int64, S-1)
-	var run snn.RunResult
+	predicted := 0
 	var in []*bitvec.Bits
 	for i, w := range s.stages {
 		var out []*bitvec.Bits
 		if i < S-1 {
 			out = s.rasters[i]
 		}
-		parts[i], run = m.runStage(i, w.st, w.acct, intensity, enc, in, out, opt)
+		parts[i], predicted = m.runStage(i, w.st, w.acct, intensity, enc, in, out, opt)
 		if out != nil {
 			hops[i], hopSteps[i] = m.linkCost(out, opt.EventEngine)
 		}
 		in = out
 	}
-	return m.finish(parts, hops, hopSteps, run.Prediction, opt.EventEngine)
+	return m.finish(parts, hops, hopSteps, predicted, opt.EventEngine)
 }
 
 // Classify implements sim.Backend: one image through all shards in

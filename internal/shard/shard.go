@@ -350,53 +350,27 @@ func (m *Multi) linkCost(raster []*bitvec.Bits, perStep bool) (LinkStats, []int6
 	return st, steps
 }
 
-// captureObserver forwards every step to the shard's accountant and copies
-// the shard's final layer raster out as the boundary spike stream.
-type captureObserver struct {
-	inner snn.Observer
-	out   []*bitvec.Bits
-}
-
-func (c *captureObserver) ObserveStep(t int, input *bitvec.Bits, layers []*bitvec.Bits) {
-	c.inner.ObserveStep(t, input, layers)
-	c.out[t].CopyFrom(layers[len(layers)-1])
-}
-
-// replayEncoder feeds a captured boundary raster into a downstream shard,
-// one timestep per Encode call — the bit-identical spike stream the layer
-// saw on the single chip. The intensity argument is ignored.
-type replayEncoder struct {
-	raster []*bitvec.Bits
-	t      int
-}
-
-func (r *replayEncoder) Encode(_ tensor.Vec, dst *bitvec.Bits) {
-	dst.CopyFrom(r.raster[r.t])
-	r.t++
-}
-
 // runStage runs shard s over one image on caller-owned state, charging the
-// shard's accountant (reset first). For s > 0 the image's input is the
-// upstream boundary raster in; for s < last the shard's boundary output is
-// captured into out.
+// shard's accountant (reset first), and returns the shard's report and its
+// decoded class. For s > 0 the image's input is the upstream boundary
+// raster in; for s < last the shard's boundary output is captured into out.
 func (m *Multi) runStage(s int, st *snn.State, acct *core.Accountant, intensity tensor.Vec, enc snn.Encoder,
-	in, out []*bitvec.Bits, opt sim.Options) (core.Report, snn.RunResult) {
+	in, out []*bitvec.Bits, opt sim.Options) (core.Report, int) {
 	acct.Reset()
 	var obs snn.Observer = acct
 	if out != nil {
-		obs = &captureObserver{inner: acct, out: out}
+		obs = &snn.CaptureObserver{Inner: acct, Out: out}
 	}
 	if s > 0 {
-		enc = &replayEncoder{raster: in}
+		enc = &snn.ReplayEncoder{Raster: in}
 		intensity = nil
 	}
-	steps := m.chip.Opt.Steps
-	run := st.RunBlockedK(intensity, enc, steps, sim.BlockSize(m.chip.Opt.BlockSize, opt), obs)
-	_, rep := acct.Report(run.Prediction, steps)
+	steps, predicted := sim.Run(st, intensity, enc, m.chip.Opt.Steps, m.chip.Opt.BlockSize, opt, obs)
+	_, rep := acct.Report(predicted, steps)
 	if opt.EventEngine {
 		rep.Pipeline(m.chip.Opt.Params.NCCycle())
 	}
-	return rep, run
+	return rep, predicted
 }
 
 // finish merges the per-shard reports of one image into the multi-chip

@@ -16,7 +16,6 @@ package sim
 import (
 	"fmt"
 
-	"resparc/internal/bitvec"
 	"resparc/internal/parallel"
 	"resparc/internal/perf"
 	"resparc/internal/snn"
@@ -36,14 +35,18 @@ type Options struct {
 	// are bit-identical for any value; Workers: 1 is the serial reference.
 	Workers int
 	// BlockSize overrides the blocked runner's temporal block length
-	// (<= 0 keeps the backend's configured length). Results are
-	// bit-identical for any value; it only trades raster memory against
-	// weight reuse (see snn.RunBlockedK).
+	// (<= 0 keeps the backend's configured length, or the early-exit block
+	// under EarlyExit; see Run). Results are bit-identical for any value; it
+	// only trades raster memory against weight reuse (see snn.RunBlockedK).
 	BlockSize int
 	// EarlyExit decodes by time-to-first-spike and stops simulating at the
 	// first output spike (or after the full step budget if none arrives).
-	// Report.Steps records the steps actually executed. Backends without an
-	// early-exit path reject the option with an error.
+	// Report.Steps records the steps actually executed. The runner
+	// integrates a short block of steps at a time, so it may encode a few
+	// frames past the exit step; those are never observed, and results are
+	// identical to stopping at the exit step because each sample owns its
+	// encoder (the EncoderFactory contract). Backends without an early-exit
+	// path reject the option with an error.
 	EarlyExit bool
 	// EventEngine selects the pipelined latency reduction on backends that
 	// support it (the RESPARC chip and its sharded executor): the per-stage
@@ -123,51 +126,35 @@ func Each(inputs []tensor.Vec, enc EncoderFactory, opt Options, newSession func(
 	return ress, reps, nil
 }
 
-// BlockSize resolves the blocked runner's temporal block length for one
-// call: the per-call override when set, else the backend's configured
-// length (<= 0 leaves the choice to snn.DefaultBlockSize).
-func BlockSize(configured int, opt Options) int {
-	if opt.BlockSize > 0 {
-		return opt.BlockSize
-	}
-	return configured
-}
+// earlyExitBlock is the temporal block length of early-exit runs unless
+// Options.BlockSize overrides it. The steps a block integrates past the exit
+// step are wasted, so it is shorter than the full-run default: 16 covers the
+// typical first output spike (steps 10-23 on mnist-mlp/-cnn at a 48-step
+// budget) in one or two blocks and measured fastest of 1, 4, 8, 16 and 48
+// (BenchmarkEarlyExitBlock).
+const earlyExitBlock = 16
 
-// EarlyExitRun is the shared time-to-first-spike runner: it resets the
-// state, steps the network until an output neuron fires (or maxSteps
-// elapse), feeding every executed step to obs, and returns the steps
-// executed plus the TTFS prediction (-1 if no output neuron fired). Ties at
-// the exit step break toward the higher spike count, then the lower index —
-// the same rule as snn.RunResult.TTFSPrediction at that step.
-func EarlyExitRun(st *snn.State, intensity tensor.Vec, enc snn.Encoder, maxSteps int, obs snn.Observer) (steps, predicted int) {
-	st.Reset()
-	net := st.Net
-	in := bitvec.New(net.Input.Size())
-	counts := make([]int, net.OutSize())
-	layers := make([]*bitvec.Bits, len(net.Layers))
-	for t := 0; t < maxSteps; t++ {
-		enc.Encode(intensity, in)
-		out := st.Step(in)
-		if obs != nil {
-			for i := range layers {
-				layers[i] = st.LayerSpikes(i)
-			}
-			obs.ObserveStep(t, st.InputSpikes(), layers)
-		}
-		fired := false
-		out.ForEachSet(func(i int) {
-			counts[i]++
-			fired = true
-		})
-		if fired {
-			best, bestN := -1, 0
-			for i, n := range counts {
-				if n > bestN {
-					best, bestN = i, n
-				}
-			}
-			return t + 1, best
-		}
+// Run is the one functional runner behind every backend: it classifies one
+// input on st within maxSteps timesteps, feeding every executed step to obs,
+// and returns the steps executed and the prediction. Full runs decode by
+// spike count over blocks of configuredBlock steps (<= 0 leaves the choice to
+// snn.DefaultBlockSize); with opt.EarlyExit the run stops at the first output
+// spike and decodes by time to first spike (-1 when no output neuron fired),
+// over blocks of earlyExitBlock steps. A set opt.BlockSize overrides either
+// block length; results are bit-identical for any block length.
+func Run(st *snn.State, input tensor.Vec, enc snn.Encoder, maxSteps, configuredBlock int, opt Options, obs snn.Observer) (steps, predicted int) {
+	k := configuredBlock
+	if opt.EarlyExit {
+		k = earlyExitBlock
 	}
-	return maxSteps, -1
+	if opt.BlockSize > 0 {
+		k = opt.BlockSize
+	}
+	var r snn.RunResult
+	if opt.EarlyExit {
+		r = st.RunToFirstSpike(input, enc, maxSteps, k, obs)
+	} else {
+		r = st.RunBlockedK(input, enc, maxSteps, k, obs)
+	}
+	return r.Steps, r.Prediction
 }

@@ -125,25 +125,39 @@ func BenchmarkRunBlockedCifarMLP(b *testing.B) {
 	st := NewState(net)
 	img := benchImage(net.Input.Size())
 	enc := NewPoissonEncoder(0.8, 9)
-	st.RunBlocked(img, enc, 64, nil)
+	st.RunBlockedK(img, enc, 64, 0, nil)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		st.RunBlocked(img, enc, 64, nil)
+		st.RunBlockedK(img, enc, 64, 0, nil)
 	}
 }
 
+// nopObserver is an observer that does nothing, so allocation tests see the
+// runner's own replay cost.
+type nopObserver struct{}
+
+func (nopObserver) ObserveStep(int, *bitvec.Bits, []*bitvec.Bits) {}
+
 // Steady-state classification must not allocate: the encoder writes into the
-// State's input vector and all counters live in State scratch.
+// State's input vector and all counters live in State scratch. That holds
+// for full observed runs and for warm early exit.
 func TestRunObservedAllocFree(t *testing.T) {
 	net := benchMLP(t)
 	st := NewState(net)
 	img := benchImage(net.Input.Size())
 	enc := NewPoissonEncoder(0.8, 9)
-	st.Run(img, enc, 24) // first run packs the weight panels and sizes scratch
-	allocs := testing.AllocsPerRun(5, func() { st.Run(img, enc, 24) })
+	st.RunBlockedK(img, enc, 24, 0, nil) // first run packs the weight panels and sizes scratch
+	allocs := testing.AllocsPerRun(5, func() { st.RunBlockedK(img, enc, 24, 0, nopObserver{}) })
 	if allocs != 0 {
-		t.Fatalf("Run allocates %.0f objects per classification on a warm State, want 0", allocs)
+		t.Fatalf("RunBlockedK allocates %.0f objects per classification on a warm State, want 0", allocs)
+	}
+	if r := st.RunToFirstSpike(img, enc, 24, 8, nopObserver{}); r.Steps >= 24 || r.Prediction < 0 {
+		t.Fatalf("early exit did not exit (steps %d, prediction %d); the case needs an exit", r.Steps, r.Prediction)
+	}
+	allocs = testing.AllocsPerRun(5, func() { st.RunToFirstSpike(img, enc, 24, 8, nopObserver{}) })
+	if allocs != 0 {
+		t.Fatalf("RunToFirstSpike allocates %.0f objects per classification on a warm State, want 0", allocs)
 	}
 }
 
@@ -154,7 +168,7 @@ func TestRunBlockedAllocFree(t *testing.T) {
 	st := NewState(net)
 	img := benchImage(net.Input.Size())
 	enc := NewPoissonEncoder(0.8, 9)
-	st.RunBlocked(img, enc, 24, nil)
+	st.RunBlockedK(img, enc, 24, 0, nil)
 	for _, k := range []int{0, 8, 1} {
 		allocs := testing.AllocsPerRun(5, func() { st.RunBlockedK(img, enc, 24, k, nil) })
 		if allocs != 0 {
@@ -292,11 +306,11 @@ func BenchmarkRunBlockedMnistCNN(b *testing.B) {
 	st := NewState(net)
 	img := benchImage(net.Input.Size())
 	enc := NewPoissonEncoder(0.8, 9)
-	st.RunBlocked(img, enc, 48, nil)
+	st.RunBlockedK(img, enc, 48, 0, nil)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		st.RunBlocked(img, enc, 48, nil)
+		st.RunBlockedK(img, enc, 48, 0, nil)
 	}
 }
 
@@ -308,8 +322,8 @@ func TestRunBlockedConvAllocFree(t *testing.T) {
 	st := NewState(net)
 	img := benchImage(net.Input.Size())
 	enc := NewPoissonEncoder(0.8, 9)
-	st.RunBlocked(img, enc, 48, nil)
-	allocs := testing.AllocsPerRun(3, func() { st.RunBlocked(img, enc, 48, nil) })
+	st.RunBlockedK(img, enc, 48, 0, nil)
+	allocs := testing.AllocsPerRun(3, func() { st.RunBlockedK(img, enc, 48, 0, nil) })
 	if allocs != 0 {
 		t.Fatalf("blocked CNN run allocates %.0f objects per classification on a warm State, want 0", allocs)
 	}

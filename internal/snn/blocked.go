@@ -7,38 +7,55 @@ import (
 	"resparc/internal/tensor"
 )
 
-// DefaultBlockSize is the temporal block length of RunBlocked: how many
+// DefaultBlockSize is the temporal block length of RunBlockedK: how many
 // timesteps of spike raster are buffered and pushed through one layer
 // before the next layer is touched. 64 covers the paper's full evaluation
 // window (T=64) in a single block while bounding the raster buffers to
 // K bits per neuron (~1.8 MB for the 231k-neuron cifar-cnn benchmark).
 const DefaultBlockSize = 64
 
-// RunBlocked classifies one input with layer-major temporal blocking: the
-// input spike raster of a block of K timesteps is encoded up front, then
-// each layer integrates the entire block — reusing that one layer's weights
-// K times while they are cache-resident — before the next layer runs. For
-// the feed-forward networks this package models, layer l at timestep t
-// depends only on layer l-1 at timestep t, so inverting the (timestep,
-// layer) loop nest is legal and the result is bit-identical to a
-// step-major loop (pinned by the CSR oracle in oracle_test.go): per neuron,
-// the same floating-point operations happen in the same order (leak,
-// ascending-index spike accumulation, threshold/reset, per timestep), and
-// membrane potentials carry across block boundaries through Vmem exactly as
-// they carry across timesteps.
+// RunBlockedK classifies one input with layer-major temporal blocking: the
+// input spike raster of a block of blockK timesteps (<= 0 selects
+// DefaultBlockSize) is encoded up front, then each layer integrates the
+// entire block — reusing that one layer's weights blockK times while they
+// are cache-resident — before the next layer runs. For the feed-forward
+// networks this package models, layer l at timestep t depends only on layer
+// l-1 at timestep t, so inverting the (timestep, layer) loop nest is legal
+// and the result is bit-identical to a step-major loop (pinned by the CSR
+// oracle in oracle_test.go): per neuron, the same floating-point operations
+// happen in the same order (leak, ascending-index spike accumulation,
+// threshold/reset, per timestep), and membrane potentials carry across
+// block boundaries through Vmem exactly as they carry across timesteps. Any
+// block size therefore yields bit-identical results; the block size trades
+// raster-buffer memory (blockK bits per neuron) against weight reuse (each
+// layer's weights are streamed steps/blockK times instead of steps times).
 //
 // Observers still see the step-major view: the per-layer rasters of each
 // block are buffered and replayed through ObserveStep in timestep order, so
-// the architecture simulators consume blocked runs unchanged.
-func (s *State) RunBlocked(intensity tensor.Vec, enc Encoder, steps int, obs Observer) RunResult {
-	return s.RunBlockedK(intensity, enc, steps, 0, obs)
+// the architecture simulators consume blocked runs unchanged. A warm State
+// runs without allocating.
+func (s *State) RunBlockedK(intensity tensor.Vec, enc Encoder, steps, blockK int, obs Observer) RunResult {
+	return s.run(intensity, enc, steps, blockK, obs, false)
 }
 
-// RunBlockedK is RunBlocked with an explicit block size (<= 0 selects
-// DefaultBlockSize). Any block size yields bit-identical results; the knob
-// trades raster-buffer memory (K bits per neuron) against weight reuse (each
-// layer's weights are streamed steps/K times instead of steps times).
-func (s *State) RunBlockedK(intensity tensor.Vec, enc Encoder, steps, blockK int, obs Observer) RunResult {
+// RunToFirstSpike is RunBlockedK with time-to-first-spike early exit: the
+// run stops at the first timestep on which an output neuron fires (or after
+// maxSteps). The observer, OutCounts, FirstSpike and InputSpikes cover the
+// executed steps only, Steps counts them, and InputSpikes/LayerSpikes point
+// at the exit step. Prediction is the TTFS decode at the exit step — every
+// neuron firing there has count 1, so the lowest index wins — or -1 when no
+// output neuron fired.
+//
+// The block containing the exit step is integrated (and its frames
+// encoded) in full; the steps past the exit are discarded, never observed.
+// Results are therefore identical to stepping the network until the first
+// output spike whenever the encoder's remaining frames are not reused.
+func (s *State) RunToFirstSpike(intensity tensor.Vec, enc Encoder, maxSteps, blockK int, obs Observer) RunResult {
+	return s.run(intensity, enc, maxSteps, blockK, obs, true)
+}
+
+// run is the one functional loop behind RunBlockedK and RunToFirstSpike.
+func (s *State) run(intensity tensor.Vec, enc Encoder, steps, blockK int, obs Observer, early bool) RunResult {
 	if blockK <= 0 {
 		blockK = DefaultBlockSize
 	}
@@ -50,19 +67,16 @@ func (s *State) RunBlockedK(intensity tensor.Vec, enc Encoder, steps, blockK int
 	counts, first := s.resetResult()
 	inputSpikes := 0
 	last := len(s.Net.Layers) - 1
-	lastKn := 0
 	for t0 := 0; t0 < steps; t0 += blockK {
 		kn := blockK
 		if steps-t0 < kn {
 			kn = steps - t0
 		}
-		lastKn = kn
 		// Encode the block's input raster. The encoder is invoked once per
 		// timestep in timestep order — the identical call sequence (and so
 		// the identical spike streams) as a Step loop.
 		for k := 0; k < kn; k++ {
 			enc.Encode(intensity, s.blockIn[k])
-			inputSpikes += s.blockIn[k].Count()
 		}
 		// Layer-major sweep: each layer consumes the full block of its
 		// predecessor before the next layer is touched.
@@ -78,6 +92,10 @@ func (s *State) RunBlockedK(intensity tensor.Vec, enc Encoder, steps, blockK int
 		}
 		for k := 0; k < kn; k++ {
 			t := t0 + k
+			// Point the last-step views (InputSpikes/LayerSpikes) at the
+			// latest replayed timestep, the views a Step loop would leave.
+			s.last = k
+			inputSpikes += s.blockIn[k].Count()
 			if obs != nil {
 				for li := range s.stepView {
 					s.stepView[li] = s.blockOut[li][k]
@@ -91,14 +109,18 @@ func (s *State) RunBlockedK(intensity tensor.Vec, enc Encoder, steps, blockK int
 					first[i] = t
 				}
 			}
+			if early && len(s.idx) > 0 {
+				r := s.finishResult(t+1, inputSpikes)
+				r.Prediction = int(s.idx[0])
+				return r
+			}
 		}
 	}
-	// Point the last-step views (InputSpikes/LayerSpikes) at the final
-	// timestep, the same views a Step loop over the input would leave.
-	if lastKn > 0 {
-		s.last = lastKn - 1
+	r := s.finishResult(steps, inputSpikes)
+	if early {
+		r.Prediction = -1
 	}
-	return s.finishResult(steps, inputSpikes)
+	return r
 }
 
 // ensureBlock sizes the raster buffers for a block of k timesteps. Buffers

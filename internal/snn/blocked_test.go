@@ -276,7 +276,7 @@ func TestBlockedMatchesSteppedQuantized(t *testing.T) {
 	}
 }
 
-// RunBlocked (default block size) matches the oracle on a stateful
+// RunBlockedK (default block size) matches the oracle on a stateful
 // deterministic encoder: the blocked runner must invoke Encode in strict
 // timestep order.
 func TestBlockedDefaultWithRegularEncoder(t *testing.T) {
@@ -286,7 +286,7 @@ func TestBlockedDefaultWithRegularEncoder(t *testing.T) {
 		in[i] = float64((i*7+3)%50) / 49
 	}
 	sr, _, _ := snn.OracleRun(net, in, snn.NewRegularEncoder(0.7), 30, nil)
-	br := snn.NewState(net).RunBlocked(in, snn.NewRegularEncoder(0.7), 30, nil)
+	br := snn.NewState(net).RunBlockedK(in, snn.NewRegularEncoder(0.7), 30, 0, nil)
 	if sr.Prediction != br.Prediction || sr.InputSpikes != br.InputSpikes {
 		t.Fatalf("prediction %d/%d, input spikes %d/%d",
 			sr.Prediction, br.Prediction, sr.InputSpikes, br.InputSpikes)
@@ -317,7 +317,7 @@ func TestBlockedStateReuse(t *testing.T) {
 			}
 		}
 		// Interleave a default-block run on the same State.
-		mid := st.Run(in, snn.NewPoissonEncoder(0.8, 5), 24)
+		mid := st.RunBlockedK(in, snn.NewPoissonEncoder(0.8, 5), 24, 0, nil)
 		if mid.Prediction != ref.Prediction {
 			t.Fatalf("trial %d: interleaved default-block run diverged", trial)
 		}

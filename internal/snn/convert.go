@@ -147,7 +147,7 @@ func Evaluate(net *Network, set *dataset.Set, enc Encoder, steps int) float64 {
 	st := NewState(net)
 	correct := 0
 	for _, s := range set.Samples {
-		r := st.Run(s.Input, enc, steps)
+		r := st.RunBlockedK(s.Input, enc, steps, 0, nil)
 		if r.Prediction == s.Label {
 			correct++
 		}
@@ -164,7 +164,7 @@ func ConfusionMatrix(net *Network, set *dataset.Set, enc Encoder, steps int) [][
 	}
 	st := NewState(net)
 	for _, s := range set.Samples {
-		r := st.Run(s.Input, enc, steps)
+		r := st.RunBlockedK(s.Input, enc, steps, 0, nil)
 		if s.Label >= 0 && s.Label < set.Classes && r.Prediction >= 0 && r.Prediction < set.Classes {
 			m[s.Label][r.Prediction]++
 		}
@@ -182,7 +182,7 @@ func EvaluateTTFS(net *Network, set *dataset.Set, enc Encoder, steps int) float6
 	st := NewState(net)
 	correct := 0
 	for _, s := range set.Samples {
-		r := st.Run(s.Input, enc, steps)
+		r := st.RunBlockedK(s.Input, enc, steps, 0, nil)
 		if r.TTFSPrediction() == s.Label {
 			correct++
 		}

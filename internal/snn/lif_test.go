@@ -131,7 +131,7 @@ func TestTTFSPrediction(t *testing.T) {
 	l, _ := NewDense("d", 1, 3, w, 1)
 	net, _ := NewNetwork("n", tensor.Shape3{H: 1, W: 1, C: 1}, l)
 	st := NewState(net)
-	res := st.Run(tensor.Vec{1}, NewRegularEncoder(1), 12)
+	res := st.RunBlockedK(tensor.Vec{1}, NewRegularEncoder(1), 12, 0, nil)
 	if res.FirstSpike[1] < 0 || res.FirstSpike[0] < 0 {
 		t.Fatalf("first spikes not recorded: %v", res.FirstSpike)
 	}
@@ -149,7 +149,7 @@ func TestTTFSPrediction(t *testing.T) {
 	}
 	// All-silent run decodes to -1.
 	st2 := NewState(net)
-	silent := st2.Run(tensor.Vec{0}, NewRegularEncoder(1), 5)
+	silent := st2.RunBlockedK(tensor.Vec{0}, NewRegularEncoder(1), 5, 0, nil)
 	if silent.TTFSPrediction() != -1 {
 		t.Fatalf("silent TTFS = %d", silent.TTFSPrediction())
 	}

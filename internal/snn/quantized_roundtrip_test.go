@@ -70,7 +70,7 @@ func assertIdenticalInference(t *testing.T, want, got *snn.Network, steps int) {
 		}
 		enc := snn.NewPoissonEncoder(0.8, 11).ForkSeed(trial)
 		enc2 := snn.NewPoissonEncoder(0.8, 11).ForkSeed(trial)
-		wr, gr := ws.Run(in, enc, steps), gs.Run(in, enc2, steps)
+		wr, gr := ws.RunBlockedK(in, enc, steps, 0, nil), gs.RunBlockedK(in, enc2, steps, 0, nil)
 		if wr.Prediction != gr.Prediction || wr.InputSpikes != gr.InputSpikes {
 			t.Fatalf("trial %d: prediction %d/%d, input spikes %d/%d",
 				trial, wr.Prediction, gr.Prediction, wr.InputSpikes, gr.InputSpikes)

@@ -65,7 +65,7 @@ func TestRasterRecords(t *testing.T) {
 	st := NewState(net)
 	r := NewRaster(0)
 	in := tensor.Vec{1, 1, 1, 1}
-	res := st.RunObserved(in, NewRegularEncoder(1), 10, r)
+	res := st.RunBlockedK(in, NewRegularEncoder(1), 10, 0, r)
 	if r.Steps() != 10 {
 		t.Fatalf("Steps = %d", r.Steps())
 	}
@@ -82,7 +82,7 @@ func TestRasterRecords(t *testing.T) {
 	}
 	// Input raster.
 	ri := NewRaster(-1)
-	st.RunObserved(in, NewRegularEncoder(1), 5, ri)
+	st.RunBlockedK(in, NewRegularEncoder(1), 5, 0, ri)
 	if ri.TotalSpikes() != 20 { // 4 inputs x 5 steps at p=1
 		t.Fatalf("input raster %d spikes", ri.TotalSpikes())
 	}
@@ -93,7 +93,7 @@ func TestRasterRender(t *testing.T) {
 	net, _ := NewNetwork("n", tensor.Shape3{H: 1, W: 1, C: 2}, l)
 	st := NewState(net)
 	r := NewRaster(0)
-	st.RunObserved(tensor.Vec{1, 0}, NewRegularEncoder(1), 6, r)
+	st.RunBlockedK(tensor.Vec{1, 0}, NewRegularEncoder(1), 6, 0, r)
 	var sb strings.Builder
 	if err := r.Render(&sb, 0, 0); err != nil {
 		t.Fatal(err)

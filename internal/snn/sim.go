@@ -70,7 +70,7 @@ func (s *State) LayerSpikes(i int) *bitvec.Bits { return s.blockOut[i][s.last] }
 // Step advances the network by one timestep given the input spike vector.
 // It returns the spike vector of the final layer (aliased; valid until the
 // next Step). Step is a blocked run of one timestep: every layer goes
-// through the same event-driven kernels as RunBlocked (see blocked.go), so
+// through the same event-driven kernels as RunBlockedK (see blocked.go), so
 // stepping a network T times is bit-identical to one run of T steps.
 func (s *State) Step(in *bitvec.Bits) *bitvec.Bits {
 	if in.Len() != s.Net.Input.Size() {
@@ -193,6 +193,21 @@ func (e *RegularEncoder) Encode(intensity tensor.Vec, dst *bitvec.Bits) {
 	}
 }
 
+// ReplayEncoder feeds a recorded spike raster back as the input, one frame
+// per Encode call in order; the intensity argument is ignored. A run over a
+// raster captured from another run (see CaptureObserver) sees exactly the
+// spike stream that run produced.
+type ReplayEncoder struct {
+	Raster []*bitvec.Bits
+	t      int
+}
+
+// Encode implements Encoder.
+func (r *ReplayEncoder) Encode(_ tensor.Vec, dst *bitvec.Bits) {
+	dst.CopyFrom(r.Raster[r.t])
+	r.t++
+}
+
 // RunResult summarizes one classification run.
 //
 // OutCounts and FirstSpike alias scratch owned by the State that produced
@@ -236,12 +251,6 @@ func (r RunResult) TTFSPrediction() int {
 	return best
 }
 
-// Run classifies one input by simulating T timesteps and counting output
-// spikes; the class with the most spikes wins. The state is reset first.
-func (s *State) Run(intensity tensor.Vec, enc Encoder, steps int) RunResult {
-	return s.RunBlocked(intensity, enc, steps, nil)
-}
-
 // Observer receives the spike vectors of every timestep of a run; the
 // architecture simulators implement it to count events.
 type Observer interface {
@@ -250,10 +259,20 @@ type Observer interface {
 	ObserveStep(t int, input *bitvec.Bits, layers []*bitvec.Bits)
 }
 
-// RunObserved is Run with a per-timestep observer hook; it is RunBlocked.
-// A warm State classifies without allocating.
-func (s *State) RunObserved(intensity tensor.Vec, enc Encoder, steps int, obs Observer) RunResult {
-	return s.RunBlocked(intensity, enc, steps, obs)
+// CaptureObserver copies the final layer's output raster of every timestep
+// t into Out[t] (preallocated by the caller), after forwarding the step to
+// Inner when one is set.
+type CaptureObserver struct {
+	Inner Observer
+	Out   []*bitvec.Bits
+}
+
+// ObserveStep implements Observer.
+func (c *CaptureObserver) ObserveStep(t int, input *bitvec.Bits, layers []*bitvec.Bits) {
+	if c.Inner != nil {
+		c.Inner.ObserveStep(t, input, layers)
+	}
+	c.Out[t].CopyFrom(layers[len(layers)-1])
 }
 
 // resetResult clears the per-run output counters and returns them.

@@ -154,7 +154,7 @@ func TestRateTransfer(t *testing.T) {
 	net, _ := NewNetwork("n", tensor.Shape3{H: 1, W: 1, C: 1}, l)
 	st := NewState(net)
 	enc := NewPoissonEncoder(0.8, 42)
-	res := st.Run(tensor.Vec{1}, enc, 2000)
+	res := st.RunBlockedK(tensor.Vec{1}, enc, 2000, 0, nil)
 	inRate := float64(res.InputSpikes) / 2000
 	outRate := float64(res.OutCounts[0]) / 2000
 	want := inRate * 0.6
@@ -224,18 +224,18 @@ func TestRunObserved(t *testing.T) {
 	obs := &countingObserver{}
 	enc := NewPoissonEncoder(0.9, 3)
 	in := tensor.Vec{1, 1, 1, 1}
-	res := st.RunObserved(in, enc, 25, obs)
+	res := st.RunBlockedK(in, enc, 25, 0, obs)
 	if obs.steps != 25 || obs.layers != 1 {
 		t.Fatalf("observer saw %d steps / %d layers", obs.steps, obs.layers)
 	}
 	if res.Steps != 25 {
 		t.Fatalf("Steps = %d", res.Steps)
 	}
-	// Run and RunObserved(nil) agree for identical encoder state.
+	// Observed and unobserved runs agree for identical encoder state.
 	st2 := NewState(net)
-	r1 := st2.Run(in, NewPoissonEncoder(0.9, 3), 25)
+	r1 := st2.RunBlockedK(in, NewPoissonEncoder(0.9, 3), 25, 0, nil)
 	if r1.Prediction != res.Prediction || r1.InputSpikes != res.InputSpikes {
-		t.Fatalf("Run/RunObserved diverge: %+v vs %+v", r1, res)
+		t.Fatalf("observed/unobserved runs diverge: %+v vs %+v", r1, res)
 	}
 }
 

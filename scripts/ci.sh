@@ -43,9 +43,14 @@ go test -race \
 # cmd tools) programs against; an accidental signature change must show up as
 # a diff against the committed surface, not as a downstream compile error in
 # a later PR.
+# The dumps go to private temp files, so two checkouts running ci.sh at once
+# cannot overwrite each other's diff input.
+sim_surface=$(mktemp)
+mapping_surface=$(mktemp)
+trap 'rm -f "$sim_surface" "$mapping_surface"' EXIT
 echo "== API surface check (internal/sim)"
-go doc -all resparc/internal/sim > /tmp/sim_api_surface.txt
-if ! diff -u scripts/sim_api_surface.golden /tmp/sim_api_surface.txt; then
+go doc -all resparc/internal/sim > "$sim_surface"
+if ! diff -u scripts/sim_api_surface.golden "$sim_surface"; then
     echo "internal/sim API surface changed; review the diff and refresh with:" >&2
     echo "  go doc -all resparc/internal/sim > scripts/sim_api_surface.golden" >&2
     exit 1
@@ -56,8 +61,8 @@ fi
 # so its Go surface (and by extension the schema's shape) is golden-checked
 # the same way.
 echo "== API surface check (internal/mapping)"
-go doc -all resparc/internal/mapping > /tmp/mapping_api_surface.txt
-if ! diff -u scripts/mapping_api_surface.golden /tmp/mapping_api_surface.txt; then
+go doc -all resparc/internal/mapping > "$mapping_surface"
+if ! diff -u scripts/mapping_api_surface.golden "$mapping_surface"; then
     echo "internal/mapping API surface changed; review the diff and refresh with:" >&2
     echo "  go doc -all resparc/internal/mapping > scripts/mapping_api_surface.golden" >&2
     exit 1
