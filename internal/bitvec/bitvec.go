@@ -129,54 +129,10 @@ func (b *Bits) AppendSet(buf []int32) []int32 {
 	return buf
 }
 
-// AppendSetRange appends off+i for every set bit i in [lo, hi), in
-// ascending order, and returns the extended slice. The conv block kernel
-// uses it to turn one kernel row of the receptive field (a contiguous input
-// index range) into kernel-space tap indices with a single offset, one word
-// walk per row instead of one Get per tap.
-func (b *Bits) AppendSetRange(lo, hi int, off int32, buf []int32) []int32 {
-	if lo < 0 || hi > b.n || lo > hi {
-		panic(fmt.Sprintf("bitvec: AppendSetRange [%d,%d) out of range [0,%d)", lo, hi, b.n))
-	}
-	if lo == hi {
-		return buf
-	}
-	first, last := lo>>6, (hi-1)>>6
-	for wi := first; wi <= last; wi++ {
-		w := b.words[wi]
-		if wi == first {
-			w &= ^uint64(0) << uint(lo&63)
-		}
-		if wi == last {
-			if r := hi & 63; r != 0 {
-				w &= (1 << uint(r)) - 1
-			}
-		}
-		base := int32(wi<<6) + off
-		for w != 0 {
-			buf = append(buf, base+int32(bits.TrailingZeros64(w)))
-			w &= w - 1
-		}
-	}
-	return buf
-}
-
-// Load8 returns bits [i, i+8) as a byte (bit j of the result is bit i+j).
-// The pool block kernel uses it to fetch the spike bits of eight consecutive
-// channels at one tap in a single load. Hot path: the caller guarantees
-// i >= 0 and i+8 <= Len(); violations panic via slice indexing.
-func (b *Bits) Load8(i int) uint8 {
-	w := b.words[i>>6] >> uint(i&63)
-	if sh := i & 63; sh > 56 {
-		w |= b.words[i>>6+1] << uint(64-sh)
-	}
-	return uint8(w)
-}
-
-// Or8 ORs the byte m into bits [i, i+8) (bit j of m lands on bit i+j) — the
-// store counterpart of Load8. The blocked kernels assemble one fire mask per
-// 8-lane group and commit it with a single call instead of one Set per
-// spiking lane. Hot path: the caller guarantees i >= 0 and i+8 <= Len().
+// Or8 ORs the byte m into bits [i, i+8) (bit j of m lands on bit i+j). The
+// blocked kernels assemble one fire mask per 8-lane group and commit it
+// with a single call instead of one Set per spiking lane. Hot path: the
+// caller guarantees i >= 0 and i+8 <= Len().
 func (b *Bits) Or8(i int, m uint8) {
 	sh := uint(i & 63)
 	b.words[i>>6] |= uint64(m) << sh
@@ -188,8 +144,8 @@ func (b *Bits) Or8(i int, m uint8) {
 // LoadBits returns bits [i, i+w) as the low w bits of a uint64, for
 // 1 <= w <= 64. The conv block kernel uses it to pull one kernel row of a
 // narrow receptive field (w = valid-taps * channels bits) in one masked
-// load instead of a word-walking AppendSetRange call. Hot path: the caller
-// guarantees i >= 0 and i+w <= Len().
+// load, and the pool kernel to read eight channel groups' tap bytes at
+// once. Hot path: the caller guarantees i >= 0 and i+w <= Len().
 func (b *Bits) LoadBits(i, w int) uint64 {
 	sh := uint(i & 63)
 	word := b.words[i>>6] >> sh

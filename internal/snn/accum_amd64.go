@@ -32,3 +32,26 @@ func accumPanel(panel []float64, list []int32, acc *[panelLanes]float64)
 //
 //go:noescape
 func blockPanel(panel []float64, flat []int32, offs []int32, fires []uint8, acc *[panelLanes]float64, th float64, hard bool) uint64
+
+// segPanel is blockPanel over segmented spike lists: step k's spikes are
+// the rows segments segs[3*(k*rows+r) : 3*(k*rows+r)+3] = (lo, hi, off),
+// r ascending, each adding the panel lines of kernel indices flat[lo:hi] +
+// off in order. The wide conv gather hands every receptive field its kernel
+// rows as slices of one shared per-step input spike list this way.
+//
+// The caller guarantees len(segs) >= 3*rows*len(fires), lo <= hi within
+// flat, and flat[lo:hi] + off within panel.
+//
+//go:noescape
+func segPanel(panel []float64, flat []int32, segs []int32, rows int, fires []uint8, acc *[panelLanes]float64, th float64, hard bool) uint64
+
+// poolPanel integrates one 8-channel average-pool group across a whole
+// temporal block (no leak) with the accumulators in SSE2 registers. Byte i
+// of counts[k] is lane i's number of set window taps on step k; the lane
+// receives that many pw additions, applied as rounds of an exact
+// select(count > 0, acc+pw, acc) so a lane without a set tap is never
+// touched (adding +0.0 would turn -0.0 into +0.0). Threshold, reset and
+// the fires/result contract are blockPanel's.
+//
+//go:noescape
+func poolPanel(counts []uint64, fires []uint8, acc *[panelLanes]float64, pw, th float64, hard bool) uint64

@@ -1,15 +1,16 @@
-//go:build !amd64
-
 package snn
 
-// accumPanel adds, for every spiking input index in list (ascending, one
+// Pure-Go panel kernels. They are built on every architecture: on amd64 the
+// SSE2 kernels of accum_amd64.s serve the runner and the tests compare them
+// bit for bit with these, elsewhere accum_other.go forwards to them.
+
+// accumPanelGo adds, for every spiking input index in list (ascending, one
 // entry per spike of one timestep), the eight packed panel weights of that
-// input into the eight lane accumulators. Portable reference implementation;
-// amd64 has an SSE2 version (accum_amd64.s) that is bit-identical. Eight
-// independent accumulation chains keep the FP add ports busy; the two-spike
-// unroll amortizes loop control while each lane's adds stay in ascending
-// spike order (wa before wb).
-func accumPanel(panel []float64, list []int32, acc *[panelLanes]float64) {
+// input into the eight lane accumulators. Eight independent accumulation
+// chains keep the FP add ports busy; the two-spike unroll amortizes loop
+// control while each lane's adds stay in ascending spike order (wa before
+// wb).
+func accumPanelGo(panel []float64, list []int32, acc *[panelLanes]float64) {
 	p0, p1, p2, p3 := acc[0], acc[1], acc[2], acc[3]
 	p4, p5, p6, p7 := acc[4], acc[5], acc[6], acc[7]
 	n := 0
@@ -50,33 +51,74 @@ func accumPanel(panel []float64, list []int32, acc *[panelLanes]float64) {
 	acc[4], acc[5], acc[6], acc[7] = p4, p5, p6, p7
 }
 
-// blockPanel integrates one packed 8-lane panel across a whole temporal
-// block (no leak); portable reference of the amd64 SSE2 version. Step k
-// adds the panel lines of flat[offs[k]:offs[k+1]] into the accumulators in
-// list order, then thresholds and resets each lane — the exact per-lane
-// sequence of the step-major reference. fires[k] receives step k's
-// fired-lane byte; the result has bit k set when fires[k] != 0.
-func blockPanel(panel []float64, flat []int32, offs []int32, fires []uint8, acc *[panelLanes]float64, th float64, hard bool) uint64 {
+// addLine adds the packed panel line of kernel index idx into the lanes.
+func addLine(panel []float64, idx int, acc *[panelLanes]float64) {
+	ia := idx * panelLanes
+	line := panel[ia : ia+panelLanes : ia+panelLanes]
+	for i := range acc {
+		acc[i] += line[i]
+	}
+}
+
+// commitStep runs one step's threshold/reset, records the fired-lane byte
+// in fires[k] and sets bit k of fireSteps when any lane fired.
+func commitStep(acc *[panelLanes]float64, th float64, hard bool, fires []uint8, k int, fireSteps uint64) uint64 {
+	mask, _ := fireScan(acc, th, hard)
+	fires[k] = mask
+	if mask != 0 {
+		fireSteps |= 1 << uint(k)
+	}
+	return fireSteps
+}
+
+// blockPanelGo integrates one packed 8-lane panel across a whole temporal
+// block (no leak). Step k adds the panel lines of flat[offs[k]:offs[k+1]]
+// into the accumulators in list order, then thresholds and resets each lane
+// — the exact per-lane sequence of the step-major reference. fires[k]
+// receives step k's fired-lane byte; the result has bit k set when
+// fires[k] != 0.
+func blockPanelGo(panel []float64, flat []int32, offs []int32, fires []uint8, acc *[panelLanes]float64, th float64, hard bool) uint64 {
 	var fireSteps uint64
 	for k := range fires {
 		for _, idx := range flat[offs[k]:offs[k+1]] {
-			ia := int(idx) * panelLanes
-			line := panel[ia : ia+panelLanes : ia+panelLanes]
-			for i := range acc {
-				acc[i] += line[i]
+			addLine(panel, int(idx), acc)
+		}
+		fireSteps = commitStep(acc, th, hard, fires, k, fireSteps)
+	}
+	return fireSteps
+}
+
+// segPanelGo is blockPanelGo over segmented spike lists: step k's spikes are
+// the rows segments segs[3*(k*rows+r) : 3*(k*rows+r)+3] = (lo, hi, off),
+// r ascending, and each contributes the panel lines of kernel indices
+// flat[lo:hi] + off in order.
+func segPanelGo(panel []float64, flat []int32, segs []int32, rows int, fires []uint8, acc *[panelLanes]float64, th float64, hard bool) uint64 {
+	var fireSteps uint64
+	for k := range fires {
+		for s := 3 * k * rows; s < 3*(k+1)*rows; s += 3 {
+			off := int(segs[s+2])
+			for _, idx := range flat[segs[s]:segs[s+1]] {
+				addLine(panel, int(idx)+off, acc)
 			}
 		}
-		var mask uint8
-		for i, p := range acc {
-			if p >= th {
-				mask |= 1 << uint(i)
-				acc[i] = resetPotential(p, th, hard)
+		fireSteps = commitStep(acc, th, hard, fires, k, fireSteps)
+	}
+	return fireSteps
+}
+
+// poolPanelGo integrates one 8-channel pool group across a block (no
+// leak). Byte i of counts[k] is lane i's number of set taps on step k; the
+// lane adds pw that many times, one IEEE addition each, then every lane is
+// thresholded and reset.
+func poolPanelGo(counts []uint64, fires []uint8, acc *[panelLanes]float64, pw, th float64, hard bool) uint64 {
+	var fireSteps uint64
+	for k, cw := range counts {
+		for i := range acc {
+			for c := uint8(cw >> (8 * uint(i))); c > 0; c-- {
+				acc[i] += pw
 			}
 		}
-		fires[k] = mask
-		if mask != 0 {
-			fireSteps |= 1 << uint(k)
-		}
+		fireSteps = commitStep(acc, th, hard, fires, k, fireSteps)
 	}
 	return fireSteps
 }

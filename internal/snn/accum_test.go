@@ -1,6 +1,7 @@
 package snn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -36,19 +37,78 @@ func refBlockPanel(panel []float64, flat []int32, offs []int32, fires []uint8, a
 	return fireSteps
 }
 
-// blockPanel (SSE2 on amd64, pure Go elsewhere) must be bit-identical to the
-// scalar reference for randomized panels, spike lists, thresholds, and both
-// reset modes — including steps with empty lists and runs where lanes hover
-// exactly at threshold.
-func TestBlockPanelMatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(77))
-	for trial := 0; trial < 200; trial++ {
-		lines := 1 + rng.Intn(40)
-		kn := 1 + rng.Intn(64)
-		panel := make([]float64, lines*panelLanes)
-		for i := range panel {
+// panelRun is one kernel invocation's observable result.
+type panelRun struct {
+	fs    uint64
+	fires []uint8
+	acc   [panelLanes]float64
+}
+
+// assertSameRun requires two kernel runs to agree bit for bit: fired-steps
+// mask, every fired-lane byte and every accumulator's bits.
+func assertSameRun(t *testing.T, what string, got, want panelRun) {
+	t.Helper()
+	if got.fs != want.fs {
+		t.Fatalf("%s: fired-steps mask %064b, want %064b", what, got.fs, want.fs)
+	}
+	for k := range want.fires {
+		if got.fires[k] != want.fires[k] {
+			t.Fatalf("%s step %d: fires %08b, want %08b", what, k, got.fires[k], want.fires[k])
+		}
+	}
+	for i := range want.acc {
+		if math.Float64bits(got.acc[i]) != math.Float64bits(want.acc[i]) {
+			t.Fatalf("%s lane %d: acc %x (%v), want %x (%v)", what, i,
+				math.Float64bits(got.acc[i]), got.acc[i], math.Float64bits(want.acc[i]), want.acc[i])
+		}
+	}
+}
+
+// runPanel runs kernel on a copy of acc with a fresh fires slice.
+func runPanel(kn int, acc [panelLanes]float64, kernel func(fires []uint8, acc *[panelLanes]float64) uint64) panelRun {
+	r := panelRun{fires: make([]uint8, kn), acc: acc}
+	r.fs = kernel(r.fires, &r.acc)
+	return r
+}
+
+// randomAcc draws start potentials; one trial in four seeds lanes with
+// -0.0, which an add of +0.0 would flip to +0.0.
+func randomAcc(rng *rand.Rand) [panelLanes]float64 {
+	var acc [panelLanes]float64
+	for i := range acc {
+		acc[i] = rng.NormFloat64()
+		if rng.Intn(4) == 0 {
+			acc[i] = math.Copysign(0, -1)
+		}
+	}
+	return acc
+}
+
+// panelValues fills a panel; with dyadic set, weights and threshold are
+// multiples of 1/8 so sums land exactly on the threshold.
+func panelValues(rng *rand.Rand, n int, dyadic bool) []float64 {
+	panel := make([]float64, n)
+	for i := range panel {
+		if dyadic {
+			panel[i] = float64(rng.Intn(9)-3) / 8
+		} else {
 			panel[i] = rng.NormFloat64() * 0.5
 		}
+	}
+	return panel
+}
+
+// blockPanel (SSE2 on amd64) and its pure-Go fallback must both be
+// bit-identical to the scalar reference for randomized panels, spike lists,
+// thresholds, and both reset modes — including steps with empty lists and
+// runs where lanes sit exactly at threshold.
+func TestBlockPanelMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(77))
+	for trial := 0; trial < 300; trial++ {
+		lines := 1 + rng.Intn(40)
+		kn := 1 + rng.Intn(64)
+		dyadic := trial%3 == 0
+		panel := panelValues(rng, lines*panelLanes, dyadic)
 		var flat []int32
 		offs := make([]int32, kn+1)
 		for k := 0; k < kn; k++ {
@@ -65,30 +125,168 @@ func TestBlockPanelMatchesReference(t *testing.T) {
 			offs[k+1] = int32(len(flat))
 		}
 		th := rng.Float64()*2 - 0.2
+		if dyadic {
+			th = float64(1+rng.Intn(8)) / 8
+		}
 		hard := rng.Intn(2) == 0
-		var accA, accR [panelLanes]float64
-		for i := range accA {
-			accA[i] = rng.NormFloat64()
-			accR[i] = accA[i]
+		acc := randomAcc(rng)
+		want := runPanel(kn, acc, func(f []uint8, a *[panelLanes]float64) uint64 {
+			return refBlockPanel(panel, flat, offs, f, a, th, hard)
+		})
+		got := runPanel(kn, acc, func(f []uint8, a *[panelLanes]float64) uint64 {
+			return blockPanel(panel, flat, offs, f, a, th, hard)
+		})
+		gen := runPanel(kn, acc, func(f []uint8, a *[panelLanes]float64) uint64 {
+			return blockPanelGo(panel, flat, offs, f, a, th, hard)
+		})
+		assertSameRun(t, fmt.Sprintf("trial %d blockPanel", trial), got, want)
+		assertSameRun(t, fmt.Sprintf("trial %d blockPanelGo", trial), gen, want)
+	}
+}
+
+// segPanel and segPanelGo must match blockPanel's reference run on the
+// materialized lists: each segment (lo, hi, off) contributes kernel indices
+// flat[lo:hi] + off. Covers 0-3 rows per step, empty segments, silent
+// steps, negative offsets, exact-threshold sums and both reset modes.
+func TestSegPanelMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(81))
+	for trial := 0; trial < 300; trial++ {
+		rows := rng.Intn(4)
+		rowLen := 1 + rng.Intn(12)
+		lines := 3 * rowLen
+		kn := 1 + rng.Intn(64)
+		dyadic := trial%3 == 0
+		panel := panelValues(rng, lines*panelLanes, dyadic)
+		var flat, list []int32
+		segs := make([]int32, 0, 3*rows*kn)
+		offs := make([]int32, kn+1)
+		for k := 0; k < kn; k++ {
+			silent := rng.Intn(5) == 0
+			for r := 0; r < rows; r++ {
+				// Row r covers kernel indices [r*rowLen, (r+1)*rowLen); its
+				// spikes are stored as input indices kidx - off.
+				off := int32(rng.Intn(200) - 100)
+				lo := int32(len(flat))
+				for x := 0; x < rowLen && !silent; x++ {
+					if rng.Intn(3) == 0 {
+						kidx := int32(r*rowLen + x)
+						flat = append(flat, kidx-off)
+						list = append(list, kidx)
+					}
+				}
+				segs = append(segs, lo, int32(len(flat)), off)
+			}
+			offs[k+1] = int32(len(list))
 		}
-		firesA := make([]uint8, kn)
-		firesR := make([]uint8, kn)
-		gotFS := blockPanel(panel, flat, offs, firesA, &accA, th, hard)
-		wantFS := refBlockPanel(panel, flat, offs, firesR, &accR, th, hard)
-		if gotFS != wantFS {
-			t.Fatalf("trial %d: fired-steps mask %064b, want %064b", trial, gotFS, wantFS)
+		th := rng.Float64()*2 - 0.2
+		if dyadic {
+			th = float64(1+rng.Intn(8)) / 8
 		}
-		for k := range firesR {
-			if firesA[k] != firesR[k] {
-				t.Fatalf("trial %d step %d: fires %08b, want %08b", trial, k, firesA[k], firesR[k])
+		hard := rng.Intn(2) == 0
+		acc := randomAcc(rng)
+		want := runPanel(kn, acc, func(f []uint8, a *[panelLanes]float64) uint64 {
+			return refBlockPanel(panel, list, offs, f, a, th, hard)
+		})
+		got := runPanel(kn, acc, func(f []uint8, a *[panelLanes]float64) uint64 {
+			return segPanel(panel, flat, segs, rows, f, a, th, hard)
+		})
+		gen := runPanel(kn, acc, func(f []uint8, a *[panelLanes]float64) uint64 {
+			return segPanelGo(panel, flat, segs, rows, f, a, th, hard)
+		})
+		assertSameRun(t, fmt.Sprintf("trial %d segPanel", trial), got, want)
+		assertSameRun(t, fmt.Sprintf("trial %d segPanelGo", trial), gen, want)
+	}
+}
+
+// refPoolPanel is an independent scalar reference for poolPanel: lane i
+// adds pw once per set tap (byte i of counts[k]), then thresholds and
+// resets — the step-major pool sequence with no leak.
+func refPoolPanel(counts []uint64, fires []uint8, acc *[panelLanes]float64, pw, th float64, hard bool) uint64 {
+	var fireSteps uint64
+	for k, cw := range counts {
+		var mask uint8
+		for i := 0; i < panelLanes; i++ {
+			for c := 0; c < int(cw>>(8*uint(i))&0xFF); c++ {
+				acc[i] += pw
+			}
+			if acc[i] >= th {
+				mask |= 1 << uint(i)
+				if hard {
+					acc[i] = 0
+				} else {
+					acc[i] -= th
+				}
 			}
 		}
-		for i := range accR {
-			if math.Float64bits(accA[i]) != math.Float64bits(accR[i]) {
-				t.Fatalf("trial %d lane %d: acc %x (%v), want %x (%v)",
-					trial, i, math.Float64bits(accA[i]), accA[i], math.Float64bits(accR[i]), accR[i])
+		fires[k] = mask
+		if mask != 0 {
+			fireSteps |= 1 << uint(k)
+		}
+	}
+	return fireSteps
+}
+
+// poolPanel (SSE2 on amd64) and poolPanelGo must match the scalar
+// reference bit for bit: random tap counts up to 255 per lane, silent
+// steps, lanes landing exactly on the threshold (pw 1/K^2 with dyadic
+// thresholds), -0.0 lanes without taps, and both reset modes.
+func TestPoolPanelMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(82))
+	for trial := 0; trial < 300; trial++ {
+		kn := 1 + rng.Intn(64)
+		maxTaps := []int{4, 9, 16, 255}[trial%4]
+		counts := make([]uint64, kn)
+		for k := range counts {
+			if rng.Intn(4) == 0 {
+				continue // silent step
+			}
+			for i := 0; i < panelLanes; i++ {
+				c := rng.Intn(maxTaps + 1)
+				if rng.Intn(2) == 0 {
+					c = 0 // lanes without a tap
+				}
+				counts[k] |= uint64(c) << (8 * uint(i))
 			}
 		}
+		pw := 1 / float64(maxTaps)
+		th := float64(1+rng.Intn(4)) / 4
+		if trial%2 == 1 {
+			pw = rng.Float64()
+			th = rng.Float64()*2 - 0.2
+		}
+		hard := rng.Intn(2) == 0
+		acc := randomAcc(rng)
+		want := runPanel(kn, acc, func(f []uint8, a *[panelLanes]float64) uint64 {
+			return refPoolPanel(counts, f, a, pw, th, hard)
+		})
+		got := runPanel(kn, acc, func(f []uint8, a *[panelLanes]float64) uint64 {
+			return poolPanel(counts, f, a, pw, th, hard)
+		})
+		gen := runPanel(kn, acc, func(f []uint8, a *[panelLanes]float64) uint64 {
+			return poolPanelGo(counts, f, a, pw, th, hard)
+		})
+		assertSameRun(t, fmt.Sprintf("trial %d poolPanel", trial), got, want)
+		assertSameRun(t, fmt.Sprintf("trial %d poolPanelGo", trial), gen, want)
+	}
+}
+
+// NaN potentials never fire in the pool kernel either, and a NaN lane with
+// taps stays NaN.
+func TestPoolPanelNaN(t *testing.T) {
+	var acc [panelLanes]float64
+	acc[2] = math.NaN()
+	for i := range acc {
+		if i != 2 {
+			acc[i] = 0.75
+		}
+	}
+	fires := make([]uint8, 1)
+	fs := poolPanel([]uint64{0x0101010101010101}, fires, &acc, 0.25, 1, false)
+	if fs != 1 || fires[0] != 0xFB {
+		t.Fatalf("fired-steps %b fires %08b, want 1 and 11111011 (NaN lane silent)", fs, fires[0])
+	}
+	if !math.IsNaN(acc[2]) {
+		t.Fatalf("NaN lane overwritten: %v", acc[2])
 	}
 }
 
@@ -155,7 +353,8 @@ func TestBlockPanelNaN(t *testing.T) {
 	}
 }
 
-// accumPanel must be bit-identical to per-lane scalar accumulation.
+// accumPanel and accumPanelGo must be bit-identical to per-lane scalar
+// accumulation.
 func TestAccumPanelMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(79))
 	for trial := 0; trial < 100; trial++ {
@@ -169,48 +368,89 @@ func TestAccumPanelMatchesReference(t *testing.T) {
 		for i := range list {
 			list[i] = int32(rng.Intn(lines))
 		}
-		var acc, ref [panelLanes]float64
+		var acc, gen, ref [panelLanes]float64
 		for i := range acc {
 			acc[i] = rng.NormFloat64()
-			ref[i] = acc[i]
+			gen[i], ref[i] = acc[i], acc[i]
 		}
 		accumPanel(panel, list, &acc)
+		accumPanelGo(panel, list, &gen)
 		for _, idx := range list {
 			for i := 0; i < panelLanes; i++ {
 				ref[i] += panel[int(idx)*panelLanes+i]
 			}
 		}
 		for i := range ref {
-			if math.Float64bits(acc[i]) != math.Float64bits(ref[i]) {
-				t.Fatalf("trial %d lane %d: %v != %v", trial, i, acc[i], ref[i])
+			if math.Float64bits(acc[i]) != math.Float64bits(ref[i]) || math.Float64bits(gen[i]) != math.Float64bits(ref[i]) {
+				t.Fatalf("trial %d lane %d: %v (Go %v) != %v", trial, i, acc[i], gen[i], ref[i])
 			}
 		}
 	}
 }
 
-// BenchmarkBlockPanel measures the block-integration kernel on a
-// representative shape: a 66-line panel across a 48-step block at ~3
-// spikes/step (the conv layers' typical per-location load).
+// BenchmarkBlockPanel measures the block-integration kernel on one 8-lane
+// group over a 48-step block at the two loads of the Fig 10 CNNs: conv1
+// (9 kernel lines, about one spiking tap per step) and the wide conv2 of
+// cifar-cnn (1602 lines, about 500 taps per step). Weights average 0.02
+// and the threshold is six steps' mean input, so lanes fire about every
+// sixth step, like the networks' calibrated 15% rate.
 func BenchmarkBlockPanel(b *testing.B) {
-	rng := rand.New(rand.NewSource(80))
-	const lines, kn = 66, 48
-	panel := make([]float64, lines*panelLanes)
-	for i := range panel {
-		panel[i] = rng.NormFloat64() * 0.1
+	for _, bc := range []struct {
+		name        string
+		lines, taps int
+	}{{"conv1", 9, 1}, {"conv2", 1602, 500}} {
+		b.Run(bc.name, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(80))
+			const kn = 48
+			panel := make([]float64, bc.lines*panelLanes)
+			for i := range panel {
+				panel[i] = 0.02 + rng.NormFloat64()*0.05
+			}
+			var flat []int32
+			offs := make([]int32, kn+1)
+			for k := 0; k < kn; k++ {
+				for i := 0; i < bc.lines; i++ {
+					if rng.Intn(bc.lines) < bc.taps {
+						flat = append(flat, int32(i))
+					}
+				}
+				offs[k+1] = int32(len(flat))
+			}
+			th := 6 * 0.02 * float64(bc.taps)
+			fires := make([]uint8, kn)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				var acc [panelLanes]float64
+				blockPanel(panel, flat, offs, fires, &acc, th, false)
+			}
+		})
 	}
-	var flat []int32
-	offs := make([]int32, kn+1)
-	for k := 0; k < kn; k++ {
-		for s := 0; s < 3; s++ {
-			flat = append(flat, int32(rng.Intn(lines)))
+}
+
+// BenchmarkPoolPanel measures the pool kernel on one 8-channel group of a
+// 2x2 pool over a 48-step block with each tap set at 15%, the networks'
+// hidden-layer rate (pool weight 1/4, threshold 0.499).
+func BenchmarkPoolPanel(b *testing.B) {
+	rng := rand.New(rand.NewSource(83))
+	const kn = 48
+	counts := make([]uint64, kn)
+	for k := range counts {
+		for tap := 0; tap < 4; tap++ {
+			var m uint8
+			for i := 0; i < panelLanes; i++ {
+				if rng.Float64() < 0.15 {
+					m |= 1 << uint(i)
+				}
+			}
+			counts[k] += laneSpread[m]
 		}
-		offs[k+1] = int32(len(flat))
 	}
 	fires := make([]uint8, kn)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var acc [panelLanes]float64
-		blockPanel(panel, flat, offs, fires, &acc, 0.8, false)
+		poolPanel(counts, fires, &acc, 0.25, 0.499, false)
 	}
 }

@@ -133,6 +133,16 @@ func BenchmarkRunBlockedCifarMLP(b *testing.B) {
 	}
 }
 
+// RunLayerBlock advances layer li alone over a block raster in (one input
+// vector per step) through runLayerBlock, the blocked runner's per-layer
+// kernel dispatch, leaving the layer's potentials in s.Vmem[li]. It is
+// exported to the external test package, whose per-layer benchmarks build
+// the Fig 10 networks from internal/bench (which imports this package).
+func (s *State) RunLayerBlock(li int, in []*bitvec.Bits) {
+	s.ensureBlock(len(in))
+	s.runLayerBlock(li, s.Net.Layers[li], in, len(in))
+}
+
 // nopObserver is an observer that does nothing, so allocation tests see the
 // runner's own replay cost.
 type nopObserver struct{}

@@ -2,6 +2,7 @@ package snn
 
 import (
 	"math/bits"
+	"sync"
 
 	"resparc/internal/bitvec"
 	"resparc/internal/tensor"
@@ -173,12 +174,17 @@ func (s *State) runLayerBlock(li int, l *Layer, cur []*bitvec.Bits, kn int) {
 		denseBlock(l, v, flat, offs[:kn+1], s.blockFires[:kn], outR)
 	case ConvLayer:
 		// Conv flips to output-location-major order: per receptive field the
-		// block's spiking taps are collected once into the flat/offsets
-		// buffers, then each 8-channel panel integrates all kn steps with its
-		// accumulators in registers (blockPanel).
+		// block's spiking taps are enumerated once (flat/offsets lists, or
+		// segments of a per-layer spike list for wide kernel rows), then
+		// each 8-channel panel integrates all kn steps with its accumulators
+		// in registers (blockPanel, segPanel).
 		s.blockFlat = convBlock(l, v, cur[:kn], outR[:kn], s.blockFlat, s.blockOffs, s.blockFires[:kn])
 	case PoolLayer:
-		poolBlock(l, v, cur[:kn], outR[:kn])
+		// Pool sums each window's tap bits into per-lane counts, one word per
+		// (8-channel group, step), and integrates each group in poolPanel.
+		ng := (l.Out.C + panelLanes - 1) / panelLanes
+		s.blockCounts = growUint64(s.blockCounts, ng*min(kn, 64))
+		poolBlock(l, v, cur[:kn], outR[:kn], s.blockCounts)
 	default:
 		panic("snn: unknown layer kind")
 	}
@@ -203,7 +209,11 @@ func denseBlock(l *Layer, v tensor.Vec, flat, offs []int32, fires []uint8, outR 
 	hard := l.HardReset
 	rows := w.Rows
 	pan := l.panelW()
-	canSkip := !leaky || th > 0 // see poolBlock on the leak/threshold-sign caveat
+	// The silent-step skip relies on "no lane at threshold stays below it":
+	// exact when potentials are untouched, and under leak only guaranteed for
+	// positive thresholds (a negative potential decays toward zero and could
+	// cross a negative threshold).
+	canSkip := !leaky || th > 0
 	kn := len(fires)
 	useBP := !leaky && kn <= 64
 	stepmask := stepMask(offs)
@@ -341,21 +351,40 @@ func groupHot(acc *[panelLanes]float64, th float64) bool {
 }
 
 // convBlock runs one conv layer over a block of timesteps in
-// output-location-major order. For each output location the spiking taps of
-// its receptive field are gathered once per step into kernel-index lists
-// (ascending; one AppendSetRange word walk per valid kernel row), then each
-// group of eight output channels replays the step sequence — leak,
-// accumPanel over the shared OutC x FanIn kernel panel, threshold, reset —
-// with its eight accumulators held in registers for the whole block.
+// output-location-major order. For each output location every step's
+// spiking taps are enumerated in kernel-index order, then each group of
+// eight output channels replays the step sequence — leak, accumulate the
+// shared OutC x FanIn kernel panel, threshold, reset — with its eight
+// accumulators held in registers for the whole block.
+//
+// Taps come from one of two gathers. When a kernel row spans at most one
+// word (K*InC <= 64 bits, e.g. 3x3 kernels over few channels) each row is
+// one masked LoadBits into the flat/offsets lists. Wider layers build each
+// step's input spike list once per block (convGather) and hand every
+// location its kernel rows as (lo, hi, off) segments of it, which segPanel
+// reads directly; an input spike is listed once instead of once per
+// receptive field that covers it.
 //
 // Bit-identity with the step-major reference: for a fixed output neuron the
 // maps (ky,kx,ic) -> input index and (ky,kx,ic) -> kernel index are both
 // strictly increasing over the valid (non-padding) taps, so ascending
-// kernel-index lists deliver each neuron's spike adds in exactly the
-// ascending-input-index order of the event-driven reference, and per-lane
-// accumPanel adds are individual IEEE additions (see DESIGN.md §13).
+// kernel-index lists (and ascending rows of ascending segments) deliver
+// each neuron's spike adds in exactly the ascending-input-index order of
+// the event-driven reference, and per-lane panel adds are individual IEEE
+// additions (see DESIGN.md §13).
 func convBlock(l *Layer, v tensor.Vec, cur, outR []*bitvec.Bits, flat0, offs []int32, fires []uint8) []int32 {
 	g := l.Geom
+	wide := g.K*g.In.C > 64
+	if kn := len(cur); wide && kn > gatherSteps {
+		// Potentials carry between sub-blocks through v exactly as between
+		// blocks, so splitting the block bounds the gather at no cost to
+		// bit-identity.
+		for t0 := 0; t0 < kn; t0 += gatherSteps {
+			t1 := min(t0+gatherSteps, kn)
+			flat0 = convBlock(l, v, cur[t0:t1], outR[t0:t1], flat0, offs, fires[:t1-t0])
+		}
+		return flat0
+	}
 	plan := l.convPlan()
 	pan := l.panelW()
 	w := l.W
@@ -369,9 +398,19 @@ func convBlock(l *Layer, v tensor.Vec, cur, outR []*bitvec.Bits, flat0, offs []i
 	hard := l.HardReset
 	groups := outC / panelLanes
 	kn := len(cur)
-	canSkip := !leaky || th > 0 // see poolBlock on the leak/threshold-sign caveat
+	canSkip := !leaky || th > 0 // see denseBlock on the leak/threshold-sign caveat
 	useBP := !leaky && kn <= 64
+	var gs *convGather
+	if wide {
+		gs = takeGather()
+		defer returnGather(gs)
+		gs.build(cur, inC, g.In.H*inW)
+	}
+	// The wide gather feeds the 8-lane fast path from segments; the leaky
+	// path and the remainder channels still read flat/offsets lists.
+	needLists := !useBP || groups*panelLanes < outC
 	var acc [panelLanes]float64
+	var segs []int32
 	flat := flat0
 	for oy := 0; oy < l.Out.H; oy++ {
 		kyLo, kyHi := plan.kyLo[oy], plan.kyHi[oy]
@@ -379,19 +418,20 @@ func convBlock(l *Layer, v tensor.Vec, cur, outR []*bitvec.Bits, flat0, offs []i
 		for ox := 0; ox < outW; ox++ {
 			kxLo, kxHi := plan.kxLo[ox], plan.kxHi[ox]
 			ix0 := ox*g.Stride - g.Pad
-			rowSpan := (kxHi - kxLo) * inC
 			var stepmask uint64
-			flat = flat[:0]
-			offs[0] = 0
-			for k := 0; k < kn; k++ {
-				in := cur[k]
-				start := int32(len(flat))
-				if rowSpan > 0 && rowSpan <= 64 {
-					// Narrow receptive-field rows (span <= one word) load as a
-					// single masked word instead of a word-walking
-					// AppendSetRange call — the common case for 3x3 kernels
-					// over few-channel inputs.
-					for ky := kyLo; ky < kyHi; ky++ {
+			if gs != nil {
+				segs, stepmask = gs.segments(g, iy0, ix0, kyLo, kyHi, kxLo, kxHi, kn)
+				if needLists {
+					flat = gs.lists(segs, kyHi-kyLo, kn, flat[:0], offs)
+				}
+			} else {
+				rowSpan := (kxHi - kxLo) * inC
+				flat = flat[:0]
+				offs[0] = 0
+				for k := 0; k < kn; k++ {
+					in := cur[k]
+					start := int32(len(flat))
+					for ky := kyLo; ky < kyHi && rowSpan > 0; ky++ {
 						rowBase := ((iy0+ky)*inW + ix0) * inC
 						lo := rowBase + kxLo*inC
 						// off maps input indices of this kernel row to kernel
@@ -403,18 +443,11 @@ func convBlock(l *Layer, v tensor.Vec, cur, outR []*bitvec.Bits, flat0, offs []i
 							m &= m - 1
 						}
 					}
-				} else if rowSpan > 0 {
-					for ky := kyLo; ky < kyHi; ky++ {
-						rowBase := ((iy0+ky)*inW + ix0) * inC
-						off := int32(ky*g.K*inC) - int32(rowBase)
-						lo := rowBase + kxLo*inC
-						flat = in.AppendSetRange(lo, lo+rowSpan, off, flat)
+					if int32(len(flat)) != start {
+						stepmask |= 1 << uint(k&63)
 					}
+					offs[k+1] = int32(len(flat))
 				}
-				if int32(len(flat)) != start {
-					stepmask |= 1 << uint(k&63)
-				}
-				offs[k+1] = int32(len(flat))
 			}
 			out0 := (oy*outW + ox) * outC
 			for gi := 0; gi < groups; gi++ {
@@ -422,11 +455,16 @@ func convBlock(l *Layer, v tensor.Vec, cur, outR []*bitvec.Bits, flat0, offs []i
 				j := out0 + gi*panelLanes
 				copy(acc[:], v[j:j+panelLanes])
 				if useBP {
-					// One blockPanel call per (location, group); see denseBlock.
+					// One kernel call per (location, group); see denseBlock.
 					if stepmask == 0 && !groupHot(&acc, th) {
 						continue
 					}
-					fs := blockPanel(panel, flat, offs[:kn+1], fires, &acc, th, hard)
+					var fs uint64
+					if gs != nil {
+						fs = segPanel(panel, gs.flat, segs, kyHi-kyLo, fires, &acc, th, hard)
+					} else {
+						fs = blockPanel(panel, flat, offs[:kn+1], fires, &acc, th, hard)
+					}
 					for ; fs != 0; fs &= fs - 1 {
 						k := bits.TrailingZeros64(fs)
 						outR[k].Or8(j, fires[k])
@@ -442,7 +480,7 @@ func convBlock(l *Layer, v tensor.Vec, cur, outR []*bitvec.Bits, flat0, offs []i
 						}
 						if len(list) == 0 {
 							// Event-driven skip (an exact no-op in the
-							// reference; see denseBlock and poolBlock).
+							// reference; see denseBlock).
 							if !hot && canSkip {
 								continue
 							}
@@ -504,16 +542,242 @@ func convBlock(l *Layer, v tensor.Vec, cur, outR []*bitvec.Bits, flat0, offs []i
 	return flat
 }
 
+// gatherSteps is the longest (sub-)block a wide conv layer gathers at
+// once. The gather holds every input spike of the steps it covers (~56 KB
+// per step for cifar-cnn's conv2), so longer blocks are split; a 16-step
+// sub-block still amortizes each location's per-call overhead over 16
+// steps.
+const gatherSteps = 16
+
+// convGather is the once-per-block input gather of a wide conv layer.
+type convGather struct {
+	flat []int32 // every step's input spike indices, ascending per step
+	pix  []int32 // per step, npix+1 positions in flat: each pixel's first spike, then the step's end
+	npix int
+	segs []int32 // one location's (lo, hi, off) kernel-row segments, step-major
+}
+
+// gathers is the free list of convGather scratch shared by all States: a
+// layer call takes one and gives it back, so the list holds one buffer per
+// wide layer that ever ran concurrently. A State-owned buffer would be kept
+// alive by every worker's and backend's State. A sync.Pool would drop
+// entries at each GC (and at random under the race detector), and a warm
+// State must run without allocating.
+var gathers struct {
+	sync.Mutex
+	free []*convGather
+}
+
+func takeGather() *convGather {
+	gathers.Lock()
+	defer gathers.Unlock()
+	if n := len(gathers.free); n > 0 {
+		gs := gathers.free[n-1]
+		gathers.free = gathers.free[:n-1]
+		return gs
+	}
+	return new(convGather)
+}
+
+func returnGather(gs *convGather) {
+	gathers.Lock()
+	gathers.free = append(gathers.free, gs)
+	gathers.Unlock()
+}
+
+// build lists the block's input spikes and, per step and input pixel
+// (inC consecutive input bits), where that pixel's spikes start in flat.
+func (gs *convGather) build(cur []*bitvec.Bits, inC, npix int) {
+	gs.npix = npix
+	n := 0
+	for _, in := range cur {
+		n += in.Count()
+	}
+	if cap(gs.flat) < n {
+		gs.flat = make([]int32, 0, n) // exact: append would leave up to 2x slack
+	}
+	gs.flat = gs.flat[:0]
+	gs.pix = growInt32(gs.pix, len(cur)*(npix+1))
+	for k, in := range cur {
+		ps := gs.pix[k*(npix+1) : (k+1)*(npix+1)]
+		// ps[p] is the step's list start plus the rank of bit p*inC: the
+		// number of set bits below it.
+		n := int32(len(gs.flat))
+		words := in.Words()
+		wi := 0
+		for p := 0; p < npix; p++ {
+			i := p * inC
+			for ; wi < i>>6; wi++ {
+				n += int32(bits.OnesCount64(words[wi]))
+			}
+			ps[p] = n + int32(bits.OnesCount64(words[wi]&(1<<uint(i&63)-1)))
+		}
+		gs.flat = in.AppendSet(gs.flat)
+		ps[npix] = int32(len(gs.flat))
+	}
+}
+
+// segments returns the receptive field of the output location whose window
+// starts at input row iy0, column ix0 as kn*(kyHi-kyLo) segments (lo, hi,
+// off): step k's valid kernel row ky is flat[lo:hi] shifted by off into
+// kernel indices. The mask has bit k set when step k has a spike.
+func (gs *convGather) segments(g tensor.ConvGeom, iy0, ix0, kyLo, kyHi, kxLo, kxHi, kn int) ([]int32, uint64) {
+	inC := g.In.C
+	segs := growInt32(gs.segs, 3*kn*(kyHi-kyLo))
+	gs.segs = segs
+	var stepmask uint64
+	s := 0
+	for k := 0; k < kn; k++ {
+		ps := gs.pix[k*(gs.npix+1) : (k+1)*(gs.npix+1)]
+		for ky := kyLo; ky < kyHi; ky++ {
+			p := (iy0+ky)*g.In.W + ix0 // pixel of kx = 0 (may lie in the padding)
+			lo, hi := ps[p+kxLo], ps[p+kxHi]
+			segs[s], segs[s+1], segs[s+2] = lo, hi, int32((ky*g.K-p)*inC)
+			if hi > lo {
+				stepmask |= 1 << uint(k&63)
+			}
+			s += 3
+		}
+	}
+	return segs, stepmask
+}
+
+// lists materializes segments as per-step kernel-index lists (flat, with
+// step k at flat[offs[k]:offs[k+1]]) for the consumers that take lists.
+func (gs *convGather) lists(segs []int32, rows, kn int, flat, offs []int32) []int32 {
+	offs[0] = 0
+	for k := 0; k < kn; k++ {
+		for s := 3 * k * rows; s < 3*(k+1)*rows; s += 3 {
+			off := segs[s+2]
+			for _, i := range gs.flat[segs[s]:segs[s+1]] {
+				flat = append(flat, i+off)
+			}
+		}
+		offs[k+1] = int32(len(flat))
+	}
+	return flat
+}
+
+func growInt32(s []int32, n int) []int32 {
+	if cap(s) < n {
+		return make([]int32, n)
+	}
+	return s[:n]
+}
+
+func growUint64(s []uint64, n int) []uint64 {
+	if cap(s) < n {
+		return make([]uint64, n)
+	}
+	return s[:n]
+}
+
+// laneSpread[m] moves bit i of m to byte i: summing it over a pool
+// window's tap bytes (the spike bits of eight channels at one tap) yields
+// each lane's set-tap count in its byte.
+var laneSpread = func() (t [256]uint64) {
+	for m := range t {
+		for i := 0; i < panelLanes; i++ {
+			t[m] |= uint64(m>>uint(i)&1) << (8 * uint(i))
+		}
+	}
+	return t
+}()
+
 // poolBlock runs one average-pooling layer over a block of timesteps in
 // output-location-major order. Pool windows never touch padding (Pad == 0,
 // Stride == K), every tap has the same fixed weight, and channels are
-// independent, so per location the kernel walks taps in (ky, kx) order —
-// ascending input index per channel — and uses Load8 to test eight
-// consecutive channels' spike bits per tap at once. Each set bit adds
-// PoolWeight as its own scalar IEEE addition (a popcount*weight multiply
-// would round differently), preserving bit-identity with the step-major
-// reference.
-func poolBlock(l *Layer, v tensor.Vec, cur, outR []*bitvec.Bits) {
+// independent. Without leak, per location and step the window's tap bytes
+// are summed through laneSpread into per-lane set-tap counts for every
+// 8-channel group — step-major, one 64-bit load per tap and eight groups,
+// so each step's window bits are read once while they are in cache — and
+// poolPanel then integrates each group over up to 64 steps with its
+// accumulators in registers. Each set tap adds PoolWeight as its own IEEE
+// addition (a count*weight multiply would round differently), and since
+// all adds are the same value their order among taps cannot matter, so the
+// result is bit-identical to the step-major reference. Leaky pools, and
+// windows of more than 255 taps (a count must fit a byte), walk each
+// channel in scalar Go. counts is scratch of at least ceil(C/8)*min(kn,64)
+// words.
+func poolBlock(l *Layer, v tensor.Vec, cur, outR []*bitvec.Bits, counts []uint64) {
+	g := l.Geom
+	if l.Leak > 0 || g.K*g.K > 255 {
+		poolBlockScalar(l, v, cur, outR)
+		return
+	}
+	c := l.Out.C
+	outW := l.Out.W
+	rowStride := g.In.W * c
+	pw := l.PoolWeight()
+	th := l.Threshold
+	hard := l.HardReset
+	kn := len(cur)
+	// A last group of n < 8 channels runs as a full group whose extra lanes
+	// see no taps and are dropped on commit.
+	ng := (c + panelLanes - 1) / panelLanes
+	var fires [64]uint8
+	for oy := 0; oy < l.Out.H; oy++ {
+		for ox := 0; ox < outW; ox++ {
+			out0 := (oy*outW + ox) * c
+			i0 := (oy*g.Stride*g.In.W + ox*g.Stride) * c
+			for t0 := 0; t0 < kn; t0 += 64 {
+				kc := min(64, kn-t0)
+				cnt := counts[:ng*kc]
+				for k := 0; k < kc; k++ {
+					in := cur[t0+k]
+					for gi := 0; gi < ng; gi++ {
+						cnt[gi*kc+k] = 0
+					}
+					for ky, rb := 0, i0; ky < g.K; ky, rb = ky+1, rb+rowStride {
+						for kx := 0; kx < g.K; kx++ {
+							// One 64-bit load covers the tap's bytes of eight
+							// groups; the last word is masked to the channels
+							// left, so a partial group sees only its own bits.
+							tap := rb + kx*c
+							for g0 := 0; g0 < ng; g0 += panelLanes {
+								word := in.LoadBits(tap+g0*panelLanes, min(64, c-g0*panelLanes))
+								for gi := g0; gi < min(g0+panelLanes, ng); gi++ {
+									cnt[gi*kc+k] += laneSpread[uint8(word)]
+									word >>= 8
+								}
+							}
+						}
+					}
+				}
+				for gi := 0; gi < ng; gi++ {
+					j := out0 + gi*panelLanes
+					n := min(panelLanes, c-gi*panelLanes)
+					var acc [panelLanes]float64
+					copy(acc[:], v[j:j+n])
+					gc := cnt[gi*kc : (gi+1)*kc]
+					var any uint64
+					for _, cw := range gc {
+						any |= cw
+					}
+					if any == 0 && !groupHot(&acc, th) {
+						continue // a silent block with no lane at threshold is a no-op
+					}
+					fs := poolPanel(gc, fires[:kc], &acc, pw, th, hard)
+					for ; fs != 0; fs &= fs - 1 {
+						k := bits.TrailingZeros64(fs)
+						if n == panelLanes {
+							outR[t0+k].Or8(j, fires[k])
+							continue
+						}
+						for m := fires[k] & (1<<uint(n) - 1); m != 0; m &= m - 1 {
+							outR[t0+k].Set(j + bits.TrailingZeros8(m))
+						}
+					}
+					copy(v[j:j+n], acc[:n])
+				}
+			}
+		}
+	}
+}
+
+// poolBlockScalar is the per-neuron pool loop: per channel and step, leak,
+// one PoolWeight add per set tap in (ky, kx) order, threshold, reset.
+func poolBlockScalar(l *Layer, v tensor.Vec, cur, outR []*bitvec.Bits) {
 	g := l.Geom
 	c := l.Out.C
 	outW := l.Out.W
@@ -523,128 +787,17 @@ func poolBlock(l *Layer, v tensor.Vec, cur, outR []*bitvec.Bits) {
 	decay := 1 - l.Leak
 	leaky := l.Leak > 0
 	hard := l.HardReset
-	kn := len(cur)
-	var acc [panelLanes]float64
-	// Per-tap mask scratch for one window, packed eight tap bytes per word so
-	// lane i's set-tap count is one masked popcount per word. The stack
-	// buffer covers every realistic pool (K <= 8); larger kernels spill to a
-	// heap slice once.
-	var wBuf [8]uint64
-	taps := g.K * g.K
-	nw := (taps + 7) / 8
-	wb := wBuf[:]
-	if nw > len(wBuf) {
-		wb = make([]uint64, nw)
-	}
-	// The silent-step skip relies on "no lane at threshold stays below it":
-	// exact when potentials are untouched, and under leak only guaranteed for
-	// positive thresholds (a negative potential decays toward zero and could
-	// cross a negative threshold).
-	canSkip := !leaky || th > 0
 	for oy := 0; oy < l.Out.H; oy++ {
 		iy0 := oy * g.Stride
 		for ox := 0; ox < outW; ox++ {
 			ix0 := ox * g.Stride
-			out0 := (oy*outW + ox) * c
-			i00 := (iy0*inW + ix0) * c
-			i10 := ((iy0+1)*inW + ix0) * c
-			oc := 0
-			for ; oc+panelLanes <= c; oc += panelLanes {
-				j := out0 + oc
-				copy(acc[:], v[j:j+panelLanes])
-				hot := groupHot(&acc, th)
-				if g.K == 2 {
-					// 2x2 windows (every Fig 10 pool) read four fixed tap
-					// bytes per step — the indices are loop-invariant.
-					t0, t1, t2, t3 := i00+oc, i00+c+oc, i10+oc, i10+c+oc
-					for k := 0; k < kn; k++ {
-						if leaky {
-							for i := range acc {
-								acc[i] *= decay
-							}
-						}
-						in := cur[k]
-						m0, m1, m2, m3 := in.Load8(t0), in.Load8(t1), in.Load8(t2), in.Load8(t3)
-						if m0|m1|m2|m3 == 0 {
-							if !hot && canSkip {
-								continue
-							}
-						} else {
-							// Every set tap adds the same pw, so a lane's
-							// result depends only on its set-tap count — the
-							// adds' order among taps cannot change the IEEE
-							// operation sequence. Walk all set bits of the
-							// packed word; bit position mod 8 is the lane.
-							m := uint32(m0) | uint32(m1)<<8 | uint32(m2)<<16 | uint32(m3)<<24
-							for m != 0 {
-								acc[bits.TrailingZeros32(m)&7] += pw
-								m &= m - 1
-							}
-						}
-						var mask uint8
-						mask, hot = fireScan(&acc, th, hard)
-						if mask != 0 {
-							outR[k].Or8(j, mask)
-						}
-					}
-					copy(v[j:j+panelLanes], acc[:])
-					continue
-				}
-				for k := 0; k < kn; k++ {
-					if leaky {
-						for i := range acc {
-							acc[i] *= decay
-						}
-					}
-					in := cur[k]
-					// Gather the window's eight-channel tap masks first; a
-					// silent window with no lane at threshold is an exact
-					// no-op step (decay, if any, already applied).
-					var mor uint8
-					for wi := 0; wi < nw; wi++ {
-						wb[wi] = 0
-					}
-					ti := 0
-					for ky := 0; ky < g.K; ky++ {
-						rowBase := ((iy0+ky)*inW + ix0) * c
-						for kx := 0; kx < g.K; kx++ {
-							m := in.Load8(rowBase + kx*c + oc)
-							wb[ti>>3] |= uint64(m) << uint((ti&7)*8)
-							ti++
-							mor |= m
-						}
-					}
-					if mor == 0 {
-						if !hot && canSkip {
-							continue
-						}
-					} else {
-						// Packed-word bit walk; see the 2x2 path above on why
-						// tap order cannot matter.
-						for wi := 0; wi < nw; wi++ {
-							m := wb[wi]
-							for m != 0 {
-								acc[bits.TrailingZeros64(m)&7] += pw
-								m &= m - 1
-							}
-						}
-					}
-					var mask uint8
-					mask, hot = fireScan(&acc, th, hard)
-					if mask != 0 {
-						outR[k].Or8(j, mask)
-					}
-				}
-				copy(v[j:j+panelLanes], acc[:])
-			}
-			for ; oc < c; oc++ {
-				j := out0 + oc
+			for oc := 0; oc < c; oc++ {
+				j := (oy*outW+ox)*c + oc
 				p := v[j]
-				for k := 0; k < kn; k++ {
+				for k, in := range cur {
 					if leaky {
 						p *= decay
 					}
-					in := cur[k]
 					for ky := 0; ky < g.K; ky++ {
 						rowBase := ((iy0+ky)*inW + ix0) * c
 						for kx := 0; kx < g.K; kx++ {

@@ -7,6 +7,7 @@ package snn_test
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -103,7 +104,7 @@ func assertBlockedMatchesStepped(t *testing.T, net *snn.Network, steps, blockK i
 		in[i] = float64((i*13+5)%100) / 99
 	}
 	var sRec, bRec, stepRec rasterRecorder
-	sr, sIn, sLayers := snn.OracleRun(net, in, snn.NewPoissonEncoder(0.8, 23), steps, &sRec)
+	sr, sIn, sLayers, sVmem := snn.OracleRun(net, in, snn.NewPoissonEncoder(0.8, 23), steps, &sRec)
 	bSt := snn.NewState(net)
 	br := bSt.RunBlockedK(in, snn.NewPoissonEncoder(0.8, 23), steps, blockK, &bRec)
 	if sr.Prediction != br.Prediction || sr.InputSpikes != br.InputSpikes || sr.Steps != br.Steps {
@@ -124,6 +125,14 @@ func assertBlockedMatchesStepped(t *testing.T, net *snn.Network, steps, blockK i
 	for li := range net.Layers {
 		if !equalIdx(sLayers[li].AppendSet(nil), bSt.LayerSpikes(li).AppendSet(nil)) {
 			t.Fatalf("K=%d: final LayerSpikes(%d) views differ", blockK, li)
+		}
+		// Potentials must match bit for bit: an add-order change shows here
+		// even when it flips no spike.
+		for j, want := range sVmem[li] {
+			if got := bSt.Vmem[li][j]; math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("K=%d layer %d neuron %d: potential %v (%x), oracle %v (%x)",
+					blockK, li, j, got, math.Float64bits(got), want, math.Float64bits(want))
+			}
 		}
 	}
 
@@ -243,6 +252,73 @@ func TestBlockedMatchesSteppedConvPoolLeakyHard(t *testing.T) {
 	}
 }
 
+// wideRowFixture builds conv(3x3, 26 ch) -> pool 2x2 -> conv(3x3, 11 ch)
+// -> pool 2x2 -> dense. conv2 reads 26 input channels, so an interior
+// kernel row spans 78 bits and an edge row 52: the layer takes the wide
+// once-per-block gather (segments of one spike list per step) for every
+// location, both its 8-lane group and its three remainder channels. The
+// 26-channel pool1 ends in a two-lane partial group.
+func wideRowFixture(t *testing.T, leak float64, hard bool) *snn.Network {
+	t.Helper()
+	rng := rand.New(rand.NewSource(79))
+	fill := func(w *tensor.Mat, scale float64) *tensor.Mat {
+		for i := range w.Data {
+			w.Data[i] = rng.NormFloat64() * scale
+		}
+		return w
+	}
+	in := tensor.Shape3{H: 8, W: 8, C: 3}
+	g1 := tensor.ConvGeom{In: in, K: 3, Stride: 1, Pad: 1, OutC: 26}
+	conv1, err := snn.NewConv("conv1", g1, fill(tensor.NewMat(26, g1.FanIn()), 0.3), 0.6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool1, err := snn.NewPool("pool1", conv1.Out, 2, 0.499)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g2 := tensor.ConvGeom{In: pool1.Out, K: 3, Stride: 1, Pad: 1, OutC: 11}
+	conv2, err := snn.NewConv("conv2", g2, fill(tensor.NewMat(11, g2.FanIn()), 0.15), 0.7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool2, err := snn.NewPool("pool2", conv2.Out, 2, 0.3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fc, err := snn.NewDense("fc", pool2.OutSize(), 5, fill(tensor.NewMat(5, pool2.OutSize()), 0.3), 0.8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hidden := []*snn.Layer{conv1, pool1, conv2, pool2}
+	for _, l := range hidden {
+		l.Leak = leak
+		l.HardReset = hard
+	}
+	net, err := snn.NewNetwork("wide-row", in, append(hidden, fc)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return net
+}
+
+// The wide conv gather (kernel rows over more than 64 input bits) with and
+// without leak and in both reset modes, at the usual block sizes and at a
+// 100-step block: past 64 steps conv and dense take their list loops and
+// the pool kernel runs in 64-step chunks.
+func TestBlockedMatchesSteppedWideRows(t *testing.T) {
+	for _, tc := range []struct {
+		leak float64
+		hard bool
+	}{{0, false}, {0, true}, {0.1, false}, {0.1, true}} {
+		net := wideRowFixture(t, tc.leak, tc.hard)
+		for _, k := range blockSizes {
+			assertBlockedMatchesStepped(t, net, 20, k)
+		}
+		assertBlockedMatchesStepped(t, net, 100, 100)
+	}
+}
+
 // Negative thresholds fire neurons without input, so no silent step can be
 // skipped (under leak a negative potential decays toward zero and may cross
 // the threshold). Dense, conv and pool layers, with and without leak.
@@ -285,7 +361,7 @@ func TestBlockedDefaultWithRegularEncoder(t *testing.T) {
 	for i := range in {
 		in[i] = float64((i*7+3)%50) / 49
 	}
-	sr, _, _ := snn.OracleRun(net, in, snn.NewRegularEncoder(0.7), 30, nil)
+	sr, _, _, _ := snn.OracleRun(net, in, snn.NewRegularEncoder(0.7), 30, nil)
 	br := snn.NewState(net).RunBlockedK(in, snn.NewRegularEncoder(0.7), 30, 0, nil)
 	if sr.Prediction != br.Prediction || sr.InputSpikes != br.InputSpikes {
 		t.Fatalf("prediction %d/%d, input spikes %d/%d",
@@ -307,7 +383,7 @@ func TestBlockedStateReuse(t *testing.T) {
 		in[i] = float64((i*11+1)%80) / 79
 	}
 	st := snn.NewState(net)
-	ref, _, _ := snn.OracleRun(net, in, snn.NewPoissonEncoder(0.8, 5), 24, nil)
+	ref, _, _, _ := snn.OracleRun(net, in, snn.NewPoissonEncoder(0.8, 5), 24, nil)
 	for trial, k := range []int{64, 3, 24, 1, 5} {
 		got := st.RunBlockedK(in, snn.NewPoissonEncoder(0.8, 5), 24, k, nil)
 		for c := range ref.OutCounts {

@@ -38,7 +38,7 @@ func runAll(t *testing.T, net *snn.Network, inputs []tensor.Vec, steps int) [3][
 	enc := func(i int) snn.Encoder { return snn.NewPoissonEncoder(0.8, 99).ForkSeed(i) }
 	var out [3][]snn.RunResult
 	for i, in := range inputs {
-		r, _, _ := snn.OracleRun(net, in, enc(i), steps, nil)
+		r, _, _, _ := snn.OracleRun(net, in, enc(i), steps, nil)
 		out[0] = append(out[0], r)
 	}
 	for i, opt := range []snn.Options{

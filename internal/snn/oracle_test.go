@@ -89,8 +89,8 @@ func (o *oracle) step(in *bitvec.Bits) *bitvec.Bits {
 // oracle: encode, step, observe and count, one timestep at a time. Besides
 // the RunResult (which owns its slices) it returns the oracle's last-step
 // input and per-layer spike views, the counterparts of State.InputSpikes and
-// State.LayerSpikes after a run.
-func OracleRun(net *Network, intensity tensor.Vec, enc Encoder, steps int, obs Observer) (RunResult, *bitvec.Bits, []*bitvec.Bits) {
+// State.LayerSpikes after a run, and its final membrane potentials (State.Vmem).
+func OracleRun(net *Network, intensity tensor.Vec, enc Encoder, steps int, obs Observer) (RunResult, *bitvec.Bits, []*bitvec.Bits, []tensor.Vec) {
 	o := newOracle(net)
 	counts := make([]int, net.OutSize())
 	first := make([]int, net.OutSize())
@@ -120,7 +120,7 @@ func OracleRun(net *Network, intensity tensor.Vec, enc Encoder, steps int, obs O
 		}
 	}
 	return RunResult{Steps: steps, OutCounts: counts, Prediction: best, InputSpikes: inputSpikes, FirstSpike: first},
-		o.input, o.spikes
+		o.input, o.spikes, o.vmem
 }
 
 // OracleFanOut returns, per input neuron of a conv or pool layer, the row

@@ -30,14 +30,15 @@ type State struct {
 
 	// Blocked-runner scratch (see blocked.go), sized on first use. Step is
 	// a block of one timestep, so it shares these buffers.
-	blockK     int
-	blockIn    []*bitvec.Bits   // input raster of the current block
-	blockOut   [][]*bitvec.Bits // per layer, output raster of the current block
-	blockFlat  []int32          // concatenated per-step spike/tap index lists
-	blockOffs  []int32          // per-step segment bounds into blockFlat (blockK+1)
-	blockFires []uint8          // per-step fired-lane bytes of one panel group
-	stepView   []*bitvec.Bits   // per-step layer view for observer replay
-	last       int              // block slot of the last executed timestep
+	blockK      int
+	blockIn     []*bitvec.Bits   // input raster of the current block
+	blockOut    [][]*bitvec.Bits // per layer, output raster of the current block
+	blockFlat   []int32          // concatenated per-step spike/tap index lists
+	blockOffs   []int32          // per-step segment bounds into blockFlat (blockK+1)
+	blockFires  []uint8          // per-step fired-lane bytes of one panel group
+	blockCounts []uint64         // pool per-(group, step) lane tap counts of one location
+	stepView    []*bitvec.Bits   // per-step layer view for observer replay
+	last        int              // block slot of the last executed timestep
 }
 
 // NewState allocates simulation state for the network.

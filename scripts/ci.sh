@@ -14,6 +14,12 @@ go test ./...
 echo "== go vet ./..."
 go vet ./...
 
+# The panel kernels have amd64 assembly and a pure-Go fallback that every
+# other architecture runs; vet a non-amd64 build so the fallback's wiring
+# keeps compiling (no cross toolchain needed, it works offline).
+echo "== GOARCH=arm64 go vet (pure-Go kernels)"
+GOARCH=arm64 go vet ./internal/snn/ ./internal/bitvec/
+
 echo "== gofmt -l ."
 unformatted=$(gofmt -l .)
 if [ -n "$unformatted" ]; then
