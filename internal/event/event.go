@@ -21,8 +21,6 @@
 // same per-task isolation contract as internal/parallel.
 package event
 
-import "container/heap"
-
 // Handler is an event callback. It runs with the engine clock set to the
 // event's tick and may schedule further events (at the current tick or
 // later — scheduling into the past panics).
@@ -51,35 +49,69 @@ func (a Item) Less(b Item) bool {
 // Queue is a min-heap of Items keyed by (Tick, Prio, Seq). The zero value is
 // an empty queue ready for use. It does not assign Seq — callers that want
 // the engine's FIFO stamping use Engine.Schedule instead.
-type Queue struct{ h itemHeap }
+//
+// The heap is a typed binary heap over []Item: Push and Pop sift in place
+// and never box an item, so a warm queue does not allocate. With distinct
+// keys (the engine stamps every event with a unique Seq) the pop order is
+// the total order of the key and does not depend on the heap's shape.
+type Queue struct{ h []Item }
 
 // Len reports the number of pending items.
 func (q *Queue) Len() int { return len(q.h) }
 
 // Push inserts an item.
-func (q *Queue) Push(it Item) { heap.Push(&q.h, it) }
+func (q *Queue) Push(it Item) {
+	h := append(q.h, it)
+	// Sift up: move the hole from the new leaf toward the root while the
+	// item beats its parent.
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !it.Less(h[p]) {
+			break
+		}
+		h[i] = h[p]
+		i = p
+	}
+	h[i] = it
+	q.h = h
+}
 
 // Pop removes and returns the minimum item. It panics on an empty queue;
 // check Len first.
-func (q *Queue) Pop() Item { return heap.Pop(&q.h).(Item) }
+func (q *Queue) Pop() Item {
+	h := q.h
+	top := h[0]
+	n := len(h) - 1
+	last := h[n]
+	h[n] = Item{} // drop the handler reference
+	h = h[:n]
+	if n > 0 {
+		// Sift down: move the hole from the root toward the leaves while a
+		// child beats the former last item, then drop that item in.
+		i := 0
+		for {
+			c := 2*i + 1
+			if c >= n {
+				break
+			}
+			if r := c + 1; r < n && h[r].Less(h[c]) {
+				c = r
+			}
+			if !h[c].Less(last) {
+				break
+			}
+			h[i] = h[c]
+			i = c
+		}
+		h[i] = last
+	}
+	q.h = h
+	return top
+}
 
 // Peek returns the minimum item without removing it.
 func (q *Queue) Peek() Item { return q.h[0] }
-
-type itemHeap []Item
-
-func (h itemHeap) Len() int            { return len(h) }
-func (h itemHeap) Less(i, j int) bool  { return h[i].Less(h[j]) }
-func (h itemHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *itemHeap) Push(x interface{}) { *h = append(*h, x.(Item)) }
-func (h *itemHeap) Pop() interface{} {
-	old := *h
-	n := len(old) - 1
-	it := old[n]
-	old[n] = Item{}
-	*h = old[:n]
-	return it
-}
 
 // Engine owns a queue and the virtual clock. The zero value is a ready
 // engine at tick 0.

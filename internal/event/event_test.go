@@ -153,3 +153,46 @@ func TestResource(t *testing.T) {
 		t.Fatalf("free at %d, want 21", r.FreeAt())
 	}
 }
+
+// TestQueueWarmZeroAllocs pins the typed heap: once the backing array has
+// grown, Push and Pop move Items in place and never allocate (the old
+// container/heap wrapper boxed every item into an interface).
+func TestQueueWarmZeroAllocs(t *testing.T) {
+	var q Queue
+	rng := rand.New(rand.NewSource(7))
+	items := make([]Item, 256)
+	for i := range items {
+		items[i] = Item{Tick: int64(rng.Intn(32)), Prio: int32(rng.Intn(4)), Seq: uint64(i)}
+	}
+	cycle := func() {
+		for _, it := range items {
+			q.Push(it)
+		}
+		for q.Len() > 0 {
+			q.Pop()
+		}
+	}
+	cycle() // grow the backing array
+	if a := testing.AllocsPerRun(20, cycle); a != 0 {
+		t.Fatalf("warm Push/Pop allocate %.1f times per cycle, want 0", a)
+	}
+}
+
+// BenchmarkQueue times 256 pushes and 256 pops of a warm queue.
+func BenchmarkQueue(b *testing.B) {
+	var q Queue
+	rng := rand.New(rand.NewSource(7))
+	items := make([]Item, 256)
+	for i := range items {
+		items[i] = Item{Tick: int64(rng.Intn(32)), Prio: int32(rng.Intn(4)), Seq: uint64(i)}
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for _, it := range items {
+			q.Push(it)
+		}
+		for q.Len() > 0 {
+			q.Pop()
+		}
+	}
+}

@@ -14,7 +14,7 @@ package mapping
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"resparc/internal/device"
 	"resparc/internal/snn"
@@ -218,7 +218,7 @@ func layerMappingFor(li int, l *snn.Layer, cfg Config, n int) (LayerMapping, err
 	switch l.Kind {
 	case snn.DenseLayer:
 		if cfg.SparseDenseMaxFill > 0 && denseFill(l) <= cfg.SparseDenseMaxFill {
-			lm = packUnits(li, denseUnits(l), cfg, n)
+			lm = packUnits(li, denseUnits(l), l.InSize(), cfg, n)
 		} else {
 			lm = mapDense(li, l, n)
 		}
@@ -293,7 +293,7 @@ func mapSparse(li int, l *snn.Layer, cfg Config, n int) (LayerMapping, error) {
 	if err != nil {
 		return LayerMapping{}, fmt.Errorf("mapping: layer %d: %w", li, err)
 	}
-	return packUnits(li, units, cfg, n), nil
+	return packUnits(li, units, l.InSize(), cfg, n), nil
 }
 
 // denseFill returns the non-zero weight fraction of a dense layer.
@@ -306,21 +306,29 @@ func denseFill(l *snn.Layer) float64 {
 }
 
 // denseUnits builds one packing unit per output neuron of a (pruned) dense
-// layer: its rows are exactly the inputs with non-zero weights.
+// layer: its rows are exactly the inputs with non-zero weights. Every
+// unit's lists are carved out of two shared chunks.
 func denseUnits(l *snn.Layer) []unit {
-	units := make([]unit, 0, l.OutSize())
-	for o := 0; o < l.OutSize(); o++ {
-		row := l.W.Row(o)
-		var ins []int32
-		for i, w := range row {
+	out := l.OutSize()
+	units := make([]unit, 0, out)
+	ins := make([]int32, 0, l.W.Data.CountNonZero(0))
+	outs := make([]int32, out)
+	for o := 0; o < out; o++ {
+		start := len(ins)
+		for i, w := range l.W.Row(o) {
 			if w != 0 {
 				ins = append(ins, int32(i))
 			}
 		}
+		var u []int32
+		if len(ins) > start {
+			u = ins[start:len(ins):len(ins)]
+		}
+		outs[o] = int32(o)
 		units = append(units, unit{
-			inputs:  ins,
-			outputs: []int32{int32(o)},
-			taps:    len(ins),
+			inputs:  u,
+			outputs: outs[o : o+1 : o+1],
+			taps:    len(ins) - start,
 		})
 	}
 	return units
@@ -330,42 +338,48 @@ func denseUnits(l *snn.Layer) []unit {
 // block while the union of their inputs fits the rows and their outputs fit
 // the columns. When a single unit exceeds the array, its inputs split
 // across time-multiplexed row chunks (one group per column chunk).
-func packUnits(li int, units []unit, cfg Config, n int) LayerMapping {
+//
+// inSize is the layer's input count. The block's input set is one stamp per
+// input: stamp[v] == epoch marks v as already on the current block's rows,
+// and bumping epoch empties the set for the next block. The MCAs' index
+// lists are carved out of shared chunks (see idxArena).
+func packUnits(li int, units []unit, inSize int, cfg Config, n int) LayerMapping {
 	lm := LayerMapping{}
+	stamp := make([]int32, inSize)
+	epoch := int32(0)
+	var arena idxArena
+	var blockIns, blockOuts []int32
 	group := 0
 	i := 0
 	for i < len(units) {
-		inputSet := map[int32]bool{}
-		var blockIns []int32
-		var blockOuts []int32
+		epoch++
+		blockIns, blockOuts = blockIns[:0], blockOuts[:0]
 		taps := 0
 		added := 0
 		for i < len(units) {
 			u := units[i]
 			newIn := 0
 			for _, v := range u.inputs {
-				if !inputSet[v] {
+				if stamp[v] != epoch {
 					newIn++
 				}
 			}
 			if added > 0 && (cfg.DisableInputSharing ||
-				len(inputSet)+newIn > n || len(blockOuts)+len(u.outputs) > n) {
+				len(blockIns)+newIn > n || len(blockOuts)+len(u.outputs) > n) {
 				break // block full
 			}
 			if added == 0 && (newIn > n || len(u.outputs) > n) {
 				// Single unit exceeds the array: split into
 				// time-multiplexed groups of row chunks, one group per
 				// column chunk (a group shares one set of output neurons).
-				split, next := splitLocation(li, group, u.inputs, u.outputs, n)
-				lm.MCAs = append(lm.MCAs, split...)
-				group = next
+				lm.MCAs, group = splitLocation(lm.MCAs, &arena, li, group, u.inputs, u.outputs, n)
 				i++
 				added = -1 // mark handled
 				break
 			}
 			for _, v := range u.inputs {
-				if !inputSet[v] {
-					inputSet[v] = true
+				if stamp[v] != epoch {
+					stamp[v] = epoch
 					blockIns = append(blockIns, v)
 				}
 			}
@@ -377,36 +391,73 @@ func packUnits(li int, units []unit, cfg Config, n int) LayerMapping {
 		if added <= 0 {
 			continue
 		}
-		sort.Slice(blockIns, func(a, b int) bool { return blockIns[a] < blockIns[b] })
+		// The block's inputs are distinct, so any sort yields one order.
+		slices.Sort(blockIns)
 		lm.MCAs = append(lm.MCAs, MCA{
 			Layer: li, Group: group,
-			Inputs: blockIns, Outputs: blockOuts, Taps: taps,
+			Inputs: arena.copy(blockIns), Outputs: arena.copy(blockOuts), Taps: taps,
 		})
 		group++
 	}
 	lm.Groups = group
-	for g, count := 0, map[int]int{}; g < len(lm.MCAs); g++ {
-		count[lm.MCAs[g].Group]++
-		if count[lm.MCAs[g].Group] > lm.MuxDegree {
-			lm.MuxDegree = count[lm.MCAs[g].Group]
+	count := make([]int, group)
+	for g := range lm.MCAs {
+		c := &count[lm.MCAs[g].Group]
+		*c++
+		if *c > lm.MuxDegree {
+			lm.MuxDegree = *c
 		}
 	}
 	return lm
 }
 
+// idxArena hands out index lists carved from shared []int32 chunks, capped
+// with 3-index slices so an append by any holder copies instead of running
+// into its neighbour. A layer's thousands of MCA lists cost a few chunk
+// allocations instead of two or more allocations each.
+type idxArena struct{ buf []int32 }
+
+// idxArenaChunk is the arena's chunk length (64 KiB of indices).
+const idxArenaChunk = 1 << 14
+
+// copy returns a capped copy of src carved from the arena; nil when src is
+// empty, as append([]int32(nil), src...) would give.
+func (a *idxArena) copy(src []int32) []int32 {
+	if len(src) == 0 {
+		return nil
+	}
+	if cap(a.buf)-len(a.buf) < len(src) {
+		a.buf = make([]int32, 0, max(idxArenaChunk, len(src)))
+	}
+	lo := len(a.buf)
+	a.buf = append(a.buf, src...)
+	return a.buf[lo:len(a.buf):len(a.buf)]
+}
+
 // unitsOf enumerates the packing units of a sparse layer in row-major
-// spatial order.
+// spatial order. Every unit's lists are carved out of two chunks sized up
+// front (outputs exactly, inputs to the padding-free bound); nothing
+// appends to a unit's lists afterwards.
 func unitsOf(l *snn.Layer) ([]unit, error) {
 	geom := l.Geom
 	outShape, err := geom.OutShape()
 	if err != nil {
 		return nil, err
 	}
-	var units []unit
+	locs := outShape.H * outShape.W
+	nUnits, maxIns := locs, locs*geom.K*geom.K*geom.In.C
+	if l.Kind == snn.PoolLayer {
+		// One unit per output neuron, each reading its own channel's window.
+		nUnits, maxIns = locs*outShape.C, locs*outShape.C*geom.K*geom.K
+	}
+	units := make([]unit, 0, nUnits)
+	ins := make([]int32, 0, maxIns)
+	outs := make([]int32, 0, outShape.Size())
+	pos := make([][2]int, 0, geom.K*geom.K)
 	for y := 0; y < outShape.H; y++ {
 		for x := 0; x < outShape.W; x++ {
 			// In-bounds receptive-field positions of the location.
-			var pos [][2]int
+			pos = pos[:0]
 			for ky := 0; ky < geom.K; ky++ {
 				iy := y*geom.Stride + ky - geom.Pad
 				if iy < 0 || iy >= geom.In.H {
@@ -423,30 +474,36 @@ func unitsOf(l *snn.Layer) ([]unit, error) {
 			if l.Kind == snn.PoolLayer {
 				// One unit per output channel: its own window only.
 				for c := 0; c < outShape.C; c++ {
-					ins := make([]int32, len(pos))
-					for i, p := range pos {
-						ins[i] = int32(geom.In.Index(p[0], p[1], c))
+					i0 := len(ins)
+					for _, p := range pos {
+						ins = append(ins, int32(geom.In.Index(p[0], p[1], c)))
 					}
+					o0 := len(outs)
+					outs = append(outs, int32(outShape.Index(y, x, c)))
 					units = append(units, unit{
-						inputs:  ins,
-						outputs: []int32{int32(outShape.Index(y, x, c))},
+						inputs:  ins[i0:len(ins):len(ins)],
+						outputs: outs[o0:len(outs):len(outs)],
 						taps:    len(pos),
 					})
 				}
 				continue
 			}
 			// Conv: all output channels share the full receptive field.
-			ins := make([]int32, 0, len(pos)*geom.In.C)
+			i0 := len(ins)
 			for _, p := range pos {
 				for c := 0; c < geom.In.C; c++ {
 					ins = append(ins, int32(geom.In.Index(p[0], p[1], c)))
 				}
 			}
-			outs := make([]int32, outShape.C)
+			o0 := len(outs)
 			for c := 0; c < outShape.C; c++ {
-				outs[c] = int32(outShape.Index(y, x, c))
+				outs = append(outs, int32(outShape.Index(y, x, c)))
 			}
-			units = append(units, unit{inputs: ins, outputs: outs, taps: len(ins) * outShape.C})
+			units = append(units, unit{
+				inputs:  ins[i0:len(ins):len(ins)],
+				outputs: outs[o0:len(outs):len(outs)],
+				taps:    (len(ins) - i0) * outShape.C,
+			})
 		}
 	}
 	return units, nil
@@ -456,24 +513,24 @@ func unitsOf(l *snn.Layer) ([]unit, error) {
 // count) exceeds a single array: inputs chunk across row blocks and outputs
 // across column blocks. Each column block is its own group (a group shares
 // one set of output neurons); the row blocks of that group are
-// time-multiplexed onto them. It returns the MCAs and the next free group
-// id.
-func splitLocation(li, group int, pin, pout []int32, n int) ([]MCA, int) {
-	var out []MCA
+// time-multiplexed onto them. It appends the MCAs, their lists copied into
+// the arena, to mcas and returns it with the next free group id.
+func splitLocation(mcas []MCA, arena *idxArena, li, group int, pin, pout []int32, n int) ([]MCA, int) {
+	mcas = slices.Grow(mcas, ((len(pout)+n-1)/n)*((len(pin)+n-1)/n))
 	for ob := 0; ob < len(pout); ob += n {
 		oe := min(ob+n, len(pout))
 		for ib := 0; ib < len(pin); ib += n {
 			ie := min(ib+n, len(pin))
-			out = append(out, MCA{
+			mcas = append(mcas, MCA{
 				Layer: li, Group: group,
-				Inputs:  append([]int32(nil), pin[ib:ie]...),
-				Outputs: append([]int32(nil), pout[ob:oe]...),
+				Inputs:  arena.copy(pin[ib:ie]),
+				Outputs: arena.copy(pout[ob:oe]),
 				Taps:    (ie - ib) * (oe - ob),
 			})
 		}
 		group++
 	}
-	return out, group
+	return mcas, group
 }
 
 func rangeSlice(a, b int) []int32 {

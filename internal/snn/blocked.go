@@ -217,13 +217,15 @@ func denseBlock(l *Layer, v tensor.Vec, flat, offs []int32, fires []uint8, outR 
 	kn := len(fires)
 	useBP := !leaky && kn <= 64
 	stepmask := stepMask(offs)
-	var acc [panelLanes]float64
-	j := 0
-	for ; j+panelLanes <= rows; j += panelLanes {
+	for j := 0; j < rows; j += panelLanes {
 		// One packed panel: the weights of these eight rows for input i are
-		// the contiguous eight floats at panel[i*8 .. i*8+8].
+		// the contiguous eight floats at panel[i*8 .. i*8+8]. A last group
+		// of n < 8 rows runs as a full group whose extra lanes have zero
+		// weights; they are never written back or committed.
 		panel := pan[(j/panelLanes)*cols*panelLanes : (j/panelLanes+1)*cols*panelLanes]
-		copy(acc[:], v[j:j+panelLanes])
+		n := min(panelLanes, rows-j)
+		var acc [panelLanes]float64
+		copy(acc[:], v[j:j+n])
 		if useBP {
 			// Fast path (no leak): a silent block with no lane at threshold
 			// is an exact no-op for this group; otherwise one blockPanel
@@ -233,10 +235,7 @@ func denseBlock(l *Layer, v tensor.Vec, flat, offs []int32, fires []uint8, outR 
 				continue
 			}
 			fs := blockPanel(panel, flat, offs, fires, &acc, th, hard)
-			for ; fs != 0; fs &= fs - 1 {
-				k := bits.TrailingZeros64(fs)
-				outR[k].Or8(j, fires[k])
-			}
+			commitFires(outR, fs, fires, j, n)
 		} else {
 			hot := groupHot(&acc, th)
 			for k := 0; k < kn; k++ {
@@ -260,58 +259,18 @@ func denseBlock(l *Layer, v tensor.Vec, flat, offs []int32, fires []uint8, outR 
 				var mask uint8
 				mask, hot = fireScan(&acc, th, hard)
 				if mask != 0 {
-					outR[k].Or8(j, mask)
+					orLanes(outR[k], j, n, mask)
 				}
 			}
 		}
-		copy(v[j:j+panelLanes], acc[:])
-	}
-	for ; j < rows; j++ {
-		row := w.Data[j*cols : (j+1)*cols]
-		p := v[j]
-		if useBP {
-			for k := 0; k < kn; k++ {
-				if p < th {
-					rem := stepmask >> uint(k)
-					if rem == 0 {
-						break
-					}
-					k += bits.TrailingZeros64(rem)
-				}
-				for _, i := range flat[offs[k]:offs[k+1]] {
-					p += row[i]
-				}
-				if p >= th {
-					outR[k].Set(j)
-					p = resetPotential(p, th, hard)
-				}
-			}
-		} else {
-			for k := 0; k < kn; k++ {
-				list := flat[offs[k]:offs[k+1]]
-				if leaky {
-					p *= decay
-				}
-				if len(list) == 0 && p < th {
-					continue
-				}
-				for _, i := range list {
-					p += row[i]
-				}
-				if p >= th {
-					outR[k].Set(j)
-					p = resetPotential(p, th, hard)
-				}
-			}
-		}
-		v[j] = p
+		copy(v[j:j+n], acc[:n])
 	}
 }
 
 // stepMask summarizes which block steps carry input spikes as a bitmask (bit
-// k set when segment k of the offsets table is non-empty), so the scalar
-// loops of the no-leak fast path can jump over silent steps in O(1). Only
-// the low 64 segments are summarized — the fast path requires kn <= 64.
+// k set when segment k of the offsets table is non-empty), so the no-leak
+// fast path can skip a silent block in O(1). Only the low 64 segments are
+// summarized — the fast path requires kn <= 64.
 func stepMask(offs []int32) uint64 {
 	var m uint64
 	for k := 0; k+1 < len(offs) && k < 64; k++ {
@@ -337,6 +296,31 @@ func fireScan(acc *[panelLanes]float64, th float64, hard bool) (mask uint8, hot 
 		}
 	}
 	return mask, hot
+}
+
+// commitFires commits a panel kernel's result: for every step k set in fs
+// it ORs the fired-lane byte fires[k] of the group at neuron j into outR[k].
+// n is the group's lane count; see orLanes.
+func commitFires(outR []*bitvec.Bits, fs uint64, fires []uint8, j, n int) {
+	for ; fs != 0; fs &= fs - 1 {
+		k := bits.TrailingZeros64(fs)
+		orLanes(outR[k], j, n, fires[k])
+	}
+}
+
+// orLanes ORs the low n bits of the fired-lane byte m into bits [j, j+n).
+// A full group commits with one Or8. A partial last group (n < 8) drops
+// the lanes past the layer's end and commits bit by bit: its byte can
+// straddle the raster's last word, where Or8 would write past it (svhn-cnn
+// conv1 ends exactly on a word boundary with a 7-lane group at bit 57).
+func orLanes(b *bitvec.Bits, j, n int, m uint8) {
+	if n == panelLanes {
+		b.Or8(j, m)
+		return
+	}
+	for m &= 1<<uint(n) - 1; m != 0; m &= m - 1 {
+		b.Set(j + bits.TrailingZeros8(m))
+	}
 }
 
 // groupHot reports whether any lane of a gathered accumulator group is at
@@ -396,7 +380,7 @@ func convBlock(l *Layer, v tensor.Vec, cur, outR []*bitvec.Bits, flat0, offs []i
 	decay := 1 - l.Leak
 	leaky := l.Leak > 0
 	hard := l.HardReset
-	groups := outC / panelLanes
+	groups := (outC + panelLanes - 1) / panelLanes
 	kn := len(cur)
 	canSkip := !leaky || th > 0 // see denseBlock on the leak/threshold-sign caveat
 	useBP := !leaky && kn <= 64
@@ -407,9 +391,8 @@ func convBlock(l *Layer, v tensor.Vec, cur, outR []*bitvec.Bits, flat0, offs []i
 		gs.build(cur, inC, g.In.H*inW)
 	}
 	// The wide gather feeds the 8-lane fast path from segments; the leaky
-	// path and the remainder channels still read flat/offsets lists.
-	needLists := !useBP || groups*panelLanes < outC
-	var acc [panelLanes]float64
+	// path still reads flat/offsets lists.
+	needLists := !useBP
 	var segs []int32
 	flat := flat0
 	for oy := 0; oy < l.Out.H; oy++ {
@@ -453,7 +436,11 @@ func convBlock(l *Layer, v tensor.Vec, cur, outR []*bitvec.Bits, flat0, offs []i
 			for gi := 0; gi < groups; gi++ {
 				panel := pan[gi*fanIn*panelLanes : (gi+1)*fanIn*panelLanes]
 				j := out0 + gi*panelLanes
-				copy(acc[:], v[j:j+panelLanes])
+				// A last group of n < 8 channels runs as a full group (see
+				// denseBlock).
+				n := min(panelLanes, outC-gi*panelLanes)
+				var acc [panelLanes]float64
+				copy(acc[:], v[j:j+n])
 				if useBP {
 					// One kernel call per (location, group); see denseBlock.
 					if stepmask == 0 && !groupHot(&acc, th) {
@@ -465,10 +452,7 @@ func convBlock(l *Layer, v tensor.Vec, cur, outR []*bitvec.Bits, flat0, offs []i
 					} else {
 						fs = blockPanel(panel, flat, offs[:kn+1], fires, &acc, th, hard)
 					}
-					for ; fs != 0; fs &= fs - 1 {
-						k := bits.TrailingZeros64(fs)
-						outR[k].Or8(j, fires[k])
-					}
+					commitFires(outR, fs, fires, j, n)
 				} else {
 					hot := groupHot(&acc, th)
 					for k := 0; k < kn; k++ {
@@ -490,52 +474,11 @@ func convBlock(l *Layer, v tensor.Vec, cur, outR []*bitvec.Bits, flat0, offs []i
 						var mask uint8
 						mask, hot = fireScan(&acc, th, hard)
 						if mask != 0 {
-							outR[k].Or8(j, mask)
+							orLanes(outR[k], j, n, mask)
 						}
 					}
 				}
-				copy(v[j:j+panelLanes], acc[:])
-			}
-			for oc := groups * panelLanes; oc < outC; oc++ {
-				row := w.Data[oc*fanIn : (oc+1)*fanIn]
-				j := out0 + oc
-				p := v[j]
-				if useBP {
-					for k := 0; k < kn; k++ {
-						if p < th {
-							rem := stepmask >> uint(k)
-							if rem == 0 {
-								break
-							}
-							k += bits.TrailingZeros64(rem)
-						}
-						for _, t := range flat[offs[k]:offs[k+1]] {
-							p += row[t]
-						}
-						if p >= th {
-							outR[k].Set(j)
-							p = resetPotential(p, th, hard)
-						}
-					}
-				} else {
-					for k := 0; k < kn; k++ {
-						list := flat[offs[k]:offs[k+1]]
-						if leaky {
-							p *= decay
-						}
-						if len(list) == 0 && p < th {
-							continue
-						}
-						for _, t := range list {
-							p += row[t]
-						}
-						if p >= th {
-							outR[k].Set(j)
-							p = resetPotential(p, th, hard)
-						}
-					}
-				}
-				v[j] = p
+				copy(v[j:j+n], acc[:n])
 			}
 		}
 	}
@@ -758,16 +701,7 @@ func poolBlock(l *Layer, v tensor.Vec, cur, outR []*bitvec.Bits, counts []uint64
 						continue // a silent block with no lane at threshold is a no-op
 					}
 					fs := poolPanel(gc, fires[:kc], &acc, pw, th, hard)
-					for ; fs != 0; fs &= fs - 1 {
-						k := bits.TrailingZeros64(fs)
-						if n == panelLanes {
-							outR[t0+k].Or8(j, fires[k])
-							continue
-						}
-						for m := fires[k] & (1<<uint(n) - 1); m != 0; m &= m - 1 {
-							outR[t0+k].Set(j + bits.TrailingZeros8(m))
-						}
-					}
+					commitFires(outR[t0:], fs, fires[:kc], j, n)
 					copy(v[j:j+n], acc[:n])
 				}
 			}

@@ -190,8 +190,8 @@ func TestBlockedMatchesSteppedConvPool(t *testing.T) {
 }
 
 // wideConvPoolFixture builds conv(3x3, 11 ch) -> pool 2x2 -> conv(3x3,
-// stride 2, 9 ch) -> pool 3x3 -> dense, so every kernel runs both its
-// 8-lane panel path and its remainder lanes, and the pools cover the 2x2
+// stride 2, 9 ch) -> pool 3x3 -> dense, so every kernel runs both full
+// 8-lane groups and a partial last group, and the pools cover the 2x2
 // and the general-K paths. leak, hard and th (threshold scale; negative
 // flips the sign) apply to every hidden layer.
 func wideConvPoolFixture(t *testing.T, leak float64, hard bool, th float64) *snn.Network {
@@ -256,7 +256,7 @@ func TestBlockedMatchesSteppedConvPoolLeakyHard(t *testing.T) {
 // -> pool 2x2 -> dense. conv2 reads 26 input channels, so an interior
 // kernel row spans 78 bits and an edge row 52: the layer takes the wide
 // once-per-block gather (segments of one spike list per step) for every
-// location, both its 8-lane group and its three remainder channels. The
+// location, both its full 8-lane group and its 3-lane partial group. The
 // 26-channel pool1 ends in a two-lane partial group.
 func wideRowFixture(t *testing.T, leak float64, hard bool) *snn.Network {
 	t.Helper()

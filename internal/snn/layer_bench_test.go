@@ -29,13 +29,13 @@ func (r *blockRecorder) ObserveStep(_ int, input *bitvec.Bits, layers []*bitvec.
 }
 
 // BenchmarkLayer times one 48-step block (the sweep's classification
-// length) of conv1, pool1 and conv2 of mnist-cnn and cifar-cnn (seed 1),
-// each fed the input raster recorded from one dataset image run through the
-// whole network. Each op resets the layer's potentials and re-integrates
+// length) of conv1, pool1 and conv2 of mnist-cnn, svhn-cnn and cifar-cnn
+// (seed 1), each fed the input raster recorded from one dataset image run
+// through the whole network. Each op resets the layer's potentials and re-integrates
 // the block, so ns/op is that layer's share of one image.
 func BenchmarkLayer(b *testing.B) {
 	const steps = 48
-	for _, name := range []string{"mnist-cnn", "cifar-cnn"} {
+	for _, name := range []string{"mnist-cnn", "svhn-cnn", "cifar-cnn"} {
 		bm, err := bench.ByName(name)
 		if err != nil {
 			b.Fatal(err)

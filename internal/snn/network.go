@@ -310,9 +310,10 @@ const panelLanes = 8
 // pan[g*cols*8 + i*8 + lane] = W[8g+lane][i]. The blocked kernel reads the
 // eight weights of one input spike as a single contiguous cache line with
 // constant displacements instead of gathering from eight distant rows (which
-// costs eight slice headers and spills them off the register file). Only
-// full groups of eight rows are packed; the remainder rows (< 8) fall back
-// to the row-major W. Safe for concurrent first use.
+// costs eight slice headers and spills them off the register file). The
+// last group of a row count that is not a multiple of eight is packed with
+// its unused lanes zeroed, so every row runs through the panel kernels.
+// Safe for concurrent first use.
 //
 // For dense layers the rows are output neurons and the columns input
 // neurons; for conv layers the same packing applies verbatim to the shared
@@ -325,11 +326,11 @@ func (l *Layer) panelW() []float64 {
 		return p.w
 	}
 	cols := l.W.Cols
-	groups := l.W.Rows / panelLanes
+	groups := (l.W.Rows + panelLanes - 1) / panelLanes
 	pan := make([]float64, groups*cols*panelLanes)
 	for g := 0; g < groups; g++ {
 		block := pan[g*cols*panelLanes:]
-		for lane := 0; lane < panelLanes; lane++ {
+		for lane := 0; lane < min(panelLanes, l.W.Rows-g*panelLanes); lane++ {
 			row := l.W.Row((g*panelLanes + lane))
 			for i, x := range row {
 				block[i*panelLanes+lane] = x
