@@ -26,6 +26,7 @@ import (
 	"sync/atomic"
 
 	"resparc/internal/bitvec"
+	"resparc/internal/cost"
 	"resparc/internal/energy"
 	"resparc/internal/mapping"
 	"resparc/internal/perf"
@@ -84,6 +85,15 @@ type CycleBreakdown struct {
 	Sync, Bus, Delivery, Integrate, Drain int
 }
 
+// add accumulates one stage's phases.
+func (c *CycleBreakdown) add(ph cost.Phases) {
+	c.Sync += ph.Sync
+	c.Bus += ph.Bus
+	c.Delivery += ph.Delivery
+	c.Integrate += ph.Integrate
+	c.Drain += ph.Drain
+}
+
 // Total sums the phases.
 func (c CycleBreakdown) Total() int {
 	return c.Sync + c.Bus + c.Delivery + c.Integrate + c.Drain
@@ -132,7 +142,7 @@ type Report struct {
 	// reductions read. Counts.Cycles is its serial sum; Pipeline reduces it
 	// to the pipelined makespan, and internal/shard feeds the concatenated
 	// grids of its shards to one global pipeline simulation.
-	Stages [][]StageDur
+	Stages [][]cost.Stage
 	// BusWait is the total cycles stages spent queued for the shared global
 	// bus in the pipelined reduction (zero unless Pipeline ran: the serial
 	// sum never overlaps two bus phases).
@@ -144,11 +154,13 @@ type Report struct {
 
 // Pipeline applies the second reduction of the stage grid: Counts.Cycles and
 // Latency become the Fig 7(a) pipelined makespan of Stages (see
-// PipelineMakespan) instead of its serial sum, and BusWait records the
-// cycles stages queued for the shared bus. Energies, the other counters,
-// Breakdown and the per-layer slices are unchanged.
+// cost.Pipeline) instead of its serial sum, and BusWait records the cycles
+// stages queued for the shared bus. Energies, the other counters, Breakdown
+// and the per-layer slices are unchanged.
 func (r *Report) Pipeline(cycleSeconds float64) {
-	r.Counts.Cycles = int(PipelineMakespan(r.Stages, &r.BusWait))
+	var p cost.Pipeline
+	makespan, _, busWait := p.Makespan([][][]cost.Stage{r.Stages}, nil, 0)
+	r.Counts.Cycles, r.BusWait = int(makespan), busWait
 	r.Latency = float64(r.Counts.Cycles) * cycleSeconds
 }
 
@@ -208,20 +220,7 @@ func New(net *snn.Network, m *mapping.Mapping, opt Options) (*Chip, error) {
 	if opt.Steps < 1 {
 		return nil, fmt.Errorf("core: steps %d", opt.Steps)
 	}
-	c := &Chip{Net: net, Map: m, Opt: opt}
-	// Input SRAM sized for the largest spike vector staged between layers.
-	maxBits := net.Input.Size()
-	for _, l := range net.Layers {
-		if n := l.OutSize(); n > maxBits {
-			maxBits = n
-		}
-	}
-	bytes := maxBits / 8
-	if bytes < 1024 {
-		bytes = 1024
-	}
-	c.sram = energy.NewSRAM(bytes)
-	return c, nil
+	return &Chip{Net: net, Map: m, Opt: opt, sram: mapping.InputSRAM(net)}, nil
 }
 
 var _ sim.Backend = (*Chip)(nil)
@@ -249,7 +248,7 @@ type observer struct {
 	scratch     [][]int32 // per local layer: active-MCA count per group
 	occ         []bool    // per packet word of the visited layer's input: holds a spike
 	traceErr    error
-	stages      [][]StageDur
+	stages      [][]cost.Stage
 	nsteps      int
 }
 
@@ -319,8 +318,8 @@ func (o *observer) writeTrace(step, gi int, cur, out *bitvec.Bits, prevCnt Count
 func (o *observer) report(predicted, steps int, pipelined bool) (perf.Result, Report) {
 	ncc := o.chip.Opt.Params.NCCycle()
 	n := o.hi - o.lo
-	grid := make([]StageDur, o.nsteps*n)
-	stages := make([][]StageDur, o.nsteps)
+	grid := make([]cost.Stage, o.nsteps*n)
+	stages := make([][]cost.Stage, o.nsteps)
 	for t := range stages {
 		stages[t] = grid[t*n : (t+1)*n : (t+1)*n]
 		copy(stages[t], o.stages[t])

@@ -4,19 +4,20 @@ import (
 	"math/bits"
 
 	"resparc/internal/bitvec"
-	"resparc/internal/event"
+	"resparc/internal/cost"
 	"resparc/internal/mapping"
 )
 
 // This file is the chip's accountant: the transaction-level model of §4.2
 // charged once per (timestep, layer) visit. Each MCA's driven-row count is
-// gathered rather than scattered: the chip-cached layer plan stores every
-// MCA's input rows as (64-bit spike storage word, bit mask) pairs, so a
-// visit costs one popcount per mapped (MCA, word) pair however dense the
-// spikes are. Packet-word occupancy is read straight off the spike words at
-// the chip packet width.
+// gathered rather than scattered through the chip-cached mapping.Gather of
+// its layer — the same (word, mask) row gather the mapper's cost model
+// replays its probe through — so a visit costs one popcount per mapped
+// (MCA, word) pair however dense the spikes are. Packet-word occupancy is
+// read straight off the spike words at the chip packet width.
 //
-// Every visit records its per-phase durations in a StageDur grid, which
+// Every visit's per-phase durations come from the shared stage-duration
+// formula (cost.StagePhases) and are recorded in a cost.Stage grid, which
 // Report reduces two ways:
 //
 //  1. Serially (the default, the paper's latency): Counts.Cycles is the sum
@@ -24,8 +25,8 @@ import (
 //     exactly Breakdown.Total().
 //  2. Pipelined (sim.Options.EventEngine): Report.Pipeline replaces Cycles
 //     with the makespan of a discrete-event simulation of the same grid
-//     (Fig 7a), where layer stages overlap across timesteps and the shared
-//     global bus is a FIFO resource.
+//     (Fig 7a, cost.Pipeline), where layer stages overlap across timesteps
+//     and the shared global bus is a FIFO resource.
 //
 // Energies are float sums, and float addition is not associative, so the
 // charges follow one fixed order: per mPE run, first the active MCAs'
@@ -33,41 +34,21 @@ import (
 // first-encounter order. A test-only copy of the original step-major loop
 // (oracle_test.go) pins every energy and counter to that order bit for bit.
 
-// StageDur is the modeled duration of one (timestep, layer) pipeline stage,
-// split by resource class: Sync is the global-control flag synchronization,
-// Bus the shared global-bus occupancy (serializes across all stages), Local
-// the NeuroCell-internal phases (switch delivery, time-multiplexed
-// integration, spike drain) that overlap freely across layers.
-type StageDur struct{ Sync, Bus, Local int32 }
-
-// mcaPlan precomputes one MCA's per-activation constants, so each charge
-// adds the same float64 the per-row model produces.
-type mcaPlan struct {
-	factorXbar float64 // crossbar energy per driven row
-	integrateE float64 // neuron integration energy per activation
-	outs       int32   // len(Outputs)
-	group      int32
-	ext        bool // MCA lives outside its group owner's mPE
+// layerPlan is the chip-cached static structure of one layer's mapping: the
+// row gather the mapper's cost model shares (mapping.Gather) plus what only
+// the accountant charges per MCA.
+type layerPlan struct {
+	g    mapping.Gather
+	mcas []mcaPlan
 }
 
-// mpeRun is one contiguous run of same-mPE MCAs in allocation order, with
-// its deduped source-word list (indices into layerPlan.words): the mPE's
-// buffers receive each word once and fan it out to the run's MCAs.
-type mpeRun struct{ mcaLo, mcaHi, wordLo, wordHi int32 }
-
-// layerPlan is the chip-cached static structure of one layer's mapping.
-type layerPlan struct {
-	// MCA a's driven rows are Σ popcount(spikes.Words()[gWord[k]] & gMask[k])
-	// over k in [gOff[a], gOff[a+1]). A mask holds distinct bits of one
-	// storage word; an input wired to several rows of one MCA opens a new
-	// pair for each repeat, so it counts once per driven row.
-	gOff   []int32
-	gWord  []int32
-	gMask  []uint64
-	runs   []mpeRun
-	words  []int32 // concatenated per-run word lists, first-encounter order
-	mcas   []mcaPlan
-	nwords int // words of the layer's input vector at the chip packet width
+// mcaPlan is one MCA's per-activation constants: the gather's, plus what
+// only the accountant charges. The charge loop reads them from this one
+// array.
+type mcaPlan struct {
+	mapping.GatherMCA
+	integrateE float64 // neuron integration energy per activation
+	ext        bool    // MCA lives outside its group owner's mPE
 }
 
 // groupOwners returns, per layer per neuron group, the mPE holding the
@@ -115,70 +96,20 @@ func (c *Chip) Remapped() {
 }
 
 func buildPlans(m *mapping.Mapping, opt Options) []layerPlan {
-	p := opt.Params
-	w := opt.PacketWidth
 	owners := groupOwners(m)
 	plans := make([]layerPlan, len(m.Layers))
 	for li := range m.Layers {
 		lm := &m.Layers[li]
 		pl := &plans[li]
-		insz := lm.Layer.InSize()
-		pl.nwords = (insz + w - 1) / w
+		pl.g = mapping.NewGather(lm, m.LayerSize(li), opt.Params, opt.PacketWidth)
 		pl.mcas = make([]mcaPlan, len(lm.MCAs))
-		pl.gOff = make([]int32, len(lm.MCAs)+1)
-		curMPE := -1
-		mcaLo, wordLo := int32(0), int32(0)
-		seen := map[int]bool{}
 		for ai := range lm.MCAs {
 			mca := &lm.MCAs[ai]
-			if mca.MPE != curMPE {
-				if ai > 0 {
-					pl.runs = append(pl.runs, mpeRun{mcaLo, int32(ai), wordLo, int32(len(pl.words))})
-					mcaLo, wordLo = int32(ai), int32(len(pl.words))
-					clear(seen)
-				}
-				curMPE = mca.MPE
-			}
-			// Crossbar: every cross-point on a driven row conducts; used
-			// cells at programmed conductance, idle cells at the GMin pair
-			// (unless the counterfactual column gating is enabled).
-			usedPerRow := 0.0
-			if len(mca.Inputs) > 0 {
-				usedPerRow = float64(mca.Taps) / float64(len(mca.Inputs))
-			}
-			idlePerRow := float64(m.LayerSize(li)) - usedPerRow
-			if p.GateIdleColumns {
-				idlePerRow = 0
-			}
 			pl.mcas[ai] = mcaPlan{
-				factorXbar: usedPerRow*p.XbarCellActive + idlePerRow*p.XbarCellActive*p.XbarIdleFrac,
-				integrateE: float64(len(mca.Outputs)) * p.NeuronIntegrate,
-				outs:       int32(len(mca.Outputs)),
-				group:      int32(mca.Group),
+				GatherMCA:  pl.g.MCAs[ai],
+				integrateE: float64(len(mca.Outputs)) * opt.Params.NeuronIntegrate,
 				ext:        int32(mca.MPE) != owners[li][mca.Group],
 			}
-			lastWord := -1
-			for _, in := range mca.Inputs {
-				sw, bit := in>>6, uint64(1)<<(in&63)
-				if g := len(pl.gWord) - 1; g >= int(pl.gOff[ai]) && pl.gWord[g] == sw && pl.gMask[g]&bit == 0 {
-					pl.gMask[g] |= bit
-				} else {
-					pl.gWord = append(pl.gWord, sw)
-					pl.gMask = append(pl.gMask, bit)
-				}
-				word := int(in) / w
-				if word != lastWord {
-					lastWord = word
-					if !seen[word] {
-						seen[word] = true
-						pl.words = append(pl.words, int32(word))
-					}
-				}
-			}
-			pl.gOff[ai+1] = int32(len(pl.gWord))
-		}
-		if len(lm.MCAs) > 0 {
-			pl.runs = append(pl.runs, mpeRun{mcaLo, int32(len(lm.MCAs)), wordLo, int32(len(pl.words))})
 		}
 	}
 	return plans
@@ -186,9 +117,9 @@ func buildPlans(m *mapping.Mapping, opt Options) []layerPlan {
 
 // stageRow returns the (zeroed-by-overwrite) duration row for a step,
 // growing the grid as steps are observed.
-func (o *observer) stageRow(step int) []StageDur {
+func (o *observer) stageRow(step int) []cost.Stage {
 	for len(o.stages) <= step {
-		o.stages = append(o.stages, make([]StageDur, o.hi-o.lo))
+		o.stages = append(o.stages, make([]cost.Stage, o.hi-o.lo))
 	}
 	o.nsteps = max(o.nsteps, step+1)
 	return o.stages[step]
@@ -214,17 +145,13 @@ func (o *observer) ObserveStep(step int, input *bitvec.Bits, layers []*bitvec.Bi
 		prevCnt := o.cnt
 		prevE := *le
 
-		// ---- Global control: event-flag synchronization (flags are read
-		// eight NeuroCells per access) ----
-		syncCycles := p.SyncCyclesPerNC * ((lm.NCLast - lm.NCFirst + 1 + 7) / 8)
-		o.breakdown.Sync += syncCycles
-
 		// Packet-word occupancy, read off the spike words once per visit.
-		if cap(o.occ) < pl.nwords {
-			o.occ = make([]bool, pl.nwords)
+		g := &pl.g
+		if cap(o.occ) < g.NWords {
+			o.occ = make([]bool, g.NWords)
 		}
-		occ := o.occ[:pl.nwords]
-		sent := pl.nwords
+		occ := o.occ[:g.NWords]
+		sent := g.NWords
 		if ed {
 			sent = 0
 			for k := range occ {
@@ -237,9 +164,9 @@ func (o *observer) ObserveStep(step int, input *bitvec.Bits, layers []*bitvec.Bi
 		}
 
 		// ---- Global bus & SRAM (§3.1.3) ----
-		busCycles := 0
+		busWords := 0
 		if c.Map.CrossNC(gi) {
-			total := pl.nwords
+			total := g.NWords
 			zero := total - sent
 			le.Peripherals += float64(total) * p.ZeroCheck
 			// Producer write to SRAM + broadcast read: two bus transactions
@@ -252,10 +179,7 @@ func (o *observer) ObserveStep(step int, input *bitvec.Bits, layers []*bitvec.Bi
 			le.Peripherals += float64(sent) * per * (p.BusWord + c.sram.AccessEnergy())
 			o.cnt.BusWords += sent
 			o.cnt.BusWordsSuppressed += zero
-			// Broadcast serializes on the bus, several words per cycle.
-			busCycles = (sent + p.BusWordsPerCycle - 1) / p.BusWordsPerCycle
-			o.busCycles += busCycles
-			o.breakdown.Bus += busCycles
+			busWords = sent
 		}
 
 		// ---- Switch network delivery + MCA activity ----
@@ -269,12 +193,12 @@ func (o *observer) ObserveStep(step int, input *bitvec.Bits, layers []*bitvec.Bi
 		ga := o.groupScratch(j, lm.Groups)
 		clear(ga)
 		spikeWords := cur.Words()
-		for ri := range pl.runs {
-			run := &pl.runs[ri]
-			for mi := run.mcaLo; mi < run.mcaHi; mi++ {
+		for ri := range g.Runs {
+			run := &g.Runs[ri]
+			for mi := run.MCALo; mi < run.MCAHi; mi++ {
 				r := 0
-				gw := pl.gWord[pl.gOff[mi]:pl.gOff[mi+1]]
-				gm := pl.gMask[pl.gOff[mi]:pl.gOff[mi+1]]
+				gw := g.Word[g.Off[mi]:g.Off[mi+1]]
+				gm := g.Mask[g.Off[mi]:g.Off[mi+1]]
 				for k, sw := range gw {
 					r += bits.OnesCount64(spikeWords[sw] & gm[k])
 				}
@@ -285,20 +209,20 @@ func (o *observer) ObserveStep(step int, input *bitvec.Bits, layers []*bitvec.Bi
 				o.cnt.MCAActivations++
 				o.cnt.RowsDriven += r
 				le.Peripherals += p.MPEControl
-				le.Crossbar += float64(r) * mp.factorXbar
+				le.Crossbar += float64(r) * mp.FactorXbar
 				// Neuron integration of this MCA's columns.
-				o.cnt.Integrations += int(mp.outs)
+				o.cnt.Integrations += int(mp.Outs)
 				le.Neuron += mp.integrateE
 				if mp.ext {
 					o.cnt.ExtTransfers++
 				}
-				if ga[mp.group]++; ga[mp.group] > maxMux {
-					maxMux = ga[mp.group]
+				if ga[mp.Group]++; ga[mp.Group] > maxMux {
+					maxMux = ga[mp.Group]
 				}
 			}
-			for wi := run.wordLo; wi < run.wordHi; wi++ {
+			for wi := run.WordLo; wi < run.WordHi; wi++ {
 				le.Peripherals += p.ZeroCheck
-				if !ed || occ[pl.words[wi]] {
+				if !ed || occ[g.Words[wi]] {
 					delivered++
 					le.Peripherals += p.SwitchHop + 2*p.BufferAccess
 				} else {
@@ -307,11 +231,6 @@ func (o *observer) ObserveStep(step int, input *bitvec.Bits, layers []*bitvec.Bi
 			}
 		}
 		o.cnt.PacketsDelivered += delivered
-		sw := lm.Switches(c.Map.Cfg)
-		deliveryCycles := (delivered + sw - 1) / sw
-		o.breakdown.Delivery += deliveryCycles
-		integrateCycles := int(maxMux) * p.IntegrateCycles
-		o.breakdown.Integrate += integrateCycles
 
 		// ---- Fire ----
 		out := layers[j]
@@ -322,21 +241,16 @@ func (o *observer) ObserveStep(step int, input *bitvec.Bits, layers []*bitvec.Bi
 		// Every spike is handled by the peripherals: oBUFF write, tBUFF
 		// target lookup, packet assembly.
 		le.Peripherals += float64(spikes) * p.SpikeHandling
-		// Spikes drain through the mPEs' output ports in parallel, one per
-		// mPE per cycle.
-		drainCycles := 0
-		if spikes > 0 || maxMux > 0 {
-			mpes := lm.MPELast - lm.MPEFirst + 1
-			drainCycles = (spikes + mpes - 1) / mpes
-			if spikes == 0 {
-				drainCycles++ // threshold-check cycle with no spikes
-			}
-			o.breakdown.Drain += drainCycles
-		}
 
-		local := deliveryCycles + integrateCycles + drainCycles
-		row[j] = StageDur{Sync: int32(syncCycles), Bus: int32(busCycles), Local: int32(local)}
-		stage := syncCycles + busCycles + local
+		ph := cost.StagePhases(p, cost.Activity{
+			NCs: lm.NCLast - lm.NCFirst + 1, MPEs: lm.MPELast - lm.MPEFirst + 1,
+			Switches: lm.Switches(c.Map.Cfg), BusWords: busWords,
+			Delivered: delivered, MaxMux: int(maxMux), Spikes: spikes,
+		})
+		o.breakdown.add(ph)
+		o.busCycles += ph.Bus
+		row[j] = ph.Stage()
+		stage := ph.Total()
 		o.layerCycles[j] += stage
 		o.cnt.Cycles += stage
 
@@ -345,65 +259,4 @@ func (o *observer) ObserveStep(step int, input *bitvec.Bits, layers []*bitvec.Bi
 		}
 		cur = out
 	}
-}
-
-// PipelineMakespan runs the Fig 7(a) pipeline on the event engine: stage
-// (layer j, timestep t) starts once stage (j, t-1) and stage (j-1, t) are
-// both done, holds the shared global bus (a FIFO resource) for its bus
-// phase, and completes after its local phase. Grants follow completion-event
-// order — (tick, layer) — so the makespan is deterministic. stages is
-// indexed [timestep][layer]; busWait, when non-nil, receives the total
-// cycles stages spent queued for the bus.
-func PipelineMakespan(stages [][]StageDur, busWait *int64) int64 {
-	T := len(stages)
-	if T == 0 {
-		return 0
-	}
-	L := len(stages[0])
-	if L == 0 {
-		return 0
-	}
-	var eng event.Engine
-	var bus event.Resource
-	need := make([][]int8, T)
-	for t := range need {
-		need[t] = make([]int8, L)
-		for j := range need[t] {
-			if t > 0 {
-				need[t][j]++
-			}
-			if j > 0 {
-				need[t][j]++
-			}
-		}
-	}
-	var launch func(t, j int)
-	signal := func(t, j int) {
-		if t >= T || j >= L {
-			return
-		}
-		need[t][j]--
-		if need[t][j] <= 0 {
-			launch(t, j)
-		}
-	}
-	launch = func(t, j int) {
-		d := stages[t][j]
-		busAt := eng.Now() + int64(d.Sync)
-		end := busAt + int64(d.Local)
-		if d.Bus > 0 {
-			start := bus.Acquire(busAt, int64(d.Bus))
-			end = start + int64(d.Bus) + int64(d.Local)
-		}
-		eng.Schedule(end, int32(j), func() {
-			signal(t, j+1)
-			signal(t+1, j)
-		})
-	}
-	eng.Schedule(0, 0, func() { launch(0, 0) })
-	makespan := eng.Run()
-	if busWait != nil {
-		*busWait = bus.Wait()
-	}
-	return makespan
 }

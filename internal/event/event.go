@@ -28,11 +28,14 @@ type Handler func()
 
 // Item is one pending event. Exported so tests (and tools) can express a
 // schedule as plain data; simulators normally go through Engine.Schedule.
+// A simulator that drives a Queue itself can carry its event as plain data
+// in Arg and dispatch popped items in one loop instead of through Fn.
 type Item struct {
 	Tick int64   // virtual time the event fires at
 	Prio int32   // tie-break within a tick: lower fires first
 	Seq  uint64  // insertion stamp: FIFO within (Tick, Prio)
 	Fn   Handler // callback; nil items pop but do nothing
+	Arg  uint64  // caller-defined payload; the queue never reads it
 }
 
 // Less orders items by the composite key (Tick, Prio, Seq).

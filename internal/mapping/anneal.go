@@ -238,7 +238,7 @@ func (ev *evaluator) refineSizes(c candidate, bestObj float64, baseCost CostBrea
 			e := 0.0
 			cross := ev.crossNC(li, pos)
 			for t := 0; t < ev.cons.Steps; t++ {
-				et, _, _, _ := ev.layerStep(li, t, s, cross, pos[li])
+				et, _ := ev.layerStep(li, t, s, cross, pos[li])
 				e += et
 			}
 			dfs(li+1, cur+span, prefixE+e, pos)

@@ -6,56 +6,24 @@ import (
 	"sync"
 
 	"resparc/internal/bitvec"
+	"resparc/internal/cost"
 	"resparc/internal/energy"
-	"resparc/internal/event"
 	"resparc/internal/packet"
 	"resparc/internal/parallel"
 	"resparc/internal/snn"
 	"resparc/internal/tensor"
 )
 
-// This file is the mapper's cost model: a surrogate of the architecture
-// simulator (internal/core's transaction-level accounting and its pipelined
-// event engine, plus internal/shard's link model) that prices a candidate
-// placement — per-layer MCA sizes, NeuroCell alignment, shard cuts — without
-// building a chip. It replays the same closed forms over a probe input's
-// spike rasters: rasters depend only on (input, encoder), never on the
-// mapping, so they are captured once and every candidate is a cheap walk
-// over cached per-(layer, size) packing statistics plus one small
-// discrete-event pipeline simulation. Predictions are untouched by mapping,
-// so the mapper only ever trades modeled energy/latency/traffic.
-
-// LinkCost models one chip-to-chip hop for the mapper's traffic term. It
-// mirrors shard.LinkParams field for field (shard sits above core and so
-// cannot be imported from here); DefaultLinkCost and shard.DefaultLinkParams
-// are kept in lockstep by a test in internal/shard.
-type LinkCost struct {
-	// FlitWidth is the flit payload in spike bits.
-	FlitWidth int
-	// FlitEnergy is the joules to move one surviving flit across the hop.
-	FlitEnergy float64
-	// ZeroCheck is the joules to zero-check one flit (paid for every flit).
-	ZeroCheck float64
-	// FlitsPerCycle is the hop's width in flits per NeuroCell cycle.
-	FlitsPerCycle int
-	// SyncCycles is the per-timestep handshake overhead of the hop.
-	SyncCycles int
-	// RecvBuf bounds the receiving pad's raster buffer (in timesteps).
-	RecvBuf int
-}
-
-// DefaultLinkCost derives the hop model from the chip's energy parameters —
-// the same derivation as shard.DefaultLinkParams.
-func DefaultLinkCost(p energy.Params) LinkCost {
-	return LinkCost{
-		FlitWidth:     packet.Width,
-		FlitEnergy:    6 * p.BusWord,
-		ZeroCheck:     p.ZeroCheck,
-		FlitsPerCycle: 4,
-		SyncCycles:    2,
-		RecvBuf:       2,
-	}
-}
+// This file is the mapper's cost model: it prices a candidate placement —
+// per-layer MCA sizes, NeuroCell alignment, shard cuts — without building a
+// chip, on the architecture's own model: the row gather (Gather), the
+// stage-duration formula, the link model and the pipeline makespan are the
+// ones internal/core and internal/shard simulate with (internal/cost). It
+// replays a probe input's spike rasters: rasters depend only on (input,
+// encoder), never on the mapping, so they are captured once and every
+// candidate is a cheap walk over cached per-(layer, size) packing statistics
+// plus one pipeline makespan. Predictions are untouched by mapping, so the
+// mapper only ever trades modeled energy/latency/traffic.
 
 // Weights blend the normalized cost terms into the scalar objective the
 // mapper minimizes: each term is the candidate's value relative to the
@@ -112,9 +80,9 @@ type Constraints struct {
 	// EventDriven models the §3.2 zero-check gating (on in every shipped
 	// configuration; DefaultConstraints sets it).
 	EventDriven bool
-	// Link models each chip-to-chip hop (zero value selects DefaultLinkCost
-	// of Params).
-	Link LinkCost
+	// Link models each chip-to-chip hop (zero value selects
+	// cost.DefaultLink of Params).
+	Link cost.Link
 	// Weights blend the objective (zero value selects DefaultWeights).
 	Weights Weights
 }
@@ -169,12 +137,11 @@ func (c *Constraints) normalize() error {
 	if c.PacketWidth < 1 || c.PacketWidth > 64 {
 		return fmt.Errorf("mapping: packet width %d out of [1,64]", c.PacketWidth)
 	}
-	if (c.Link == LinkCost{}) {
-		c.Link = DefaultLinkCost(c.Params)
+	link, err := c.Link.OrDefault(c.Params)
+	if err != nil {
+		return fmt.Errorf("mapping: %w", err)
 	}
-	if c.Link.FlitWidth < 1 {
-		return fmt.Errorf("mapping: link flit width %d", c.Link.FlitWidth)
-	}
+	c.Link = link
 	if (c.Weights == Weights{}) {
 		c.Weights = DefaultWeights()
 	}
@@ -210,7 +177,8 @@ func (c candidate) clone() candidate {
 }
 
 // stepCost is one (layer, size) pairing's position-independent activity on
-// one probe timestep, mirroring the core observer's per-step accounting.
+// one probe timestep: what the chip accountant counts replaying the same
+// gather.
 type stepCost struct {
 	// words is the deduped per-mPE source-word count (each pays a
 	// zero-check); delivered is the occupied subset (each pays the switch
@@ -233,12 +201,6 @@ type sizeStats struct {
 	step          []stepCost
 }
 
-// layerPos is a candidate's realized position of one layer.
-type layerPos struct {
-	mpeFirst, mpeSpan int
-	ncFirst, ncLast   int
-}
-
 // evaluator prices candidates for one (network, constraints) pair. It is
 // immutable after newEvaluator, so concurrent annealing chains share one.
 type evaluator struct {
@@ -250,13 +212,26 @@ type evaluator struct {
 	// encoded input); out[li][t] its output raster.
 	in, out [][]*bitvec.Bits
 	// busSent/busTotal: packet words of in[li][t] surviving/total at the
-	// chip packet width. spikes: out[li][t] popcount. flitSent/flitTotal:
-	// link flits of out[li][t] at the hop flit width.
-	busSent, busTotal   [][]int32
-	spikes              [][]int32
-	flitSent, flitTotal [][]int32
+	// chip packet width. spikes: out[li][t] popcount. hop: out[li][t]
+	// priced on the chip-to-chip link.
+	busSent, busTotal [][]int32
+	spikes            [][]int32
+	hop               [][]cost.Hop
 	// stats[li][szIdx] is the cached packing of layer li at Sizes[szIdx].
 	stats [][]*sizeStats
+	// pipes recycles pipeline-makespan scratch across evaluations.
+	pipes sync.Pool
+}
+
+// InputSRAM is the chip's input SRAM for net, sized for the largest spike
+// vector staged between layers (at least 1 KiB). The chip accountant and
+// the cost model price bus words against its access energy.
+func InputSRAM(net *snn.Network) energy.SRAM {
+	maxBits := net.Input.Size()
+	for _, l := range net.Layers {
+		maxBits = max(maxBits, l.OutSize())
+	}
+	return energy.NewSRAM(max(maxBits/8, 1024))
 }
 
 // ObserveStep makes the evaluator the probe run's observer: it copies the
@@ -274,21 +249,7 @@ func newEvaluator(net *snn.Network, cons Constraints) (*evaluator, error) {
 	if len(net.Layers) == 0 {
 		return nil, fmt.Errorf("mapping: network %q has no layers", net.Name)
 	}
-	ev := &evaluator{net: net, cons: cons}
-
-	// The SRAM is sized exactly as core.New sizes it, so the bus term prices
-	// the same accesses.
-	maxBits := net.Input.Size()
-	for _, l := range net.Layers {
-		if n := l.OutSize(); n > maxBits {
-			maxBits = n
-		}
-	}
-	bytes := maxBits / 8
-	if bytes < 1024 {
-		bytes = 1024
-	}
-	ev.sramAccess = energy.NewSRAM(bytes).AccessEnergy()
+	ev := &evaluator{net: net, cons: cons, sramAccess: InputSRAM(net).AccessEnergy()}
 
 	probe := cons.Probe
 	if probe == nil {
@@ -323,18 +284,15 @@ func newEvaluator(net *snn.Network, cons Constraints) (*evaluator, error) {
 
 	// Raster-only statistics (independent of any mapping decision).
 	w := cons.PacketWidth
-	fw := cons.Link.FlitWidth
 	ev.busSent = make([][]int32, L)
 	ev.busTotal = make([][]int32, L)
 	ev.spikes = make([][]int32, L)
-	ev.flitSent = make([][]int32, L)
-	ev.flitTotal = make([][]int32, L)
+	ev.hop = make([][]cost.Hop, L)
 	for li := 0; li < L; li++ {
 		ev.busSent[li] = make([]int32, cons.Steps)
 		ev.busTotal[li] = make([]int32, cons.Steps)
 		ev.spikes[li] = make([]int32, cons.Steps)
-		ev.flitSent[li] = make([]int32, cons.Steps)
-		ev.flitTotal[li] = make([]int32, cons.Steps)
+		ev.hop[li] = make([]cost.Hop, cons.Steps)
 		for t := 0; t < cons.Steps; t++ {
 			zero, total := ev.in[li][t].ZeroPackets(w)
 			sent := total - zero
@@ -344,9 +302,7 @@ func newEvaluator(net *snn.Network, cons Constraints) (*evaluator, error) {
 			ev.busSent[li][t] = int32(sent)
 			ev.busTotal[li][t] = int32(total)
 			ev.spikes[li][t] = int32(ev.out[li][t].Count())
-			fzero, ftotal := ev.out[li][t].ZeroPackets(fw)
-			ev.flitSent[li][t] = int32(ftotal - fzero)
-			ev.flitTotal[li][t] = int32(ftotal)
+			ev.hop[li][t] = cons.Link.Raster(ev.out[li][t])
 		}
 	}
 
@@ -379,11 +335,8 @@ func newEvaluator(net *snn.Network, cons Constraints) (*evaluator, error) {
 }
 
 // buildStats packs layer li at Sizes[szIdx] (position-free) and replays the
-// probe rasters through the packing, mirroring core's accountant: each MCA's
-// driven rows are popcounts of the spike storage words under per-MCA
-// (word, mask) pairs, packet occupancy is read off the spike words, and
-// per-mPE word lists are deduped in first-encounter order — the same
-// structure core's layer plans cache.
+// probe rasters through the packing's Gather — the row gather the chip
+// accountant charges through — recording each step's activity.
 func (ev *evaluator) buildStats(li, szIdx int) (*sizeStats, error) {
 	cfg := ev.cons.Hierarchy
 	n := ev.cons.Sizes[szIdx]
@@ -392,76 +345,22 @@ func (ev *evaluator) buildStats(li, szIdx int) (*sizeStats, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := ev.cons.Params
+	// Pack from mPE 0: a layer always starts on a fresh mPE, so the runs do
+	// not depend on where it lands.
+	for ai := range lm.MCAs {
+		lm.MCAs[ai].MPE = ai / cfg.MCAsPerMPE
+	}
+	g := NewGather(&lm, n, ev.cons.Params, ev.cons.PacketWidth)
 	w := ev.cons.PacketWidth
 	ed := ev.cons.EventDriven
-
 	insz := l.InSize()
-	nwords := (insz + w - 1) / w
-	gOff := make([]int32, len(lm.MCAs)+1)
-	var gWord []int32
-	var gMask []uint64
-	factorXbar := make([]float64, len(lm.MCAs))
-	outs := make([]int32, len(lm.MCAs))
-	groupOf := make([]int32, len(lm.MCAs))
-	type run struct{ mcaLo, mcaHi, wordLo, wordHi int32 }
-	var runs []run
-	var words []int32
-	curMPE := -1
-	mcaLo, wordLo := int32(0), int32(0)
-	seen := map[int]bool{}
-	for ai := range lm.MCAs {
-		mca := &lm.MCAs[ai]
-		relMPE := ai / cfg.MCAsPerMPE
-		if relMPE != curMPE {
-			if ai > 0 {
-				runs = append(runs, run{mcaLo, int32(ai), wordLo, int32(len(words))})
-				mcaLo, wordLo = int32(ai), int32(len(words))
-				seen = map[int]bool{}
-			}
-			curMPE = relMPE
-		}
-		usedPerRow := 0.0
-		if len(mca.Inputs) > 0 {
-			usedPerRow = float64(mca.Taps) / float64(len(mca.Inputs))
-		}
-		idlePerRow := float64(n) - usedPerRow
-		if p.GateIdleColumns {
-			idlePerRow = 0
-		}
-		factorXbar[ai] = usedPerRow*p.XbarCellActive + idlePerRow*p.XbarCellActive*p.XbarIdleFrac
-		outs[ai] = int32(len(mca.Outputs))
-		groupOf[ai] = int32(mca.Group)
-		lastWord := -1
-		for _, in := range mca.Inputs {
-			sw, bit := in>>6, uint64(1)<<(in&63)
-			if g := len(gWord) - 1; g >= int(gOff[ai]) && gWord[g] == sw && gMask[g]&bit == 0 {
-				gMask[g] |= bit
-			} else {
-				gWord = append(gWord, sw)
-				gMask = append(gMask, bit)
-			}
-			word := int(in) / w
-			if word != lastWord {
-				lastWord = word
-				if !seen[word] {
-					seen[word] = true
-					words = append(words, int32(word))
-				}
-			}
-		}
-		gOff[ai+1] = int32(len(gWord))
-	}
-	if len(lm.MCAs) > 0 {
-		runs = append(runs, run{mcaLo, int32(len(lm.MCAs)), wordLo, int32(len(words))})
-	}
 
 	st := &sizeStats{
 		mcas:    len(lm.MCAs),
 		mpeSpan: (len(lm.MCAs) + cfg.MCAsPerMPE - 1) / cfg.MCAsPerMPE,
 		step:    make([]stepCost, ev.cons.Steps),
 	}
-	occ := make([]bool, nwords)
+	occ := make([]bool, g.NWords)
 	ga := make([]int32, lm.Groups)
 	for t := 0; t < ev.cons.Steps; t++ {
 		v := ev.in[li][t]
@@ -471,30 +370,29 @@ func (ev *evaluator) buildStats(li, szIdx int) (*sizeStats, error) {
 			occ[k] = v.LoadBits(lo, min(w, insz-lo)) != 0
 		}
 		sc := &st.step[t]
-		for i := range ga {
-			ga[i] = 0
-		}
-		for _, r := range runs {
-			for mi := r.mcaLo; mi < r.mcaHi; mi++ {
+		clear(ga)
+		for _, r := range g.Runs {
+			for mi := r.MCALo; mi < r.MCAHi; mi++ {
 				var rr int32
-				gm := gMask[gOff[mi]:gOff[mi+1]]
-				for k, sw := range gWord[gOff[mi]:gOff[mi+1]] {
+				gm := g.Mask[g.Off[mi]:g.Off[mi+1]]
+				for k, sw := range g.Word[g.Off[mi]:g.Off[mi+1]] {
 					rr += int32(bits.OnesCount64(spikeWords[sw] & gm[k]))
 				}
 				if rr == 0 && ed {
 					continue
 				}
+				gc := &g.MCAs[mi]
 				sc.active++
 				sc.rows += rr
-				sc.crossbarE += float64(rr) * factorXbar[mi]
-				sc.integrations += outs[mi]
-				if ga[groupOf[mi]]++; ga[groupOf[mi]] > sc.maxMux {
-					sc.maxMux = ga[groupOf[mi]]
+				sc.crossbarE += float64(rr) * gc.FactorXbar
+				sc.integrations += gc.Outs
+				if ga[gc.Group]++; ga[gc.Group] > sc.maxMux {
+					sc.maxMux = ga[gc.Group]
 				}
 			}
-			for wi := r.wordLo; wi < r.wordHi; wi++ {
+			for wi := r.WordLo; wi < r.WordHi; wi++ {
 				sc.words++
-				if !ed || occ[words[wi]] {
+				if !ed || occ[g.Words[wi]] {
 					sc.delivered++
 				}
 			}
@@ -523,36 +421,23 @@ func (ev *evaluator) positions(c candidate) ([]layerPos, int) {
 	return pos, cursor
 }
 
-// crossNC mirrors Mapping.TransportOf over candidate positions.
+// crossNC reports whether layer li receives its inputs over the global bus
+// at the candidate positions (see transportOf).
 func (ev *evaluator) crossNC(li int, pos []layerPos) bool {
-	if li == 0 {
-		return true
+	var prev layerPos
+	if li > 0 {
+		prev = pos[li-1]
 	}
-	l := ev.net.Layers[li]
-	switch l.Kind {
-	case snn.PoolLayer:
-		return false
-	case snn.ConvLayer:
-		if l.Geom.K <= l.Geom.Stride {
-			return false
-		}
-	}
-	cur, prev := pos[li], pos[li-1]
-	if cur.ncFirst != cur.ncLast || prev.ncFirst != prev.ncLast {
-		return true
-	}
-	return cur.ncFirst != prev.ncFirst
+	return transportOf(li, ev.net.Layers[li], prev, pos[li]) == Bus
 }
 
 // layerStep prices one (layer, timestep) stage of a candidate: its energy
-// and its sync/bus/local durations, with the core observer's closed forms.
-func (ev *evaluator) layerStep(li, t int, szIdx int, cross bool, pos layerPos) (e float64, sync, bus, local int32) {
+// and its duration by the shared stage-duration formula.
+func (ev *evaluator) layerStep(li, t int, szIdx int, cross bool, pos layerPos) (e float64, st cost.Stage) {
 	p := ev.cons.Params
 	sc := &ev.stats[li][szIdx].step[t]
 
-	ncSpan := pos.ncLast - pos.ncFirst + 1
-	sync = int32(p.SyncCyclesPerNC * ((ncSpan + 7) / 8))
-
+	busWords := 0
 	if cross {
 		total := ev.busTotal[li][t]
 		sent := ev.busSent[li][t]
@@ -562,7 +447,7 @@ func (ev *evaluator) layerStep(li, t int, szIdx int, cross bool, pos layerPos) (
 			per = 1.0
 		}
 		e += float64(sent) * per * (p.BusWord + ev.sramAccess)
-		bus = int32((int(sent) + p.BusWordsPerCycle - 1) / p.BusWordsPerCycle)
+		busWords = int(sent)
 	}
 
 	e += float64(sc.words) * p.ZeroCheck
@@ -574,27 +459,13 @@ func (ev *evaluator) layerStep(li, t int, szIdx int, cross bool, pos layerPos) (
 	sp := ev.spikes[li][t]
 	e += float64(sp) * (p.NeuronSpike + p.SpikeHandling)
 
-	per := 9
-	if ev.cons.Hierarchy.MPEsPerNC != 16 {
-		per = ev.cons.Hierarchy.MPEsPerNC/2 + 1
-	}
-	switches := ncSpan * per
-	delivery := (int(sc.delivered) + switches - 1) / switches
-	integrate := int(sc.maxMux) * p.IntegrateCycles
-	drain := 0
-	if sp > 0 || sc.maxMux > 0 {
-		drain = (int(sp) + pos.mpeSpan - 1) / pos.mpeSpan
-		if sp == 0 {
-			drain++
-		}
-	}
-	local = int32(delivery + integrate + drain)
-	return e, sync, bus, local
+	ncs := pos.ncLast - pos.ncFirst + 1
+	ph := cost.StagePhases(p, cost.Activity{
+		NCs: ncs, MPEs: pos.mpeSpan, Switches: ev.cons.Hierarchy.switches(ncs),
+		BusWords: busWords, Delivered: int(sc.delivered), MaxMux: int(sc.maxMux), Spikes: int(sp),
+	})
+	return e, ph.Stage()
 }
-
-// stage is one (timestep, layer) pipeline stage duration, the mapper-local
-// twin of core.StageDur.
-type stage struct{ sync, bus, local int32 }
 
 // evaluate prices a full candidate. The Objective field is left zero — it is
 // relative to a baseline the caller supplies to objective().
@@ -602,18 +473,12 @@ func (ev *evaluator) evaluate(c candidate) (CostBreakdown, error) {
 	L := len(ev.net.Layers)
 	pos, cursor := ev.positions(c)
 
-	ranges := cutRanges(c.cuts, L)
-	if limit := ev.cons.MaxMPEsPerChip; limit > 0 {
-		for _, r := range ranges {
-			mpes := 0
-			for li := r[0]; li < r[1]; li++ {
-				mpes += pos[li].mpeSpan
-			}
-			if mpes > limit {
-				return CostBreakdown{}, fmt.Errorf("mapping: layers [%d,%d) need %d mPEs, chip capacity %d",
-					r[0], r[1], mpes, limit)
-			}
-		}
+	spans := make([]int, L)
+	for li := range spans {
+		spans[li] = pos[li].mpeSpan
+	}
+	if err := cost.CheckCapacity(spans, c.cuts, ev.cons.MaxMPEsPerChip); err != nil {
+		return CostBreakdown{}, fmt.Errorf("mapping: %w", err)
 	}
 
 	cross := make([]bool, L)
@@ -623,23 +488,31 @@ func (ev *evaluator) evaluate(c candidate) (CostBreakdown, error) {
 
 	steps := ev.cons.Steps
 	energyJ := 0.0
-	stages := make([][]stage, steps)
+	grid := make([]cost.Stage, steps*L)
 	for t := 0; t < steps; t++ {
-		stages[t] = make([]stage, L)
 		for li := 0; li < L; li++ {
-			e, sync, bus, local := ev.layerStep(li, t, c.size[li], cross[li], pos[li])
+			e, st := ev.layerStep(li, t, c.size[li], cross[li], pos[li])
 			energyJ += e
-			stages[t][li] = stage{sync, bus, local}
+			grid[t*L+li] = st
 		}
+	}
+	// Chip s's stage grid is its layer range of every grid row.
+	chips := make([][][]cost.Stage, len(c.cuts)+1)
+	lo := 0
+	for s := range chips {
+		hi := L
+		if s < len(c.cuts) {
+			hi = c.cuts[s]
+		}
+		chips[s] = make([][]cost.Stage, steps)
+		for t := range chips[s] {
+			chips[s][t] = grid[t*L+lo : t*L+hi : t*L+hi]
+		}
+		lo = hi
 	}
 
 	// Inter-chip hops: each cut's boundary raster crosses as zero-checked
-	// flits, with the shard link model's energy and occupancy.
-	lp := ev.cons.Link
-	fpc := lp.FlitsPerCycle
-	if fpc < 1 {
-		fpc = 1
-	}
+	// flits, priced by the link model.
 	linkFlits := 0
 	linkE := 0.0
 	hops := make([][]int64, len(c.cuts))
@@ -647,14 +520,19 @@ func (ev *evaluator) evaluate(c candidate) (CostBreakdown, error) {
 		bl := cut - 1 // boundary layer: its output raster crosses the hop
 		hops[h] = make([]int64, steps)
 		for t := 0; t < steps; t++ {
-			sent := int(ev.flitSent[bl][t])
-			linkFlits += sent
-			linkE += float64(ev.flitTotal[bl][t])*lp.ZeroCheck + float64(sent)*lp.FlitEnergy
-			hops[h][t] = int64(lp.SyncCycles + (sent+fpc-1)/fpc)
+			hp := &ev.hop[bl][t]
+			linkFlits += hp.Sent
+			linkE += hp.EnergyJ
+			hops[h][t] = int64(hp.Cycles)
 		}
 	}
 
-	makespan := pipelineMakespan(stages, ranges, hops, lp.RecvBuf)
+	pipe, _ := ev.pipes.Get().(*cost.Pipeline)
+	if pipe == nil {
+		pipe = new(cost.Pipeline)
+	}
+	makespan, _, _ := pipe.Makespan(chips, hops, ev.cons.Link.RecvBuf)
+	ev.pipes.Put(pipe)
 	perNC := ev.cons.Hierarchy.MPEsPerNC
 	return CostBreakdown{
 		EnergyJ:     energyJ + linkE,
@@ -683,171 +561,4 @@ func objectiveOf(c, base CostBreakdown, w Weights) float64 {
 		obj += w.Latency * c.LatencyS / base.LatencyS
 	}
 	return obj
-}
-
-// cutRanges converts cut points to [lo, hi) layer ranges.
-func cutRanges(cuts []int, layers int) [][2]int {
-	out := make([][2]int, 0, len(cuts)+1)
-	lo := 0
-	for _, c := range cuts {
-		out = append(out, [2]int{lo, c})
-		lo = c
-	}
-	return append(out, [2]int{lo, layers})
-}
-
-// pipelineMakespan is the mapper's pipeline DES, mirroring the composition
-// core.PipelineMakespan and shard's eventMakespan use: stage (chip s,
-// timestep t, layer j) starts once (s, t-1, j) and (s, t, j-1) are done;
-// each chip's bus phases serialize on that chip's global bus; each hop
-// transfers rasters strictly in timestep order under a bounded receive
-// buffer. stages is indexed [timestep][global layer]; ranges partitions the
-// layers into chips; hops[h][t] is hop h's transfer occupancy for raster t.
-func pipelineMakespan(stages [][]stage, ranges [][2]int, hops [][]int64, recvBuf int) int64 {
-	T := len(stages)
-	if T == 0 {
-		return 0
-	}
-	S := len(ranges)
-	if recvBuf < 1 {
-		recvBuf = 1
-	}
-
-	var eng event.Engine
-	buses := make([]event.Resource, S)
-	need := make([][][]int8, S)
-	for s := 0; s < S; s++ {
-		L := ranges[s][1] - ranges[s][0]
-		need[s] = make([][]int8, T)
-		for t := 0; t < T; t++ {
-			need[s][t] = make([]int8, L)
-			for j := 0; j < L; j++ {
-				if t > 0 {
-					need[s][t][j]++
-				}
-				if j > 0 || s > 0 {
-					need[s][t][j]++
-				}
-			}
-		}
-	}
-
-	readyAt := make([][]int64, S-1)
-	next := make([]int, S-1)
-	busy := make([]bool, S-1)
-	credits := make([]int, S-1)
-	for h := range readyAt {
-		readyAt[h] = make([]int64, T)
-		for t := range readyAt[h] {
-			readyAt[h][t] = -1
-		}
-		credits[h] = recvBuf
-	}
-
-	var launch func(s, t, j int)
-	signal := func(s, t, j int) {
-		if t >= T || j >= len(need[s][t]) {
-			return
-		}
-		need[s][t][j]--
-		if need[s][t][j] <= 0 {
-			launch(s, t, j)
-		}
-	}
-	var trySend func(h int)
-	trySend = func(h int) {
-		t := next[h]
-		if t >= T || busy[h] || readyAt[h][t] < 0 || credits[h] == 0 {
-			return
-		}
-		busy[h] = true
-		credits[h]--
-		eng.Schedule(eng.Now()+hops[h][t], int32(1<<20+h), func() {
-			busy[h] = false
-			next[h]++
-			signal(h+1, t, 0)
-			trySend(h)
-		})
-	}
-	launch = func(s, t, j int) {
-		d := stages[t][ranges[s][0]+j]
-		busAt := eng.Now() + int64(d.sync)
-		end := busAt + int64(d.local)
-		if d.bus > 0 {
-			start := buses[s].Acquire(busAt, int64(d.bus))
-			end = start + int64(d.bus) + int64(d.local)
-		}
-		last := j == len(need[s][t])-1
-		eng.Schedule(end, int32(s<<10+j), func() {
-			if last && s < S-1 {
-				readyAt[s][t] = eng.Now()
-				trySend(s)
-			}
-			if j == 0 && s > 0 {
-				credits[s-1]++
-				trySend(s - 1)
-			}
-			signal(s, t, j+1)
-			signal(s, t+1, j)
-		})
-	}
-	eng.Schedule(0, 0, func() { launch(0, 0, 0) })
-	return eng.Run()
-}
-
-// minimaxCuts cuts the per-layer mPE spans into n contiguous parts
-// minimizing the maximum part sum, returning the cut points (part starts,
-// exclusive 0) — the same DP internal/shard partitions with, so a greedy
-// placement's cuts reproduce shard.New's partition exactly.
-func minimaxCuts(spans []int, n int) []int {
-	L := len(spans)
-	if n > L {
-		n = L
-	}
-	if n <= 1 {
-		return nil
-	}
-	prefix := make([]int, L+1)
-	for i, c := range spans {
-		prefix[i+1] = prefix[i] + c
-	}
-	const inf = int(^uint(0) >> 1)
-	dp := make([][]int, n+1)
-	cut := make([][]int, n+1)
-	for k := range dp {
-		dp[k] = make([]int, L+1)
-		cut[k] = make([]int, L+1)
-		for i := range dp[k] {
-			dp[k][i] = inf
-		}
-	}
-	dp[0][0] = 0
-	for k := 1; k <= n; k++ {
-		for i := k; i <= L; i++ {
-			for j := k - 1; j < i; j++ {
-				if dp[k-1][j] == inf {
-					continue
-				}
-				v := dp[k-1][j]
-				if s := prefix[i] - prefix[j]; s > v {
-					v = s
-				}
-				if v < dp[k][i] {
-					dp[k][i] = v
-					cut[k][i] = j
-				}
-			}
-		}
-	}
-	cuts := make([]int, 0, n-1)
-	hi := L
-	for k := n; k >= 2; k-- {
-		hi = cut[k][hi]
-		cuts = append(cuts, hi)
-	}
-	// Collected back to front; reverse into ascending order.
-	for i, j := 0, len(cuts)-1; i < j; i, j = i+1, j-1 {
-		cuts[i], cuts[j] = cuts[j], cuts[i]
-	}
-	return cuts
 }

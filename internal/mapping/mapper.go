@@ -3,6 +3,7 @@ package mapping
 import (
 	"fmt"
 
+	"resparc/internal/cost"
 	"resparc/internal/snn"
 )
 
@@ -110,7 +111,7 @@ func (ev *evaluator) balancedCuts(c candidate) []int {
 	for li := range spans {
 		spans[li] = ev.stats[li][c.size[li]].mpeSpan
 	}
-	return minimaxCuts(spans, ev.cons.Shards)
+	return cost.MinimaxCuts(spans, ev.cons.Shards)
 }
 
 // placement serializes a candidate into the versioned artifact, realizing

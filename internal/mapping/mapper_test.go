@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"resparc/internal/cost"
 	"resparc/internal/device"
 	"resparc/internal/snn"
 	"resparc/internal/tensor"
@@ -249,12 +250,29 @@ func TestBestUniform(t *testing.T) {
 	}
 }
 
+// TestMinimaxCuts pins the shared minimax DP (cost.MinimaxCuts) the mapper
+// cuts greedy placements with: balanced cuts, clamping to the layer count,
+// and a greedy multi-chip plan carrying exactly the DP's cuts of its spans.
 func TestMinimaxCuts(t *testing.T) {
-	cuts := minimaxCuts([]int{4, 4, 4, 4}, 2)
+	cuts := cost.MinimaxCuts([]int{4, 4, 4, 4}, 2)
 	if len(cuts) != 1 || cuts[0] != 2 {
 		t.Fatalf("got %v", cuts)
 	}
-	if got := minimaxCuts([]int{5}, 3); len(got) != 0 {
+	if got := cost.MinimaxCuts([]int{5}, 3); len(got) != 0 {
 		t.Fatalf("single layer got cuts %v", got)
+	}
+	net, c := testNetwork(t)
+	cons := testConstraints(c)
+	cons.Shards = 2
+	p, err := Greedy{}.Plan(net, cons)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spans := make([]int, len(p.Layers))
+	for li, lp := range p.Layers {
+		spans[li] = lp.MPEs
+	}
+	if want := cost.MinimaxCuts(spans, 2); len(want) != 1 || !reflect.DeepEqual(p.ShardCuts, want) {
+		t.Fatalf("greedy cuts %v, minimax DP of spans %v gives %v", p.ShardCuts, spans, want)
 	}
 }

@@ -592,10 +592,20 @@ func (t Transport) String() string {
 //   - Overlapping convolutions (K > stride) straddle region borders; they
 //     use the bus when spanning NeuroCells, like dense layers.
 func (m *Mapping) TransportOf(li int) Transport {
+	var prev layerPos
+	if li > 0 {
+		prev = m.Layers[li-1].pos()
+	}
+	return transportOf(li, m.Layers[li].Layer, prev, m.Layers[li].pos())
+}
+
+// transportOf is the TransportOf rule for layer li (network layer l) placed
+// at cur, its producer placed at prev (ignored for layer 0). The mapper's
+// cost model applies it to candidate positions.
+func transportOf(li int, l *snn.Layer, prev, cur layerPos) Transport {
 	if li == 0 {
 		return Bus
 	}
-	l := m.Layers[li].Layer
 	switch l.Kind {
 	case snn.PoolLayer:
 		return Switch
@@ -604,14 +614,27 @@ func (m *Mapping) TransportOf(li int) Transport {
 			return Switch
 		}
 	}
-	cur, prev := m.Layers[li], m.Layers[li-1]
-	if cur.NCFirst != cur.NCLast || prev.NCFirst != prev.NCLast {
+	if cur.ncFirst != cur.ncLast || prev.ncFirst != prev.ncLast {
 		return Bus
 	}
-	if cur.NCFirst != prev.NCFirst {
+	if cur.ncFirst != prev.ncFirst {
 		return Bus
 	}
 	return Switch
+}
+
+// layerPos is a layer's position on the chip: its mPE and NeuroCell spans.
+type layerPos struct {
+	mpeFirst, mpeSpan int
+	ncFirst, ncLast   int
+}
+
+// pos returns the placed layer's position.
+func (lm *LayerMapping) pos() layerPos {
+	return layerPos{
+		mpeFirst: lm.MPEFirst, mpeSpan: lm.MPELast - lm.MPEFirst + 1,
+		ncFirst: lm.NCFirst, ncLast: lm.NCLast,
+	}
 }
 
 // CrossNC reports whether layer li receives its inputs over the global IO
@@ -701,7 +724,11 @@ func (m *Mapping) ProgramCost() (energyJ, timeS float64) {
 // layer's packet traffic: 9 per NeuroCell spanned (Fig 8's 4x4 cell has 9
 // switches); non-standard cell sizes scale as d*d/2+1.
 func (lm *LayerMapping) Switches(cfg Config) int {
-	ncs := lm.NCLast - lm.NCFirst + 1
+	return cfg.switches(lm.NCLast - lm.NCFirst + 1)
+}
+
+// switches is the switch count of a layer spanning ncs NeuroCells.
+func (cfg Config) switches(ncs int) int {
 	per := 9
 	if cfg.MPEsPerNC != 16 {
 		per = cfg.MPEsPerNC/2 + 1

@@ -35,12 +35,13 @@ type LayerPlace struct {
 	Transport string `json:"transport"`
 }
 
-// CostBreakdown is the mapper's modeled cost of a placement: the surrogate
-// model's per-classification energy, pipelined latency (event-engine
+// CostBreakdown is the mapper's modeled cost of a placement: the cost
+// model's per-classification energy, pipelined latency (the event-engine
 // makespan over the probe raster) and inter-chip link traffic, plus the
-// weighted objective the search minimized. All values are modeled on the
-// probe input — they track, but are not identical to, the averages a full
-// evaluation measures.
+// weighted objective the search minimized. All values are those of the
+// probe classification — the simulator charges the same for that probe —
+// so they track, but are not identical to, the averages a full evaluation
+// over real inputs measures.
 type CostBreakdown struct {
 	EnergyJ     float64 `json:"energy_j"`
 	LatencyS    float64 `json:"latency_s"`

@@ -5,29 +5,8 @@ import (
 	"testing"
 
 	"resparc/internal/bench"
-	"resparc/internal/energy"
 	"resparc/internal/mapping"
 )
-
-// The mapper's link model (mapping.DefaultLinkCost) must stay in lockstep
-// with the executor's (DefaultLinkParams): the cost model prices the very
-// hops this package executes.
-func TestDefaultLinkCostMatchesLinkParams(t *testing.T) {
-	p := energy.Default45nm()
-	lp := DefaultLinkParams(p)
-	lc := mapping.DefaultLinkCost(p)
-	got := LinkParams{
-		FlitWidth:     lc.FlitWidth,
-		FlitEnergy:    lc.FlitEnergy,
-		ZeroCheck:     lc.ZeroCheck,
-		FlitsPerCycle: lc.FlitsPerCycle,
-		SyncCycles:    lc.SyncCycles,
-		RecvBuf:       lc.RecvBuf,
-	}
-	if got != lp {
-		t.Fatalf("mapping.DefaultLinkCost %+v != shard.DefaultLinkParams %+v", lc, lp)
-	}
-}
 
 // Explicit Cuts from a greedy Placement must reproduce the partition the
 // balanced DP derives on its own — the consistency that makes a

@@ -6,6 +6,7 @@ import (
 
 	"resparc/internal/bench"
 	"resparc/internal/core"
+	"resparc/internal/cost"
 	"resparc/internal/sim"
 )
 
@@ -167,7 +168,7 @@ func TestShardEventBackpressure(t *testing.T) {
 	b := bench.All()[0]
 	chip := chipFor(t, b)
 	inputs := benchInputs(t, b, chip.Net, 1)
-	link := DefaultLinkParams(chip.Opt.Params)
+	link := cost.DefaultLink(chip.Opt.Params)
 	link.FlitsPerCycle = 1
 	link.RecvBuf = 1
 	multi, err := New(chip, Config{Shards: 2, Link: link})
@@ -183,7 +184,7 @@ func TestShardEventBackpressure(t *testing.T) {
 		t.Fatal("narrow link with a one-raster receive buffer shows zero wait")
 	}
 	// A wide, deeply buffered link must wait strictly less.
-	wide := DefaultLinkParams(chip.Opt.Params)
+	wide := cost.DefaultLink(chip.Opt.Params)
 	wide.FlitsPerCycle = 64
 	wide.RecvBuf = 64
 	multiW, err := New(chip, Config{Shards: 2, Link: wide})

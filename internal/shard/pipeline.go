@@ -92,7 +92,7 @@ func (m *Multi) Classify(intensity tensor.Vec, enc snn.Encoder) (perf.Result, si
 // chips' layer pipeline is modeled, not executed — Report.Interval bounds
 // its steady-state throughput and, under Options.EventEngine, the merged
 // Cycles and Latency come from the global pipeline simulation
-// (eventMakespan) instead of the serial sum (see finish).
+// (cost.Pipeline) instead of the serial sum (see finish).
 //
 // Image i's outcome depends only on (inputs[i], enc(i)), so results are
 // bit-identical to sequential Classify calls for any worker count.

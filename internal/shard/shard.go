@@ -8,8 +8,9 @@
 // inter-chip link model carries each boundary layer's spike raster as
 // zero-checked packet flits with per-hop energy/latency accounting, and the
 // chips' layer pipeline is modeled: Report.Interval bounds its steady-state
-// throughput and, under sim.Options.EventEngine, eventMakespan composes the
-// shards' stage grids and the hops into one pipelined latency.
+// throughput and, under sim.Options.EventEngine, the shared pipeline
+// makespan (cost.Pipeline) composes the shards' stage grids and the hops
+// into one pipelined latency.
 //
 // Host execution is independent of that model. ClassifyEach fans images out
 // over sim.Options.Workers through sim.Each, like the single-chip backends,
@@ -31,54 +32,12 @@ import (
 
 	"resparc/internal/bitvec"
 	"resparc/internal/core"
-	"resparc/internal/energy"
-	"resparc/internal/packet"
+	"resparc/internal/cost"
 	"resparc/internal/perf"
 	"resparc/internal/sim"
 	"resparc/internal/snn"
 	"resparc/internal/tensor"
 )
-
-// LinkParams model one chip-to-chip hop. A hop carries the boundary layer's
-// spike raster once per timestep, sliced into FlitWidth-bit flits that are
-// zero-checked at the sending pad exactly like on-chip packets (§3.2): an
-// all-zero flit pays only the check, a surviving flit pays the serializer,
-// the off-chip traversal and the deserializer.
-type LinkParams struct {
-	// FlitWidth is the flit payload in spike bits (defaults to packet.Width).
-	FlitWidth int
-	// FlitEnergy is the joules to move one surviving flit across the hop.
-	FlitEnergy float64
-	// ZeroCheck is the joules to zero-check one flit (paid for every flit).
-	ZeroCheck float64
-	// FlitsPerCycle is the hop's width in flits per NeuroCell cycle.
-	FlitsPerCycle int
-	// SyncCycles is the per-timestep handshake overhead of the hop.
-	SyncCycles int
-	// RecvBuf bounds the receiving pad's raster buffer (in timesteps) under
-	// the pipelined reduction (sim.Options.EventEngine): the hop holds at
-	// most RecvBuf delivered-but-unconsumed rasters, so a slow downstream
-	// shard backpressures the sender (<= 0 selects one slot). Ignored by the
-	// serial-sum closed-form accounting.
-	RecvBuf int
-}
-
-// DefaultLinkParams derives a hop model from the chip's energy parameters:
-// an off-chip flit costs several on-chip bus-word transfers (pad drivers and
-// serdes dominate), the zero-check reuses the on-chip packet logic, and the
-// hop moves four flits per cycle — a 128-bit parallel chip-to-chip
-// interface, a quarter of the 512-bit on-chip global bus — with a two-cycle
-// handshake per timestep.
-func DefaultLinkParams(p energy.Params) LinkParams {
-	return LinkParams{
-		FlitWidth:     packet.Width,
-		FlitEnergy:    6 * p.BusWord,
-		ZeroCheck:     p.ZeroCheck,
-		FlitsPerCycle: 4,
-		SyncCycles:    2,
-		RecvBuf:       2,
-	}
-}
 
 // LinkStats accumulate inter-chip traffic for one classification (or, from
 // ClassifyBatch, summed over a batch).
@@ -117,8 +76,8 @@ type Config struct {
 	// on any one chip.
 	MaxMPEsPerChip int
 	// Link models each chip-to-chip hop (zero value selects
-	// DefaultLinkParams of the chip's energy parameters).
-	Link LinkParams
+	// cost.DefaultLink of the chip's energy parameters).
+	Link cost.Link
 }
 
 // Range is a contiguous global layer range [Lo, Hi) placed on one chip.
@@ -143,9 +102,9 @@ var _ sim.Backend = (*Multi)(nil)
 // New partitions the chip's layer stack into cfg.Shards balanced ranges.
 // The partitioner minimizes the maximum per-chip mPE count (the placement
 // span each layer already occupies in the chip's mapping) over all
-// contiguous cuts — the capacity heuristic: mPEs are the unit of crossbar
-// real estate, so the widest chip bounds both silicon and the pipeline's
-// slowest stage.
+// contiguous cuts (cost.MinimaxCuts) — the capacity heuristic: mPEs are the
+// unit of crossbar real estate, so the widest chip bounds both silicon and
+// the pipeline's slowest stage.
 func New(chip *core.Chip, cfg Config) (*Multi, error) {
 	if chip == nil {
 		return nil, fmt.Errorf("shard: nil chip")
@@ -154,46 +113,32 @@ func New(chip *core.Chip, cfg Config) (*Multi, error) {
 		return nil, fmt.Errorf("shard: %d shards", cfg.Shards)
 	}
 	layers := chip.Net.Layers
-	n := cfg.Shards
-	if n > len(layers) {
-		n = len(layers)
+	link, err := cfg.Link.OrDefault(chip.Opt.Params)
+	if err != nil {
+		return nil, fmt.Errorf("shard: %w", err)
 	}
-	if (cfg.Link == LinkParams{}) {
-		cfg.Link = DefaultLinkParams(chip.Opt.Params)
-	}
-	if cfg.Link.FlitWidth < 1 {
-		return nil, fmt.Errorf("shard: flit width %d", cfg.Link.FlitWidth)
-	}
-	costs := make([]int, len(layers))
+	cfg.Link = link
+	spans := make([]int, len(layers))
 	for li := range layers {
 		lm := &chip.Map.Layers[li]
-		costs[li] = lm.MPELast - lm.MPEFirst + 1
+		spans[li] = lm.MPELast - lm.MPEFirst + 1
+	}
+	cuts := cfg.Cuts
+	if len(cuts) == 0 {
+		cuts = cost.MinimaxCuts(spans, cfg.Shards)
 	}
 	var ranges []Range
-	if len(cfg.Cuts) > 0 {
-		prev := 0
-		for _, c := range cfg.Cuts {
-			if c <= prev || c >= len(layers) {
-				return nil, fmt.Errorf("shard: cuts %v not strictly ascending in (0,%d)", cfg.Cuts, len(layers))
-			}
-			ranges = append(ranges, Range{Lo: prev, Hi: c})
-			prev = c
+	prev := 0
+	for _, c := range cuts {
+		if c <= prev || c >= len(layers) {
+			return nil, fmt.Errorf("shard: cuts %v not strictly ascending in (0,%d)", cuts, len(layers))
 		}
-		ranges = append(ranges, Range{Lo: prev, Hi: len(layers)})
-	} else {
-		ranges = partition(costs, n)
+		ranges = append(ranges, Range{Lo: prev, Hi: c})
+		prev = c
 	}
-	if cfg.MaxMPEsPerChip > 0 {
-		for _, r := range ranges {
-			mpes := 0
-			for li := r.Lo; li < r.Hi; li++ {
-				mpes += costs[li]
-			}
-			if mpes > cfg.MaxMPEsPerChip {
-				return nil, fmt.Errorf("shard: layers [%d,%d) need %d mPEs, chip capacity %d",
-					r.Lo, r.Hi, mpes, cfg.MaxMPEsPerChip)
-			}
-		}
+	ranges = append(ranges, Range{Lo: prev, Hi: len(layers)})
+	if err := cost.CheckCapacity(spans, cuts, cfg.MaxMPEsPerChip); err != nil {
+		return nil, fmt.Errorf("shard: %w", err)
 	}
 	subnets := make([]*snn.Network, len(ranges))
 	for i, r := range ranges {
@@ -212,56 +157,6 @@ func New(chip *core.Chip, cfg Config) (*Multi, error) {
 		name: fmt.Sprintf("%s-x%d", chip.Name(), len(ranges)),
 	}
 	return m, nil
-}
-
-// partition cuts costs into n contiguous parts minimizing the maximum part
-// sum (classic minimax partition DP; layer counts are small, so the
-// quadratic scan is fine).
-func partition(costs []int, n int) []Range {
-	L := len(costs)
-	prefix := make([]int, L+1)
-	for i, c := range costs {
-		prefix[i+1] = prefix[i] + c
-	}
-	sum := func(lo, hi int) int { return prefix[hi] - prefix[lo] }
-	// dp[k][i]: minimal achievable max-part-sum splitting the first i layers
-	// into k parts; cut[k][i] records the start of the k-th part.
-	const inf = int(^uint(0) >> 1)
-	dp := make([][]int, n+1)
-	cut := make([][]int, n+1)
-	for k := range dp {
-		dp[k] = make([]int, L+1)
-		cut[k] = make([]int, L+1)
-		for i := range dp[k] {
-			dp[k][i] = inf
-		}
-	}
-	dp[0][0] = 0
-	for k := 1; k <= n; k++ {
-		for i := k; i <= L; i++ {
-			for j := k - 1; j < i; j++ {
-				if dp[k-1][j] == inf {
-					continue
-				}
-				v := dp[k-1][j]
-				if s := sum(j, i); s > v {
-					v = s
-				}
-				if v < dp[k][i] {
-					dp[k][i] = v
-					cut[k][i] = j
-				}
-			}
-		}
-	}
-	ranges := make([]Range, n)
-	hi := L
-	for k := n; k >= 1; k-- {
-		lo := cut[k][hi]
-		ranges[k-1] = Range{Lo: lo, Hi: hi}
-		hi = lo
-	}
-	return ranges
 }
 
 // Name implements sim.Backend ("resparc-x4" for a 4-shard pipeline).
@@ -322,29 +217,22 @@ func (r Report) ImagesPerSec() float64 {
 
 // linkCost charges one boundary's raster (all timesteps) to the hop model.
 // When perStep is true (event engine) it additionally returns each
-// timestep's transfer occupancy in cycles — the hop durations the global
-// pipeline DES serializes.
+// timestep's transfer occupancy in cycles — the hop durations the pipelined
+// makespan serializes.
 func (m *Multi) linkCost(raster []*bitvec.Bits, perStep bool) (LinkStats, []int64) {
-	lp := m.cfg.Link
-	fpc := lp.FlitsPerCycle
-	if fpc < 1 {
-		fpc = 1
-	}
 	var st LinkStats
 	var steps []int64
 	if perStep {
 		steps = make([]int64, 0, len(raster))
 	}
 	for _, bits := range raster {
-		zero, total := bits.ZeroPackets(lp.FlitWidth)
-		sent := total - zero
-		st.FlitsSent += sent
-		st.FlitsSuppressed += zero
-		st.EnergyJ += float64(total)*lp.ZeroCheck + float64(sent)*lp.FlitEnergy
-		cyc := lp.SyncCycles + (sent+fpc-1)/fpc
-		st.Cycles += cyc
+		h := m.cfg.Link.Raster(bits)
+		st.FlitsSent += h.Sent
+		st.FlitsSuppressed += h.Suppressed
+		st.EnergyJ += h.EnergyJ
+		st.Cycles += h.Cycles
 		if perStep {
-			steps = append(steps, int64(cyc))
+			steps = append(steps, int64(h.Cycles))
 		}
 	}
 	return st, steps
@@ -393,7 +281,12 @@ func (m *Multi) finish(parts []core.Report, hops []LinkStats, hopSteps [][]int64
 	steps := m.chip.Opt.Steps
 	linkSeconds := 0.0
 	if pipelined {
-		makespan, lw, busWait := eventMakespan(parts, hopSteps, m.cfg.Link.RecvBuf)
+		grids := make([][][]cost.Stage, len(parts))
+		for s := range parts {
+			grids[s] = parts[s].Stages
+		}
+		var pipe cost.Pipeline
+		makespan, lw, busWait := pipe.Makespan(grids, hopSteps, m.cfg.Link.RecvBuf)
 		for h := range lw {
 			hops[h].WaitCycles = int(lw[h])
 		}

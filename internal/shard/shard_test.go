@@ -7,6 +7,7 @@ import (
 
 	"resparc/internal/bench"
 	"resparc/internal/core"
+	"resparc/internal/cost"
 	"resparc/internal/dataset"
 	"resparc/internal/mapping"
 	"resparc/internal/perf"
@@ -285,6 +286,27 @@ func TestPartitionerShapes(t *testing.T) {
 	}
 	if !strings.HasSuffix(multi.Name(), "-x"+itoa(L)) {
 		t.Fatalf("name %q", multi.Name())
+	}
+
+	// Every shard count partitions at the shared minimax DP's cuts of the
+	// layers' mPE spans.
+	spans := make([]int, L)
+	for li := range spans {
+		lm := &chip.Map.Layers[li]
+		spans[li] = lm.MPELast - lm.MPEFirst + 1
+	}
+	for n := 1; n <= L; n++ {
+		m, err := New(chip, Config{Shards: n})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var cuts []int
+		for _, r := range m.Ranges()[1:] {
+			cuts = append(cuts, r.Lo)
+		}
+		if want := cost.MinimaxCuts(spans, n); !reflect.DeepEqual(cuts, want) {
+			t.Fatalf("%d shards cut at %v, minimax DP gives %v", n, cuts, want)
+		}
 	}
 
 	// A capacity too small for the widest layer must be rejected.

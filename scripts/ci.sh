@@ -74,12 +74,12 @@ if ! diff -u scripts/mapping_api_surface.golden "$mapping_surface"; then
     exit 1
 fi
 
-# One iteration of the per-layer kernel and mapper benchmarks: nothing is
+# One iteration of the per-layer kernel, mapper and makespan benchmarks: nothing is
 # timed or compared, it only keeps the benchmark code compiling and running
 # (their fixtures build real Fig 10 networks, which plain go test never
 # reaches for benchmarks).
-echo "== benchmark smoke (snn layers, mapper)"
-go test -run '^$' -bench 'Layer$|Plan|LayerMapping' -benchtime 1x ./internal/snn ./internal/mapping
+echo "== benchmark smoke (snn layers, mapper, pipeline makespan)"
+go test -run '^$' -bench 'Layer$|Plan|LayerMapping|Makespan' -benchtime 1x ./internal/snn ./internal/mapping ./internal/shard
 
 echo "== fuzz smoke (FuzzFaultMap, 5s)"
 go test -run Fuzz -fuzz=FuzzFaultMap -fuzztime=5s ./internal/fault/
