@@ -6,14 +6,14 @@
 // Usage:
 //
 //	resparc-noc [-dim 4] [-packets 72] [-pattern neighbor|random|hotspot|all]
-//	            [-engine stepped|event] [-queuecap N] [-sweep] [-seed 1]
+//	            [-queuecap N] [-sweep] [-seed 1]
 //
-// -engine event runs the discrete-event fabric: one flit per switch per
-// cycle out of bounded input FIFOs with credit-based backpressure, so
-// congestion (and the Wait column) emerges from the flow control instead of
-// the stepped model's unbounded queues. -sweep additionally ramps the
-// offered load and reports how delivered cycles-per-packet degrade per
-// pattern — flat for neighbor traffic, super-linear at the hotspot.
+// The fabric is discrete-event: one flit per switch per cycle out of
+// bounded input FIFOs (-queuecap deep) with credit-based backpressure, so
+// congestion (and the Wait column) emerges from the flow control. -sweep
+// additionally ramps the offered load and reports how delivered
+// cycles-per-packet degrade per pattern — flat for neighbor traffic,
+// super-linear at the hotspot.
 package main
 
 import (
@@ -33,14 +33,10 @@ func main() {
 	dim := flag.Int("dim", 4, "NeuroCell mPE grid dimension (4 = the Fig 8 cell)")
 	packets := flag.Int("packets", 72, "spike packets injected at cycle 0")
 	pattern := flag.String("pattern", "all", "traffic pattern: neighbor, random, hotspot, all")
-	engine := flag.String("engine", "stepped", "fabric engine: stepped (unbounded queues) or event (bounded FIFOs, backpressure)")
-	queueCap := flag.Int("queuecap", 0, "event engine: per-switch input-FIFO depth (<= 0: neurocell.DefaultQueueCap)")
-	sweep := flag.Bool("sweep", false, "ramp offered load and report delivered cycles per pattern (event engine)")
+	queueCap := flag.Int("queuecap", 0, "per-switch input-FIFO depth in flits (<= 0: neurocell.DefaultQueueCap)")
+	sweep := flag.Bool("sweep", false, "also ramp offered load and report delivered cycles per pattern")
 	seed := flag.Int64("seed", 1, "PRNG seed for random traffic")
 	flag.Parse()
-	if *engine != "stepped" && *engine != "event" {
-		log.Fatalf("unknown engine %q (want stepped or event)", *engine)
-	}
 
 	sw, err := neurocell.NewSwitchNet(*dim)
 	if err != nil {
@@ -74,12 +70,7 @@ func main() {
 			return out
 		},
 	}
-	simulate := func(tr []neurocell.Transfer) (neurocell.SwitchStats, error) {
-		if *engine == "event" {
-			return sw.SimulateEvent(tr, neurocell.EventOptions{QueueCap: *queueCap})
-		}
-		return sw.Simulate(tr)
-	}
+	opt := neurocell.EventOptions{QueueCap: *queueCap}
 	names := []string{"neighbor", "random", "hotspot"}
 	if *pattern != "all" {
 		if _, ok := gen[*pattern]; !ok {
@@ -88,12 +79,12 @@ func main() {
 		names = []string{*pattern}
 	}
 
-	fmt.Printf("%dx%d NeuroCell, %d switches, %d packets, %s engine\n\n",
-		*dim, *dim, sw.Switches(), *packets, *engine)
+	fmt.Printf("%dx%d NeuroCell, %d switches, %d packets\n\n",
+		*dim, *dim, sw.Switches(), *packets)
 	t := report.NewTable("switch-fabric simulation",
 		"Pattern", "Ideal cycles", "Simulated", "Slowdown", "Hops", "Max queue", "Wait")
 	for _, name := range names {
-		st, err := simulate(gen[name](*packets))
+		st, err := sw.Simulate(gen[name](*packets), opt)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -115,7 +106,7 @@ func main() {
 			"Pattern", "Packets", "Ideal", "Cycles", "Cyc/pkt", "Wait")
 		for _, name := range names {
 			for _, n := range loads {
-				s, err := simulate(gen[name](n))
+				s, err := sw.Simulate(gen[name](n), opt)
 				if err != nil {
 					log.Fatal(err)
 				}
@@ -129,7 +120,7 @@ func main() {
 	}
 
 	fmt.Println("\nload balance (forwards per switch, last pattern):")
-	st, err := simulate(gen[names[len(names)-1]](*packets))
+	st, err := sw.Simulate(gen[names[len(names)-1]](*packets), opt)
 	if err != nil {
 		log.Fatal(err)
 	}

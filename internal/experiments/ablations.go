@@ -138,8 +138,9 @@ type ContentionRow struct {
 }
 
 // AblationSwitchContention stresses the §3.1.2 "high throughput parallel
-// transfer" assumption with the Fig 6 switch fabric at packet granularity:
-// uniform neighbor traffic tracks the ideal bound; hotspot traffic
+// transfer" assumption with the Fig 6 switch fabric at packet granularity
+// (bounded FIFOs with credit backpressure, default depth): spread traffic
+// stays within a small factor of the ideal bound; hotspot traffic
 // serializes at the destination switch.
 func AblationSwitchContention(seed int64) ([]ContentionRow, *report.Table, error) {
 	sw, err := neurocell.NewSwitchNet(4)
@@ -179,7 +180,7 @@ func AblationSwitchContention(seed int64) ([]ContentionRow, *report.Table, error
 	var rows []ContentionRow
 	const packets = 72
 	for _, p := range patterns {
-		st, err := sw.Simulate(p.gen(packets))
+		st, err := sw.Simulate(p.gen(packets), neurocell.EventOptions{})
 		if err != nil {
 			return nil, nil, fmtErr("ablation-contention", err)
 		}

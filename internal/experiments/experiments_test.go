@@ -350,69 +350,3 @@ func TestSensitivityRobust(t *testing.T) {
 		t.Fatal("factor 1 accepted")
 	}
 }
-
-// The sweep driver must cover the grid and its CSV form must parse back to
-// the same row count.
-func TestSweepSizes(t *testing.T) {
-	if testing.Short() {
-		t.Skip("sweep; skipped with -short")
-	}
-	cfg := testConfig()
-	cfg.Steps = 8
-	names := []string{"mnist-mlp"}
-	sizes := []int{32, 64}
-	rows, table, err := SweepSizes(cfg, names, sizes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 || table == nil {
-		t.Fatalf("%d rows", len(rows))
-	}
-	for _, r := range rows {
-		if r.EnergyJ <= 0 || r.LatencyS <= 0 || r.MCAs <= 0 {
-			t.Fatalf("bad row %+v", r)
-		}
-		if total := r.Neuron + r.Crossbar + r.Peripherals; total != r.EnergyJ {
-			t.Fatalf("components %.3g don't sum to total %.3g", total, r.EnergyJ)
-		}
-	}
-	var sb strings.Builder
-	if err := WriteSweepCSV(&sb, cfg, names, sizes); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(sb.String()), "\n")
-	if len(lines) != 3 { // header + 2 rows
-		t.Fatalf("CSV lines: %d\n%s", len(lines), sb.String())
-	}
-	if _, _, err := SweepSizes(cfg, []string{"nope"}, sizes); err == nil {
-		t.Fatal("unknown benchmark accepted")
-	}
-}
-
-// Each benchmark's cycle phases must sum to its total and identify a
-// meaningful bottleneck.
-func TestBottlenecks(t *testing.T) {
-	if testing.Short() {
-		t.Skip("sweep; skipped with -short")
-	}
-	cfg := testConfig()
-	cfg.Steps = 8
-	rows, table, err := Bottlenecks(cfg, []string{"mnist-mlp", "mnist-cnn"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 || table == nil {
-		t.Fatalf("%d rows", len(rows))
-	}
-	for _, r := range rows {
-		if r.Breakdown.Total() <= 0 {
-			t.Fatalf("%s: empty breakdown", r.Bench)
-		}
-		if r.Bottleneck == "" {
-			t.Fatalf("%s: no bottleneck", r.Bench)
-		}
-	}
-	if _, _, err := Bottlenecks(cfg, []string{"nope"}); err == nil {
-		t.Fatal("unknown benchmark accepted")
-	}
-}

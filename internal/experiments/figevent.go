@@ -155,7 +155,7 @@ func eventNoCRows(seed int64, dim, packets int, t *report.Table) ([]perf.BenchEn
 		if err != nil {
 			return nil, err
 		}
-		st, err := n.SimulateEvent(tr, neurocell.EventOptions{})
+		st, err := n.Simulate(tr, neurocell.EventOptions{})
 		if err != nil {
 			return nil, err
 		}

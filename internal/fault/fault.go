@@ -102,7 +102,8 @@ type Campaign struct {
 	// DeadSlots lists whole-crossbar kill switches.
 	DeadSlots []SlotID
 	// DeadLinks lists killed NoC switch ids (neurocell.SwitchNet
-	// coordinates): packets routed through them are lost.
+	// coordinates): packets injected at them are dropped, and traffic
+	// routed through or to them stalls the fabric (neurocell.DeadlockError).
 	DeadLinks []int
 }
 

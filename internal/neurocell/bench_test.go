@@ -68,7 +68,7 @@ func BenchmarkCycleStep(b *testing.B) {
 }
 
 // BenchmarkSwitchNetUniform measures the packet-level fabric on uniform
-// random traffic.
+// random traffic at the default FIFO depth.
 func BenchmarkSwitchNetUniform(b *testing.B) {
 	n, err := NewSwitchNet(4)
 	if err != nil {
@@ -81,7 +81,7 @@ func BenchmarkSwitchNetUniform(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := n.Simulate(transfers); err != nil {
+		if _, err := n.Simulate(transfers, EventOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}

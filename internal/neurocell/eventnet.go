@@ -12,7 +12,7 @@ import (
 // iData/iAddress buffer sizing (one slot per attached mPE port).
 const DefaultQueueCap = 4
 
-// EventOptions configure SimulateEvent.
+// EventOptions configure Simulate.
 type EventOptions struct {
 	// QueueCap bounds each switch's transit FIFOs (one per hop class). Zero
 	// selects DefaultQueueCap. A flit whose next hop's FIFO is full stalls
@@ -23,12 +23,10 @@ type EventOptions struct {
 }
 
 // DeadlockError reports that the fabric stalled with flits still in flight:
-// no switch can make progress (event engine: every remaining flit waits on a
-// slot that will never free, e.g. behind a dead switch; stepped engine: a
-// cycle passed with pending flits and zero forwards, or the livelock
-// watchdog tripped).
+// no switch can make progress because every remaining flit waits on a slot
+// that will never free, e.g. behind a dead switch.
 type DeadlockError struct {
-	Cycle   int64 // virtual tick (or cycle) the stall was detected at
+	Cycle   int64 // cycle the stall was detected at
 	Pending int   // flits still undelivered
 	Stuck   []int // switches holding undeliverable flits
 }
@@ -38,11 +36,16 @@ func (e *DeadlockError) Error() string {
 		e.Cycle, e.Pending, e.Stuck)
 }
 
-// SimulateEvent runs the same traffic as Simulate on the discrete-event
-// engine: each switch's decoder serves one flit per cycle out of bounded
-// input FIFOs, forwarded flits arrive at the next hop one tick later, and a
-// full downstream FIFO blocks the sender (head-of-line) until a slot frees —
-// backpressure propagates instead of the stepped model's unbounded queues.
+// Simulate runs the traffic to completion on the discrete-event engine and
+// returns the statistics. All packets are injected at cycle zero (the worst
+// case within one timestep's distribution phase). The address format of
+// Fig 6 (SW_ID | mPE_ID | MCA_ID) determines routing; MCA fan-out inside the
+// destination mPE is local and free.
+//
+// Each switch's decoder serves one flit per cycle out of bounded input
+// FIFOs, forwarded flits arrive at the next hop one tick later, and a full
+// downstream FIFO blocks the sender (head-of-line) until a slot frees, so
+// backpressure propagates upstream.
 //
 // Buffers are split by hop class, the standard escape from protocol
 // deadlock under bounded buffering: freshly injected flits wait in q0 for
@@ -59,12 +62,11 @@ func (e *DeadlockError) Error() string {
 // (tick, priority, seq) contract), so the same transfer list always yields
 // the same statistics.
 //
-// Fault semantics differ deliberately from Simulate: a dead *injection*
-// switch still drops at the port (the packet never enters the fabric), but
-// a dead switch en route never accepts flits, so traffic routed toward it
-// backs up and the run returns a *DeadlockError — the flow-controlled
-// analog of the stepped model's silent in-fabric drop.
-func (n *SwitchNet) SimulateEvent(transfers []Transfer, opt EventOptions) (SwitchStats, error) {
+// Faults: a dead injection switch drops the packet at the port (it never
+// enters the fabric); a dead switch en route or at the destination never
+// accepts flits, so traffic routed toward it backs up and the run returns a
+// *DeadlockError with the partial statistics.
+func (n *SwitchNet) Simulate(transfers []Transfer, opt EventOptions) (SwitchStats, error) {
 	qcap := opt.QueueCap
 	if qcap <= 0 {
 		qcap = DefaultQueueCap
@@ -84,6 +86,9 @@ func (n *SwitchNet) SimulateEvent(transfers []Transfer, opt EventOptions) (Switc
 			return SwitchStats{}, fmt.Errorf("neurocell: transfer %+v out of the %dx%d array", t, n.dim, n.dim)
 		}
 		src := n.switchOf(t.SrcMPE)
+		// Encode the destination in the Fig 6 address format; the wire
+		// format round-trips through the packet package to keep the two
+		// views consistent.
 		addr := packet.Address{SW: uint8(n.switchOf(t.DstMPE)), MPE: uint8(t.DstMPE)}
 		dec := packet.DecodeAddress(addr.Encode())
 		if n.switchDead(src) {
@@ -91,15 +96,15 @@ func (n *SwitchNet) SimulateEvent(transfers []Transfer, opt EventOptions) (Switc
 			stats.Dropped++
 			continue
 		}
-		inject[src] = append(inject[src], flit{dst: int(dec.SW), dstMPE: int(dec.MPE)})
+		inject[src] = append(inject[src], flit{dst: int(dec.SW)})
 		injected++
 	}
 
 	var eng event.Engine
 	// Within-tick priority bands: arrivals commit below everything else so a
-	// flit forwarded at T is serviceable at T+1 (one cycle per hop, like the
-	// stepped model); injections precede arbitration so a freshly injected
-	// flit is forwardable the same cycle (all-at-cycle-zero injection parity).
+	// flit forwarded at T is serviceable at T+1 (one cycle per hop);
+	// injections precede arbitration so a freshly injected flit is
+	// forwardable the same cycle.
 	const prioArrive = int32(0)
 	prioInject := func(s int) int32 { return int32(1<<10 + s) }
 	prioArbit := func(s int) int32 { return int32(2<<10 + s) }
@@ -202,7 +207,6 @@ func (n *SwitchNet) SimulateEvent(transfers []Transfer, opt EventOptions) (Switc
 			occ1[s]--
 			stats.Forwards[s]++
 			stats.Hops++
-			f.hops++
 			arrive(next, f, now+1) // dst == next: lands in the ejection queue
 			wakeQ1(s, now)
 		case len(q0[s]) > 0:
@@ -250,7 +254,6 @@ func (n *SwitchNet) SimulateEvent(transfers []Transfer, opt EventOptions) (Switc
 			}
 			stats.Forwards[s]++
 			stats.Hops++
-			f.hops++
 			arrive(next, f, now+1)
 			if injWaiting[s] {
 				injWaiting[s] = false

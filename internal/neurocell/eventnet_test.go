@@ -28,45 +28,6 @@ func evTransfers(t *testing.T, dim int, pattern string, n int, seed int64) []Tra
 	return out
 }
 
-// TestEventSteppedDeliveredEquivalence is the satellite equivalence check:
-// on a live topology both engines deliver every injected packet, for every
-// traffic pattern.
-func TestEventSteppedDeliveredEquivalence(t *testing.T) {
-	for _, pattern := range []string{"neighbor", "random", "hotspot"} {
-		for _, count := range []int{1, 9, 72, 200} {
-			tr := evTransfers(t, 4, pattern, count, 7)
-			stepNet, err := NewSwitchNet(4)
-			if err != nil {
-				t.Fatal(err)
-			}
-			st, err := stepNet.Simulate(tr)
-			if err != nil {
-				t.Fatalf("%s/%d stepped: %v", pattern, count, err)
-			}
-			evNet, err := NewSwitchNet(4)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ev, err := evNet.SimulateEvent(tr, EventOptions{})
-			if err != nil {
-				t.Fatalf("%s/%d event: %v", pattern, count, err)
-			}
-			if ev.Delivered != st.Delivered || ev.Delivered != count {
-				t.Errorf("%s/%d: delivered event=%d stepped=%d want %d",
-					pattern, count, ev.Delivered, st.Delivered, count)
-			}
-			if ev.Dropped != 0 || st.Dropped != 0 {
-				t.Errorf("%s/%d: dropped event=%d stepped=%d on live topology",
-					pattern, count, ev.Dropped, st.Dropped)
-			}
-			if ev.Cycles < evNet.IdealCycles(count) {
-				t.Errorf("%s/%d: event cycles %d below ideal bound %d",
-					pattern, count, ev.Cycles, evNet.IdealCycles(count))
-			}
-		}
-	}
-}
-
 // TestEventDeterministic: the event fabric's full statistics are a pure
 // function of the transfer list.
 func TestEventDeterministic(t *testing.T) {
@@ -77,7 +38,7 @@ func TestEventDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st, err := n.SimulateEvent(tr, EventOptions{})
+		st, err := n.Simulate(tr, EventOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,7 +61,7 @@ func TestEventHotspotCongestion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := n.SimulateEvent(tr, EventOptions{})
+	st, err := n.Simulate(tr, EventOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +77,7 @@ func TestEventHotspotCongestion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stNB, err := nb.SimulateEvent(evTransfers(t, 4, "neighbor", 72, 11), EventOptions{})
+	stNB, err := nb.Simulate(evTransfers(t, 4, "neighbor", 72, 11), EventOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,113 +87,76 @@ func TestEventHotspotCongestion(t *testing.T) {
 	}
 }
 
-// TestEventDeadSwitchDeadlock is the satellite dead-switch test for the
-// event engine: traffic routed toward a dead switch backs up behind it and
-// the run reports a typed deadlock instead of silently dropping.
+// TestEventDeadSwitchDeadlock: traffic routed toward a dead switch, as its
+// destination or as an intermediate hop, backs up behind it and the run
+// reports a typed deadlock instead of silently dropping.
 func TestEventDeadSwitchDeadlock(t *testing.T) {
-	n, err := NewSwitchNet(4)
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name      string
+		dead      int
+		tr        []Transfer
+		pending   int
+		delivered int
+	}{
+		// mPE 15 attaches to switch 8 (bottom-right corner); kill it and
+		// send traffic there from the opposite corner. The deliverable
+		// transfer still completes.
+		{"destination", 8, []Transfer{
+			{SrcMPE: 0, DstMPE: 15},
+			{SrcMPE: 1, DstMPE: 15},
+			{SrcMPE: 0, DstMPE: 5},
+		}, 2, 1},
+		// Switch (0,0) to (2,2) takes the column hop first, so the
+		// intermediate switch is (0,2) = 6.
+		{"intermediate hop", 6, []Transfer{{SrcMPE: 0, DstMPE: 15}}, 1, 0},
 	}
-	// mPE 15 attaches to switch 8 (bottom-right corner); kill it and send
-	// traffic there from the opposite corner.
-	n.KillSwitch(8)
-	tr := []Transfer{
-		{SrcMPE: 0, DstMPE: 15},
-		{SrcMPE: 1, DstMPE: 15},
-		{SrcMPE: 0, DstMPE: 5}, // deliverable traffic still completes
-	}
-	st, err := n.SimulateEvent(tr, EventOptions{})
-	var dl *DeadlockError
-	if !errors.As(err, &dl) {
-		t.Fatalf("err = %v, want *DeadlockError", err)
-	}
-	if dl.Pending != 2 {
-		t.Errorf("deadlock pending = %d, want 2", dl.Pending)
-	}
-	if len(dl.Stuck) == 0 {
-		t.Error("deadlock reports no stuck switches")
-	}
-	for _, s := range dl.Stuck {
-		if s == 8 {
-			t.Error("flits queued inside the dead switch; they must stall upstream")
-		}
-	}
-	if st.Delivered != 1 {
-		t.Errorf("delivered = %d, want 1 (the live transfer)", st.Delivered)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			n, err := NewSwitchNet(4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n.KillSwitch(c.dead)
+			st, err := n.Simulate(c.tr, EventOptions{})
+			var dl *DeadlockError
+			if !errors.As(err, &dl) {
+				t.Fatalf("err = %v, want *DeadlockError", err)
+			}
+			if dl.Pending != c.pending {
+				t.Errorf("deadlock pending = %d, want %d", dl.Pending, c.pending)
+			}
+			if len(dl.Stuck) == 0 {
+				t.Error("deadlock reports no stuck switches")
+			}
+			for _, s := range dl.Stuck {
+				if s == c.dead {
+					t.Error("flits queued inside the dead switch; they must stall upstream")
+				}
+			}
+			if st.Delivered != c.delivered || st.Dropped != 0 {
+				t.Errorf("delivered = %d, dropped = %d, want %d/0", st.Delivered, st.Dropped, c.delivered)
+			}
+		})
 	}
 }
 
-// TestEventDeadInjectionDrops: a dead injection switch drops at the port in
-// both engines — the packet never enters the fabric, so no deadlock.
+// TestEventDeadInjectionDrops: a dead injection switch drops at the port —
+// the packet never enters the fabric, so no deadlock.
 func TestEventDeadInjectionDrops(t *testing.T) {
 	tr := []Transfer{
 		{SrcMPE: 0, DstMPE: 5},  // injects at switch 0 (dead) — dropped
 		{SrcMPE: 15, DstMPE: 5}, // injects at switch 8 — delivered
 	}
-	for _, engine := range []string{"stepped", "event"} {
-		n, err := NewSwitchNet(4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		n.KillSwitch(0)
-		var st SwitchStats
-		switch engine {
-		case "stepped":
-			st, err = n.Simulate(tr)
-		case "event":
-			st, err = n.SimulateEvent(tr, EventOptions{})
-		}
-		if err != nil {
-			t.Fatalf("%s: %v", engine, err)
-		}
-		if st.Dropped != 1 || st.Delivered != 1 {
-			t.Errorf("%s: dropped=%d delivered=%d, want 1/1", engine, st.Dropped, st.Delivered)
-		}
-	}
-}
-
-// TestSteppedDrainDeadlock covers the reworked watchdog path white-box: a
-// flit parked in a dead switch's queue can never progress, and drain now
-// reports a typed *DeadlockError naming the stuck switch instead of
-// spinning to the watchdog bound and bailing silently.
-func TestSteppedDrainDeadlock(t *testing.T) {
 	n, err := NewSwitchNet(4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n.KillSwitch(4)
-	n.stats = SwitchStats{Forwards: make([]int, n.Switches())}
-	n.queues[4] = append(n.queues[4], flit{dst: 0})
-	_, err = n.drain(1, 64)
-	var dl *DeadlockError
-	if !errors.As(err, &dl) {
-		t.Fatalf("err = %v, want *DeadlockError", err)
-	}
-	if len(dl.Stuck) != 1 || dl.Stuck[0] != 4 {
-		t.Errorf("stuck = %v, want [4]", dl.Stuck)
-	}
-	if dl.Pending != 1 {
-		t.Errorf("pending = %d, want 1", dl.Pending)
-	}
-}
-
-// TestSteppedWatchdogLivelock exercises the watchdog bound itself: with an
-// impossibly small budget even deliverable traffic trips it, and the error
-// carries the in-flight state.
-func TestSteppedWatchdogLivelock(t *testing.T) {
-	n, err := NewSwitchNet(4)
+	n.KillSwitch(0)
+	st, err := n.Simulate(tr, EventOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	n.stats = SwitchStats{Forwards: make([]int, n.Switches())}
-	// 3 flits at one switch need 3 cycles; a watchdog of 1 must trip.
-	for i := 0; i < 3; i++ {
-		n.queues[0] = append(n.queues[0], flit{dst: 0})
-	}
-	_, err = n.drain(3, 1)
-	var dl *DeadlockError
-	if !errors.As(err, &dl) {
-		t.Fatalf("err = %v, want *DeadlockError", err)
+	if st.Dropped != 1 || st.Delivered != 1 {
+		t.Errorf("dropped=%d delivered=%d, want 1/1", st.Dropped, st.Delivered)
 	}
 }

@@ -54,19 +54,10 @@ type Sim struct {
 	SyncCyclesPerNC int
 	// BusWordsPerCycle is the global bus width in 64-bit words.
 	BusWordsPerCycle int
-	// Contention, when true, routes same-NeuroCell packet deliveries
-	// through the packet-level switch fabric (SwitchNet) instead of the
-	// ideal ceil(packets/switches) bound, charging real arbitration
-	// conflicts. Deliveries whose producer lives in another NeuroCell keep
-	// the ideal bound. Off by default (the transaction-level model in
-	// internal/core uses the ideal bound, and the counter-equality tests
-	// compare against that).
-	Contention bool
 
-	MPEs    []*mpe.MPE
-	layers  []simLayer
-	fabrics map[int]*SwitchNet // per-NC fabric, built on demand
-	Stats   Stats
+	MPEs   []*mpe.MPE
+	layers []simLayer
+	Stats  Stats
 }
 
 type group struct {
@@ -84,11 +75,7 @@ type simLayer struct {
 	// mpeSlots groups the layer's slots by their mPE: source words are
 	// delivered once per mPE and fanned out to the resident MCAs.
 	mpeSlots [][]*mpe.MCASlot
-	// ownerOfOut maps each of this layer's output neurons to the mPE whose
-	// neuron bank computes it (the group owner) — the packet source for
-	// the next layer's deliveries.
-	ownerOfOut []int32
-	outBuf     *bitvec.Bits
+	outBuf   *bitvec.Bits
 }
 
 // New builds the simulator for a network and its mapping. In Physical mode
@@ -154,13 +141,6 @@ func New(net *snn.Network, m *mapping.Mapping, mode mpe.Mode, xcfg xbar.Config) 
 		}
 		for _, id := range order {
 			sl.mpeSlots = append(sl.mpeSlots, byMPE[id])
-		}
-		// Record each output neuron's owning mPE.
-		sl.ownerOfOut = make([]int32, lm.Layer.OutSize())
-		for _, g := range sl.groups {
-			for _, n := range g.neurons {
-				sl.ownerOfOut[n] = int32(g.ownerMPE)
-			}
 		}
 		// Validate: all slots of a group expose identical output lists.
 		for _, g := range sl.groups {
@@ -241,62 +221,18 @@ func (s *Sim) Step(input *bitvec.Bits) *bitvec.Bits {
 			slot.MarkActive(cur)
 		}
 		delivered := 0
-		contended := s.Contention && li > 0 && !s.Map.CrossNC(li)
-		var transfersByNC map[int][]Transfer
-		remote := 0
-		if contended {
-			transfersByNC = map[int][]Transfer{}
-		}
-		prevOwner := []int32(nil)
-		if li > 0 {
-			prevOwner = s.layers[li-1].ownerOfOut
-		}
 		for _, slots := range sl.mpeSlots {
-			dst := slots[0].Alloc.MPE
 			for _, w := range unionWords(slots, 64) {
 				if !wordNonZero(cur, w, 64) {
 					s.Stats.PacketsSuppressed++
 					continue
 				}
 				delivered++
-				if !contended {
-					continue
-				}
-				src := int(prevOwner[firstCovered(w, 64, len(prevOwner))])
-				per := s.Map.Cfg.MPEsPerNC
-				if src/per == dst/per {
-					nc := dst / per
-					transfersByNC[nc] = append(transfersByNC[nc], Transfer{
-						SrcMPE: src % per, DstMPE: dst % per,
-					})
-				} else {
-					remote++
-				}
 			}
 		}
 		s.Stats.PacketsDelivered += delivered
 		sw := s.switchesFor(sl.lm)
-		if contended {
-			// NC fabrics arbitrate in parallel; remote deliveries keep the
-			// ideal bound.
-			maxCycles := 0
-			for nc, transfers := range transfersByNC {
-				fab, err := s.fabric(nc)
-				if err != nil {
-					panic("neurocell: " + err.Error())
-				}
-				st, err := fab.Simulate(transfers)
-				if err != nil {
-					panic("neurocell: " + err.Error())
-				}
-				if st.Cycles > maxCycles {
-					maxCycles = st.Cycles
-				}
-			}
-			s.Stats.Cycles += maxCycles + (remote+sw-1)/sw
-		} else {
-			s.Stats.Cycles += (delivered + sw - 1) / sw
-		}
+		s.Stats.Cycles += (delivered + sw - 1) / sw
 
 		// --- Compute phase ---
 		maxMux := 0
@@ -358,36 +294,6 @@ func (s *Sim) Step(input *bitvec.Bits) *bitvec.Bits {
 		cur = sl.outBuf
 	}
 	return cur
-}
-
-// fabric returns (building on demand) the switch fabric of one NeuroCell.
-func (s *Sim) fabric(nc int) (*SwitchNet, error) {
-	if s.fabrics == nil {
-		s.fabrics = map[int]*SwitchNet{}
-	}
-	if f, ok := s.fabrics[nc]; ok {
-		return f, nil
-	}
-	dim := 1
-	for dim*dim < s.Map.Cfg.MPEsPerNC {
-		dim++
-	}
-	f, err := NewSwitchNet(dim)
-	if err != nil {
-		return nil, err
-	}
-	s.fabrics[nc] = f
-	return f, nil
-}
-
-// firstCovered returns the first index within [w*width, (w+1)*width) that
-// exists in a vector of length n.
-func firstCovered(w, width, n int) int {
-	i := w * width
-	if i >= n {
-		i = n - 1
-	}
-	return i
 }
 
 // unionWords returns the ascending union of the slots' source-word indices.

@@ -1,10 +1,6 @@
 package neurocell
 
-import (
-	"fmt"
-
-	"resparc/internal/packet"
-)
+import "fmt"
 
 // SwitchNet models the programmable-switch fabric of one NeuroCell at
 // packet granularity (Fig 6): a (d-1)x(d-1) switch grid serving the d x d
@@ -23,17 +19,12 @@ type SwitchNet struct {
 	dim   int // mPE grid dimension (4 for the Fig 8 NeuroCell)
 	swDim int // switch grid dimension (dim-1)
 
-	queues [][]flit // one FIFO per switch
-	stats  SwitchStats
-	// dead marks killed switches (NoC-link faults): flits entering a dead
-	// switch are lost and counted in SwitchStats.Dropped.
+	// dead marks killed switches (NoC-link faults); see KillSwitch.
 	dead []bool
 }
 
 type flit struct {
-	dst    int // destination switch
-	dstMPE int
-	hops   int
+	dst int // destination switch
 }
 
 // SwitchStats summarizes one traffic simulation.
@@ -43,7 +34,7 @@ type SwitchStats struct {
 	Dropped    int   // packets lost to dead switches
 	Hops       int   // total switch-to-switch + switch-to-mPE hops
 	MaxQueue   int   // deepest input queue observed
-	WaitCycles int   // cycles heads spent blocked on full downstream FIFOs (event engine only)
+	WaitCycles int   // cycles heads spent blocked on full downstream FIFOs
 	Forwards   []int // per-switch forward counts (load balance)
 }
 
@@ -58,19 +49,18 @@ func NewSwitchNet(dim int) (*SwitchNet, error) {
 	if dim < 2 {
 		return nil, fmt.Errorf("neurocell: switch net needs dim >= 2, got %d", dim)
 	}
-	n := &SwitchNet{dim: dim, swDim: dim - 1}
-	n.queues = make([][]flit, n.swDim*n.swDim)
-	return n, nil
+	return &SwitchNet{dim: dim, swDim: dim - 1}, nil
 }
 
 // Switches returns the number of switches in the fabric. For the Fig 8
 // NeuroCell (4x4 mPEs) this is 9, matching the published parameter table.
 func (n *SwitchNet) Switches() int { return n.swDim * n.swDim }
 
-// KillSwitch marks a switch dead (NoC-link fault): every flit injected at,
-// routed through, or destined to it is dropped and counted in
-// SwitchStats.Dropped. Out-of-range ids are ignored. ReviveAll clears the
-// kills.
+// KillSwitch marks a switch dead (NoC-link fault). A packet injected at a
+// dead switch is dropped at the port and counted in SwitchStats.Dropped. A
+// dead switch en route or at the destination accepts no flits, so traffic
+// toward it stalls upstream and Simulate returns a *DeadlockError.
+// Out-of-range ids are ignored. ReviveAll clears the kills.
 func (n *SwitchNet) KillSwitch(sw int) {
 	if sw < 0 || sw >= n.Switches() {
 		return
@@ -116,122 +106,6 @@ func (n *SwitchNet) route(s, dst int) int {
 		return sy*n.swDim + dx // dedicated row link: any column in one hop
 	}
 	return s
-}
-
-// Simulate runs the traffic to completion and returns the statistics. All
-// packets are injected at cycle zero (the worst case within one timestep's
-// distribution phase). The address format of Fig 6 (SW_ID | mPE_ID |
-// MCA_ID) determines routing; MCA fan-out inside the destination mPE is
-// local and free.
-func (n *SwitchNet) Simulate(transfers []Transfer) (SwitchStats, error) {
-	for i := range n.queues {
-		n.queues[i] = n.queues[i][:0]
-	}
-	n.stats = SwitchStats{Forwards: make([]int, n.Switches())}
-	for _, t := range transfers {
-		if t.SrcMPE < 0 || t.SrcMPE >= n.dim*n.dim || t.DstMPE < 0 || t.DstMPE >= n.dim*n.dim {
-			return SwitchStats{}, fmt.Errorf("neurocell: transfer %+v out of the %dx%d array", t, n.dim, n.dim)
-		}
-		src := n.switchOf(t.SrcMPE)
-		// Encode the destination in the Fig 6 address format; the wire
-		// format round-trips through the packet package to keep the two
-		// views consistent.
-		addr := packet.Address{SW: uint8(n.switchOf(t.DstMPE)), MPE: uint8(t.DstMPE)}
-		dec := packet.DecodeAddress(addr.Encode())
-		if n.switchDead(src) {
-			// Injection port is dead: the packet never enters the fabric.
-			n.stats.Dropped++
-			continue
-		}
-		n.queues[src] = append(n.queues[src], flit{dst: int(dec.SW), dstMPE: int(dec.MPE)})
-	}
-	pending := len(transfers) - n.stats.Dropped
-	return n.drain(pending, 64*len(transfers)+64)
-}
-
-// drain runs the snapshot-heads loop over the pre-filled queues until the
-// pending flits are delivered or dropped. It detects stalls two ways: a
-// cycle in which no switch forwarded anything while flits remain pending
-// (a hard deadlock — e.g. work queued behind a dead switch, whose decoder
-// never forwards), and a watchdog bound on total cycles (a livelock
-// backstop). Both return a *DeadlockError naming the stuck switches, with
-// the partial stats accumulated so far.
-func (n *SwitchNet) drain(pending, watchdog int) (SwitchStats, error) {
-	for cycle := 0; pending > 0; cycle++ {
-		if cycle > watchdog {
-			return n.stats, &DeadlockError{
-				Cycle: int64(cycle), Pending: pending, Stuck: n.stuckSwitches(),
-			}
-		}
-		n.stats.Cycles = cycle + 1
-		// Snapshot heads; each switch forwards one flit per cycle.
-		type move struct {
-			to   int
-			f    flit
-			done bool
-		}
-		var moves []move
-		progressed := false
-		for s := range n.queues {
-			if n.switchDead(s) {
-				// A dead switch's decoder forwards nothing; flits queued
-				// there (only reachable by direct queue manipulation — the
-				// injection and routing paths drop before enqueueing) stay
-				// put until the stall detector below fires.
-				continue
-			}
-			if len(n.queues[s]) > n.stats.MaxQueue {
-				n.stats.MaxQueue = len(n.queues[s])
-			}
-			if len(n.queues[s]) == 0 {
-				continue
-			}
-			f := n.queues[s][0]
-			n.queues[s] = n.queues[s][1:]
-			n.stats.Forwards[s]++
-			n.stats.Hops++
-			progressed = true
-			if f.dst == s {
-				// Egress to the destination mPE.
-				moves = append(moves, move{done: true})
-				continue
-			}
-			next := n.route(s, f.dst)
-			f.hops++
-			if n.switchDead(next) {
-				// Next hop is dead: the flit is lost in the fabric.
-				n.stats.Dropped++
-				pending--
-				continue
-			}
-			moves = append(moves, move{to: next, f: f})
-		}
-		if !progressed {
-			return n.stats, &DeadlockError{
-				Cycle: int64(cycle), Pending: pending, Stuck: n.stuckSwitches(),
-			}
-		}
-		for _, m := range moves {
-			if m.done {
-				n.stats.Delivered++
-				pending--
-				continue
-			}
-			n.queues[m.to] = append(n.queues[m.to], m.f)
-		}
-	}
-	return n.stats, nil
-}
-
-// stuckSwitches lists the switches still holding flits.
-func (n *SwitchNet) stuckSwitches() []int {
-	var stuck []int
-	for s := range n.queues {
-		if len(n.queues[s]) > 0 {
-			stuck = append(stuck, s)
-		}
-	}
-	return stuck
 }
 
 // IdealCycles is the contention-free bound the architecture model uses:

@@ -94,40 +94,3 @@ func (p Packet) Spikes() []int {
 func (p Packet) String() string {
 	return fmt.Sprintf("pkt{%v +%d %0*b}", p.Dst, p.Offset, p.Valid, p.Bits)
 }
-
-// LinkFilter drops packets addressed through dead switches — the explicit
-// NoC-link kill-switch hook of a fault campaign (fault.Campaign.DeadLinks).
-// The zero value drops nothing.
-type LinkFilter struct {
-	dead map[uint8]bool
-}
-
-// NewLinkFilter builds a filter for the given dead switch ids; out-of-range
-// ids are ignored (switch ids are 8-bit on the wire).
-func NewLinkFilter(deadSwitches []int) *LinkFilter {
-	f := &LinkFilter{}
-	for _, sw := range deadSwitches {
-		if sw < 0 || sw > 0xff {
-			continue
-		}
-		if f.dead == nil {
-			f.dead = make(map[uint8]bool)
-		}
-		f.dead[uint8(sw)] = true
-	}
-	return f
-}
-
-// Drops reports whether the packet's destination switch is dead, i.e. the
-// packet would be lost in the fabric.
-func (f *LinkFilter) Drops(p Packet) bool {
-	return f != nil && f.dead[p.Dst.SW]
-}
-
-// DeadCount returns the number of killed switches.
-func (f *LinkFilter) DeadCount() int {
-	if f == nil {
-		return 0
-	}
-	return len(f.dead)
-}

@@ -63,23 +63,3 @@ func RunBatch(net *Network, inputs []tensor.Vec, enc EncoderFactory, steps int, 
 	})
 	return results, nil
 }
-
-// EvaluateBatch classifies the inputs in parallel and returns accuracy
-// against the labels. It is the worker-pool counterpart of Evaluate and is
-// bit-identical to it when enc forks the same per-sample streams.
-func EvaluateBatch(net *Network, inputs []tensor.Vec, labels []int, enc EncoderFactory, steps, workers int) (float64, error) {
-	if len(inputs) != len(labels) {
-		return 0, fmt.Errorf("snn: %d inputs vs %d labels", len(inputs), len(labels))
-	}
-	results, err := RunBatch(net, inputs, enc, steps, Options{Workers: workers})
-	if err != nil {
-		return 0, err
-	}
-	correct := 0
-	for i, r := range results {
-		if r.Prediction == labels[i] {
-			correct++
-		}
-	}
-	return float64(correct) / float64(len(results)), nil
-}

@@ -148,31 +148,6 @@ func TestRunBatchValidation(t *testing.T) {
 	}
 }
 
-func TestEvaluateBatchMatchesEvaluateSemantics(t *testing.T) {
-	net := testMLP(t)
-	inputs := batchInputs(9, net.Input.Size(), 42)
-	base := NewPoissonEncoder(0.8, 7)
-	enc := func(i int) Encoder { return base.ForkSeed(i) }
-	results, err := RunBatch(net, inputs, enc, 16, Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	labels := make([]int, len(inputs))
-	for i, r := range results {
-		labels[i] = r.Prediction // accuracy 1 by construction
-	}
-	acc, err := EvaluateBatch(net, inputs, labels, enc, 16, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if acc != 1 {
-		t.Fatalf("accuracy %v, want 1 (labels set from predictions)", acc)
-	}
-	if _, err := EvaluateBatch(net, inputs, labels[:2], enc, 16, 2); err == nil {
-		t.Fatal("label length mismatch accepted")
-	}
-}
-
 // ForkSeed's determinism contract: a fork's stream depends only on the base
 // seed and the index — not on how much the parent or other forks have been
 // used — and fork 0 reproduces the base encoder's own stream.

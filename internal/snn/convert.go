@@ -154,38 +154,3 @@ func Evaluate(net *Network, set *dataset.Set, enc Encoder, steps int) float64 {
 	}
 	return float64(correct) / float64(len(set.Samples))
 }
-
-// ConfusionMatrix classifies the set and returns counts[true][predicted] —
-// the standard per-class error breakdown.
-func ConfusionMatrix(net *Network, set *dataset.Set, enc Encoder, steps int) [][]int {
-	m := make([][]int, set.Classes)
-	for i := range m {
-		m[i] = make([]int, set.Classes)
-	}
-	st := NewState(net)
-	for _, s := range set.Samples {
-		r := st.RunBlockedK(s.Input, enc, steps, 0, nil)
-		if s.Label >= 0 && s.Label < set.Classes && r.Prediction >= 0 && r.Prediction < set.Classes {
-			m[s.Label][r.Prediction]++
-		}
-	}
-	return m
-}
-
-// EvaluateTTFS is Evaluate with time-to-first-spike decoding: the class
-// whose output neuron fires first wins. Latency decoding enables the
-// early-exit optimization; this measures its accuracy cost.
-func EvaluateTTFS(net *Network, set *dataset.Set, enc Encoder, steps int) float64 {
-	if len(set.Samples) == 0 {
-		return 0
-	}
-	st := NewState(net)
-	correct := 0
-	for _, s := range set.Samples {
-		r := st.RunBlockedK(s.Input, enc, steps, 0, nil)
-		if r.TTFSPrediction() == s.Label {
-			correct++
-		}
-	}
-	return float64(correct) / float64(len(set.Samples))
-}

@@ -2,12 +2,9 @@ package snn
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 
-	"resparc/internal/ann"
 	"resparc/internal/bitvec"
-	"resparc/internal/dataset"
 	"resparc/internal/tensor"
 )
 
@@ -152,60 +149,5 @@ func TestTTFSPrediction(t *testing.T) {
 	silent := st2.RunBlockedK(tensor.Vec{0}, NewRegularEncoder(1), 5, 0, nil)
 	if silent.TTFSPrediction() != -1 {
 		t.Fatalf("silent TTFS = %d", silent.TTFSPrediction())
-	}
-}
-
-// TTFS decoding on a trained network costs some accuracy but remains far
-// above chance.
-func TestEvaluateTTFS(t *testing.T) {
-	train := dataset.Generate(dataset.Digits, 300, 91)
-	test := dataset.Generate(dataset.Digits, 60, 92)
-	rng := rand.New(rand.NewSource(93))
-	mlp := ann.NewMLP(train.Shape.Size(), []int{40}, 10, rng)
-	cfg := ann.DefaultTrainConfig()
-	cfg.Epochs = 6
-	cfg.LR = 0.01
-	mlp.Train(train, cfg)
-	calib, _ := train.Split(60)
-	net, err := FromANN("ttfs", mlp, calib)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rate := Evaluate(net, test, NewPoissonEncoder(0.9, 94), 100)
-	ttfs := EvaluateTTFS(net, test, NewPoissonEncoder(0.9, 94), 100)
-	if rate < 0.6 {
-		t.Fatalf("rate accuracy %.2f too low to compare", rate)
-	}
-	if ttfs < 0.3 {
-		t.Fatalf("TTFS accuracy %.2f collapsed", ttfs)
-	}
-	if ttfs > rate+0.1 {
-		t.Fatalf("TTFS (%v) should not beat rate decoding (%v) by a margin", ttfs, rate)
-	}
-	if EvaluateTTFS(net, &dataset.Set{}, NewPoissonEncoder(0.9, 1), 5) != 0 {
-		t.Fatal("empty set should be 0")
-	}
-}
-
-func TestConfusionMatrix(t *testing.T) {
-	// Two trivially separable "classes": output neuron i fires iff input i
-	// is active, so classification is perfect and the confusion matrix is
-	// diagonal.
-	w := tensor.NewMat(2, 2)
-	w.Set(0, 0, 1)
-	w.Set(1, 1, 1)
-	l, _ := NewDense("d", 2, 2, w, 0.9)
-	net, _ := NewNetwork("n", tensor.Shape3{H: 1, W: 1, C: 2}, l)
-	set := &dataset.Set{
-		Name: "toy", Shape: tensor.Shape3{H: 1, W: 1, C: 2}, Classes: 2,
-		Samples: []dataset.Sample{
-			{Input: tensor.Vec{1, 0}, Label: 0},
-			{Input: tensor.Vec{0, 1}, Label: 1},
-			{Input: tensor.Vec{1, 0}, Label: 0},
-		},
-	}
-	m := ConfusionMatrix(net, set, NewRegularEncoder(1), 10)
-	if m[0][0] != 2 || m[1][1] != 1 || m[0][1] != 0 || m[1][0] != 0 {
-		t.Fatalf("confusion matrix %v", m)
 	}
 }

@@ -81,6 +81,11 @@ fi
 echo "== benchmark smoke (snn layers, mapper, pipeline makespan)"
 go test -run '^$' -bench 'Layer$|Plan|LayerMapping|Makespan' -benchtime 1x ./internal/snn ./internal/mapping ./internal/shard
 
+# resparc-noc has no tests and nothing else executes it; one -sweep run
+# keeps the command working.
+echo "== resparc-noc smoke (-sweep)"
+go run ./cmd/resparc-noc -sweep > /dev/null
+
 echo "== fuzz smoke (FuzzFaultMap, 5s)"
 go test -run Fuzz -fuzz=FuzzFaultMap -fuzztime=5s ./internal/fault/
 
