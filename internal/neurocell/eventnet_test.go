@@ -28,6 +28,38 @@ func evTransfers(t *testing.T, dim int, pattern string, n int, seed int64) []Tra
 	return out
 }
 
+// TestEventSteppedDeliveredEquivalence pins delivery on a fixed grid of
+// traffic patterns and loads (the name is kept from when it compared the
+// event fabric with a separate stepped engine): on a live topology the
+// fabric delivers every injected packet and drops none, whether its FIFOs
+// apply backpressure (DefaultQueueCap) or are deep enough never to fill,
+// and never beats the ideal parallel bound.
+func TestEventSteppedDeliveredEquivalence(t *testing.T) {
+	for _, pattern := range []string{"neighbor", "random", "hotspot"} {
+		for _, count := range []int{1, 9, 72, 200} {
+			tr := evTransfers(t, 4, pattern, count, 7)
+			for _, qcap := range []int{DefaultQueueCap, count} {
+				n, err := NewSwitchNet(4)
+				if err != nil {
+					t.Fatal(err)
+				}
+				st, err := n.Simulate(tr, EventOptions{QueueCap: qcap})
+				if err != nil {
+					t.Fatalf("%s/%d cap %d: %v", pattern, count, qcap, err)
+				}
+				if st.Delivered != count || st.Dropped != 0 {
+					t.Errorf("%s/%d cap %d: delivered %d dropped %d, want %d and 0",
+						pattern, count, qcap, st.Delivered, st.Dropped, count)
+				}
+				if st.Cycles < n.IdealCycles(count) {
+					t.Errorf("%s/%d cap %d: cycles %d below ideal bound %d",
+						pattern, count, qcap, st.Cycles, n.IdealCycles(count))
+				}
+			}
+		}
+	}
+}
+
 // TestEventDeterministic: the event fabric's full statistics are a pure
 // function of the transfer list.
 func TestEventDeterministic(t *testing.T) {
