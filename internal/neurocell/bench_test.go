@@ -61,6 +61,7 @@ func BenchmarkCycleStep(b *testing.B) {
 			in.Set(i)
 		}
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sim.Step(in)

@@ -72,9 +72,11 @@ type simLayer struct {
 	lm     *mapping.LayerMapping
 	slots  []*mpe.MCASlot
 	groups []*group
-	// mpeSlots groups the layer's slots by their mPE: source words are
-	// delivered once per mPE and fanned out to the resident MCAs.
-	mpeSlots [][]*mpe.MCASlot
+	// srcWords lists, mPE by mPE, the 64-bit source words each mPE
+	// receives: a word is delivered once per mPE and fanned out to the
+	// resident MCAs, so a word appears once for every mPE whose slots read
+	// it. Slot inputs are fixed at mapping time, so the lists are built once.
+	srcWords []int
 	outBuf   *bitvec.Bits
 }
 
@@ -140,7 +142,7 @@ func New(net *snn.Network, m *mapping.Mapping, mode mpe.Mode, xcfg xbar.Config) 
 			byMPE[id] = append(byMPE[id], sl.slots[ai])
 		}
 		for _, id := range order {
-			sl.mpeSlots = append(sl.mpeSlots, byMPE[id])
+			sl.srcWords = append(sl.srcWords, unionWords(byMPE[id], 64)...)
 		}
 		// Validate: all slots of a group expose identical output lists.
 		for _, g := range sl.groups {
@@ -221,14 +223,12 @@ func (s *Sim) Step(input *bitvec.Bits) *bitvec.Bits {
 			slot.MarkActive(cur)
 		}
 		delivered := 0
-		for _, slots := range sl.mpeSlots {
-			for _, w := range unionWords(slots, 64) {
-				if !wordNonZero(cur, w, 64) {
-					s.Stats.PacketsSuppressed++
-					continue
-				}
-				delivered++
+		for _, w := range sl.srcWords {
+			if !wordNonZero(cur, w, 64) {
+				s.Stats.PacketsSuppressed++
+				continue
 			}
+			delivered++
 		}
 		s.Stats.PacketsDelivered += delivered
 		sw := s.switchesFor(sl.lm)
@@ -296,7 +296,8 @@ func (s *Sim) Step(input *bitvec.Bits) *bitvec.Bits {
 	return cur
 }
 
-// unionWords returns the ascending union of the slots' source-word indices.
+// unionWords returns the union of the slots' source-word indices, each word
+// once, in order of first use.
 func unionWords(slots []*mpe.MCASlot, width int) []int {
 	seen := map[int]bool{}
 	var out []int

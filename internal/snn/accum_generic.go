@@ -1,21 +1,22 @@
 package snn
 
-// Pure-Go panel kernels. They are built on every architecture: on amd64 the
-// SSE2 kernels of accum_amd64.s serve the runner and the tests compare them
-// bit for bit with these, elsewhere accum_other.go forwards to them.
+// Pure-Go panel kernels. They are built on every architecture: on amd64
+// the assembly of accum_amd64.s serves the runner where the CPU allows and
+// the tests compare every version bit for bit with the scalar reference;
+// on other architectures, under the purego build tag, and for the block
+// kernels on amd64 CPUs without AVX2, these are the kernels that run.
 
-// accumPanelGo adds, for every spiking input index in list (ascending, one
-// entry per spike of one timestep), the eight packed panel weights of that
-// input into the eight lane accumulators. Eight independent accumulation
-// chains keep the FP add ports busy; the two-spike unroll amortizes loop
-// control while each lane's adds stay in ascending spike order (wa before
-// wb).
-func accumPanelGo(panel []float64, list []int32, acc *[panelLanes]float64) {
+// accumPanelGo adds the panel lines of indices list[n] + off, in list
+// order, into the eight lane accumulators; with off 0 it is accumPanel's
+// twin. Eight local accumulation chains keep the FP add ports busy; the
+// two-spike unroll amortizes loop control while each lane's adds stay in
+// list order (wa before wb).
+func accumPanelGo(panel []float64, list []int32, off int, acc *[panelLanes]float64) {
 	p0, p1, p2, p3 := acc[0], acc[1], acc[2], acc[3]
 	p4, p5, p6, p7 := acc[4], acc[5], acc[6], acc[7]
 	n := 0
 	for ; n+2 <= len(list); n += 2 {
-		ia, ib := int(list[n])*panelLanes, int(list[n+1])*panelLanes
+		ia, ib := (int(list[n])+off)*panelLanes, (int(list[n+1])+off)*panelLanes
 		wa := panel[ia : ia+panelLanes : ia+panelLanes]
 		wb := panel[ib : ib+panelLanes : ib+panelLanes]
 		p0 += wa[0]
@@ -36,7 +37,7 @@ func accumPanelGo(panel []float64, list []int32, acc *[panelLanes]float64) {
 		p7 += wb[7]
 	}
 	for ; n < len(list); n++ {
-		ia := int(list[n]) * panelLanes
+		ia := (int(list[n]) + off) * panelLanes
 		wa := panel[ia : ia+panelLanes : ia+panelLanes]
 		p0 += wa[0]
 		p1 += wa[1]
@@ -49,15 +50,6 @@ func accumPanelGo(panel []float64, list []int32, acc *[panelLanes]float64) {
 	}
 	acc[0], acc[1], acc[2], acc[3] = p0, p1, p2, p3
 	acc[4], acc[5], acc[6], acc[7] = p4, p5, p6, p7
-}
-
-// addLine adds the packed panel line of kernel index idx into the lanes.
-func addLine(panel []float64, idx int, acc *[panelLanes]float64) {
-	ia := idx * panelLanes
-	line := panel[ia : ia+panelLanes : ia+panelLanes]
-	for i := range acc {
-		acc[i] += line[i]
-	}
 }
 
 // commitStep runs one step's threshold/reset, records the fired-lane byte
@@ -80,9 +72,7 @@ func commitStep(acc *[panelLanes]float64, th float64, hard bool, fires []uint8, 
 func blockPanelGo(panel []float64, flat []int32, offs []int32, fires []uint8, acc *[panelLanes]float64, th float64, hard bool) uint64 {
 	var fireSteps uint64
 	for k := range fires {
-		for _, idx := range flat[offs[k]:offs[k+1]] {
-			addLine(panel, int(idx), acc)
-		}
+		accumPanelGo(panel, flat[offs[k]:offs[k+1]], 0, acc)
 		fireSteps = commitStep(acc, th, hard, fires, k, fireSteps)
 	}
 	return fireSteps
@@ -96,10 +86,7 @@ func segPanelGo(panel []float64, flat []int32, segs []int32, rows int, fires []u
 	var fireSteps uint64
 	for k := range fires {
 		for s := 3 * k * rows; s < 3*(k+1)*rows; s += 3 {
-			off := int(segs[s+2])
-			for _, idx := range flat[segs[s]:segs[s+1]] {
-				addLine(panel, int(idx)+off, acc)
-			}
+			accumPanelGo(panel, flat[segs[s]:segs[s+1]], int(segs[s+2]), acc)
 		}
 		fireSteps = commitStep(acc, th, hard, fires, k, fireSteps)
 	}

@@ -1,12 +1,13 @@
-//go:build !amd64
+//go:build !amd64 || purego
 
 package snn
 
-// Architectures without an assembly kernel run the pure-Go ones of
-// accum_generic.go; see accum_amd64.go for the contracts.
+// Architectures without an assembly kernel, and amd64 builds with the purego
+// tag, run the pure-Go kernels of accum_generic.go; see accum_amd64.go for
+// the contracts.
 
 func accumPanel(panel []float64, list []int32, acc *[panelLanes]float64) {
-	accumPanelGo(panel, list, acc)
+	accumPanelGo(panel, list, 0, acc)
 }
 
 func blockPanel(panel []float64, flat []int32, offs []int32, fires []uint8, acc *[panelLanes]float64, th float64, hard bool) uint64 {

@@ -37,6 +37,27 @@ func refBlockPanel(panel []float64, flat []int32, offs []int32, fires []uint8, a
 	return fireSteps
 }
 
+// panelKernel is one version of the block kernels.
+type panelKernel struct {
+	name  string
+	block func(panel []float64, flat []int32, offs []int32, fires []uint8, acc *[panelLanes]float64, th float64, hard bool) uint64
+	seg   func(panel []float64, flat []int32, segs []int32, rows int, fires []uint8, acc *[panelLanes]float64, th float64, hard bool) uint64
+	pool  func(counts []uint64, fires []uint8, acc *[panelLanes]float64, pw, th float64, hard bool) uint64
+}
+
+// panelKernels returns every version of blockPanel, segPanel and poolPanel
+// this build and CPU can run: the pure-Go twins always, the AVX2 bodies
+// where present.
+func panelKernels(tb testing.TB) []panelKernel {
+	ks := []panelKernel{{"go", blockPanelGo, segPanelGo, poolPanelGo}}
+	if k, ok := asmPanelKernel(); ok {
+		ks = append(ks, k)
+	} else {
+		tb.Log("no AVX2 block kernels in this build or on this CPU: testing the Go twins only")
+	}
+	return ks
+}
+
 // panelRun is one kernel invocation's observable result.
 type panelRun struct {
 	fs    uint64
@@ -98,11 +119,13 @@ func panelValues(rng *rand.Rand, n int, dyadic bool) []float64 {
 	return panel
 }
 
-// blockPanel (SSE2 on amd64) and its pure-Go fallback must both be
-// bit-identical to the scalar reference for randomized panels, spike lists,
-// thresholds, and both reset modes — including steps with empty lists and
-// runs where lanes sit exactly at threshold.
+// Every version of blockPanel (AVX2 where the CPU has it, the pure-Go twin
+// always) must be bit-identical to the scalar reference for randomized
+// panels, spike lists, thresholds, and both reset modes — including steps
+// with empty lists, -0.0 potentials and runs where lanes sit exactly at
+// threshold.
 func TestBlockPanelMatchesReference(t *testing.T) {
+	kernels := panelKernels(t)
 	rng := rand.New(rand.NewSource(77))
 	for trial := 0; trial < 300; trial++ {
 		lines := 1 + rng.Intn(40)
@@ -133,22 +156,21 @@ func TestBlockPanelMatchesReference(t *testing.T) {
 		want := runPanel(kn, acc, func(f []uint8, a *[panelLanes]float64) uint64 {
 			return refBlockPanel(panel, flat, offs, f, a, th, hard)
 		})
-		got := runPanel(kn, acc, func(f []uint8, a *[panelLanes]float64) uint64 {
-			return blockPanel(panel, flat, offs, f, a, th, hard)
-		})
-		gen := runPanel(kn, acc, func(f []uint8, a *[panelLanes]float64) uint64 {
-			return blockPanelGo(panel, flat, offs, f, a, th, hard)
-		})
-		assertSameRun(t, fmt.Sprintf("trial %d blockPanel", trial), got, want)
-		assertSameRun(t, fmt.Sprintf("trial %d blockPanelGo", trial), gen, want)
+		for _, kr := range kernels {
+			got := runPanel(kn, acc, func(f []uint8, a *[panelLanes]float64) uint64 {
+				return kr.block(panel, flat, offs, f, a, th, hard)
+			})
+			assertSameRun(t, fmt.Sprintf("trial %d blockPanel %s", trial, kr.name), got, want)
+		}
 	}
 }
 
-// segPanel and segPanelGo must match blockPanel's reference run on the
+// Every version of segPanel must match blockPanel's reference run on the
 // materialized lists: each segment (lo, hi, off) contributes kernel indices
 // flat[lo:hi] + off. Covers 0-3 rows per step, empty segments, silent
 // steps, negative offsets, exact-threshold sums and both reset modes.
 func TestSegPanelMatchesReference(t *testing.T) {
+	kernels := panelKernels(t)
 	rng := rand.New(rand.NewSource(81))
 	for trial := 0; trial < 300; trial++ {
 		rows := rng.Intn(4)
@@ -187,14 +209,12 @@ func TestSegPanelMatchesReference(t *testing.T) {
 		want := runPanel(kn, acc, func(f []uint8, a *[panelLanes]float64) uint64 {
 			return refBlockPanel(panel, list, offs, f, a, th, hard)
 		})
-		got := runPanel(kn, acc, func(f []uint8, a *[panelLanes]float64) uint64 {
-			return segPanel(panel, flat, segs, rows, f, a, th, hard)
-		})
-		gen := runPanel(kn, acc, func(f []uint8, a *[panelLanes]float64) uint64 {
-			return segPanelGo(panel, flat, segs, rows, f, a, th, hard)
-		})
-		assertSameRun(t, fmt.Sprintf("trial %d segPanel", trial), got, want)
-		assertSameRun(t, fmt.Sprintf("trial %d segPanelGo", trial), gen, want)
+		for _, kr := range kernels {
+			got := runPanel(kn, acc, func(f []uint8, a *[panelLanes]float64) uint64 {
+				return kr.seg(panel, flat, segs, rows, f, a, th, hard)
+			})
+			assertSameRun(t, fmt.Sprintf("trial %d segPanel %s", trial, kr.name), got, want)
+		}
 	}
 }
 
@@ -226,11 +246,12 @@ func refPoolPanel(counts []uint64, fires []uint8, acc *[panelLanes]float64, pw, 
 	return fireSteps
 }
 
-// poolPanel (SSE2 on amd64) and poolPanelGo must match the scalar
-// reference bit for bit: random tap counts up to 255 per lane, silent
-// steps, lanes landing exactly on the threshold (pw 1/K^2 with dyadic
-// thresholds), -0.0 lanes without taps, and both reset modes.
+// Every version of poolPanel must match the scalar reference bit for bit:
+// random tap counts up to 255 per lane, silent steps, lanes landing exactly
+// on the threshold (pw 1/K^2 with dyadic thresholds), -0.0 lanes without
+// taps, and both reset modes.
 func TestPoolPanelMatchesReference(t *testing.T) {
+	kernels := panelKernels(t)
 	rng := rand.New(rand.NewSource(82))
 	for trial := 0; trial < 300; trial++ {
 		kn := 1 + rng.Intn(64)
@@ -259,39 +280,39 @@ func TestPoolPanelMatchesReference(t *testing.T) {
 		want := runPanel(kn, acc, func(f []uint8, a *[panelLanes]float64) uint64 {
 			return refPoolPanel(counts, f, a, pw, th, hard)
 		})
-		got := runPanel(kn, acc, func(f []uint8, a *[panelLanes]float64) uint64 {
-			return poolPanel(counts, f, a, pw, th, hard)
-		})
-		gen := runPanel(kn, acc, func(f []uint8, a *[panelLanes]float64) uint64 {
-			return poolPanelGo(counts, f, a, pw, th, hard)
-		})
-		assertSameRun(t, fmt.Sprintf("trial %d poolPanel", trial), got, want)
-		assertSameRun(t, fmt.Sprintf("trial %d poolPanelGo", trial), gen, want)
+		for _, kr := range kernels {
+			got := runPanel(kn, acc, func(f []uint8, a *[panelLanes]float64) uint64 {
+				return kr.pool(counts, f, a, pw, th, hard)
+			})
+			assertSameRun(t, fmt.Sprintf("trial %d poolPanel %s", trial, kr.name), got, want)
+		}
 	}
 }
 
-// NaN potentials never fire in the pool kernel either, and a NaN lane with
-// taps stays NaN.
+// NaN potentials never fire in any version of the pool kernel either, and
+// a NaN lane with taps stays NaN.
 func TestPoolPanelNaN(t *testing.T) {
-	var acc [panelLanes]float64
-	acc[2] = math.NaN()
-	for i := range acc {
-		if i != 2 {
-			acc[i] = 0.75
+	for _, kr := range panelKernels(t) {
+		var acc [panelLanes]float64
+		acc[2] = math.NaN()
+		for i := range acc {
+			if i != 2 {
+				acc[i] = 0.75
+			}
 		}
-	}
-	fires := make([]uint8, 1)
-	fs := poolPanel([]uint64{0x0101010101010101}, fires, &acc, 0.25, 1, false)
-	if fs != 1 || fires[0] != 0xFB {
-		t.Fatalf("fired-steps %b fires %08b, want 1 and 11111011 (NaN lane silent)", fs, fires[0])
-	}
-	if !math.IsNaN(acc[2]) {
-		t.Fatalf("NaN lane overwritten: %v", acc[2])
+		fires := make([]uint8, 1)
+		fs := kr.pool([]uint64{0x0101010101010101}, fires, &acc, 0.25, 1, false)
+		if fs != 1 || fires[0] != 0xFB {
+			t.Fatalf("%s: fired-steps %b fires %08b, want 1 and 11111011 (NaN lane silent)", kr.name, fs, fires[0])
+		}
+		if !math.IsNaN(acc[2]) {
+			t.Fatalf("%s: NaN lane overwritten: %v", kr.name, acc[2])
+		}
 	}
 }
 
 // A non-zero offs[0] (a window of a larger offsets table) must behave
-// exactly like a rebased table.
+// exactly like a rebased table in every version of blockPanel.
 func TestBlockPanelOffsetWindow(t *testing.T) {
 	rng := rand.New(rand.NewSource(78))
 	panel := make([]float64, 16*panelLanes)
@@ -301,31 +322,21 @@ func TestBlockPanelOffsetWindow(t *testing.T) {
 	// flat = [prefix | window]: the window's offsets start at 3.
 	flat := []int32{1, 5, 9, 0, 4, 7, 11, 2}
 	offs := []int32{3, 5, 5, 8}
-	fires := make([]uint8, 3)
 	var acc [panelLanes]float64
-	got := blockPanel(panel, flat, offs, fires, &acc, 0.9, false)
-	rebFlat := flat[3:]
-	rebOffs := []int32{0, 2, 2, 5}
-	rebFires := make([]uint8, 3)
-	var rebAcc [panelLanes]float64
-	want := refBlockPanel(panel, rebFlat, rebOffs, rebFires, &rebAcc, 0.9, false)
-	if got != want {
-		t.Fatalf("fired-steps %b, want %b", got, want)
-	}
-	for k := range fires {
-		if fires[k] != rebFires[k] {
-			t.Fatalf("step %d: fires %08b, want %08b", k, fires[k], rebFires[k])
-		}
-	}
-	for i := range acc {
-		if math.Float64bits(acc[i]) != math.Float64bits(rebAcc[i]) {
-			t.Fatalf("lane %d: %v != %v", i, acc[i], rebAcc[i])
-		}
+	want := runPanel(3, acc, func(f []uint8, a *[panelLanes]float64) uint64 {
+		return refBlockPanel(panel, flat[3:], []int32{0, 2, 2, 5}, f, a, 0.9, false)
+	})
+	for _, kr := range panelKernels(t) {
+		got := runPanel(3, acc, func(f []uint8, a *[panelLanes]float64) uint64 {
+			return kr.block(panel, flat, offs, f, a, 0.9, false)
+		})
+		assertSameRun(t, "offset window "+kr.name, got, want)
 	}
 }
 
 // NaN potentials must never fire (p >= th is false for NaN) and must survive
-// the branchless reset unchanged in fired groups.
+// the branchless reset unchanged in fired groups, in every version of
+// blockPanel.
 func TestBlockPanelNaN(t *testing.T) {
 	panel := make([]float64, 4*panelLanes)
 	for i := range panel {
@@ -333,22 +344,24 @@ func TestBlockPanelNaN(t *testing.T) {
 	}
 	flat := []int32{0}
 	offs := []int32{0, 1}
-	fires := make([]uint8, 1)
-	var acc [panelLanes]float64
-	acc[3] = math.NaN()
-	fs := blockPanel(panel, flat, offs, fires, &acc, 1.0, false)
-	if fs != 1 {
-		t.Fatalf("fired-steps %b, want 1", fs)
-	}
-	if fires[0] != 0xF7 {
-		t.Fatalf("fires %08b, want 11110111 (NaN lane silent)", fires[0])
-	}
-	if !math.IsNaN(acc[3]) {
-		t.Fatalf("NaN lane overwritten: %v", acc[3])
-	}
-	for i, p := range acc {
-		if i != 3 && p != 9 {
-			t.Fatalf("lane %d: %v, want 9 (10 added, threshold 1 subtracted)", i, p)
+	for _, kr := range panelKernels(t) {
+		fires := make([]uint8, 1)
+		var acc [panelLanes]float64
+		acc[3] = math.NaN()
+		fs := kr.block(panel, flat, offs, fires, &acc, 1.0, false)
+		if fs != 1 {
+			t.Fatalf("%s: fired-steps %b, want 1", kr.name, fs)
+		}
+		if fires[0] != 0xF7 {
+			t.Fatalf("%s: fires %08b, want 11110111 (NaN lane silent)", kr.name, fires[0])
+		}
+		if !math.IsNaN(acc[3]) {
+			t.Fatalf("%s: NaN lane overwritten: %v", kr.name, acc[3])
+		}
+		for i, p := range acc {
+			if i != 3 && p != 9 {
+				t.Fatalf("%s lane %d: %v, want 9 (10 added, threshold 1 subtracted)", kr.name, i, p)
+			}
 		}
 	}
 }
@@ -374,7 +387,7 @@ func TestAccumPanelMatchesReference(t *testing.T) {
 			gen[i], ref[i] = acc[i], acc[i]
 		}
 		accumPanel(panel, list, &acc)
-		accumPanelGo(panel, list, &gen)
+		accumPanelGo(panel, list, 0, &gen)
 		for _, idx := range list {
 			for i := 0; i < panelLanes; i++ {
 				ref[i] += panel[int(idx)*panelLanes+i]
@@ -388,49 +401,95 @@ func TestAccumPanelMatchesReference(t *testing.T) {
 	}
 }
 
-// BenchmarkBlockPanel measures the block-integration kernel on one 8-lane
-// group over a 48-step block at the two loads of the Fig 10 CNNs: conv1
-// (9 kernel lines, about one spiking tap per step) and the wide conv2 of
-// cifar-cnn (1602 lines, about 500 taps per step). Weights average 0.02
-// and the threshold is six steps' mean input, so lanes fire about every
-// sixth step, like the networks' calibrated 15% rate.
+// BenchmarkBlockPanel measures each version of the block-integration
+// kernel on one 8-lane group over a 48-step block at the two loads of the
+// Fig 10 CNNs: conv1 (9 kernel lines, about one spiking tap per step) and
+// the wide conv2 of cifar-cnn (1602 lines, about 500 taps per step).
+// Weights average 0.02 and the threshold is six steps' mean input, so lanes
+// fire about every sixth step, like the networks' calibrated 15% rate.
 func BenchmarkBlockPanel(b *testing.B) {
 	for _, bc := range []struct {
 		name        string
 		lines, taps int
 	}{{"conv1", 9, 1}, {"conv2", 1602, 500}} {
-		b.Run(bc.name, func(b *testing.B) {
-			rng := rand.New(rand.NewSource(80))
-			const kn = 48
-			panel := make([]float64, bc.lines*panelLanes)
-			for i := range panel {
-				panel[i] = 0.02 + rng.NormFloat64()*0.05
-			}
-			var flat []int32
-			offs := make([]int32, kn+1)
-			for k := 0; k < kn; k++ {
-				for i := 0; i < bc.lines; i++ {
-					if rng.Intn(bc.lines) < bc.taps {
-						flat = append(flat, int32(i))
-					}
+		rng := rand.New(rand.NewSource(80))
+		const kn = 48
+		panel := benchPanel(rng, bc.lines)
+		var flat []int32
+		offs := make([]int32, kn+1)
+		for k := 0; k < kn; k++ {
+			for i := 0; i < bc.lines; i++ {
+				if rng.Intn(bc.lines) < bc.taps {
+					flat = append(flat, int32(i))
 				}
-				offs[k+1] = int32(len(flat))
 			}
-			th := 6 * 0.02 * float64(bc.taps)
-			fires := make([]uint8, kn)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
+			offs[k+1] = int32(len(flat))
+		}
+		th := 6 * 0.02 * float64(bc.taps)
+		fires := make([]uint8, kn)
+		for _, kr := range panelKernels(b) {
+			b.Run(bc.name+"/"+kr.name, func(b *testing.B) {
 				var acc [panelLanes]float64
-				blockPanel(panel, flat, offs, fires, &acc, th, false)
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					acc = [panelLanes]float64{}
+					kr.block(panel, flat, offs, fires, &acc, th, false)
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkSegPanel measures each version of segPanel at the load of
+// cifar-cnn's wide conv2 gather: three kernel rows of 3x178 taps (1602
+// kernel lines), about 500 spiking taps per step over a 48-step block,
+// each row handed over as one (lo, hi, off) segment of a per-step input
+// spike list. Weights and threshold are BenchmarkBlockPanel's.
+func BenchmarkSegPanel(b *testing.B) {
+	const kn, rows, rowLen, taps = 48, 3, 534, 500
+	rng := rand.New(rand.NewSource(84))
+	panel := benchPanel(rng, rows*rowLen)
+	var flat, segs []int32
+	for k := 0; k < kn; k++ {
+		for r := 0; r < rows; r++ {
+			// Row r's spikes are stored as input indices kidx - off, the
+			// row starting at input index 1000*r as in a wider image.
+			off := int32(r*rowLen - 1000*r)
+			lo := int32(len(flat))
+			for x := 0; x < rowLen; x++ {
+				if rng.Intn(rows*rowLen) < taps {
+					flat = append(flat, int32(r*rowLen+x)-off)
+				}
+			}
+			segs = append(segs, lo, int32(len(flat)), off)
+		}
+	}
+	th := 6 * 0.02 * float64(taps)
+	fires := make([]uint8, kn)
+	for _, kr := range panelKernels(b) {
+		b.Run(kr.name, func(b *testing.B) {
+			var acc [panelLanes]float64
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				acc = [panelLanes]float64{}
+				kr.seg(panel, flat, segs, rows, fires, &acc, th, false)
 			}
 		})
 	}
 }
 
-// BenchmarkPoolPanel measures the pool kernel on one 8-channel group of a
-// 2x2 pool over a 48-step block with each tap set at 15%, the networks'
-// hidden-layer rate (pool weight 1/4, threshold 0.499).
+// benchPanel draws a panel of lines weight lines averaging 0.02.
+func benchPanel(rng *rand.Rand, lines int) []float64 {
+	panel := make([]float64, lines*panelLanes)
+	for i := range panel {
+		panel[i] = 0.02 + rng.NormFloat64()*0.05
+	}
+	return panel
+}
+
+// BenchmarkPoolPanel measures each version of the pool kernel on one
+// 8-channel group of a 2x2 pool over a 48-step block with each tap set at
+// 15%, the networks' hidden-layer rate (pool weight 1/4, threshold 0.499).
 func BenchmarkPoolPanel(b *testing.B) {
 	rng := rand.New(rand.NewSource(83))
 	const kn = 48
@@ -447,10 +506,14 @@ func BenchmarkPoolPanel(b *testing.B) {
 		}
 	}
 	fires := make([]uint8, kn)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var acc [panelLanes]float64
-		poolPanel(counts, fires, &acc, 0.25, 0.499, false)
+	for _, kr := range panelKernels(b) {
+		b.Run(kr.name, func(b *testing.B) {
+			var acc [panelLanes]float64
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				acc = [panelLanes]float64{}
+				kr.pool(counts, fires, &acc, 0.25, 0.499, false)
+			}
+		})
 	}
 }

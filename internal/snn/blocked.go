@@ -195,9 +195,11 @@ func (s *State) runLayerBlock(li int, l *Layer, cur []*bitvec.Bits, kn int) {
 // exact step-major sequence — leak, accumulate the spiking inputs of step k
 // in ascending index order (weight W[j][i] per spike i), threshold, reset — across all kn steps with W's row j held
 // in cache. Outputs are processed eight at a time purely for data-level
-// parallelism: the spike accumulation of one panel-step is accumPanel
-// (SSE2 on amd64, pure Go elsewhere), which adds each spike's packed
-// 8-lane weight line into eight independent accumulators. Each neuron's
+// parallelism: without leak one blockPanel call integrates a group's whole
+// block (AVX2 on amd64 CPUs that have it, else its pure-Go twin); leaky
+// layers accumulate each panel-step with accumPanel (SSE2 on amd64, pure Go
+// elsewhere). Both add each spike's packed 8-lane weight line into eight
+// independent accumulators. Each neuron's
 // own operation order (the only order float rounding depends on) is
 // unchanged, so results stay bit-identical to the step-major reference.
 func denseBlock(l *Layer, v tensor.Vec, flat, offs []int32, fires []uint8, outR []*bitvec.Bits) {

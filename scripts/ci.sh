@@ -14,9 +14,14 @@ go test ./...
 echo "== go vet ./..."
 go vet ./...
 
-# The panel kernels have amd64 assembly and a pure-Go fallback that every
-# other architecture runs; vet a non-amd64 build so the fallback's wiring
-# keeps compiling (no cross toolchain needed, it works offline).
+# The panel kernels have amd64 assembly and pure-Go twins that other
+# architectures, pre-AVX2 amd64 CPUs and purego builds run. The purego pass
+# runs the twins through the kernel tests and the runner on this host; the
+# arm64 vet keeps the non-amd64 wiring compiling (no cross toolchain needed,
+# it works offline).
+echo "== go test -tags purego (pure-Go kernels)"
+go test -tags purego ./internal/snn ./internal/core
+
 echo "== GOARCH=arm64 go vet (pure-Go kernels)"
 GOARCH=arm64 go vet ./internal/snn/ ./internal/bitvec/
 
@@ -74,12 +79,12 @@ if ! diff -u scripts/mapping_api_surface.golden "$mapping_surface"; then
     exit 1
 fi
 
-# One iteration of the per-layer kernel, mapper and makespan benchmarks: nothing is
+# One iteration of the per-layer and panel kernel, mapper and makespan benchmarks: nothing is
 # timed or compared, it only keeps the benchmark code compiling and running
 # (their fixtures build real Fig 10 networks, which plain go test never
 # reaches for benchmarks).
-echo "== benchmark smoke (snn layers, mapper, pipeline makespan)"
-go test -run '^$' -bench 'Layer$|Plan|LayerMapping|Makespan' -benchtime 1x ./internal/snn ./internal/mapping ./internal/shard
+echo "== benchmark smoke (snn layers and panel kernels, mapper, pipeline makespan)"
+go test -run '^$' -bench 'Layer$|Panel|Plan|LayerMapping|Makespan' -benchtime 1x ./internal/snn ./internal/mapping ./internal/shard
 
 # resparc-noc has no tests and nothing else executes it; one -sweep run
 # keeps the command working.
