@@ -8,7 +8,7 @@
 //	resparc-noc [-dim 4] [-packets 72] [-pattern neighbor|random|hotspot|all]
 //	            [-queuecap N] [-sweep] [-seed 1]
 //
-// The fabric is discrete-event: one flit per switch per cycle out of
+// The fabric is cycle-level: one flit per switch per cycle out of
 // bounded input FIFOs (-queuecap deep) with credit-based backpressure, so
 // congestion (and the Wait column) emerges from the flow control. -sweep
 // additionally ramps the offered load and reports how delivered
@@ -30,7 +30,7 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("resparc-noc: ")
-	dim := flag.Int("dim", 4, "NeuroCell mPE grid dimension (4 = the Fig 8 cell)")
+	dim := flag.Int("dim", 4, "NeuroCell mPE grid dimension, 2-16 (4 = the Fig 8 cell)")
 	packets := flag.Int("packets", 72, "spike packets injected at cycle 0")
 	pattern := flag.String("pattern", "all", "traffic pattern: neighbor, random, hotspot, all")
 	queueCap := flag.Int("queuecap", 0, "per-switch input-FIFO depth in flits (<= 0: neurocell.DefaultQueueCap)")

@@ -4,9 +4,43 @@ import "resparc/internal/event"
 
 // This file keeps the three pipeline makespans Pipeline replaced — the
 // chip's, the multi-chip pipeline's and the mapper's — as test oracles. Each
-// scheduled two closures per event on event.Engine; they are kept verbatim
-// apart from their input types, so the property tests in pipeline_test.go
-// can pin Pipeline to them bit for bit.
+// scheduled two closures per event on a closure-scheduling event engine
+// (engine below); they are kept verbatim apart from their input types, so
+// the property tests in pipeline_test.go can pin Pipeline to them bit for
+// bit.
+
+// engine is the oracles' event engine: handlers fire in (tick, priority,
+// scheduling order), run with the clock at the event's tick and may
+// schedule further events at that tick or later.
+type engine struct {
+	q   event.Queue
+	fns []func() // fns[Arg] is the callback of a queued item
+	now int64
+	seq uint64
+}
+
+func (e *engine) Now() int64 { return e.now }
+
+func (e *engine) Schedule(tick int64, prio int32, fn func()) {
+	if tick < e.now {
+		panic("oracle engine: schedule into the past")
+	}
+	e.seq++
+	e.q.Push(event.Item{Tick: tick, Prio: prio, Seq: e.seq, Arg: uint64(len(e.fns))})
+	e.fns = append(e.fns, fn)
+}
+
+// Run fires events until the queue drains and returns the final tick.
+func (e *engine) Run() int64 {
+	for e.q.Len() > 0 {
+		it := e.q.Pop()
+		e.now = it.Tick
+		fn := e.fns[it.Arg]
+		e.fns[it.Arg] = nil
+		fn()
+	}
+	return e.now
+}
 
 // oracleChip is the single-chip makespan: stage (layer j, timestep t)
 // starts once stage (j, t-1) and stage (j-1, t) are both done, holds the
@@ -21,7 +55,7 @@ func oracleChip(stages [][]Stage, busWait *int64) int64 {
 	if L == 0 {
 		return 0
 	}
-	var eng event.Engine
+	var eng engine
 	var bus event.Resource
 	need := make([][]int8, T)
 	for t := range need {
@@ -80,7 +114,7 @@ func oracleShards(parts [][][]Stage, hopSteps [][]int64, recvBuf int) (makespan 
 		recvBuf = 1
 	}
 
-	var eng event.Engine
+	var eng engine
 	buses := make([]event.Resource, S)
 	need := make([][][]int8, S)
 	for s := 0; s < S; s++ {
@@ -181,7 +215,7 @@ func oracleMapper(stages [][]Stage, ranges [][2]int, hops [][]int64, recvBuf int
 		recvBuf = 1
 	}
 
-	var eng event.Engine
+	var eng engine
 	buses := make([]event.Resource, S)
 	need := make([][][]int8, S)
 	for s := 0; s < S; s++ {

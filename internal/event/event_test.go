@@ -54,80 +54,6 @@ func TestQueueOrderingDeterministic(t *testing.T) {
 	}
 }
 
-// TestEngineFIFOWithinKey verifies Schedule's seq stamping: events at the
-// same (tick, prio) fire in scheduling order.
-func TestEngineFIFOWithinKey(t *testing.T) {
-	var e Engine
-	var got []int
-	for i := 0; i < 10; i++ {
-		i := i
-		e.Schedule(5, 1, func() { got = append(got, i) })
-	}
-	e.Run()
-	for i, v := range got {
-		if v != i {
-			t.Fatalf("fire order %v, want FIFO 0..9", got)
-		}
-	}
-}
-
-// TestEnginePriorityAndTick checks the full composite ordering across
-// handlers that schedule further events.
-func TestEnginePriorityAndTick(t *testing.T) {
-	var e Engine
-	var got []string
-	e.Schedule(2, 0, func() { got = append(got, "t2p0") })
-	e.Schedule(1, 1, func() {
-		got = append(got, "t1p1")
-		// Same-tick scheduling from inside a handler: fires after all
-		// already-queued tick-1 events of lower priority, before tick 2.
-		e.Schedule(1, 2, func() { got = append(got, "t1p2-nested") })
-	})
-	e.Schedule(1, 0, func() { got = append(got, "t1p0") })
-	end := e.Run()
-	want := []string{"t1p0", "t1p1", "t1p2-nested", "t2p0"}
-	if len(got) != len(want) {
-		t.Fatalf("fired %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("fired %v, want %v", got, want)
-		}
-	}
-	if end != 2 {
-		t.Fatalf("final tick %d, want 2", end)
-	}
-}
-
-func TestSchedulePastPanics(t *testing.T) {
-	var e Engine
-	e.Schedule(5, 0, nil)
-	e.Run()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("scheduling into the past did not panic")
-		}
-	}()
-	e.Schedule(3, 0, nil)
-}
-
-// TestRunUntil checks that events beyond the limit stay pending (the
-// deadlock-detection hook for the NoC simulator).
-func TestRunUntil(t *testing.T) {
-	var e Engine
-	fired := 0
-	e.Schedule(1, 0, func() { fired++ })
-	e.Schedule(10, 0, func() { fired++ })
-	now, drained := e.RunUntil(5)
-	if drained || fired != 1 || now != 1 {
-		t.Fatalf("RunUntil(5): now=%d drained=%v fired=%d, want 1 false 1", now, drained, fired)
-	}
-	now, drained = e.RunUntil(10)
-	if !drained || fired != 2 || now != 10 {
-		t.Fatalf("RunUntil(10): now=%d drained=%v fired=%d, want 10 true 2", now, drained, fired)
-	}
-}
-
 // TestResource verifies FIFO-exclusive grant timing and the busy/wait
 // accounting used by the bus and link models.
 func TestResource(t *testing.T) {

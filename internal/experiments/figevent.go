@@ -121,9 +121,10 @@ func FigEvent(cfg Config) ([]perf.BenchEntry, *report.Table, error) {
 		}
 	}
 
-	// NoC fabric congestion: dim-4 cell, 72 packets per pattern, event
-	// engine vs the contention-free bound. The hotspot gap (event > ideal)
-	// is the acceptance criterion for real congestion modeling.
+	// NoC fabric congestion: dim-4 cell, 72 packets per pattern, the
+	// cycle-level fabric vs the contention-free bound. The hotspot gap
+	// (simulated > ideal) is the acceptance criterion for real congestion
+	// modeling.
 	nocEntries, err := eventNoCRows(cfg.Seed, 4, 72, t)
 	if err != nil {
 		return nil, nil, fmtErr("event", err)
@@ -132,7 +133,7 @@ func FigEvent(cfg Config) ([]perf.BenchEntry, *report.Table, error) {
 	return entries, t, nil
 }
 
-// eventNoCRows runs the three traffic patterns on the event-driven fabric
+// eventNoCRows runs the three traffic patterns on the switch fabric
 // and records delivery span, queuing and the ideal bound.
 func eventNoCRows(seed int64, dim, packets int, t *report.Table) ([]perf.BenchEntry, error) {
 	var entries []perf.BenchEntry

@@ -1,7 +1,7 @@
 // Package fault defines deterministic, seeded fault campaigns for the
 // memristive substrate: per-device stuck-at maps, lognormal conductance
 // drift as a function of elapsed inferences, failed programming pulses, and
-// whole-crossbar / whole-mPE / NoC-link kill switches.
+// whole-crossbar / whole-mPE kill switches.
 //
 // Real MCAs fail silently — fabrication defects pin devices to a rail,
 // conductances drift between refresh cycles, and write pulses miss their
@@ -11,8 +11,8 @@
 // evaluation order, so the same seed produces the same fault map and the
 // same inference results — the same determinism contract as
 // snn.PoissonEncoder.ForkSeed. Simulators consume campaigns through explicit
-// hooks (xbar.Crossbar.SetFaults, mpe.MCASlot.SetDead, core.Chip.SetFaults,
-// neurocell.SwitchNet.KillSwitch) rather than ad-hoc rng calls.
+// hooks (xbar.Crossbar.SetFaults, mpe.MCASlot.SetDead, core.Chip.SetFaults)
+// rather than ad-hoc rng calls.
 package fault
 
 import (
@@ -101,10 +101,6 @@ type Campaign struct {
 	DeadMPEs []int
 	// DeadSlots lists whole-crossbar kill switches.
 	DeadSlots []SlotID
-	// DeadLinks lists killed NoC switch ids (neurocell.SwitchNet
-	// coordinates): packets injected at them are dropped, and traffic
-	// routed through or to them stalls the fabric (neurocell.DeadlockError).
-	DeadLinks []int
 }
 
 // NewCampaign returns a campaign with the technology's fabrication defect
@@ -135,16 +131,6 @@ func (c Campaign) SlotDead(id SlotID) bool {
 	}
 	for _, d := range c.DeadSlots {
 		if d == id {
-			return true
-		}
-	}
-	return false
-}
-
-// LinkDead reports whether the NoC switch is killed.
-func (c Campaign) LinkDead(sw int) bool {
-	for _, d := range c.DeadLinks {
-		if d == sw {
 			return true
 		}
 	}

@@ -94,7 +94,6 @@ func TestKillSwitches(t *testing.T) {
 	c := Campaign{
 		DeadMPEs:  []int{3},
 		DeadSlots: []SlotID{{MPE: 5, Slot: 1}},
-		DeadLinks: []int{8},
 	}
 	if !c.MPEDead(3) || c.MPEDead(4) {
 		t.Fatal("MPEDead wrong")
@@ -104,9 +103,6 @@ func TestKillSwitches(t *testing.T) {
 	}
 	if !c.SlotDead(SlotID{MPE: 5, Slot: 1}) || c.SlotDead(SlotID{MPE: 5, Slot: 0}) {
 		t.Fatal("SlotDead wrong")
-	}
-	if !c.LinkDead(8) || c.LinkDead(7) {
-		t.Fatal("LinkDead wrong")
 	}
 }
 

@@ -55,6 +55,11 @@ type MCASlot struct {
 	// active marks local rows that spiked this timestep (the iBUFF state
 	// after packet delivery).
 	active *bitvec.Bits
+	// out is the column buffer Currents returns, reused across calls (the
+	// crossbar's full width in Physical mode); full pads the active rows to
+	// the crossbar's height (Physical mode).
+	out  tensor.Vec
+	full *bitvec.Bits
 
 	// dead marks a killed crossbar (whole-slot or whole-mPE fault): the slot
 	// still receives packets (the switch fabric does not know) but computes
@@ -84,6 +89,11 @@ func NewSlot(layer *snn.Layer, alloc *mapping.MCA, size int, mode Mode, xb *xbar
 		weights: tensor.NewMat(len(alloc.Inputs), len(alloc.Outputs)),
 		xb:      xb,
 		active:  bitvec.New(len(alloc.Inputs)),
+		out:     tensor.NewVec(len(alloc.Outputs)),
+	}
+	if mode == Physical {
+		s.out = tensor.NewVec(xb.Cols)
+		s.full = bitvec.New(xb.Rows)
 	}
 	for r, in := range alloc.Inputs {
 		s.rowOf[in] = r
@@ -212,21 +222,24 @@ func (s *MCASlot) ActiveRows() int { return s.active.Count() }
 // Currents evaluates the slot's column outputs for the delivered spikes, in
 // weight units (what the neurons integrate). In Physical mode the values
 // pass through the electrical crossbar model. A dead slot contributes
-// nothing (and computes nothing — the LCU skips it).
+// nothing (and computes nothing — the LCU skips it). The result is the
+// slot's own buffer: it holds until the next Currents call on this slot.
 func (s *MCASlot) Currents(cfg xbar.Config) tensor.Vec {
+	out := s.out[:len(s.Alloc.Outputs)]
 	if s.dead {
-		return tensor.NewVec(len(s.Alloc.Outputs))
+		out.Fill(0)
+		return out
 	}
 	s.Activations++
 	s.RowsDriven += s.active.Count()
 	if s.Mode == Physical {
 		// The crossbar is Size x Size; pad the active rows.
-		full := bitvec.New(s.xb.Rows)
-		s.active.ForEachSet(func(i int) { full.Set(i) })
-		out := s.xb.Compute(full, cfg, nil)
-		return out[:len(s.Alloc.Outputs)]
+		s.full.Reset()
+		s.active.ForEachSet(func(i int) { s.full.Set(i) })
+		s.xb.Compute(s.full, cfg, s.out)
+		return out
 	}
-	out := tensor.NewVec(len(s.Alloc.Outputs))
+	out.Fill(0)
 	s.active.ForEachSet(func(r int) {
 		row := s.weights.Row(r)
 		for c, w := range row {

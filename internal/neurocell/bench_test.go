@@ -80,6 +80,7 @@ func BenchmarkSwitchNetUniform(b *testing.B) {
 	for i := range transfers {
 		transfers[i] = Transfer{SrcMPE: rng.Intn(16), DstMPE: rng.Intn(16)}
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := n.Simulate(transfers, EventOptions{}); err != nil {

@@ -1,14 +1,9 @@
 package neurocell
 
-import (
-	"fmt"
-
-	"resparc/internal/event"
-	"resparc/internal/packet"
-)
+import "fmt"
 
 // DefaultQueueCap is the default per-switch input-FIFO depth (per buffer
-// class) for the event-driven fabric: four flits, matching the Fig 6
+// class) for the switch fabric: four flits, matching the Fig 6
 // iData/iAddress buffer sizing (one slot per attached mPE port).
 const DefaultQueueCap = 4
 
@@ -22,28 +17,13 @@ type EventOptions struct {
 	QueueCap int
 }
 
-// DeadlockError reports that the fabric stalled with flits still in flight:
-// no switch can make progress because every remaining flit waits on a slot
-// that will never free, e.g. behind a dead switch.
-type DeadlockError struct {
-	Cycle   int64 // cycle the stall was detected at
-	Pending int   // flits still undelivered
-	Stuck   []int // switches holding undeliverable flits
-}
-
-func (e *DeadlockError) Error() string {
-	return fmt.Sprintf("neurocell: switch fabric deadlock at cycle %d: %d flits stuck at switches %v",
-		e.Cycle, e.Pending, e.Stuck)
-}
-
-// Simulate runs the traffic to completion on the discrete-event engine and
-// returns the statistics. All packets are injected at cycle zero (the worst
-// case within one timestep's distribution phase). The address format of
-// Fig 6 (SW_ID | mPE_ID | MCA_ID) determines routing; MCA fan-out inside the
-// destination mPE is local and free.
+// Simulate runs the traffic to completion and returns the statistics. All
+// packets are injected at cycle zero (the worst case within one timestep's
+// distribution phase). The destination mPE's switch determines routing; MCA
+// fan-out inside the destination mPE is local and free.
 //
 // Each switch's decoder serves one flit per cycle out of bounded input
-// FIFOs, forwarded flits arrive at the next hop one tick later, and a full
+// FIFOs, forwarded flits arrive at the next hop one cycle later, and a full
 // downstream FIFO blocks the sender (head-of-line) until a slot frees, so
 // backpressure propagates upstream.
 //
@@ -52,267 +32,262 @@ func (e *DeadlockError) Error() string {
 // their column hop, flits that completed it wait in q1 for their row hop,
 // and flits arriving at their destination switch land in a
 // consumption-guaranteed ejection queue (the mPE-side sink; its depth is
-// not credit-limited, only its 1/cycle drain is). Since routing is
-// column-then-row, the dependency chain q0 -> q1 -> ejection is acyclic, so
-// a live topology always drains. The decoder arbitrates ejection first,
-// then q1, then q0 — strictly, one flit per cycle.
+// not credit-limited, only its 1/cycle drain is). The decoder arbitrates
+// ejection first, then q1, then q0 — strictly, one flit per cycle.
 //
-// Event ordering is deterministic: within a tick, arrivals commit first,
-// then injections and decoders in ascending switch id (the event package's
-// (tick, priority, seq) contract), so the same transfer list always yields
-// the same statistics.
-//
-// Faults: a dead injection switch drops the packet at the port (it never
-// enters the fabric); a dead switch en route or at the destination never
-// accepts flits, so traffic routed toward it backs up and the run returns a
-// *DeadlockError with the partial statistics.
+// The fabric is synchronous (§3.1.2), so it runs as one loop over cycles.
+// Each cycle first commits the flits forwarded in the previous cycle, in the
+// order they were forwarded, then runs the injectors and then the decoders,
+// each in ascending switch id; the same transfer list always yields the
+// same statistics.
 func (n *SwitchNet) Simulate(transfers []Transfer, opt EventOptions) (SwitchStats, error) {
 	qcap := opt.QueueCap
 	if qcap <= 0 {
 		qcap = DefaultQueueCap
 	}
-	S := n.Switches()
-	stats := SwitchStats{Forwards: make([]int, S)}
-
-	inject := make([][]flit, S) // unbounded mPE-side output buffers
-	q0 := make([][]flit, S)     // bounded: injected flits awaiting the column hop
-	q1 := make([][]flit, S)     // bounded: transit flits awaiting the row hop
-	ej := make([]int, S)        // ejection queue depth (flits at their dst switch)
-	occ1 := make([]int, S)      // q1 occupancy incl. reserved in-flight slots
-
-	injected := 0
+	f := fabric{
+		n:     n,
+		qcap:  qcap,
+		sw:    make([]switchState, n.Switches()),
+		stats: SwitchStats{Forwards: make([]int, n.Switches())},
+		last:  -1,
+	}
 	for _, t := range transfers {
 		if t.SrcMPE < 0 || t.SrcMPE >= n.dim*n.dim || t.DstMPE < 0 || t.DstMPE >= n.dim*n.dim {
 			return SwitchStats{}, fmt.Errorf("neurocell: transfer %+v out of the %dx%d array", t, n.dim, n.dim)
 		}
-		src := n.switchOf(t.SrcMPE)
-		// Encode the destination in the Fig 6 address format; the wire
-		// format round-trips through the packet package to keep the two
-		// views consistent.
-		addr := packet.Address{SW: uint8(n.switchOf(t.DstMPE)), MPE: uint8(t.DstMPE)}
-		dec := packet.DecodeAddress(addr.Encode())
-		if n.switchDead(src) {
-			// Injection port is dead: the packet never enters the fabric.
-			stats.Dropped++
-			continue
-		}
-		inject[src] = append(inject[src], flit{dst: int(dec.SW)})
-		injected++
+		w := &f.sw[n.switchOf(t.SrcMPE)]
+		w.inject = append(w.inject, n.switchOf(t.DstMPE))
 	}
-
-	var eng event.Engine
-	// Within-tick priority bands: arrivals commit below everything else so a
-	// flit forwarded at T is serviceable at T+1 (one cycle per hop);
-	// injections precede arbitration so a freshly injected flit is
-	// forwardable the same cycle.
-	const prioArrive = int32(0)
-	prioInject := func(s int) int32 { return int32(1<<10 + s) }
-	prioArbit := func(s int) int32 { return int32(2<<10 + s) }
-
-	armed := make([]bool, S)       // decoder event scheduled
-	injArmed := make([]bool, S)    // injector event scheduled
-	waiting := make([]bool, S)     // decoder registered as a q1 credit waiter
-	injWaiting := make([]bool, S)  // injector registered as a q0 credit waiter
-	blockStart := make([]int64, S) // tick the q0 head credit-stalled (-1 = flowing)
-	injBlockStart := make([]int64, S)
-	for s := 0; s < S; s++ {
-		blockStart[s], injBlockStart[s] = -1, -1
-	}
-	// q1Waiters[s] lists upstream switches whose q0 head stalled on a slot
-	// in s's q1; q0Waiters[s] is s's own injector (at most one).
-	q1Waiters := make([][]int, S)
-
-	pending := injected
-	lastDeliver := int64(-1)
-
-	maxq := func(depth int) {
-		if depth > stats.MaxQueue {
-			stats.MaxQueue = depth
+	for s := range f.sw {
+		f.sw[s].blockStart, f.sw[s].injBlockStart = -1, -1
+		if len(f.sw[s].inject) > 0 {
+			f.armInjector(s)
 		}
 	}
 
-	var armArbiter func(s int, tick int64)
-	var armInjector func(s int, tick int64)
-	var arbiter func(s int)
-	var injector func(s int)
-
-	armArbiter = func(s int, tick int64) {
-		if armed[s] {
-			return
-		}
-		armed[s] = true
-		eng.Schedule(tick, prioArbit(s), func() { arbiter(s) })
-	}
-	armInjector = func(s int, tick int64) {
-		if injArmed[s] {
-			return
-		}
-		injArmed[s] = true
-		eng.Schedule(tick, prioInject(s), func() { injector(s) })
-	}
-	// arrive lands a forwarded flit at its next switch one tick later:
-	// flits at their destination switch join the ejection queue, others the
-	// row-hop transit FIFO.
-	arrive := func(dst int, f flit, at int64) {
-		eng.Schedule(at, prioArrive, func() {
-			if f.dst == dst {
-				ej[dst]++
-				maxq(ej[dst])
+	// The hop-class chain q0 -> q1 -> ejection is acyclic and every stalled
+	// unit is re-armed when the slot it waits on frees, so once no unit is
+	// armed and no flit is in flight the fabric has drained: every flit is
+	// delivered.
+	for ; f.live > 0 || len(f.inFlight) > 0; f.now++ {
+		for _, a := range f.inFlight {
+			w := &f.sw[a.at]
+			if a.dst == a.at {
+				w.ej++
+				f.maxq(w.ej)
 			} else {
-				q1[dst] = append(q1[dst], f)
-				maxq(len(q1[dst]))
+				w.q1 = append(w.q1, a.dst)
+				f.maxq(len(w.q1))
 			}
-			armArbiter(dst, eng.Now())
-		})
-	}
-	// wakeQ1 re-arms decoders stalled on a slot in s's q1; they retry next
-	// cycle in ascending switch id and re-block if another waiter claimed
-	// the slot first.
-	wakeQ1 := func(s int, at int64) {
-		ws := q1Waiters[s]
-		if len(ws) == 0 {
-			return
+			f.armArbiter(a.at, f.now)
 		}
-		q1Waiters[s] = nil
-		for _, w := range ws {
-			waiting[w] = false
-			armArbiter(w, at+1)
+		f.inFlight = f.inFlight[:0]
+		for s := range f.sw {
+			if f.sw[s].injArmed {
+				f.sw[s].injArmed = false
+				f.live--
+				f.injector(s)
+			}
+		}
+		for s := range f.sw {
+			if w := &f.sw[s]; w.armed && w.armAt == f.now {
+				w.armed = false
+				f.live--
+				f.arbiter(s)
+			}
 		}
 	}
+	if f.last >= 0 {
+		f.stats.Cycles = int(f.last) + 1
+	}
+	return f.stats, nil
+}
 
-	arbiter = func(s int) {
-		armed[s] = false
-		now := eng.Now()
-		served := true
-		switch {
-		case ej[s] > 0:
-			// Egress to the destination mPE.
-			ej[s]--
-			stats.Forwards[s]++
-			stats.Hops++
-			stats.Delivered++
-			pending--
-			lastDeliver = now
-		case len(q1[s]) > 0:
-			f := q1[s][0]
-			next := n.route(s, f.dst)
-			if n.switchDead(next) {
-				// The row hop leads into a dead switch: this head is wedged
-				// forever; nothing re-arms us but new arrivals, and the
-				// caller reports deadlock once the engine drains.
-				served = false
-				break
+// fabric is the state of one Simulate run.
+type fabric struct {
+	n        *SwitchNet
+	qcap     int
+	sw       []switchState
+	stats    SwitchStats
+	now      int64
+	last     int64     // cycle of the last delivery (-1: none yet)
+	live     int       // armed decoders and injectors
+	inFlight []arrival // flits forwarded this cycle, landing next cycle
+}
+
+// switchState is one switch's buffers and its two units: the injector,
+// which moves flits from the mPE-side output buffer into q0, and the
+// decoder, which forwards one flit per cycle. A unit is armed for one cycle
+// at a time; arming an armed unit again is a no-op.
+type switchState struct {
+	// Queued flits, as destination switches.
+	inject []int // unbounded mPE-side output buffer
+	q0     []int // bounded: injected flits awaiting the column hop
+	q1     []int // bounded: transit flits awaiting the row hop
+	ej     int   // ejection queue depth (flits at their dst switch)
+	occ1   int   // q1 occupancy incl. reserved in-flight slots
+
+	armed    bool // decoder due at cycle armAt
+	armAt    int64
+	injArmed bool // injector due at the next injector phase
+
+	waiting       bool  // decoder registered as a q1 credit waiter
+	injWaiting    bool  // injector waiting for a q0 slot
+	blockStart    int64 // cycle the q0 head credit-stalled (-1 = flowing)
+	injBlockStart int64 // cycle the injector stalled (-1 = flowing)
+	// q1Waiters lists upstream switches whose q0 head stalled on a slot in
+	// this switch's q1.
+	q1Waiters []int
+}
+
+// arrival is a forwarded flit landing at switch at, bound for switch dst.
+type arrival struct{ at, dst int }
+
+func (f *fabric) maxq(depth int) {
+	if depth > f.stats.MaxQueue {
+		f.stats.MaxQueue = depth
+	}
+}
+
+// armArbiter arms s's decoder for cycle at: the current cycle from the
+// arrival and injector phases, the next from the decoder phase, whose scan
+// therefore runs only decoders armed for the current cycle.
+func (f *fabric) armArbiter(s int, at int64) {
+	if w := &f.sw[s]; !w.armed {
+		w.armed, w.armAt = true, at
+		f.live++
+	}
+}
+
+// armInjector arms s's injector for the next injector phase: the current
+// cycle's before any injector ran, the next cycle's after.
+func (f *fabric) armInjector(s int) {
+	if w := &f.sw[s]; !w.injArmed {
+		w.injArmed = true
+		f.live++
+	}
+}
+
+// forward sends a flit from s to its next switch, where it lands next
+// cycle: at its destination switch it joins the ejection queue, elsewhere
+// the row-hop transit FIFO.
+func (f *fabric) forward(s, next, dst int) {
+	f.stats.Forwards[s]++
+	f.stats.Hops++
+	f.inFlight = append(f.inFlight, arrival{at: next, dst: dst})
+}
+
+// deliver counts s's egress of a flit to its destination mPE.
+func (f *fabric) deliver(s int) {
+	f.stats.Forwards[s]++
+	f.stats.Hops++
+	f.stats.Delivered++
+	f.last = f.now
+}
+
+// wakeInjector re-arms s's injector after a q0 slot freed.
+func (f *fabric) wakeInjector(s int) {
+	if w := &f.sw[s]; w.injWaiting {
+		w.injWaiting = false
+		f.armInjector(s)
+	}
+}
+
+// wakeQ1 re-arms decoders stalled on a slot in s's q1; they retry next
+// cycle in ascending switch id and re-block if another waiter claimed the
+// slot first.
+func (f *fabric) wakeQ1(s int) {
+	ws := f.sw[s].q1Waiters
+	f.sw[s].q1Waiters = ws[:0]
+	for _, w := range ws {
+		f.sw[w].waiting = false
+		f.armArbiter(w, f.now+1)
+	}
+}
+
+// arbiter is s's decoder: one flit per cycle, ejection first, then q1, then
+// q0.
+func (f *fabric) arbiter(s int) {
+	w := &f.sw[s]
+	served := true
+	switch {
+	case w.ej > 0:
+		// Egress to the destination mPE.
+		w.ej--
+		f.deliver(s)
+	case len(w.q1) > 0:
+		dst := w.q1[0]
+		w.q1 = w.q1[1:]
+		w.occ1--
+		f.forward(s, f.n.route(s, dst), dst) // the row hop reaches dst
+		f.wakeQ1(s)
+	case len(w.q0) > 0:
+		dst := w.q0[0]
+		if dst == s {
+			// Source and destination share the switch: direct egress.
+			w.q0 = w.q0[1:]
+			f.deliver(s)
+			f.wakeInjector(s)
+			break
+		}
+		next := f.n.route(s, dst)
+		if dst != next && f.sw[next].occ1 >= f.qcap {
+			// Column hop blocked on a full transit FIFO: wait for a credit.
+			// (A hop straight to the destination switch joins its ejection
+			// queue and is never credit-limited.)
+			if w.blockStart < 0 {
+				w.blockStart = f.now
 			}
-			q1[s] = q1[s][1:]
-			occ1[s]--
-			stats.Forwards[s]++
-			stats.Hops++
-			arrive(next, f, now+1) // dst == next: lands in the ejection queue
-			wakeQ1(s, now)
-		case len(q0[s]) > 0:
-			f := q0[s][0]
-			if f.dst == s {
-				// Source and destination share the switch: direct egress.
-				q0[s] = q0[s][1:]
-				stats.Forwards[s]++
-				stats.Hops++
-				stats.Delivered++
-				pending--
-				lastDeliver = now
-				if injWaiting[s] {
-					injWaiting[s] = false
-					armInjector(s, now+1)
-				}
-				break
+			if !w.waiting {
+				w.waiting = true
+				f.sw[next].q1Waiters = append(f.sw[next].q1Waiters, s)
 			}
-			next := n.route(s, f.dst)
-			if n.switchDead(next) {
-				served = false
-				break
-			}
-			if f.dst != next && occ1[next] >= qcap {
-				// Column hop blocked on a full transit FIFO: wait for a
-				// credit. (A hop straight to the destination switch joins
-				// its ejection queue and is never credit-limited.)
-				if blockStart[s] < 0 {
-					blockStart[s] = now
-				}
-				if !waiting[s] {
-					waiting[s] = true
-					q1Waiters[next] = append(q1Waiters[next], s)
-				}
-				served = false
-				break
-			}
-			if f.dst != next {
-				occ1[next]++ // reserve the slot for the in-flight flit
-			}
-			q0[s] = q0[s][1:]
-			if blockStart[s] >= 0 {
-				stats.WaitCycles += int(now - blockStart[s])
-				blockStart[s] = -1
-			}
-			stats.Forwards[s]++
-			stats.Hops++
-			arrive(next, f, now+1)
-			if injWaiting[s] {
-				injWaiting[s] = false
-				armInjector(s, now+1)
-			}
-		default:
 			served = false
+			break
 		}
-		if served && (ej[s] > 0 || len(q1[s]) > 0 || len(q0[s]) > 0) {
-			armArbiter(s, now+1)
+		if dst != next {
+			f.sw[next].occ1++ // reserve the slot for the in-flight flit
 		}
+		w.q0 = w.q0[1:]
+		if w.blockStart >= 0 {
+			f.stats.WaitCycles += int(f.now - w.blockStart)
+			w.blockStart = -1
+		}
+		f.forward(s, next, dst)
+		f.wakeInjector(s)
+	default:
+		served = false
 	}
+	if served && (w.ej > 0 || len(w.q1) > 0 || len(w.q0) > 0) {
+		f.armArbiter(s, f.now+1)
+	}
+}
 
-	injector = func(s int) {
-		injArmed[s] = false
-		if len(inject[s]) == 0 {
-			return
-		}
-		now := eng.Now()
-		if len(q0[s]) >= qcap {
-			if injBlockStart[s] < 0 {
-				injBlockStart[s] = now
-			}
-			injWaiting[s] = true
-			return
-		}
-		f := inject[s][0]
-		inject[s] = inject[s][1:]
-		if injBlockStart[s] >= 0 {
-			stats.WaitCycles += int(now - injBlockStart[s])
-			injBlockStart[s] = -1
-		}
-		q0[s] = append(q0[s], f)
-		maxq(len(q0[s]))
-		armArbiter(s, now) // injection precedes arbitration within the tick
-		if len(inject[s]) > 0 {
-			armInjector(s, now+1)
-		}
+// injector moves the head of s's output buffer into q0, or stalls while q0
+// is full.
+func (f *fabric) injector(s int) {
+	w := &f.sw[s]
+	if len(w.inject) == 0 {
+		return
 	}
-
-	for s := 0; s < S; s++ {
-		if len(inject[s]) > 0 {
-			armInjector(s, 0)
+	if len(w.q0) >= f.qcap {
+		if w.injBlockStart < 0 {
+			w.injBlockStart = f.now
 		}
+		w.injWaiting = true
+		return
 	}
-	eng.Run()
-
-	if pending > 0 {
-		var stuck []int
-		for s := 0; s < S; s++ {
-			if len(q0[s]) > 0 || len(q1[s]) > 0 || ej[s] > 0 || len(inject[s]) > 0 {
-				stuck = append(stuck, s)
-			}
-		}
-		stats.Cycles = int(eng.Now()) + 1
-		return stats, &DeadlockError{Cycle: eng.Now(), Pending: pending, Stuck: stuck}
+	dst := w.inject[0]
+	w.inject = w.inject[1:]
+	if w.injBlockStart >= 0 {
+		f.stats.WaitCycles += int(f.now - w.injBlockStart)
+		w.injBlockStart = -1
 	}
-	if lastDeliver >= 0 {
-		stats.Cycles = int(lastDeliver) + 1
+	w.q0 = append(w.q0, dst)
+	f.maxq(len(w.q0))
+	f.armArbiter(s, f.now) // injection precedes arbitration within the cycle
+	if len(w.inject) > 0 {
+		f.armInjector(s)
 	}
-	return stats, nil
 }

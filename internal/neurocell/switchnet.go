@@ -18,20 +18,12 @@ import "fmt"
 type SwitchNet struct {
 	dim   int // mPE grid dimension (4 for the Fig 8 NeuroCell)
 	swDim int // switch grid dimension (dim-1)
-
-	// dead marks killed switches (NoC-link faults); see KillSwitch.
-	dead []bool
-}
-
-type flit struct {
-	dst int // destination switch
 }
 
 // SwitchStats summarizes one traffic simulation.
 type SwitchStats struct {
 	Cycles     int   // cycles until every packet was delivered
 	Delivered  int   // packets delivered
-	Dropped    int   // packets lost to dead switches
 	Hops       int   // total switch-to-switch + switch-to-mPE hops
 	MaxQueue   int   // deepest input queue observed
 	WaitCycles int   // cycles heads spent blocked on full downstream FIFOs
@@ -44,10 +36,18 @@ type Transfer struct {
 	SrcMPE, DstMPE int
 }
 
-// NewSwitchNet builds the fabric for a d x d mPE NeuroCell (d >= 2).
+// maxDim is the largest cell whose mPE ids (dim*dim) and switch ids
+// ((dim-1)^2) fit the 8-bit mPE_ID and SW_ID fields of the Fig 6 address.
+const maxDim = 16
+
+// NewSwitchNet builds the fabric for a d x d mPE NeuroCell (2 <= d <= 16).
 func NewSwitchNet(dim int) (*SwitchNet, error) {
 	if dim < 2 {
 		return nil, fmt.Errorf("neurocell: switch net needs dim >= 2, got %d", dim)
+	}
+	if dim > maxDim {
+		return nil, fmt.Errorf("neurocell: switch net dim %d exceeds %d: its %d mPE ids do not fit the 8-bit mPE_ID field of the Fig 6 address",
+			dim, maxDim, dim*dim)
 	}
 	return &SwitchNet{dim: dim, swDim: dim - 1}, nil
 }
@@ -55,28 +55,6 @@ func NewSwitchNet(dim int) (*SwitchNet, error) {
 // Switches returns the number of switches in the fabric. For the Fig 8
 // NeuroCell (4x4 mPEs) this is 9, matching the published parameter table.
 func (n *SwitchNet) Switches() int { return n.swDim * n.swDim }
-
-// KillSwitch marks a switch dead (NoC-link fault). A packet injected at a
-// dead switch is dropped at the port and counted in SwitchStats.Dropped. A
-// dead switch en route or at the destination accepts no flits, so traffic
-// toward it stalls upstream and Simulate returns a *DeadlockError.
-// Out-of-range ids are ignored. ReviveAll clears the kills.
-func (n *SwitchNet) KillSwitch(sw int) {
-	if sw < 0 || sw >= n.Switches() {
-		return
-	}
-	if n.dead == nil {
-		n.dead = make([]bool, n.Switches())
-	}
-	n.dead[sw] = true
-}
-
-// ReviveAll restores every killed switch.
-func (n *SwitchNet) ReviveAll() { n.dead = nil }
-
-func (n *SwitchNet) switchDead(sw int) bool {
-	return n.dead != nil && sw >= 0 && sw < len(n.dead) && n.dead[sw]
-}
 
 // switchOf returns the primary switch an mPE attaches to: the grid corner
 // switch closest to the array origin (mPE (x,y) -> switch (min(x,d-2),

@@ -3,6 +3,7 @@ package neurocell
 import (
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -123,6 +124,20 @@ func TestSwitchNetValidation(t *testing.T) {
 	if _, err := n.Simulate([]Transfer{{SrcMPE: 0, DstMPE: 16}}, EventOptions{}); err == nil {
 		t.Fatal("out-of-array mPE accepted")
 	}
+	// Switch and mPE ids travel in the 8-bit fields of the Fig 6 address:
+	// dim 16 (mPE ids 0..255) is the largest cell that fits.
+	if _, err := NewSwitchNet(17); err == nil || !strings.Contains(err.Error(), "16") {
+		t.Fatalf("dim 17: err = %v, want an error naming the limit 16", err)
+	}
+	big, err := NewSwitchNet(16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// mPE 255 attaches to the last switch, (14,14) = 224.
+	st, err := big.Simulate([]Transfer{{SrcMPE: 0, DstMPE: 255}}, EventOptions{})
+	if err != nil || st.Delivered != 1 || st.Forwards[224] != 1 {
+		t.Fatalf("dim 16 corner-to-corner: %+v, %v", st, err)
+	}
 }
 
 func TestSwitchNetIdealCycles(t *testing.T) {
@@ -133,7 +148,7 @@ func TestSwitchNetIdealCycles(t *testing.T) {
 }
 
 // Property: on a live topology every packet of every traffic pattern is
-// delivered and none dropped, each packet takes 1..3 forwards, and the
+// delivered, each packet takes 1..3 forwards, and the
 // cycle count is at least both the ideal parallel bound and the
 // serialization bound of the busiest egress.
 func TestSwitchNetConservation(t *testing.T) {
@@ -148,7 +163,7 @@ func TestSwitchNetConservation(t *testing.T) {
 			egress[n.switchOf(tr.DstMPE)]++
 		}
 		st, err := n.Simulate(transfers, EventOptions{})
-		if err != nil || st.Delivered != count || st.Dropped != 0 {
+		if err != nil || st.Delivered != count {
 			return false
 		}
 		busiest := 0
@@ -166,7 +181,7 @@ func TestSwitchNetConservation(t *testing.T) {
 }
 
 // Reusing a SwitchNet for several simulations must not leak state, not
-// even from a run that deadlocked.
+// even from a congested run in between.
 func TestSwitchNetReuse(t *testing.T) {
 	n, _ := NewSwitchNet(4)
 	tr := evTransfers(t, 4, "random", 50, 5)
@@ -174,11 +189,9 @@ func TestSwitchNetReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n.KillSwitch(8)
-	if _, err := n.Simulate([]Transfer{{SrcMPE: 0, DstMPE: 15}}, EventOptions{}); err == nil {
-		t.Fatal("traffic into a dead switch completed")
+	if _, err := n.Simulate(evTransfers(t, 4, "hotspot", 120, 6), EventOptions{QueueCap: 1}); err != nil {
+		t.Fatal(err)
 	}
-	n.ReviveAll()
 	b, err := n.Simulate(tr, EventOptions{})
 	if err != nil {
 		t.Fatal(err)

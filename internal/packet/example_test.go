@@ -6,8 +6,8 @@ import (
 	"resparc/internal/packet"
 )
 
-// Fig 6 address format round trip, and the zero-check that suppresses
-// insignificant spike packets (§3.2).
+// A packet addressed in the Fig 6 format (SW_ID | mPE_ID | MCA_ID), and
+// the zero-check that suppresses insignificant spike packets (§3.2).
 func ExampleNewPacket() {
 	dst := packet.Address{SW: 3, MPE: 7, MCA: 1}
 	p := packet.NewPacket(dst, 64, 0b1010, 8)

@@ -12,33 +12,14 @@ package packet
 
 import "fmt"
 
-// Field widths of the packed 24-bit address (8 bits per level is ample for
-// the 4x4 NeuroCell with 9 switches and 4 MCAs per mPE).
-const (
-	swBits  = 8
-	mpeBits = 8
-	mcaBits = 8
-)
-
-// Address identifies a destination MCA input port within a NeuroCell.
+// Address identifies a destination MCA input port within a NeuroCell. Each
+// level is an 8-bit field of the packed 24-bit wire address, ample for the
+// 4x4 NeuroCell with 9 switches and 4 MCAs per mPE (neurocell.NewSwitchNet
+// rejects cells whose ids would not fit).
 type Address struct {
 	SW  uint8 // programmable switch id
 	MPE uint8 // mPE id within the NeuroCell
 	MCA uint8 // MCA id within the mPE
-}
-
-// Encode packs the address into its Fig 6 wire format.
-func (a Address) Encode() uint32 {
-	return uint32(a.SW)<<(mpeBits+mcaBits) | uint32(a.MPE)<<mcaBits | uint32(a.MCA)
-}
-
-// DecodeAddress unpacks a wire-format address.
-func DecodeAddress(v uint32) Address {
-	return Address{
-		SW:  uint8(v >> (mpeBits + mcaBits)),
-		MPE: uint8(v >> mcaBits),
-		MCA: uint8(v),
-	}
 }
 
 func (a Address) String() string {

@@ -5,16 +5,6 @@ import (
 	"testing/quick"
 )
 
-func TestAddressRoundTrip(t *testing.T) {
-	f := func(sw, mpe, mca uint8) bool {
-		a := Address{SW: sw, MPE: mpe, MCA: mca}
-		return DecodeAddress(a.Encode()) == a
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestAddressString(t *testing.T) {
 	a := Address{SW: 1, MPE: 2, MCA: 3}
 	if a.String() != "sw1.mpe2.mca3" {

@@ -58,7 +58,8 @@ go test -race \
 # cannot overwrite each other's diff input.
 sim_surface=$(mktemp)
 mapping_surface=$(mktemp)
-trap 'rm -f "$sim_surface" "$mapping_surface"' EXIT
+noc_out=$(mktemp)
+trap 'rm -f "$sim_surface" "$mapping_surface" "$noc_out"' EXIT
 echo "== API surface check (internal/sim)"
 go doc -all resparc/internal/sim > "$sim_surface"
 if ! diff -u scripts/sim_api_surface.golden "$sim_surface"; then
@@ -79,17 +80,26 @@ if ! diff -u scripts/mapping_api_surface.golden "$mapping_surface"; then
     exit 1
 fi
 
-# One iteration of the per-layer and panel kernel, mapper and makespan benchmarks: nothing is
-# timed or compared, it only keeps the benchmark code compiling and running
-# (their fixtures build real Fig 10 networks, which plain go test never
-# reaches for benchmarks).
-echo "== benchmark smoke (snn layers and panel kernels, mapper, pipeline makespan)"
-go test -run '^$' -bench 'Layer$|Panel|Plan|LayerMapping|Makespan' -benchtime 1x ./internal/snn ./internal/mapping ./internal/shard
+# One iteration of the per-layer and panel kernel, mapper, makespan, switch
+# fabric and cycle-level NeuroCell benchmarks: nothing is timed or compared,
+# it only keeps the benchmark code compiling and running (their fixtures
+# build real Fig 10 networks, which plain go test never reaches for
+# benchmarks).
+echo "== benchmark smoke (snn layers and panel kernels, mapper, pipeline makespan, NeuroCell)"
+go test -run '^$' -bench 'Layer$|Panel|Plan|LayerMapping|Makespan|SwitchNet|CycleStep' -benchtime 1x \
+    ./internal/snn ./internal/mapping ./internal/shard ./internal/neurocell
 
-# resparc-noc has no tests and nothing else executes it; one -sweep run
-# keeps the command working.
-echo "== resparc-noc smoke (-sweep)"
-go run ./cmd/resparc-noc -sweep > /dev/null
+# resparc-noc has no tests of its own: its output for the default cell and a
+# congested 6x6 cell with one-flit FIFOs must match the committed golden
+# byte for byte, so a change to the switch fabric that moves any statistic
+# shows up as a diff.
+echo "== resparc-noc golden (-sweep; -dim 6 -queuecap 1 -sweep)"
+{ go run ./cmd/resparc-noc -sweep; go run ./cmd/resparc-noc -dim 6 -queuecap 1 -sweep; } > "$noc_out"
+if ! diff -u scripts/resparc_noc.golden "$noc_out"; then
+    echo "resparc-noc output changed; if intended, refresh with:" >&2
+    echo "  { go run ./cmd/resparc-noc -sweep; go run ./cmd/resparc-noc -dim 6 -queuecap 1 -sweep; } > scripts/resparc_noc.golden" >&2
+    exit 1
+fi
 
 echo "== fuzz smoke (FuzzFaultMap, 5s)"
 go test -run Fuzz -fuzz=FuzzFaultMap -fuzztime=5s ./internal/fault/
