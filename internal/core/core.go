@@ -15,9 +15,9 @@
 //
 // Chip implements sim.Backend; all batch entry points route through the
 // shared fan-out in internal/sim. Accounting is kept per layer (LayerCycles,
-// LayerEnergies) and totals are reduced in ascending layer order, which is
-// what lets internal/shard slice a chip's accounting across a multi-chip
-// pipeline and still reproduce the single-chip totals bit for bit.
+// LayerEnergies, the Stages grid) and totals are reduced in ascending layer
+// order, which is what lets internal/shard read a multi-chip pipeline off
+// one whole-chip run by slicing it by layer range.
 package core
 
 import (
@@ -140,8 +140,8 @@ type Report struct {
 	// Stages holds the per-(timestep, layer) stage durations the accountant
 	// recorded, indexed [step][local layer]: the grid both latency
 	// reductions read. Counts.Cycles is its serial sum; Pipeline reduces it
-	// to the pipelined makespan, and internal/shard feeds the concatenated
-	// grids of its shards to one global pipeline simulation.
+	// to the pipelined makespan, and internal/shard feeds its column slices
+	// (one per chip) to one global pipeline simulation.
 	Stages [][]cost.Stage
 	// BusWait is the total cycles stages spent queued for the shared global
 	// bus in the pipelined reduction (zero unless Pipeline ran: the serial
@@ -232,9 +232,8 @@ func (c *Chip) Name() string { return "resparc" }
 func (c *Chip) Network() *snn.Network { return c.Net }
 
 // observer accumulates events and energy for the global layer range
-// [lo, hi) during a run. The full chip observes [0, len(layers)); the shard
-// executor charges disjoint sub-ranges (via Accountant) whose reports merge
-// back to the identical totals.
+// [lo, hi) during a run. The full chip observes [0, len(layers)); an
+// Accountant may charge a sub-range.
 type observer struct {
 	chip        *Chip
 	lo, hi      int // global layer range [lo, hi)
@@ -343,35 +342,18 @@ func (o *observer) report(predicted, steps int, pipelined bool) (perf.Result, Re
 		Latency: rep.Latency,
 		Steps:   steps,
 	}
-	res.SpikesPerStep, res.LayerOccupancy = o.sparsity(steps)
+	res.SpikesPerStep, res.LayerOccupancy = sparsity(o.chip.Net.Layers[o.lo:o.hi], o.layerSpikes, 1, steps)
 	return res, rep
 }
 
-// sparsity reduces the per-layer spike counts to the perf.Result stats:
-// average output spikes per timestep over the observed range, and each
-// layer's occupancy (fraction of its neurons spiking per timestep).
-func (o *observer) sparsity(steps int) (float64, []float64) {
-	if steps <= 0 {
-		return 0, nil
-	}
-	total := 0
-	occ := make([]float64, o.hi-o.lo)
-	for j := range o.layerSpikes {
-		total += o.layerSpikes[j]
-		if n := o.chip.Net.Layers[o.lo+j].OutSize(); n > 0 {
-			occ[j] = float64(o.layerSpikes[j]) / (float64(steps) * float64(n))
-		}
-	}
-	return float64(total) / float64(steps), occ
-}
-
 // Accountant charges the chip's event/energy accounting for a contiguous
-// global layer range [lo, hi) — the primitive behind internal/shard's
-// multi-chip execution. It implements snn.Observer over the spike vectors
-// of that range (local indices, input = the range's boundary spikes), and
-// its Report slices the single-chip accounting exactly: concatenating the
-// per-layer cycles/energies of adjacent ranges and reducing in layer order
-// reproduces the whole chip's report bit for bit.
+// global layer range [lo, hi) — the chip's observer as a reusable value
+// (internal/shard drives one over the whole network). It implements
+// snn.Observer over the spike vectors of that range (local indices, input =
+// the range's boundary spikes), and its Report slices the single-chip
+// accounting exactly: concatenating the per-layer cycles/energies of
+// adjacent ranges and reducing in layer order reproduces the whole chip's
+// report bit for bit.
 type Accountant struct {
 	obs *observer
 }
@@ -493,14 +475,16 @@ func (c *Chip) ClassifyBatch(inputs []tensor.Vec, enc sim.EncoderFactory, opt si
 	for i, r := range sreps {
 		reps[i] = r.Detail.(Report)
 	}
-	res, avg := c.reduceReports(reps)
+	res, avg := c.Reduce(reps)
 	return res, sim.Report{Predicted: -1, Steps: c.Opt.Steps, Detail: avg}, nil
 }
 
-// reduceReports aggregates per-image reports into the batch shape: energies
-// and latency averaged per classification, event counters and cycle
-// breakdowns summed over the batch.
-func (c *Chip) reduceReports(reps []Report) (perf.Result, Report) {
+// Reduce aggregates per-image reports of this chip into the batch shape:
+// energies and latency averaged per classification, event counters and
+// cycle breakdowns summed over the batch, Predicted == -1. The result's
+// sparsity stats are per-image averages. Float sums run in the order of
+// reps, so callers pass them in input order.
+func (c *Chip) Reduce(reps []Report) (perf.Result, Report) {
 	var total Report
 	for _, rep := range reps {
 		total.Latency += rep.Latency
@@ -550,22 +534,26 @@ func (c *Chip) reduceReports(reps []Report) (perf.Result, Report) {
 		Latency: avg.Latency,
 		Steps:   c.Opt.Steps,
 	}
-	res.SpikesPerStep, res.LayerOccupancy = batchSparsity(c, total.LayerSpikes, len(reps), c.Opt.Steps)
+	res.SpikesPerStep, res.LayerOccupancy = sparsity(c.Net.Layers, total.LayerSpikes, len(reps), c.Opt.Steps)
 	return res, avg
 }
 
-// batchSparsity reduces batch-summed per-layer spike counts to the per-image
-// average sparsity stats.
-func batchSparsity(c *Chip, layerSpikes []int, images, steps int) (float64, []float64) {
+// sparsity reduces per-layer output spike counts, summed over images
+// classifications of steps timesteps each, to the perf.Result stats: average
+// output spikes per timestep per image, and each layer's occupancy (fraction
+// of its neurons spiking per timestep). layerSpikes[j] counts layers[j]. One
+// image multiplies by exactly 1.0, so a single classification's stats are
+// those of its own counts.
+func sparsity(layers []*snn.Layer, layerSpikes []int, images, steps int) (float64, []float64) {
 	if images <= 0 || steps <= 0 {
 		return 0, nil
 	}
 	total := 0
 	occ := make([]float64, len(layerSpikes))
-	for li, sp := range layerSpikes {
+	for j, sp := range layerSpikes {
 		total += sp
-		if n := c.Net.Layers[li].OutSize(); n > 0 {
-			occ[li] = float64(sp) / (float64(images) * float64(steps) * float64(n))
+		if n := layers[j].OutSize(); n > 0 {
+			occ[j] = float64(sp) / (float64(images) * float64(steps) * float64(n))
 		}
 	}
 	return float64(total) / (float64(images) * float64(steps)), occ

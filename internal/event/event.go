@@ -105,11 +105,10 @@ func (q *Queue) Pop() Item {
 // Resource models a FIFO-exclusive unit (a shared bus, a link direction): at
 // most one hold at a time, grants in request order. Acquire returns the tick
 // the hold begins — max(now, previous release) — and advances the release
-// horizon by the hold duration. Busy and Wait accumulate utilization and
-// queuing-delay totals for reporting.
+// horizon by the hold duration. Wait accumulates the queuing-delay total
+// for reporting.
 type Resource struct {
 	free int64 // tick the resource next becomes idle
-	busy int64 // total ticks held
 	wait int64 // total ticks requests spent queued
 }
 
@@ -122,15 +121,8 @@ func (r *Resource) Acquire(at, dur int64) (start int64) {
 	}
 	r.wait += start - at
 	r.free = start + dur
-	r.busy += dur
 	return start
 }
-
-// FreeAt returns the tick the resource next becomes idle.
-func (r *Resource) FreeAt() int64 { return r.free }
-
-// Busy returns total ticks the resource was held.
-func (r *Resource) Busy() int64 { return r.busy }
 
 // Wait returns total ticks requests spent waiting for a grant.
 func (r *Resource) Wait() int64 { return r.wait }

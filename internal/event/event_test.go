@@ -54,8 +54,8 @@ func TestQueueOrderingDeterministic(t *testing.T) {
 	}
 }
 
-// TestResource verifies FIFO-exclusive grant timing and the busy/wait
-// accounting used by the bus and link models.
+// TestResource verifies FIFO-exclusive grant timing and the wait accounting
+// used by the bus model.
 func TestResource(t *testing.T) {
 	var r Resource
 	if s := r.Acquire(3, 4); s != 3 {
@@ -69,14 +69,8 @@ func TestResource(t *testing.T) {
 	if s := r.Acquire(20, 1); s != 20 {
 		t.Fatalf("third acquire start %d, want 20", s)
 	}
-	if r.Busy() != 7 {
-		t.Fatalf("busy %d, want 7", r.Busy())
-	}
 	if r.Wait() != 2 {
 		t.Fatalf("wait %d, want 2", r.Wait())
-	}
-	if r.FreeAt() != 21 {
-		t.Fatalf("free at %d, want 21", r.FreeAt())
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"resparc/internal/bench"
-	"resparc/internal/bitvec"
 	"resparc/internal/core"
 	"resparc/internal/cost"
 	"resparc/internal/mapping"
@@ -107,25 +106,16 @@ func BenchmarkMakespan(b *testing.B) {
 	probe.Fill(0.5)
 	enc := snn.NewPoissonEncoder(0.8, 8).ForkSeed(0)
 
-	// Replay the probe shard by shard, keeping each shard's stage grid and
-	// each hop's per-raster occupancy (what classifyOne hands to finish).
+	// Run the probe once on the whole chip and slice its stage grid by
+	// shard; the session keeps each hop's per-raster occupancy (what
+	// classifyOne hands to finish).
 	s := multi.getSession()
-	S := len(multi.ranges)
-	chips := make([][][]cost.Stage, S)
-	hops := make([][]int64, S-1)
-	var in []*bitvec.Bits
-	for i, w := range s.stages {
-		var out []*bitvec.Bits
-		if i < S-1 {
-			out = s.rasters[i]
-		}
-		rep, _ := multi.runStage(i, w.st, w.acct, probe, enc, in, out, sim.Options{})
-		chips[i] = rep.Stages
-		if out != nil {
-			_, hops[i] = multi.linkCost(out, true)
-		}
-		in = out
+	_, srep := multi.classifyOne(s, probe, enc, sim.Options{})
+	chips := make([][][]cost.Stage, len(multi.ranges))
+	for i, r := range multi.ranges {
+		chips[i] = columns(srep.Detail.(Report).Chip.Stages, r)
 	}
+	hops := s.steps
 
 	var p cost.Pipeline
 	p.Makespan(chips, hops, multi.cfg.Link.RecvBuf)

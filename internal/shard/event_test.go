@@ -12,7 +12,7 @@ import (
 
 // TestShardEventSteppedEquivalence is the satellite acceptance check for the
 // multi-chip event engine: for every benchmark and N in {1, 2, 4},
-// predictions, merged event counters (except Cycles) and chip energies under
+// predictions, chip event counters (except Cycles) and chip energies under
 // sim.Options.EventEngine are bit-identical to stepped sharded accounting,
 // and the global makespan respects its structural bounds. Run with -race:
 // images fan out across workers that share the Multi's session pool.
@@ -67,14 +67,16 @@ func TestShardEventSteppedEquivalence(t *testing.T) {
 						t.Fatalf("x%d image %d: event makespan %d not below serial %d+%d",
 							n, i, ed.Chip.Counts.Cycles, sd.Chip.Counts.Cycles, sd.Link.Cycles)
 					}
-					for s, part := range ed.Shards {
-						if ed.Chip.Counts.Cycles < part.Counts.Cycles {
+					var pipe cost.Pipeline
+					for s, r := range ed.Ranges {
+						own, _, _ := pipe.Makespan([][][]cost.Stage{columns(ed.Chip.Stages, r)}, nil, 0)
+						if int64(ed.Chip.Counts.Cycles) < own {
 							t.Fatalf("x%d image %d: makespan %d below shard %d's own makespan %d",
-								n, i, ed.Chip.Counts.Cycles, s, part.Counts.Cycles)
+								n, i, ed.Chip.Counts.Cycles, s, own)
 						}
 					}
-					// Without the option the merge keeps the paper's serial
-					// sum even though every part carries its stage grid.
+					// Without the option the chip keeps the paper's serial
+					// sum even though it carries the stage grid.
 					if sd.Chip.Counts.Cycles != sd.Chip.Breakdown.Total() || sd.Chip.BusWait != 0 || sd.Link.WaitCycles != 0 {
 						t.Fatalf("x%d image %d: default run not the serial sum: cycles %d, breakdown %d, bus wait %d, link wait %d",
 							n, i, sd.Chip.Counts.Cycles, sd.Chip.Breakdown.Total(), sd.Chip.BusWait, sd.Link.WaitCycles)
@@ -119,7 +121,7 @@ func TestShardEventMatchesSingleChipEvent(t *testing.T) {
 		if ress[i].Latency != refRess[i].Latency || ress[i].Energy != refRess[i].Energy {
 			t.Fatalf("image %d: result diverged: %+v vs %+v", i, ress[i], refRess[i])
 		}
-		if !reflect.DeepEqual(got.Shards[0].Stages, ref.Stages) {
+		if !reflect.DeepEqual(columns(got.Chip.Stages, got.Ranges[0]), ref.Stages) {
 			t.Fatalf("image %d: stage grids diverged", i)
 		}
 	}

@@ -10,8 +10,8 @@ import (
 	"resparc/internal/sim"
 )
 
-// TestSessionReuseLeaksNothing: pooled sessions carry boundary rasters and
-// accountants from one call into the next. Back-to-back calls on one Multi
+// TestSessionReuseLeaksNothing: pooled sessions carry the functional state,
+// the accountant and the per-hop link buffers from one call into the next. Back-to-back calls on one Multi
 // with different batch sizes, toggling the event engine between them, must
 // report exactly what a freshly built Multi reports for the same call.
 func TestSessionReuseLeaksNothing(t *testing.T) {
@@ -50,9 +50,9 @@ func TestSessionReuseLeaksNothing(t *testing.T) {
 }
 
 // TestClassifyRecyclesSessions bounds the steady-state allocations of one
-// Classify well below what building a session costs (a State and an
-// accountant per shard, a bit vector per timestep per hop), so a Classify
-// that stopped recycling sessions fails it.
+// Classify well below what building a session costs (a State of the whole
+// network and its accountant), so a Classify that stopped recycling
+// sessions fails it.
 func TestClassifyRecyclesSessions(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts at random under the race detector")

@@ -1,42 +1,42 @@
-// Package shard executes one mapped network across N RESPARC chips as a
-// layer pipeline — the paper's scaling story (§3.1.3 tiles mPEs into cores
-// and chips over a hierarchical interconnect) in the style of ISAAC's
-// inter-tile pipelining and PUMA's device-agnostic graph partitioning.
+// Package shard models one mapped network across N RESPARC chips as a layer
+// pipeline — the paper's scaling story (§3.1.3 tiles mPEs into cores and
+// chips over a hierarchical interconnect) in the style of ISAAC's inter-tile
+// pipelining and PUMA's device-agnostic graph partitioning.
 //
 // The partitioner cuts the layer stack into N contiguous ranges balanced by
 // per-chip mPE load (taken from the existing internal/mapping placement), an
-// inter-chip link model carries each boundary layer's spike raster as
+// inter-chip link model prices each boundary layer's spike raster as
 // zero-checked packet flits with per-hop energy/latency accounting, and the
 // chips' layer pipeline is modeled: Report.Interval bounds its steady-state
 // throughput and, under sim.Options.EventEngine, the shared pipeline
 // makespan (cost.Pipeline) composes the shards' stage grids and the hops
 // into one pipelined latency.
 //
+// A multi-chip run is a model placed over the one functional run of the
+// network, not a different run. Each image runs once through the whole
+// network on a whole-chip accountant (core.Accountant) while an observer
+// prices every boundary raster on its hop, and every shard figure is read
+// off that run by layer range: shard s owns layers [Lo, Hi) of the chip's
+// per-layer cycles and columns [Lo, Hi) of its stage grid. The chip
+// accounting is therefore the single-chip report itself — predictions,
+// event counters and chip energy are bit-identical to single-chip
+// execution, with the link cost reported separately on top.
+//
 // Host execution is independent of that model. ClassifyEach fans images out
 // over sim.Options.Workers through sim.Each, like the single-chip backends,
-// and each image runs through every shard stage in order on one worker's
-// pooled session — no goroutine or channel per shard.
-//
-// Equivalence is exact, not approximate: the shards do not re-map the
-// network. Every shard charges the one shared core.Chip's accounting for its
-// own layer range (core.Accountant), boundary spikes are replayed
-// bit-identically into the downstream shard, and the merged report
-// concatenates the per-layer accounting in global layer order — so
-// predictions, event counters and summed chip energy are bit-identical to
-// single-chip execution, with the link cost reported separately on top.
+// each image on one worker's pooled session — no goroutine or channel per
+// shard.
 package shard
 
 import (
 	"fmt"
 	"sync"
 
-	"resparc/internal/bitvec"
 	"resparc/internal/core"
 	"resparc/internal/cost"
 	"resparc/internal/perf"
 	"resparc/internal/sim"
 	"resparc/internal/snn"
-	"resparc/internal/tensor"
 )
 
 // LinkStats accumulate inter-chip traffic for one classification (or, from
@@ -88,11 +88,10 @@ type Range struct {
 // Multi runs one mapped network across N chips. It implements sim.Backend
 // under the name "<chip>-xN" (e.g. "resparc-x4").
 type Multi struct {
-	chip    *core.Chip
-	cfg     Config
-	name    string
-	ranges  []Range
-	subnets []*snn.Network
+	chip   *core.Chip
+	cfg    Config
+	name   string
+	ranges []Range
 	// sessions recycles worker sessions across classification calls.
 	sessions sync.Pool
 }
@@ -140,23 +139,10 @@ func New(chip *core.Chip, cfg Config) (*Multi, error) {
 	if err := cost.CheckCapacity(spans, cuts, cfg.MaxMPEsPerChip); err != nil {
 		return nil, fmt.Errorf("shard: %w", err)
 	}
-	subnets := make([]*snn.Network, len(ranges))
-	for i, r := range ranges {
-		in := chip.Net.Input
-		if r.Lo > 0 {
-			in = layers[r.Lo].In
-		}
-		sub, err := snn.NewNetwork(fmt.Sprintf("%s/shard%d", chip.Net.Name, i), in, layers[r.Lo:r.Hi]...)
-		if err != nil {
-			return nil, fmt.Errorf("shard: sub-network %d: %w", i, err)
-		}
-		subnets[i] = sub
-	}
-	m := &Multi{
-		chip: chip, cfg: cfg, ranges: ranges, subnets: subnets,
+	return &Multi{
+		chip: chip, cfg: cfg, ranges: ranges,
 		name: fmt.Sprintf("%s-x%d", chip.Name(), len(ranges)),
-	}
-	return m, nil
+	}, nil
 }
 
 // Name implements sim.Backend ("resparc-x4" for a 4-shard pipeline).
@@ -165,8 +151,8 @@ func (m *Multi) Name() string { return m.name }
 // Network implements sim.Backend.
 func (m *Multi) Network() *snn.Network { return m.chip.Net }
 
-// Healthy implements sim.Backend, delegating to the underlying chip (every
-// shard charges the same chip, so its fault state gates them all).
+// Healthy implements sim.Backend, delegating to the underlying chip (the
+// shards slice the same chip's run, so its fault state gates them all).
 func (m *Multi) Healthy() error { return m.chip.Healthy() }
 
 // Chip returns the underlying single-chip simulator whose accounting the
@@ -185,11 +171,11 @@ func (m *Multi) Ranges() []Range {
 type Report struct {
 	// Ranges is the layer partition, one entry per shard.
 	Ranges []Range
-	// Shards holds each shard's slice of the chip accounting (LayerCycles /
-	// LayerEnergies cover that shard's range only).
-	Shards []core.Report
-	// Chip is the merged accounting across shards — bit-identical to the
-	// single-chip report of the same classification (link cost excluded).
+	// Chip is the chip accounting of the classification: the single-chip
+	// report of the same run (link cost excluded), except that under
+	// sim.Options.EventEngine Cycles, Latency and BusWait come from the
+	// global pipeline of shards and hops. Its Stages grid covers every layer;
+	// shard s owns columns [Ranges[s].Lo, Ranges[s].Hi) of each timestep.
 	Chip core.Report
 	// Link is the inter-chip traffic summed over every hop (reported
 	// separately so the chip accounting stays comparable to single-chip
@@ -215,77 +201,43 @@ func (r Report) ImagesPerSec() float64 {
 	return 1 / r.Interval
 }
 
-// linkCost charges one boundary's raster (all timesteps) to the hop model.
-// When perStep is true (event engine) it additionally returns each
-// timestep's transfer occupancy in cycles — the hop durations the pipelined
-// makespan serializes.
-func (m *Multi) linkCost(raster []*bitvec.Bits, perStep bool) (LinkStats, []int64) {
-	var st LinkStats
-	var steps []int64
-	if perStep {
-		steps = make([]int64, 0, len(raster))
+// columns returns shard r's part of a whole-chip stage grid: the stages of
+// global layers [r.Lo, r.Hi) at every timestep.
+func columns(grid [][]cost.Stage, r Range) [][]cost.Stage {
+	out := make([][]cost.Stage, len(grid))
+	for t, row := range grid {
+		out[t] = row[r.Lo:r.Hi]
 	}
-	for _, bits := range raster {
-		h := m.cfg.Link.Raster(bits)
-		st.FlitsSent += h.Sent
-		st.FlitsSuppressed += h.Suppressed
-		st.EnergyJ += h.EnergyJ
-		st.Cycles += h.Cycles
-		if perStep {
-			steps = append(steps, int64(h.Cycles))
-		}
-	}
-	return st, steps
+	return out
 }
 
-// runStage runs shard s over one image on caller-owned state, charging the
-// shard's accountant (reset first), and returns the shard's report and its
-// decoded class. For s > 0 the image's input is the upstream boundary
-// raster in; for s < last the shard's boundary output is captured into out.
-func (m *Multi) runStage(s int, st *snn.State, acct *core.Accountant, intensity tensor.Vec, enc snn.Encoder,
-	in, out []*bitvec.Bits, opt sim.Options) (core.Report, int) {
-	acct.Reset()
-	var obs snn.Observer = acct
-	if out != nil {
-		obs = &snn.CaptureObserver{Inner: acct, Out: out}
-	}
-	if s > 0 {
-		enc = &snn.ReplayEncoder{Raster: in}
-		intensity = nil
-	}
-	steps, predicted := sim.Run(st, intensity, enc, m.chip.Opt.Steps, m.chip.Opt.BlockSize, opt, obs)
-	_, rep := acct.Report(predicted, steps)
-	if opt.EventEngine {
-		rep.Pipeline(m.chip.Opt.Params.NCCycle())
-	}
-	return rep, predicted
-}
-
-// finish merges the per-shard reports of one image into the multi-chip
-// result. The chip accounting concatenates in global layer order and reduces
-// through the same perf.SumRESPARC as the single-chip observer, so Chip is
-// bit-identical to a single-chip run; the link cost rides on top of the
-// returned perf.Result.
+// finish reads the multi-chip result of one image off its whole-chip run:
+// res and chip are the accountant's serial-sum reduction, hops the image's
+// per-hop traffic and hopSteps each hop's per-timestep transfer cycles.
+// Shard s's stage latency is the serial sum of its layers' cycles, or, when
+// pipelined, the makespan of its stage-grid columns alone.
 //
-// By default the merged Cycles are the serial sum of the shards' stages and
-// the hops' closed-form link cycles ride on top of the latency. When
-// pipelined (sim.Options.EventEngine) the merged Cycles and Latency come
-// from one global pipeline DES over every shard's stage grid plus the
-// serialized, credit-limited inter-chip hops — link time overlaps
-// computation instead of being added on top, and each hop's WaitCycles
-// records the backpressure it suffered.
-func (m *Multi) finish(parts []core.Report, hops []LinkStats, hopSteps [][]int64, predicted int, pipelined bool) (perf.Result, sim.Report) {
-	chip := m.mergeChip(parts)
-	chip.Predicted = predicted
+// By default Cycles stay the serial sum of every stage and the hops'
+// closed-form link cycles ride on top of the latency. When pipelined
+// (sim.Options.EventEngine) Cycles and Latency come from one global pipeline
+// DES over every shard's stage-grid columns plus the serialized,
+// credit-limited inter-chip hops — link time overlaps computation instead of
+// being added on top, and each hop's WaitCycles records the backpressure it
+// suffered.
+func (m *Multi) finish(res perf.Result, chip core.Report, hops []LinkStats, hopSteps [][]int64, pipelined bool) (perf.Result, sim.Report) {
 	ncc := m.chip.Opt.Params.NCCycle()
-	steps := m.chip.Opt.Steps
-	linkSeconds := 0.0
+	// Hops are independent point-to-point channels, so the initiation
+	// interval is bounded by the slowest shard stage and the busiest single
+	// hop.
+	interval := 0.0
 	if pipelined {
-		grids := make([][][]cost.Stage, len(parts))
-		for s := range parts {
-			grids[s] = parts[s].Stages
-		}
+		grids := make([][][]cost.Stage, len(m.ranges))
 		var pipe cost.Pipeline
+		for s, r := range m.ranges {
+			grids[s] = columns(chip.Stages, r)
+			own, _, _ := pipe.Makespan(grids[s:s+1], nil, 0)
+			interval = max(interval, float64(own)*ncc)
+		}
 		makespan, lw, busWait := pipe.Makespan(grids, hopSteps, m.cfg.Link.RecvBuf)
 		for h := range lw {
 			hops[h].WaitCycles = int(lw[h])
@@ -294,98 +246,29 @@ func (m *Multi) finish(parts []core.Report, hops []LinkStats, hopSteps [][]int64
 		chip.BusWait = busWait
 		chip.Latency = float64(makespan) * ncc
 	} else {
-		var cyc int
-		for _, h := range hops {
-			cyc += h.Cycles
+		for _, r := range m.ranges {
+			cyc := 0
+			for _, c := range chip.LayerCycles[r.Lo:r.Hi] {
+				cyc += c
+			}
+			interval = max(interval, float64(cyc)*ncc)
 		}
-		linkSeconds = float64(cyc) * ncc
 	}
 	var link LinkStats
-	interval := 0.0
 	for _, h := range hops {
 		link = addLink(link, h)
-		// Hops are independent point-to-point channels: only the busiest
-		// one bounds the initiation interval.
-		if s := float64(h.Cycles) * ncc; s > interval {
-			interval = s
-		}
+		interval = max(interval, float64(h.Cycles)*ncc)
 	}
-	for _, p := range parts {
-		if p.Latency > interval {
-			interval = p.Latency
-		}
+	linkSeconds := 0.0
+	if !pipelined {
+		linkSeconds = float64(link.Cycles) * ncc
 	}
+	res.Arch = m.name
+	res.Energy = chip.Energy.Total() + link.EnergyJ
+	res.Latency = chip.Latency + linkSeconds
 	rep := Report{
-		Ranges: m.Ranges(), Shards: parts, Chip: chip, Link: link, Hops: hops,
-		Interval: interval, Predicted: predicted,
+		Ranges: m.Ranges(), Chip: chip, Link: link, Hops: hops,
+		Interval: interval, Predicted: chip.Predicted,
 	}
-	res := perf.Result{
-		Arch:    m.name,
-		Network: m.chip.Net.Name,
-		Energy:  chip.Energy.Total() + link.EnergyJ,
-		Latency: chip.Latency + linkSeconds,
-		Steps:   steps,
-	}
-	res.SpikesPerStep, res.LayerOccupancy = m.sparsity(chip.LayerSpikes, 1, steps)
-	return res, sim.Report{Predicted: predicted, Steps: steps, Detail: rep}
-}
-
-// sparsity mirrors the single-chip observer's spike-sparsity reduction over
-// the merged per-layer spike counts (images > 1 averages a batch).
-func (m *Multi) sparsity(layerSpikes []int, images, steps int) (float64, []float64) {
-	if images <= 0 || steps <= 0 || len(layerSpikes) == 0 {
-		return 0, nil
-	}
-	total := 0
-	occ := make([]float64, len(layerSpikes))
-	for li, sp := range layerSpikes {
-		total += sp
-		if n := m.chip.Net.Layers[li].OutSize(); n > 0 {
-			occ[li] = float64(sp) / (float64(images) * float64(steps) * float64(n))
-		}
-	}
-	return float64(total) / (float64(images) * float64(steps)), occ
-}
-
-// mergeChip concatenates the shards' accounting slices in global layer
-// order and reduces them exactly as the single-chip observer does.
-func (m *Multi) mergeChip(parts []core.Report) core.Report {
-	var out core.Report
-	for _, p := range parts {
-		out.Counts = addCounters(out.Counts, p.Counts)
-		out.BusCycles += p.BusCycles
-		out.Breakdown = addBreakdown(out.Breakdown, p.Breakdown)
-		out.LayerCycles = append(out.LayerCycles, p.LayerCycles...)
-		out.LayerEnergies = append(out.LayerEnergies, p.LayerEnergies...)
-		out.LayerSpikes = append(out.LayerSpikes, p.LayerSpikes...)
-		if p.TraceError != nil && out.TraceError == nil {
-			out.TraceError = p.TraceError
-		}
-	}
-	out.Energy = perf.SumRESPARC(out.LayerEnergies)
-	out.Latency = float64(out.Counts.Cycles) * m.chip.Opt.Params.NCCycle()
-	return out
-}
-
-func addCounters(a, b core.Counters) core.Counters {
-	a.Cycles += b.Cycles
-	a.BusWords += b.BusWords
-	a.BusWordsSuppressed += b.BusWordsSuppressed
-	a.PacketsDelivered += b.PacketsDelivered
-	a.PacketsSuppressed += b.PacketsSuppressed
-	a.MCAActivations += b.MCAActivations
-	a.RowsDriven += b.RowsDriven
-	a.Integrations += b.Integrations
-	a.Spikes += b.Spikes
-	a.ExtTransfers += b.ExtTransfers
-	return a
-}
-
-func addBreakdown(a, b core.CycleBreakdown) core.CycleBreakdown {
-	a.Sync += b.Sync
-	a.Bus += b.Bus
-	a.Delivery += b.Delivery
-	a.Integrate += b.Integrate
-	a.Drain += b.Drain
-	return a
+	return res, sim.Report{Predicted: chip.Predicted, Steps: res.Steps, Detail: rep}
 }

@@ -57,7 +57,7 @@ func factoryFor(seed int64) sim.EncoderFactory {
 }
 
 // The sharded pipeline's defining contract: for every Fig 10 benchmark and
-// every shard count, predictions, merged event counters, and the summed
+// every shard count, predictions, chip event counters, and the summed
 // chip energy are bit-identical to the single-chip simulation. Run with
 // -race: images fan out across workers that share the Multi's session pool.
 func TestShardedMatchesSingleChip(t *testing.T) {
@@ -149,8 +149,8 @@ func TestPipelineMatchesSequential(t *testing.T) {
 // TestClassifyEachWorkerEquivalence: ClassifyEach fans images out over
 // sim.Options.Workers, and every worker count must reproduce the images run
 // one at a time — the full per-image perf.Result and shard Report (Chip,
-// Shards, Hops, Link, Interval, prediction), with and without the event
-// engine. The merged Chip must also match the single-chip serial reference.
+// Hops, Link, Interval, prediction), with and without the event engine. The
+// Chip must also match the single-chip reference.
 // Run with -race: workers share the Multi and its session pool.
 func TestClassifyEachWorkerEquivalence(t *testing.T) {
 	for _, b := range bench.All() {
@@ -204,7 +204,7 @@ func TestClassifyEachWorkerEquivalence(t *testing.T) {
 							got := singleChipView(reps[i].Detail.(Report).Chip, evt)
 							want := singleChipView(refReps[i].Detail.(core.Report), evt)
 							if !reflect.DeepEqual(got, want) {
-								t.Fatalf("x%d workers %d event %v image %d: merged chip report diverged from single chip\nsharded: %+v\nsingle:  %+v",
+								t.Fatalf("x%d workers %d event %v image %d: chip report diverged from single chip\nsharded: %+v\nsingle:  %+v",
 									n, w, evt, i, got, want)
 							}
 						}
@@ -215,12 +215,11 @@ func TestClassifyEachWorkerEquivalence(t *testing.T) {
 	}
 }
 
-// singleChipView strips what a merged shard report does not share with a
-// single-chip report of the same image: the stage grid stays per shard
-// (Report.Shards), and under the event engine Cycles, Latency and BusWait
-// come from the global pipeline, whose hops one chip does not have.
+// singleChipView strips what a shard report's Chip does not share with a
+// single-chip report of the same image: under the event engine Cycles,
+// Latency and BusWait come from the global pipeline, whose hops one chip
+// does not have.
 func singleChipView(r core.Report, evt bool) core.Report {
-	r.Stages = nil
 	if evt {
 		r.Counts.Cycles, r.Latency, r.BusWait = 0, 0, 0
 	}

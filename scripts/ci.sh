@@ -80,13 +80,13 @@ if ! diff -u scripts/mapping_api_surface.golden "$mapping_surface"; then
     exit 1
 fi
 
-# One iteration of the per-layer and panel kernel, mapper, makespan, switch
-# fabric and cycle-level NeuroCell benchmarks: nothing is timed or compared,
-# it only keeps the benchmark code compiling and running (their fixtures
-# build real Fig 10 networks, which plain go test never reaches for
-# benchmarks).
-echo "== benchmark smoke (snn layers and panel kernels, mapper, pipeline makespan, NeuroCell)"
-go test -run '^$' -bench 'Layer$|Panel|Plan|LayerMapping|Makespan|SwitchNet|CycleStep' -benchtime 1x \
+# One iteration of the per-layer and panel kernel, mapper, makespan,
+# multi-chip executor, switch fabric and cycle-level NeuroCell benchmarks:
+# nothing is timed or compared, it only keeps the benchmark code compiling
+# and running (their fixtures build real Fig 10 networks, which plain go
+# test never reaches for benchmarks).
+echo "== benchmark smoke (snn layers and panel kernels, mapper, pipeline makespan, multi-chip executor, NeuroCell)"
+go test -run '^$' -bench 'Layer$|Panel|Plan|LayerMapping|Makespan|MultiClassifyEach|SwitchNet|CycleStep' -benchtime 1x \
     ./internal/snn ./internal/mapping ./internal/shard ./internal/neurocell
 
 # resparc-noc has no tests of its own: its output for the default cell and a
