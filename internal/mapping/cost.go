@@ -219,8 +219,34 @@ type evaluator struct {
 	hop               [][]cost.Hop
 	// stats[li][szIdx] is the cached packing of layer li at Sizes[szIdx].
 	stats [][]*sizeStats
-	// pipes recycles pipeline-makespan scratch across evaluations.
-	pipes sync.Pool
+	// scratch recycles evaluate's per-candidate buffers (*evalScratch).
+	scratch sync.Pool
+}
+
+// evalScratch is the scratch of one evaluate call: the pipeline-makespan
+// state, the candidate's layer positions and capacity spans, its bus
+// flags, the (step, layer) stage grid with each chip's row headers into
+// it, and the per-hop link cycles. Concurrent chains each take their own
+// from the evaluator's pool.
+type evalScratch struct {
+	pipe     cost.Pipeline
+	pos      []layerPos
+	spans    []int
+	cross    []bool
+	grid     []cost.Stage
+	chips    [][][]cost.Stage
+	chipRows [][]cost.Stage // backing of every chips[s]: steps headers per chip
+	hops     [][]int64
+	hopSteps []int64 // backing of every hops[h]: steps cycles per hop
+}
+
+// grow returns s resized to n elements, reallocating only when its capacity
+// is short; the contents are not preserved.
+func grow[E any](s []E, n int) []E {
+	if cap(s) < n {
+		return make([]E, n)
+	}
+	return s[:n]
 }
 
 // InputSRAM is the chip's input SRAM for net, sized for the largest spike
@@ -401,11 +427,11 @@ func (ev *evaluator) buildStats(li, szIdx int) (*sizeStats, error) {
 	return st, nil
 }
 
-// positions realizes a candidate's layer positions (the mPE cursor walk of
-// mapLayers, without building any MCA).
-func (ev *evaluator) positions(c candidate) ([]layerPos, int) {
+// positions realizes a candidate's layer positions into pos (the mPE
+// cursor walk of mapLayers, without building any MCA).
+func (ev *evaluator) positions(c candidate, pos []layerPos) ([]layerPos, int) {
 	perNC := ev.cons.Hierarchy.MPEsPerNC
-	pos := make([]layerPos, len(ev.net.Layers))
+	pos = grow(pos, len(ev.net.Layers))
 	cursor := 0
 	for li := range pos {
 		if c.align[li] && cursor%perNC != 0 {
@@ -470,10 +496,17 @@ func (ev *evaluator) layerStep(li, t int, szIdx int, cross bool, pos layerPos) (
 // evaluate prices a full candidate. The Objective field is left zero — it is
 // relative to a baseline the caller supplies to objective().
 func (ev *evaluator) evaluate(c candidate) (CostBreakdown, error) {
+	sc, _ := ev.scratch.Get().(*evalScratch)
+	if sc == nil {
+		sc = new(evalScratch)
+	}
+	defer ev.scratch.Put(sc)
 	L := len(ev.net.Layers)
-	pos, cursor := ev.positions(c)
+	pos, cursor := ev.positions(c, sc.pos)
+	sc.pos = pos
 
-	spans := make([]int, L)
+	spans := grow(sc.spans, L)
+	sc.spans = spans
 	for li := range spans {
 		spans[li] = pos[li].mpeSpan
 	}
@@ -481,14 +514,16 @@ func (ev *evaluator) evaluate(c candidate) (CostBreakdown, error) {
 		return CostBreakdown{}, fmt.Errorf("mapping: %w", err)
 	}
 
-	cross := make([]bool, L)
+	cross := grow(sc.cross, L)
+	sc.cross = cross
 	for li := 0; li < L; li++ {
 		cross[li] = ev.crossNC(li, pos)
 	}
 
 	steps := ev.cons.Steps
 	energyJ := 0.0
-	grid := make([]cost.Stage, steps*L)
+	grid := grow(sc.grid, steps*L)
+	sc.grid = grid
 	for t := 0; t < steps; t++ {
 		for li := 0; li < L; li++ {
 			e, st := ev.layerStep(li, t, c.size[li], cross[li], pos[li])
@@ -497,14 +532,16 @@ func (ev *evaluator) evaluate(c candidate) (CostBreakdown, error) {
 		}
 	}
 	// Chip s's stage grid is its layer range of every grid row.
-	chips := make([][][]cost.Stage, len(c.cuts)+1)
+	chips := grow(sc.chips, len(c.cuts)+1)
+	rows := grow(sc.chipRows, len(chips)*steps)
+	sc.chips, sc.chipRows = chips, rows
 	lo := 0
 	for s := range chips {
 		hi := L
 		if s < len(c.cuts) {
 			hi = c.cuts[s]
 		}
-		chips[s] = make([][]cost.Stage, steps)
+		chips[s] = rows[s*steps : (s+1)*steps : (s+1)*steps]
 		for t := range chips[s] {
 			chips[s][t] = grid[t*L+lo : t*L+hi : t*L+hi]
 		}
@@ -515,10 +552,12 @@ func (ev *evaluator) evaluate(c candidate) (CostBreakdown, error) {
 	// flits, priced by the link model.
 	linkFlits := 0
 	linkE := 0.0
-	hops := make([][]int64, len(c.cuts))
+	hops := grow(sc.hops, len(c.cuts))
+	hopSteps := grow(sc.hopSteps, len(c.cuts)*steps)
+	sc.hops, sc.hopSteps = hops, hopSteps
 	for h, cut := range c.cuts {
 		bl := cut - 1 // boundary layer: its output raster crosses the hop
-		hops[h] = make([]int64, steps)
+		hops[h] = hopSteps[h*steps : (h+1)*steps : (h+1)*steps]
 		for t := 0; t < steps; t++ {
 			hp := &ev.hop[bl][t]
 			linkFlits += hp.Sent
@@ -527,12 +566,7 @@ func (ev *evaluator) evaluate(c candidate) (CostBreakdown, error) {
 		}
 	}
 
-	pipe, _ := ev.pipes.Get().(*cost.Pipeline)
-	if pipe == nil {
-		pipe = new(cost.Pipeline)
-	}
-	makespan, _, _ := pipe.Makespan(chips, hops, ev.cons.Link.RecvBuf)
-	ev.pipes.Put(pipe)
+	makespan, _, _ := sc.pipe.Makespan(chips, hops, ev.cons.Link.RecvBuf)
 	perNC := ev.cons.Hierarchy.MPEsPerNC
 	return CostBreakdown{
 		EnergyJ:     energyJ + linkE,

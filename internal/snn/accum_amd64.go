@@ -4,9 +4,11 @@ package snn
 
 // Kernel versions on amd64 (accum_amd64.s):
 //
-//   - blockPanel, segPanel and poolPanel, the no-leak block kernels, run an
-//     AVX2 body when the CPU and OS support it (useAVX2, probed once at
-//     init) and their pure-Go twins of accum_generic.go otherwise;
+//   - blockQuad, blockPanel, segPanel and poolPanel, the no-leak block
+//     kernels, run an AVX2 body when the CPU and OS support it (useAVX2,
+//     probed once at init) and their pure-Go twins of accum_generic.go
+//     otherwise; blockQuad integrates four consecutive 8-lane panels (32
+//     neurons) per pass over a spike list, blockPanel one;
 //   - accumPanel (leaky layers only) runs baseline SSE2, which every amd64
 //     CPU has.
 //
@@ -80,6 +82,27 @@ func segPanel(panel []float64, flat []int32, segs []int32, rows int, fires []uin
 	}
 	return segPanelGo(panel, flat, segs, rows, fires, acc, th, hard)
 }
+
+// blockQuad is blockPanel over four consecutive panels in one pass over the
+// spike lists: panel holds the four panels back to back (len(panel)/4
+// doubles each), group g's accumulators are acc[g], its step-k fired-lane
+// byte goes to fires[g*kn+k] with kn = len(fires)/4, and the result holds
+// the four groups' fired-steps masks. Every lane sees exactly blockPanel's
+// adds, threshold and reset, so the result equals four blockPanel calls.
+//
+// The caller guarantees len(panel) is a multiple of 4*panelLanes, offs has
+// len(fires)/4+1 entries as in blockPanel, len(fires)/4 <= 64, and flat
+// entries index within each panel.
+func blockQuad(panel []float64, flat []int32, offs []int32, fires []uint8, acc *[quadGroups][panelLanes]float64, th float64, hard bool) [quadGroups]uint64 {
+	if useAVX2 {
+		f0, f1, f2, f3 := blockQuadAVX2(panel, flat, offs, fires, acc, th, hard)
+		return [quadGroups]uint64{f0, f1, f2, f3}
+	}
+	return blockQuadGo(panel, flat, offs, fires, acc, th, hard)
+}
+
+//go:noescape
+func blockQuadAVX2(panel []float64, flat []int32, offs []int32, fires []uint8, acc *[quadGroups][panelLanes]float64, th float64, hard bool) (fs0, fs1, fs2, fs3 uint64)
 
 //go:noescape
 func blockPanelAVX2(panel []float64, flat []int32, offs []int32, fires []uint8, acc *[panelLanes]float64, th float64, hard bool) uint64

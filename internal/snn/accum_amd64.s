@@ -2,48 +2,57 @@
 
 #include "textflag.h"
 
-// The step epilogue shared by blockPanelAVX2, segPanelAVX2 and
-// poolPanelAVX2. Register contract: accumulators in Y0 (lanes 0-3) and Y1
-// (lanes 4-7), th broadcast in Y12, fires base in R9, step k in R11,
-// fired-steps mask in R13; Y8, Y9, AX and BX are clobbered.
+// The step epilogue shared by the block kernels. FIRE_TEST(lo, hi) runs the
+// packed threshold test on the 8-lane group held in lo (lanes 0-3) and hi
+// (lanes 4-7) against th broadcast in Y12: Y8, Y9 = th <= acc per lane, the
+// packed equivalent of the scalar acc[i] >= th including its NaN behavior
+// (a NaN lane never fires), and AX = the step's fired-lane byte.
+// FIRE_MASK(m) then sets bit k (R11) of the fired-steps mask m by CMOV when
+// any lane fired. Both clobber BX. Both the reset and that bit run on every
+// step: at the networks' rates whether a group fires on a step is hard to
+// predict, and a branch on it mispredicted often enough to cost more than
+// the reset it skipped.
 //
-// FIRE_STEP runs the packed threshold test (Y8, Y9 = th <= acc per lane,
-// the packed equivalent of the scalar acc[i] >= th including its NaN
-// behavior: a NaN lane never fires), stores the step's fired-lane byte to
-// fires[k] and sets bit k of R13 by CMOV when any lane fired. Both the
-// reset and that bit run on every step: at the networks' rates whether a
-// group fires on a step is hard to predict, and a branch on it mispredicted
-// often enough to cost more than the reset it skipped.
+// FIRE_STEP is the single-group epilogue of blockPanelAVX2, segPanelAVX2
+// and poolPanelAVX2: the group in Y0 and Y1, its byte stored to fires[k]
+// (fires base in R9) and its mask in R13.
 //
 // The AVX2 bodies use VEX-encoded instructions only: a legacy SSE
 // instruction (say MOVQ AX, X10) while the upper YMM halves are dirty pays
 // a state transition, and two of them per step made poolPanelAVX2 over ten
 // times slower than the SSE2 kernel it replaced.
-#define FIRE_STEP \
-	VCMPPD    $2, Y0, Y12, Y8; \
-	VCMPPD    $2, Y1, Y12, Y9; \
+#define FIRE_TEST(lo, hi) \
+	VCMPPD    $2, lo, Y12, Y8; \
+	VCMPPD    $2, hi, Y12, Y9; \
 	VMOVMSKPD Y8, AX; \
 	VMOVMSKPD Y9, BX; \
 	SHLQ      $4, BX; \
-	ORQ       BX, AX; \
-	MOVB      AX, (R9)(R11*1); \
-	MOVQ      R13, BX; \
-	BTSQ      R11, BX; \
-	TESTQ     AX, AX; \
-	CMOVQNE   BX, R13
+	ORQ       BX, AX
 
-// SOFT_RESET subtracts the mask-selected threshold: p - th on fired lanes,
-// p - 0.0 == p bitwise on the rest (also when no lane fired).
-#define SOFT_RESET \
+#define FIRE_MASK(m) \
+	MOVQ    m, BX; \
+	BTSQ    R11, BX; \
+	TESTQ   AX, AX; \
+	CMOVQNE BX, m
+
+#define FIRE_STEP \
+	FIRE_TEST(Y0, Y1); \
+	MOVB AX, (R9)(R11*1); \
+	FIRE_MASK(R13)
+
+// SOFT_RESET(lo, hi) subtracts the mask-selected threshold from the group
+// held in lo (lanes 0-3) and hi (lanes 4-7), masks in Y8 and Y9: p - th on
+// fired lanes, p - 0.0 == p bitwise on the rest (also when no lane fired).
+#define SOFT_RESET(lo, hi) \
 	VANDPD Y12, Y8, Y8; \
 	VANDPD Y12, Y9, Y9; \
-	VSUBPD Y8, Y0, Y0; \
-	VSUBPD Y9, Y1, Y1
+	VSUBPD Y8, lo, lo; \
+	VSUBPD Y9, hi, hi
 
-// HARD_RESET clears fired lanes to +0 (acc = ^mask & acc).
-#define HARD_RESET \
-	VANDNPD Y0, Y8, Y0; \
-	VANDNPD Y1, Y9, Y1
+// HARD_RESET(lo, hi) clears fired lanes to +0 (acc = ^mask & acc).
+#define HARD_RESET(lo, hi) \
+	VANDNPD lo, Y8, lo; \
+	VANDNPD hi, Y9, hi
 
 // func accumPanel(panel []float64, list []int32, acc *[8]float64)
 //
@@ -171,11 +180,11 @@ thresh:
 	FIRE_STEP
 	TESTQ R10, R10
 	JNZ   hardreset
-	SOFT_RESET
+	SOFT_RESET(Y0, Y1)
 	JMP   next
 
 hardreset:
-	HARD_RESET
+	HARD_RESET(Y0, Y1)
 
 next:
 	INCQ R11
@@ -186,6 +195,160 @@ done:
 	VMOVUPD Y1, 32(DX)
 	VZEROUPPER
 	MOVQ    R13, ret+120(FP)
+	RET
+
+// The fires stores of blockQuadAVX2: QUAD_STOREg writes the fired-lane
+// byte in AX to group g's fires[g*kn+k], with R9 = &fires[k] and kn =
+// len(offs)-1. BX is clobbered.
+#define QUAD_STORE0 \
+	MOVB AX, (R9)
+
+#define QUAD_STORE1 \
+	MOVQ offs_len+56(FP), BX; \
+	MOVB AX, -1(R9)(BX*1)
+
+#define QUAD_STORE2 \
+	MOVQ offs_len+56(FP), BX; \
+	MOVB AX, -2(R9)(BX*2)
+
+#define QUAD_STORE3 \
+	MOVQ offs_len+56(FP), BX; \
+	LEAQ -3(BX)(BX*2), BX; \
+	MOVB AX, (R9)(BX*1)
+
+// func blockQuadAVX2(panel []float64, flat []int32, offs []int32, fires []uint8, acc *[4][8]float64, th float64, hard bool) (fs0, fs1, fs2, fs3 uint64)
+//
+// blockPanelAVX2 over four consecutive panels (32 neurons) in one pass over
+// the spike list. panel holds the four panels back to back, stride =
+// len(panel)/4 doubles apart; group g's accumulators live in Y(2g) (lanes
+// 0-3) and Y(2g+1) (lanes 4-7) for the whole block, so each spike costs one
+// index load and eight memory-operand VADDPDs, two per group: groups 0 and
+// 1 at SI and CX = SI+stride, groups 2 and 3 at the same bases with the
+// line offset advanced by R10 = 2*stride. Lanes are independent, so every
+// lane sees exactly blockPanelAVX2's adds in list order. Each step ends
+// with the packed threshold and branchless reset of all four groups
+// (FIRE_TEST, SOFT_RESET/HARD_RESET), group g's fired-lane byte going to
+// fires[g*kn+k] and bit k of its mask (DX, R12, R13, R14) being set when it
+// fired. The step loop counts each step's spikes down in BX instead of
+// comparing against an end pointer, which leaves four registers for the
+// masks; kn, hard and acc are read from the argument frame. R14 is scratch
+// (see segPanelAVX2).
+TEXT ·blockQuadAVX2(SB), NOSPLIT, $0-152
+	MOVQ         panel_base+0(FP), SI
+	MOVQ         panel_len+8(FP), R10
+	SHLQ         $1, R10          // stride in bytes: len(panel)/4 doubles
+	LEAQ         (SI)(R10*1), CX  // group 1's panel
+	ADDQ         R10, R10         // 2*stride: groups 2 and 3
+	MOVQ         flat_base+24(FP), DI
+	MOVQ         offs_base+48(FP), R8
+	MOVQ         fires_base+72(FP), R9
+	MOVQ         acc+96(FP), AX
+	VBROADCASTSD th+104(FP), Y12
+
+	VMOVUPD (AX), Y0
+	VMOVUPD 32(AX), Y1
+	VMOVUPD 64(AX), Y2
+	VMOVUPD 96(AX), Y3
+	VMOVUPD 128(AX), Y4
+	VMOVUPD 160(AX), Y5
+	VMOVUPD 192(AX), Y6
+	VMOVUPD 224(AX), Y7
+
+	// DI = &flat[offs[0]] (offs entries are absolute into flat).
+	MOVLQSX (R8), AX
+	LEAQ    (DI)(AX*4), DI
+
+	XORQ R11, R11 // k
+	XORQ DX, DX   // fired-steps masks of groups 0-3
+	XORQ R12, R12
+	XORQ R13, R13
+	XORQ R14, R14
+
+step:
+	LEAQ    1(R11), AX
+	CMPQ    AX, offs_len+56(FP)
+	JGE     done
+	MOVLQSX 4(R8)(R11*4), BX // offs[k+1]
+	MOVLQSX (R8)(R11*4), AX  // offs[k]
+	SUBQ    AX, BX           // step k's spike count
+	JLE     thresh
+
+adds:
+	MOVLQSX (DI), AX
+	SHLQ    $6, AX
+	VADDPD  (SI)(AX*1), Y0, Y0
+	VADDPD  32(SI)(AX*1), Y1, Y1
+	VADDPD  (CX)(AX*1), Y2, Y2
+	VADDPD  32(CX)(AX*1), Y3, Y3
+	ADDQ    R10, AX
+	VADDPD  (SI)(AX*1), Y4, Y4
+	VADDPD  32(SI)(AX*1), Y5, Y5
+	VADDPD  (CX)(AX*1), Y6, Y6
+	VADDPD  32(CX)(AX*1), Y7, Y7
+	ADDQ    $4, DI
+	DECQ    BX
+	JNZ     adds
+
+thresh:
+	CMPB hard+112(FP), $0
+	JNE  hardreset
+
+	FIRE_TEST(Y0, Y1)
+	QUAD_STORE0
+	FIRE_MASK(DX)
+	SOFT_RESET(Y0, Y1)
+	FIRE_TEST(Y2, Y3)
+	QUAD_STORE1
+	FIRE_MASK(R12)
+	SOFT_RESET(Y2, Y3)
+	FIRE_TEST(Y4, Y5)
+	QUAD_STORE2
+	FIRE_MASK(R13)
+	SOFT_RESET(Y4, Y5)
+	FIRE_TEST(Y6, Y7)
+	QUAD_STORE3
+	FIRE_MASK(R14)
+	SOFT_RESET(Y6, Y7)
+	JMP next
+
+hardreset:
+	FIRE_TEST(Y0, Y1)
+	QUAD_STORE0
+	FIRE_MASK(DX)
+	HARD_RESET(Y0, Y1)
+	FIRE_TEST(Y2, Y3)
+	QUAD_STORE1
+	FIRE_MASK(R12)
+	HARD_RESET(Y2, Y3)
+	FIRE_TEST(Y4, Y5)
+	QUAD_STORE2
+	FIRE_MASK(R13)
+	HARD_RESET(Y4, Y5)
+	FIRE_TEST(Y6, Y7)
+	QUAD_STORE3
+	FIRE_MASK(R14)
+	HARD_RESET(Y6, Y7)
+
+next:
+	INCQ R9
+	INCQ R11
+	JMP  step
+
+done:
+	MOVQ    acc+96(FP), AX
+	VMOVUPD Y0, (AX)
+	VMOVUPD Y1, 32(AX)
+	VMOVUPD Y2, 64(AX)
+	VMOVUPD Y3, 96(AX)
+	VMOVUPD Y4, 128(AX)
+	VMOVUPD Y5, 160(AX)
+	VMOVUPD Y6, 192(AX)
+	VMOVUPD Y7, 224(AX)
+	VZEROUPPER
+	MOVQ    DX, fs0+120(FP)
+	MOVQ    R12, fs1+128(FP)
+	MOVQ    R13, fs2+136(FP)
+	MOVQ    R14, fs3+144(FP)
 	RET
 
 // func segPanelAVX2(panel []float64, flat []int32, segs []int32, rows int, fires []uint8, acc *[8]float64, th float64, hard bool) uint64
@@ -247,11 +410,11 @@ thresh:
 	FIRE_STEP
 	TESTQ R10, R10
 	JNZ   hardreset
-	SOFT_RESET
+	SOFT_RESET(Y0, Y1)
 	JMP   next
 
 hardreset:
-	HARD_RESET
+	HARD_RESET(Y0, Y1)
 
 next:
 	INCQ R11
@@ -290,8 +453,8 @@ GLOBL poolSpreadHi<>(SB), RODATA|NOPTR, $32
 // saturation. Rounds repeat until every count is zero, so lane i receives
 // exactly counts[k] byte i IEEE additions of pw, as in the scalar
 // reference. Threshold, reset and the fired-step commit are FIRE_STEP and
-// SOFT_RESET/HARD_RESET; X15 is scratch (ABI0 assembly may clobber it, the
-// ABI wrapper restores it).
+// SOFT_RESET/HARD_RESET on Y0 and Y1; X15 is scratch (ABI0 assembly may
+// clobber it, the ABI wrapper restores it).
 TEXT ·poolPanelAVX2(SB), NOSPLIT, $0-88
 	MOVQ         counts_base+0(FP), SI
 	MOVQ         fires_base+24(FP), R9
@@ -343,11 +506,11 @@ thresh:
 	FIRE_STEP
 	TESTQ R10, R10
 	JNZ   hardreset
-	SOFT_RESET
+	SOFT_RESET(Y0, Y1)
 	JMP   next
 
 hardreset:
-	HARD_RESET
+	HARD_RESET(Y0, Y1)
 
 next:
 	INCQ R11

@@ -78,6 +78,16 @@ func blockPanelGo(panel []float64, flat []int32, offs []int32, fires []uint8, ac
 	return fireSteps
 }
 
+// blockQuadGo is blockQuad's twin: four blockPanelGo calls, one per panel
+// of the quad, each writing its group's kn = len(fires)/4 fire bytes.
+func blockQuadGo(panel []float64, flat []int32, offs []int32, fires []uint8, acc *[quadGroups][panelLanes]float64, th float64, hard bool) (fs [quadGroups]uint64) {
+	stride, kn := len(panel)/quadGroups, len(fires)/quadGroups
+	for g := range fs {
+		fs[g] = blockPanelGo(panel[g*stride:(g+1)*stride], flat, offs, fires[g*kn:(g+1)*kn], &acc[g], th, hard)
+	}
+	return fs
+}
+
 // segPanelGo is blockPanelGo over segmented spike lists: step k's spikes are
 // the rows segments segs[3*(k*rows+r) : 3*(k*rows+r)+3] = (lo, hi, off),
 // r ascending, and each contributes the panel lines of kernel indices

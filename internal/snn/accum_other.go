@@ -10,6 +10,10 @@ func accumPanel(panel []float64, list []int32, acc *[panelLanes]float64) {
 	accumPanelGo(panel, list, 0, acc)
 }
 
+func blockQuad(panel []float64, flat []int32, offs []int32, fires []uint8, acc *[quadGroups][panelLanes]float64, th float64, hard bool) [quadGroups]uint64 {
+	return blockQuadGo(panel, flat, offs, fires, acc, th, hard)
+}
+
 func blockPanel(panel []float64, flat []int32, offs []int32, fires []uint8, acc *[panelLanes]float64, th float64, hard bool) uint64 {
 	return blockPanelGo(panel, flat, offs, fires, acc, th, hard)
 }

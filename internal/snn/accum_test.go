@@ -43,13 +43,14 @@ type panelKernel struct {
 	block func(panel []float64, flat []int32, offs []int32, fires []uint8, acc *[panelLanes]float64, th float64, hard bool) uint64
 	seg   func(panel []float64, flat []int32, segs []int32, rows int, fires []uint8, acc *[panelLanes]float64, th float64, hard bool) uint64
 	pool  func(counts []uint64, fires []uint8, acc *[panelLanes]float64, pw, th float64, hard bool) uint64
+	quad  func(panel []float64, flat []int32, offs []int32, fires []uint8, acc *[quadGroups][panelLanes]float64, th float64, hard bool) [quadGroups]uint64
 }
 
-// panelKernels returns every version of blockPanel, segPanel and poolPanel
-// this build and CPU can run: the pure-Go twins always, the AVX2 bodies
-// where present.
+// panelKernels returns every version of blockPanel, segPanel, poolPanel
+// and blockQuad this build and CPU can run: the pure-Go twins always, the
+// AVX2 bodies where present.
 func panelKernels(tb testing.TB) []panelKernel {
-	ks := []panelKernel{{"go", blockPanelGo, segPanelGo, poolPanelGo}}
+	ks := []panelKernel{{"go", blockPanelGo, segPanelGo, poolPanelGo, blockQuadGo}}
 	if k, ok := asmPanelKernel(); ok {
 		ks = append(ks, k)
 	} else {
@@ -119,6 +120,26 @@ func panelValues(rng *rand.Rand, n int, dyadic bool) []float64 {
 	return panel
 }
 
+// randomLists draws kn ascending spike lists of fewer than maxN indices
+// below lines, one step in five forced silent, as flat lists with offsets.
+func randomLists(rng *rand.Rand, lines, kn, maxN int) (flat, offs []int32) {
+	offs = make([]int32, kn+1)
+	for k := 0; k < kn; k++ {
+		n := rng.Intn(maxN)
+		if rng.Intn(5) == 0 {
+			n = 0 // force silent steps
+		}
+		prev := -1
+		for s := 0; s < n && prev+1 < lines; s++ {
+			idx := prev + 1 + rng.Intn(lines-prev-1)
+			flat = append(flat, int32(idx))
+			prev = idx
+		}
+		offs[k+1] = int32(len(flat))
+	}
+	return flat, offs
+}
+
 // Every version of blockPanel (AVX2 where the CPU has it, the pure-Go twin
 // always) must be bit-identical to the scalar reference for randomized
 // panels, spike lists, thresholds, and both reset modes — including steps
@@ -132,21 +153,7 @@ func TestBlockPanelMatchesReference(t *testing.T) {
 		kn := 1 + rng.Intn(64)
 		dyadic := trial%3 == 0
 		panel := panelValues(rng, lines*panelLanes, dyadic)
-		var flat []int32
-		offs := make([]int32, kn+1)
-		for k := 0; k < kn; k++ {
-			n := rng.Intn(4)
-			if rng.Intn(5) == 0 {
-				n = 0 // force silent steps
-			}
-			prev := -1
-			for s := 0; s < n && prev+1 < lines; s++ {
-				idx := prev + 1 + rng.Intn(lines-prev-1)
-				flat = append(flat, int32(idx))
-				prev = idx
-			}
-			offs[k+1] = int32(len(flat))
-		}
+		flat, offs := randomLists(rng, lines, kn, 4)
 		th := rng.Float64()*2 - 0.2
 		if dyadic {
 			th = float64(1+rng.Intn(8)) / 8
@@ -161,6 +168,59 @@ func TestBlockPanelMatchesReference(t *testing.T) {
 				return kr.block(panel, flat, offs, f, a, th, hard)
 			})
 			assertSameRun(t, fmt.Sprintf("trial %d blockPanel %s", trial, kr.name), got, want)
+		}
+	}
+}
+
+// Every version of blockQuad must equal four runs of the scalar reference,
+// one per panel of the quad, bit for bit: each group's accumulators, fire
+// bytes (group g's at fires[g*kn:(g+1)*kn]) and fired-steps mask. Block
+// lengths 1, 48 and 64 steps; random lists with silent steps (and whole
+// silent blocks); dyadic weights and thresholds that land lanes exactly on
+// the threshold; -0.0 and NaN start potentials; both reset modes. The
+// groups draw different weights, so a panel read at another group's stride
+// offset shows.
+func TestBlockQuadMatchesReference(t *testing.T) {
+	kernels := panelKernels(t)
+	rng := rand.New(rand.NewSource(85))
+	for trial := 0; trial < 300; trial++ {
+		kn := []int{1, 48, 64}[trial%3]
+		lines := 1 + rng.Intn(120)
+		dyadic := trial%4 < 2
+		stride := lines * panelLanes
+		panel := panelValues(rng, quadGroups*stride, dyadic)
+		maxN := []int{2, 8, 40}[rng.Intn(3)]
+		if trial%10 == 9 {
+			maxN = 0 // a silent block
+		}
+		flat, offs := randomLists(rng, lines, kn, maxN+1)
+		th := rng.Float64()*2 - 0.2
+		if dyadic {
+			th = float64(1+rng.Intn(8)) / 8
+		}
+		hard := rng.Intn(2) == 0
+		var acc [quadGroups][panelLanes]float64
+		for g := range acc {
+			acc[g] = randomAcc(rng)
+			if rng.Intn(4) == 0 {
+				acc[g][rng.Intn(panelLanes)] = math.NaN()
+			}
+		}
+		var want [quadGroups]panelRun
+		for g := range want {
+			pg := panel[g*stride : (g+1)*stride]
+			want[g] = runPanel(kn, acc[g], func(f []uint8, a *[panelLanes]float64) uint64 {
+				return refBlockPanel(pg, flat, offs, f, a, th, hard)
+			})
+		}
+		for _, kr := range kernels {
+			got := acc
+			fires := make([]uint8, quadGroups*kn)
+			fs := kr.quad(panel, flat, offs, fires, &got, th, hard)
+			for g := range want {
+				run := panelRun{fs: fs[g], fires: fires[g*kn : (g+1)*kn], acc: got[g]}
+				assertSameRun(t, fmt.Sprintf("trial %d blockQuad %s group %d", trial, kr.name, g), run, want[g])
+			}
 		}
 	}
 }
@@ -312,25 +372,36 @@ func TestPoolPanelNaN(t *testing.T) {
 }
 
 // A non-zero offs[0] (a window of a larger offsets table) must behave
-// exactly like a rebased table in every version of blockPanel.
+// exactly like a rebased table in every version of blockPanel and blockQuad.
 func TestBlockPanelOffsetWindow(t *testing.T) {
 	rng := rand.New(rand.NewSource(78))
-	panel := make([]float64, 16*panelLanes)
+	const stride = 16 * panelLanes
+	panel := make([]float64, quadGroups*stride)
 	for i := range panel {
 		panel[i] = rng.NormFloat64()
 	}
 	// flat = [prefix | window]: the window's offsets start at 3.
 	flat := []int32{1, 5, 9, 0, 4, 7, 11, 2}
 	offs := []int32{3, 5, 5, 8}
-	var acc [panelLanes]float64
-	want := runPanel(3, acc, func(f []uint8, a *[panelLanes]float64) uint64 {
-		return refBlockPanel(panel, flat[3:], []int32{0, 2, 2, 5}, f, a, 0.9, false)
-	})
-	for _, kr := range panelKernels(t) {
-		got := runPanel(3, acc, func(f []uint8, a *[panelLanes]float64) uint64 {
-			return kr.block(panel, flat, offs, f, a, 0.9, false)
+	var want [quadGroups]panelRun
+	for g := range want {
+		pg := panel[g*stride : (g+1)*stride]
+		want[g] = runPanel(3, [panelLanes]float64{}, func(f []uint8, a *[panelLanes]float64) uint64 {
+			return refBlockPanel(pg, flat[3:], []int32{0, 2, 2, 5}, f, a, 0.9, false)
 		})
-		assertSameRun(t, "offset window "+kr.name, got, want)
+	}
+	for _, kr := range panelKernels(t) {
+		got := runPanel(3, [panelLanes]float64{}, func(f []uint8, a *[panelLanes]float64) uint64 {
+			return kr.block(panel[:stride], flat, offs, f, a, 0.9, false)
+		})
+		assertSameRun(t, "offset window "+kr.name, got, want[0])
+		var acc [quadGroups][panelLanes]float64
+		fires := make([]uint8, quadGroups*3)
+		fs := kr.quad(panel, flat, offs, fires, &acc, 0.9, false)
+		for g := range want {
+			run := panelRun{fs: fs[g], fires: fires[g*3 : (g+1)*3], acc: acc[g]}
+			assertSameRun(t, fmt.Sprintf("offset window quad %s group %d", kr.name, g), run, want[g])
+		}
 	}
 }
 
@@ -402,19 +473,28 @@ func TestAccumPanelMatchesReference(t *testing.T) {
 }
 
 // BenchmarkBlockPanel measures each version of the block-integration
-// kernel on one 8-lane group over a 48-step block at the two loads of the
-// Fig 10 CNNs: conv1 (9 kernel lines, about one spiking tap per step) and
-// the wide conv2 of cifar-cnn (1602 lines, about 500 taps per step).
-// Weights average 0.02 and the threshold is six steps' mean input, so lanes
-// fire about every sixth step, like the networks' calibrated 15% rate.
+// kernels over a 48-step block at three loads: conv1 of the Fig 10 CNNs (9
+// kernel lines, about one spiking tap per step), the wide conv2 of
+// cifar-cnn (1602 lines, about 500 taps per step) and the first layer of
+// mnist-mlp (784 lines, about 110 taps per step). conv1 and conv2 time one
+// 8-lane group in blockPanel. The MLP load times 32 neurons, four
+// consecutive panels, both ways: mlp/panel runs blockPanel once per panel,
+// mlp/quad runs them in one blockQuad pass. Weights average 0.02 and the
+// threshold is six steps' mean input, so lanes fire about every sixth step,
+// like the networks' calibrated 15% rate.
 func BenchmarkBlockPanel(b *testing.B) {
 	for _, bc := range []struct {
 		name        string
 		lines, taps int
-	}{{"conv1", 9, 1}, {"conv2", 1602, 500}} {
+	}{{"conv1", 9, 1}, {"conv2", 1602, 500}, {"mlp", 784, 110}} {
 		rng := rand.New(rand.NewSource(80))
 		const kn = 48
-		panel := benchPanel(rng, bc.lines)
+		panels := 1
+		if bc.name == "mlp" {
+			panels = quadGroups
+		}
+		panel := benchPanel(rng, panels*bc.lines)
+		stride := bc.lines * panelLanes
 		var flat []int32
 		offs := make([]int32, kn+1)
 		for k := 0; k < kn; k++ {
@@ -426,14 +506,31 @@ func BenchmarkBlockPanel(b *testing.B) {
 			offs[k+1] = int32(len(flat))
 		}
 		th := 6 * 0.02 * float64(bc.taps)
-		fires := make([]uint8, kn)
+		fires := make([]uint8, quadGroups*kn)
 		for _, kr := range panelKernels(b) {
-			b.Run(bc.name+"/"+kr.name, func(b *testing.B) {
+			name := bc.name + "/" + kr.name
+			if panels > 1 {
+				name = bc.name + "/panel/" + kr.name
+			}
+			b.Run(name, func(b *testing.B) {
 				var acc [panelLanes]float64
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					acc = [panelLanes]float64{}
-					kr.block(panel, flat, offs, fires, &acc, th, false)
+					for g := 0; g < panels; g++ {
+						acc = [panelLanes]float64{}
+						kr.block(panel[g*stride:(g+1)*stride], flat, offs, fires[:kn], &acc, th, false)
+					}
+				}
+			})
+			if panels == 1 {
+				continue
+			}
+			b.Run(bc.name+"/quad/"+kr.name, func(b *testing.B) {
+				var acc [quadGroups][panelLanes]float64
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					acc = [quadGroups][panelLanes]float64{}
+					kr.quad(panel, flat, offs, fires, &acc, th, false)
 				}
 			})
 		}

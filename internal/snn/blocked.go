@@ -144,7 +144,7 @@ func (s *State) ensureBlock(k int) {
 		}
 	}
 	s.blockOffs = make([]int32, k+1)
-	s.blockFires = make([]uint8, k)
+	s.blockFires = make([]uint8, quadGroups*k)
 	s.stepView = make([]*bitvec.Bits, len(s.Net.Layers))
 }
 
@@ -171,14 +171,14 @@ func (s *State) runLayerBlock(li int, l *Layer, cur []*bitvec.Bits, kn int) {
 			offs[k+1] = int32(len(flat))
 		}
 		s.blockFlat = flat
-		denseBlock(l, v, flat, offs[:kn+1], s.blockFires[:kn], outR)
+		denseBlock(l, v, flat, offs[:kn+1], s.blockFires, outR)
 	case ConvLayer:
 		// Conv flips to output-location-major order: per receptive field the
 		// block's spiking taps are enumerated once (flat/offsets lists, or
 		// segments of a per-layer spike list for wide kernel rows), then
-		// each 8-channel panel integrates all kn steps with its accumulators
-		// in registers (blockPanel, segPanel).
-		s.blockFlat = convBlock(l, v, cur[:kn], outR[:kn], s.blockFlat, s.blockOffs, s.blockFires[:kn])
+		// the 8-channel panels integrate all kn steps with their
+		// accumulators in registers (blockQuad, blockPanel, segPanel).
+		s.blockFlat = convBlock(l, v, cur[:kn], outR[:kn], s.blockFlat, s.blockOffs, s.blockFires)
 	case PoolLayer:
 		// Pool sums each window's tap bits into per-lane counts, one word per
 		// (8-channel group, step), and integrates each group in poolPanel.
@@ -193,78 +193,124 @@ func (s *State) runLayerBlock(li int, l *Layer, cur []*bitvec.Bits, kn int) {
 // denseBlock runs one dense layer over a block of timesteps in output-major
 // order. Neurons are independent, so per output neuron j it replays the
 // exact step-major sequence — leak, accumulate the spiking inputs of step k
-// in ascending index order (weight W[j][i] per spike i), threshold, reset — across all kn steps with W's row j held
-// in cache. Outputs are processed eight at a time purely for data-level
-// parallelism: without leak one blockPanel call integrates a group's whole
-// block (AVX2 on amd64 CPUs that have it, else its pure-Go twin); leaky
-// layers accumulate each panel-step with accumPanel (SSE2 on amd64, pure Go
-// elsewhere). Both add each spike's packed 8-lane weight line into eight
-// independent accumulators. Each neuron's
-// own operation order (the only order float rounding depends on) is
-// unchanged, so results stay bit-identical to the step-major reference.
+// in ascending index order (weight W[j][i] per spike i), threshold, reset —
+// across all kn steps with W's row j held in cache. Outputs are processed
+// in 8-lane groups purely for data-level parallelism: without leak,
+// blockGroups integrates the whole block in the panel kernels; leaky layers
+// accumulate each panel-step with accumPanel (SSE2 on amd64, pure Go
+// elsewhere). Every kernel adds each spike's packed 8-lane weight line into
+// eight independent accumulators, so each neuron's own operation order (the
+// only order float rounding depends on) is unchanged and results stay
+// bit-identical to the step-major reference. fires is scratch of at least
+// quadGroups*kn bytes.
 func denseBlock(l *Layer, v tensor.Vec, flat, offs []int32, fires []uint8, outR []*bitvec.Bits) {
-	w := l.W
-	cols := w.Cols
+	cols := l.W.Cols
 	th := l.Threshold
+	pan := l.panelW()
+	kn := len(offs) - 1
+	if l.Leak == 0 && kn <= 64 {
+		blockGroups(pan, cols, v, flat, offs, stepMask(offs), fires, outR, 0, th, l.HardReset)
+		return
+	}
 	decay := 1 - l.Leak
 	leaky := l.Leak > 0
 	hard := l.HardReset
-	rows := w.Rows
-	pan := l.panelW()
 	// The silent-step skip relies on "no lane at threshold stays below it":
 	// exact when potentials are untouched, and under leak only guaranteed for
 	// positive thresholds (a negative potential decays toward zero and could
 	// cross a negative threshold).
 	canSkip := !leaky || th > 0
-	kn := len(fires)
-	useBP := !leaky && kn <= 64
-	stepmask := stepMask(offs)
-	for j := 0; j < rows; j += panelLanes {
+	for j := 0; j < len(v); j += panelLanes {
 		// One packed panel: the weights of these eight rows for input i are
 		// the contiguous eight floats at panel[i*8 .. i*8+8]. A last group
 		// of n < 8 rows runs as a full group whose extra lanes have zero
 		// weights; they are never written back or committed.
 		panel := pan[(j/panelLanes)*cols*panelLanes : (j/panelLanes+1)*cols*panelLanes]
-		n := min(panelLanes, rows-j)
+		n := min(panelLanes, len(v)-j)
 		var acc [panelLanes]float64
 		copy(acc[:], v[j:j+n])
-		if useBP {
-			// Fast path (no leak): a silent block with no lane at threshold
-			// is an exact no-op for this group; otherwise one blockPanel
-			// call integrates all kn steps with the accumulators pinned in
-			// registers and returns the fired-steps bitmask to commit.
-			if stepmask == 0 && !groupHot(&acc, th) {
-				continue
+		hot := groupHot(&acc, th)
+		for k := 0; k < kn; k++ {
+			list := flat[offs[k]:offs[k+1]]
+			if leaky {
+				for i := range acc {
+					acc[i] *= decay
+				}
 			}
-			fs := blockPanel(panel, flat, offs, fires, &acc, th, hard)
-			commitFires(outR, fs, fires, j, n)
-		} else {
-			hot := groupHot(&acc, th)
-			for k := 0; k < kn; k++ {
-				list := flat[offs[k]:offs[k+1]]
-				if leaky {
-					for i := range acc {
-						acc[i] *= decay
-					}
+			if len(list) == 0 {
+				// Event-driven skip: with no input spikes every lane's
+				// adds are absent in the reference too, and if no lane
+				// sits at or above threshold (hot) none can fire — the
+				// step is an exact no-op for this group.
+				if !hot && canSkip {
+					continue
 				}
-				if len(list) == 0 {
-					// Event-driven skip: with no input spikes every lane's
-					// adds are absent in the reference too, and if no lane
-					// sits at or above threshold (hot) none can fire — the
-					// step is an exact no-op for this group.
-					if !hot && canSkip {
-						continue
-					}
-				} else {
-					accumPanel(panel, list, &acc)
-				}
-				var mask uint8
-				mask, hot = fireScan(&acc, th, hard)
-				if mask != 0 {
-					orLanes(outR[k], j, n, mask)
-				}
+			} else {
+				accumPanel(panel, list, &acc)
+			}
+			var mask uint8
+			mask, hot = fireScan(&acc, th, hard)
+			if mask != 0 {
+				orLanes(outR[k], j, n, mask)
 			}
 		}
+		copy(v[j:j+n], acc[:n])
+	}
+}
+
+// blockGroups integrates the neurons v of one output location (a dense
+// layer's rows, or one conv location's channels, raster bits [j0,
+// j0+len(v))) over a block without leak: step k adds the panel lines of
+// flat[offs[k]:offs[k+1]], then thresholds and resets, for kn =
+// len(offs)-1 <= 64 steps. pan holds ⌈len(v)/8⌉ packed panels of lines
+// weight lines each. Consecutive groups run four at a time through
+// blockQuad, one pass over the lists per 32 neurons; the last < 4 groups
+// run one at a time through blockPanel. stepmask has bit k set when step k
+// has spikes (stepMask), and fires is scratch of at least quadGroups*kn
+// bytes.
+//
+// A silent block is an exact no-op for a group with no lane at threshold
+// (none can fire), so it is skipped; a quad is skipped only when all four
+// of its groups are cold. A cold group run through the kernel anyway is
+// still exact: it has no adds, no lane fires, and the reset leaves every
+// lane's bits as they were (p - 0.0 == p, ^0 & p == p).
+func blockGroups(pan []float64, lines int, v tensor.Vec, flat, offs []int32, stepmask uint64, fires []uint8, outR []*bitvec.Bits, j0 int, th float64, hard bool) {
+	kn := len(offs) - 1
+	span := lines * panelLanes // doubles per panel
+	groups := (len(v) + panelLanes - 1) / panelLanes
+	// A last group of n < 8 neurons runs as a full group whose extra lanes
+	// have zero weights; they are never written back or committed.
+	gi := 0
+	for ; gi+quadGroups <= groups; gi += quadGroups {
+		var acc [quadGroups][panelLanes]float64
+		cold := stepmask == 0
+		for g := range acc {
+			j := (gi + g) * panelLanes
+			copy(acc[g][:], v[j:min(j+panelLanes, len(v))])
+			cold = cold && !groupHot(&acc[g], th)
+		}
+		if cold {
+			continue
+		}
+		fq := fires[:quadGroups*kn]
+		fs := blockQuad(pan[gi*span:(gi+quadGroups)*span], flat, offs, fq, &acc, th, hard)
+		for g := range acc {
+			j := (gi + g) * panelLanes
+			n := min(panelLanes, len(v)-j)
+			commitFires(outR, fs[g], fq[g*kn:(g+1)*kn], j0+j, n)
+			copy(v[j:j+n], acc[g][:n])
+		}
+	}
+	for ; gi < groups; gi++ {
+		j := gi * panelLanes
+		n := min(panelLanes, len(v)-j)
+		var acc [panelLanes]float64
+		copy(acc[:], v[j:j+n])
+		if stepmask == 0 && !groupHot(&acc, th) {
+			continue
+		}
+		fs := blockPanel(pan[gi*span:(gi+1)*span], flat, offs, fires[:kn], &acc, th, hard)
+		commitFires(outR, fs, fires[:kn], j0+j, n)
 		copy(v[j:j+n], acc[:n])
 	}
 }
@@ -345,11 +391,13 @@ func groupHot(acc *[panelLanes]float64, th float64) bool {
 //
 // Taps come from one of two gathers. When a kernel row spans at most one
 // word (K*InC <= 64 bits, e.g. 3x3 kernels over few channels) each row is
-// one masked LoadBits into the flat/offsets lists. Wider layers build each
-// step's input spike list once per block (convGather) and hand every
-// location its kernel rows as (lo, hi, off) segments of it, which segPanel
-// reads directly; an input spike is listed once instead of once per
-// receptive field that covers it.
+// one masked LoadBits into the flat/offsets lists, which every channel
+// group of the location shares: without leak blockGroups integrates them
+// four groups per pass (blockQuad). Wider layers build each step's input
+// spike list once per block (convGather) and hand every location its
+// kernel rows as (lo, hi, off) segments of it, which segPanel reads
+// directly; an input spike is listed once instead of once per receptive
+// field that covers it. fires is scratch of at least quadGroups*kn bytes.
 //
 // Bit-identity with the step-major reference: for a fixed output neuron the
 // maps (ky,kx,ic) -> input index and (ky,kx,ic) -> kernel index are both
@@ -367,7 +415,7 @@ func convBlock(l *Layer, v tensor.Vec, cur, outR []*bitvec.Bits, flat0, offs []i
 		// bit-identity.
 		for t0 := 0; t0 < kn; t0 += gatherSteps {
 			t1 := min(t0+gatherSteps, kn)
-			flat0 = convBlock(l, v, cur[t0:t1], outR[t0:t1], flat0, offs, fires[:t1-t0])
+			flat0 = convBlock(l, v, cur[t0:t1], outR[t0:t1], flat0, offs, fires)
 		}
 		return flat0
 	}
@@ -435,6 +483,12 @@ func convBlock(l *Layer, v tensor.Vec, cur, outR []*bitvec.Bits, flat0, offs []i
 				}
 			}
 			out0 := (oy*outW + ox) * outC
+			if useBP && gs == nil {
+				// The location's channel groups share its lists: quads of
+				// them integrate the block in one pass (blockGroups).
+				blockGroups(pan, fanIn, v[out0:out0+outC], flat, offs[:kn+1], stepmask, fires, outR, out0, th, hard)
+				continue
+			}
 			for gi := 0; gi < groups; gi++ {
 				panel := pan[gi*fanIn*panelLanes : (gi+1)*fanIn*panelLanes]
 				j := out0 + gi*panelLanes
@@ -444,17 +498,13 @@ func convBlock(l *Layer, v tensor.Vec, cur, outR []*bitvec.Bits, flat0, offs []i
 				var acc [panelLanes]float64
 				copy(acc[:], v[j:j+n])
 				if useBP {
-					// One kernel call per (location, group); see denseBlock.
+					// One segPanel call per (location, group); a silent
+					// block is skipped as in blockGroups.
 					if stepmask == 0 && !groupHot(&acc, th) {
 						continue
 					}
-					var fs uint64
-					if gs != nil {
-						fs = segPanel(panel, gs.flat, segs, kyHi-kyLo, fires, &acc, th, hard)
-					} else {
-						fs = blockPanel(panel, flat, offs[:kn+1], fires, &acc, th, hard)
-					}
-					commitFires(outR, fs, fires, j, n)
+					fs := segPanel(panel, gs.flat, segs, kyHi-kyLo, fires[:kn], &acc, th, hard)
+					commitFires(outR, fs, fires[:kn], j, n)
 				} else {
 					hot := groupHot(&acc, th)
 					for k := 0; k < kn; k++ {

@@ -306,6 +306,10 @@ type panelCache struct{ w []float64 }
 // their weights for one input side by side (8 float64 = one cache line).
 const panelLanes = 8
 
+// quadGroups is the number of consecutive panels blockQuad integrates per
+// pass over a spike list.
+const quadGroups = 4
+
 // panelW returns the layer's weight matrix packed into 8-row panels:
 // pan[g*cols*8 + i*8 + lane] = W[8g+lane][i]. The blocked kernel reads the
 // eight weights of one input spike as a single contiguous cache line with

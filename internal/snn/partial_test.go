@@ -134,3 +134,113 @@ func assertFixtureActive(t *testing.T, net *snn.Network) {
 		}
 	}
 }
+
+// quadGroupFixture builds conv(3x3, c channels) -> dense c -> dense 10 on a
+// 6x6x2 input without leak. The conv reads 6-bit kernel rows through the
+// flat lists, so both it and the first dense layer run their channel or
+// row groups through blockGroups: c = 32 is one quad, 40 a quad and a
+// single group, 43 a quad and a partial single, 66 two quads and a
+// partial single.
+func quadGroupFixture(t *testing.T, c int, hard bool, th float64) *snn.Network {
+	t.Helper()
+	rng := rand.New(rand.NewSource(int64(131 + c)))
+	fill := func(rows, cols int, bias float64) *tensor.Mat {
+		w := tensor.NewMat(rows, cols)
+		for i := range w.Data {
+			w.Data[i] = (rng.NormFloat64() + bias) * 2 / math.Sqrt(float64(cols))
+		}
+		return w
+	}
+	bias := math.Copysign(0.3, th) // see partialGroupFixture
+	in := tensor.Shape3{H: 6, W: 6, C: 2}
+	g := tensor.ConvGeom{In: in, K: 3, Stride: 1, Pad: 1, OutC: c}
+	conv, err := snn.NewConv("conv", g, fill(c, g.FanIn(), bias), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fc1, err := snn.NewDense("fc1", conv.OutSize(), c, fill(c, conv.OutSize(), 0), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fc2, err := snn.NewDense("fc2", c, 10, fill(10, c, 0), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	layers := []*snn.Layer{conv, fc1, fc2}
+	for _, l := range layers {
+		l.HardReset = hard
+		l.Threshold = th
+	}
+	net, err := snn.NewNetwork("quad-groups", in, layers...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return net
+}
+
+// The quad kernel's layers — quads, single groups and partial tails of a
+// dense layer and a narrow conv — match the step-major CSR oracle at every
+// block size, for both reset modes and a positive and a negative
+// threshold. Every 8-lane group of the conv and of fc1 must fire at least
+// once, so a group reading another group's panel shows.
+func TestBlockedMatchesSteppedQuadGroups(t *testing.T) {
+	for _, c := range []int{32, 40, 43, 66} {
+		for _, hard := range []bool{false, true} {
+			for _, th := range []float64{1, -0.05} {
+				net := quadGroupFixture(t, c, hard, th)
+				assertGroupsActive(t, net, 2)
+				for _, k := range blockSizes {
+					assertBlockedMatchesStepped(t, net, 20, k)
+				}
+			}
+		}
+	}
+}
+
+// groupRecorder counts, per layer and 8-lane channel group, the spikes of
+// that group over all locations, and the steps on which a layer saturated.
+type groupRecorder struct {
+	net       *snn.Network
+	spikes    [][]int
+	saturated []int
+}
+
+func (r *groupRecorder) ObserveStep(_ int, _ *bitvec.Bits, layers []*bitvec.Bits) {
+	if r.spikes == nil {
+		r.spikes = make([][]int, len(layers))
+		r.saturated = make([]int, len(layers))
+		for li, l := range r.net.Layers {
+			r.spikes[li] = make([]int, (l.Out.C+7)/8)
+		}
+	}
+	for li, l := range layers {
+		if l.Count() == l.Len() {
+			r.saturated[li]++
+		}
+		ch := r.net.Layers[li].Out.C
+		l.ForEachSet(func(i int) { r.spikes[li][i%ch/8]++ })
+	}
+}
+
+// assertGroupsActive requires every 8-lane group of the first layers
+// layers to fire in a 20-step run, and no layer to fire on every neuron at
+// every step, so the oracle comparison covers every group of every quad.
+func assertGroupsActive(t *testing.T, net *snn.Network, layers int) {
+	t.Helper()
+	in := make(tensor.Vec, net.Input.Size())
+	for i := range in {
+		in[i] = float64((i*13+5)%100) / 99
+	}
+	rec := groupRecorder{net: net}
+	snn.NewState(net).RunBlockedK(in, snn.NewPoissonEncoder(0.8, 23), 20, 0, &rec)
+	for li, l := range net.Layers {
+		if rec.saturated[li] == 20 {
+			t.Fatalf("%s: saturated on every step", l.Name)
+		}
+		for g, n := range rec.spikes[li] {
+			if li < layers && n == 0 {
+				t.Fatalf("%s: group %d never fires", l.Name, g)
+			}
+		}
+	}
+}

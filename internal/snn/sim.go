@@ -35,7 +35,7 @@ type State struct {
 	blockOut    [][]*bitvec.Bits // per layer, output raster of the current block
 	blockFlat   []int32          // concatenated per-step spike/tap index lists
 	blockOffs   []int32          // per-step segment bounds into blockFlat (blockK+1)
-	blockFires  []uint8          // per-step fired-lane bytes of one panel group
+	blockFires  []uint8          // per-step fired-lane bytes of one panel group, or of a quad's four
 	blockCounts []uint64         // pool per-(group, step) lane tap counts of one location
 	stepView    []*bitvec.Bits   // per-step layer view for observer replay
 	last        int              // block slot of the last executed timestep

@@ -16,11 +16,12 @@ go vet ./...
 
 # The panel kernels have amd64 assembly and pure-Go twins that other
 # architectures, pre-AVX2 amd64 CPUs and purego builds run. The purego pass
-# runs the twins through the kernel tests and the runner on this host; the
-# arm64 vet keeps the non-amd64 wiring compiling (no cross toolchain needed,
-# it works offline).
+# runs the twins through the kernel tests and every backend that runs the
+# kernels (chip, CMOS baseline, multi-chip) on this host; the arm64 vet
+# keeps the non-amd64 wiring compiling (no cross toolchain needed, it works
+# offline).
 echo "== go test -tags purego (pure-Go kernels)"
-go test -tags purego ./internal/snn ./internal/core
+go test -tags purego ./internal/snn ./internal/core ./internal/cmosbase ./internal/shard
 
 echo "== GOARCH=arm64 go vet (pure-Go kernels)"
 GOARCH=arm64 go vet ./internal/snn/ ./internal/bitvec/
