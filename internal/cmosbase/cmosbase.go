@@ -82,8 +82,8 @@ type Baseline struct {
 	// uniqueWeights per layer (kernel parameters for conv, full matrix for
 	// dense, none for pool).
 	uniqueWeights []int
-	// states recycles worker simulation states across classification calls.
-	states sync.Pool
+	// sessions recycles worker sessions across classification calls.
+	sessions sync.Pool
 }
 
 // New prepares the baseline for a network: the weight memory is sized for
@@ -248,29 +248,56 @@ func (b *Baseline) ClassifyDetailed(intensity tensor.Vec, enc snn.Encoder) (perf
 	return res, rep
 }
 
-func (b *Baseline) getState() *snn.State {
-	if st, ok := b.states.Get().(*snn.State); ok {
-		return st
+// session is one worker's reusable simulation state: a group of
+// Net.GroupSize() functional States that run a chunk of images in lockstep
+// (sim.Run).
+type session struct {
+	ms   []snn.Member
+	runs []snn.RunResult
+	reps []Report
+}
+
+func (b *Baseline) getSession() *session {
+	if s, ok := b.sessions.Get().(*session); ok {
+		return s
 	}
-	return snn.NewState(b.Net)
+	g := b.Net.GroupSize()
+	s := &session{ms: make([]snn.Member, g), runs: make([]snn.RunResult, g), reps: make([]Report, g)}
+	for i := range s.ms {
+		s.ms[i].State = snn.NewState(b.Net)
+	}
+	return s
 }
 
-// classify runs one classification on a state taken from the pool.
+// classify runs one classification — a group of one — on a session taken
+// from the pool.
 func (b *Baseline) classify(intensity tensor.Vec, enc snn.Encoder) (perf.Result, Report, int) {
-	st := b.getState()
-	defer b.states.Put(st)
-	return b.classifyOne(st, intensity, enc, sim.Options{})
+	s := b.getSession()
+	defer b.sessions.Put(s)
+	var res [1]perf.Result
+	b.classifyGroup(s, []tensor.Vec{intensity}, []snn.Encoder{enc}, sim.Options{}, res[:])
+	return res[0], s.reps[0], s.runs[0].Steps
 }
 
-// classifyOne runs one classification on a worker's state (reused across
-// calls) under the given per-call options.
-func (b *Baseline) classifyOne(st *snn.State, intensity tensor.Vec, enc snn.Encoder, opt sim.Options) (perf.Result, Report, int) {
-	obs := &observer{b: b}
-	steps, predicted := sim.Run(st, intensity, enc, b.Opt.Steps, b.Opt.BlockSize, opt, obs)
-	res, rep := b.finish(obs.cnt, predicted)
-	rep.LayerCycles = obs.layerCycles
-	res.Steps = steps
-	return res, rep, steps
+// classifyGroup classifies a chunk of at most the session's group size on
+// a worker's session under the given per-call options: image i's result
+// goes to ress[i] and s.reps[i], its executed steps to s.runs[i].Steps.
+// Each image gets its own observer, whose per-layer cycles its report
+// keeps.
+func (b *Baseline) classifyGroup(s *session, inputs []tensor.Vec, encs []snn.Encoder, opt sim.Options, ress []perf.Result) {
+	ms := s.ms[:len(inputs)]
+	for i := range ms {
+		ms[i].Input, ms[i].Enc, ms[i].Obs = inputs[i], encs[i], &observer{b: b}
+	}
+	sim.Run(ms, b.Opt.Steps, b.Opt.BlockSize, opt, s.runs)
+	for i := range ms {
+		obs := ms[i].Obs.(*observer)
+		ress[i], s.reps[i] = b.finish(obs.cnt, s.runs[i].Prediction)
+		s.reps[i].LayerCycles = obs.layerCycles
+		ress[i].Steps = s.runs[i].Steps
+		// A pooled session must not keep the caller's inputs alive.
+		ms[i] = snn.Member{State: ms[i].State}
+	}
 }
 
 func (b *Baseline) finish(cnt Counters, predicted int) (perf.Result, Report) {
@@ -295,22 +322,24 @@ func (b *Baseline) finish(cnt Counters, predicted int) (perf.Result, Report) {
 
 // ClassifyEach implements sim.Backend: per-image classification across the
 // shared worker pool via the one fan-out in sim.Each. Each worker owns one
-// simulation state, each sample gets its own encoder, and image i's outcome
-// depends only on (input[i], enc(i)), so results are bit-identical for any
-// worker count.
+// session and runs its images in groups of Net.GroupSize(), each sample
+// gets its own encoder, and image i's outcome depends only on (input[i],
+// enc(i)), so results are bit-identical for any worker count.
 func (b *Baseline) ClassifyEach(inputs []tensor.Vec, enc sim.EncoderFactory, opt sim.Options) ([]perf.Result, []sim.Report, error) {
-	var held []*snn.State
+	var held []*session
 	defer func() {
-		for _, st := range held {
-			b.states.Put(st)
+		for _, s := range held {
+			b.sessions.Put(s)
 		}
 	}()
-	return sim.Each(inputs, enc, opt, func() sim.Session {
-		st := b.getState()
-		held = append(held, st)
-		return func(in tensor.Vec, e snn.Encoder) (perf.Result, sim.Report) {
-			res, rep, steps := b.classifyOne(st, in, e, opt)
-			return res, sim.Report{Predicted: rep.Predicted, Steps: steps, Detail: rep}
+	return sim.Each(inputs, enc, opt, b.Net.GroupSize(), func() sim.Session {
+		s := b.getSession()
+		held = append(held, s)
+		return func(in []tensor.Vec, encs []snn.Encoder, ress []perf.Result, reps []sim.Report) {
+			b.classifyGroup(s, in, encs, opt, ress)
+			for i, rep := range s.reps[:len(in)] {
+				reps[i] = sim.Report{Predicted: rep.Predicted, Steps: s.runs[i].Steps, Detail: rep}
+			}
 		}
 	})
 }

@@ -385,36 +385,58 @@ func (a *Accountant) Report(predicted, steps int) (perf.Result, Report) {
 	return a.obs.report(predicted, steps, false)
 }
 
-// session is one worker's reusable simulation state: the functional State
-// and a whole-chip accountant. Sessions are pooled across calls, so a stream
-// of small batches does not rebuild them.
+// session is one worker's reusable simulation state: a group of
+// Net.GroupSize() functional States, each with its whole-chip accountant,
+// that run a chunk of images in lockstep (sim.Run). Sessions are pooled
+// across calls, so a stream of small batches does not rebuild them.
 type session struct {
-	st  *snn.State
-	obs *observer
+	ms   []snn.Member // member i runs on its own State with obs[i]
+	obs  []*observer
+	runs []snn.RunResult
+	reps []Report
 }
 
 func (c *Chip) getSession() *session {
 	if s, ok := c.sessions.Get().(*session); ok {
 		return s
 	}
-	return &session{st: snn.NewState(c.Net), obs: newObserver(c, 0, len(c.Net.Layers))}
+	g := c.Net.GroupSize()
+	s := &session{
+		ms: make([]snn.Member, g), obs: make([]*observer, g),
+		runs: make([]snn.RunResult, g), reps: make([]Report, g),
+	}
+	for i := range s.ms {
+		s.obs[i] = newObserver(c, 0, len(c.Net.Layers))
+		s.ms[i] = snn.Member{State: snn.NewState(c.Net), Obs: s.obs[i]}
+	}
+	return s
 }
 
-// classifyOne runs one classification on a worker's session under the
-// given per-call options.
-func (c *Chip) classifyOne(s *session, intensity tensor.Vec, enc snn.Encoder, opt sim.Options) (perf.Result, Report, int) {
-	st, obs := s.st, s.obs
-	obs.reset()
-	steps, predicted := sim.Run(st, intensity, enc, c.Opt.Steps, c.Opt.BlockSize, opt, obs)
-	res, rep := obs.report(predicted, steps, opt.EventEngine)
-	return res, rep, steps
+// classifyGroup classifies a chunk of at most the session's group size on
+// a worker's session under the given per-call options: image i's result
+// goes to ress[i] and s.reps[i], its executed steps to s.runs[i].Steps.
+func (c *Chip) classifyGroup(s *session, inputs []tensor.Vec, encs []snn.Encoder, opt sim.Options, ress []perf.Result) {
+	ms := s.ms[:len(inputs)]
+	for i := range ms {
+		ms[i].Input, ms[i].Enc = inputs[i], encs[i]
+		s.obs[i].reset()
+	}
+	sim.Run(ms, c.Opt.Steps, c.Opt.BlockSize, opt, s.runs)
+	for i := range ms {
+		ress[i], s.reps[i] = s.obs[i].report(s.runs[i].Prediction, s.runs[i].Steps, opt.EventEngine)
+		// A pooled session must not keep the caller's inputs alive.
+		ms[i].Input, ms[i].Enc = nil, nil
+	}
 }
 
-// classify runs one classification on a session taken from the pool.
+// classify runs one classification — a group of one — on a session taken
+// from the pool.
 func (c *Chip) classify(intensity tensor.Vec, enc snn.Encoder, opt sim.Options) (perf.Result, Report, int) {
 	s := c.getSession()
 	defer c.sessions.Put(s)
-	return c.classifyOne(s, intensity, enc, opt)
+	var res [1]perf.Result
+	c.classifyGroup(s, []tensor.Vec{intensity}, []snn.Encoder{enc}, opt, res[:])
+	return res[0], s.reps[0], s.runs[0].Steps
 }
 
 // Classify implements sim.Backend: one classification with the chip's
@@ -434,10 +456,11 @@ func (c *Chip) ClassifyDetailed(intensity tensor.Vec, enc snn.Encoder) (perf.Res
 
 // ClassifyEach implements sim.Backend: per-image classification across the
 // shared worker pool (internal/parallel) via the one fan-out in sim.Each.
-// Each worker owns one simulation state, each sample gets its own encoder,
-// and image i's outcome depends only on (input[i], enc(i)), so results are
-// bit-identical for any worker count. Tracing is not supported (the trace
-// writer is not concurrency-safe).
+// Each worker owns one session and runs its images in groups of
+// Net.GroupSize(), each sample gets its own encoder, and image i's outcome
+// depends only on (input[i], enc(i)), so results are bit-identical for any
+// worker count. Tracing is not supported (the trace writer is not
+// concurrency-safe).
 func (c *Chip) ClassifyEach(inputs []tensor.Vec, enc sim.EncoderFactory, opt sim.Options) ([]perf.Result, []sim.Report, error) {
 	if c.Opt.Trace != nil {
 		return nil, nil, fmt.Errorf("core: tracing is not supported with batched classification")
@@ -451,12 +474,14 @@ func (c *Chip) ClassifyEach(inputs []tensor.Vec, enc sim.EncoderFactory, opt sim
 			c.sessions.Put(s)
 		}
 	}()
-	return sim.Each(inputs, enc, opt, func() sim.Session {
+	return sim.Each(inputs, enc, opt, c.Net.GroupSize(), func() sim.Session {
 		s := c.getSession()
 		held = append(held, s)
-		return func(in tensor.Vec, e snn.Encoder) (perf.Result, sim.Report) {
-			res, rep, steps := c.classifyOne(s, in, e, opt)
-			return res, sim.Report{Predicted: rep.Predicted, Steps: steps, Detail: rep}
+		return func(in []tensor.Vec, encs []snn.Encoder, ress []perf.Result, reps []sim.Report) {
+			c.classifyGroup(s, in, encs, opt, ress)
+			for i, rep := range s.reps[:len(in)] {
+				reps[i] = sim.Report{Predicted: rep.Predicted, Steps: s.runs[i].Steps, Detail: rep}
+			}
 		}
 	})
 }

@@ -275,8 +275,9 @@ var oracleCases = []oracleCase{
 // chip uses for the options and returns its report.
 func oracleRun(chip *Chip, in tensor.Vec, enc snn.Encoder, early bool) Report {
 	o := newOracle(chip)
-	_, predicted := sim.Run(snn.NewState(chip.Net), in, enc, chip.Opt.Steps, 0, sim.Options{EarlyExit: early}, o)
-	return o.report(predicted)
+	var r [1]snn.RunResult
+	sim.Run([]snn.Member{{State: snn.NewState(chip.Net), Input: in, Enc: enc, Obs: o}}, chip.Opt.Steps, 0, sim.Options{EarlyExit: early}, r[:])
+	return o.report(r[0].Prediction)
 }
 
 // TestEventSteppedBitIdentical pins the chip's accountant to the stepped

@@ -110,10 +110,12 @@ func (a Annealed) Plan(net *snn.Network, cons Constraints) (*Placement, error) {
 // annealChain runs one simulated-annealing chain and returns its best
 // visited candidate. The temperature follows a geometric schedule from 20%
 // of the starting objective down three decades; acceptance is the standard
-// Metropolis criterion.
+// Metropolis criterion. Each proposal is written into one spare candidate,
+// which swaps places with the current one on acceptance, so a chain
+// allocates three candidates whatever its length.
 func (ev *evaluator) annealChain(start candidate, baseCost CostBreakdown, seed int64, iters int) (candidate, float64) {
 	rng := rand.New(rand.NewSource(seed))
-	cur := start.clone()
+	cur, spare := start.clone(), start.clone()
 	curObj := ev.objective(baseCost, baseCost)
 	bestC, bestObj := cur.clone(), curObj
 
@@ -121,17 +123,19 @@ func (ev *evaluator) annealChain(start candidate, baseCost CostBreakdown, seed i
 	alpha := math.Pow(1e-3, 1/float64(iters)) // t0 -> t0/1000 over the run
 	temp := t0
 	for i := 0; i < iters; i++ {
-		cand := ev.neighbor(cur, rng)
-		cost, err := ev.evaluate(cand)
+		ev.neighbor(cur, rng, &spare)
+		cost, err := ev.evaluate(spare)
 		if err != nil {
 			temp *= alpha
 			continue // infeasible (capacity): never accepted
 		}
 		obj := ev.objective(cost, baseCost)
 		if obj <= curObj || rng.Float64() < math.Exp((curObj-obj)/temp) {
-			cur, curObj = cand, obj
+			cur, spare = spare, cur
+			curObj = obj
 			if obj < bestObj {
-				bestC, bestObj = cand.clone(), obj
+				bestC.copyFrom(cur)
+				bestObj = obj
 			}
 		}
 		temp *= alpha
@@ -139,12 +143,12 @@ func (ev *evaluator) annealChain(start candidate, baseCost CostBreakdown, seed i
 	return bestC, bestObj
 }
 
-// neighbor draws one mutation of the candidate: resize a layer (most
-// common), toggle a layer's NeuroCell alignment, shift a shard cut, or
-// resize every layer at once (the move that escapes uniform-size local
-// minima in one step).
-func (ev *evaluator) neighbor(c candidate, rng *rand.Rand) candidate {
-	out := c.clone()
+// neighbor draws one mutation of the candidate c into out (overwritten):
+// resize a layer (most common), toggle a layer's NeuroCell alignment, shift
+// a shard cut, or resize every layer at once (the move that escapes
+// uniform-size local minima in one step).
+func (ev *evaluator) neighbor(c candidate, rng *rand.Rand, out *candidate) {
+	out.copyFrom(c)
 	L := len(out.size)
 	S := len(ev.cons.Sizes)
 	move := rng.Intn(10)
@@ -180,7 +184,6 @@ func (ev *evaluator) neighbor(c candidate, rng *rand.Rand) candidate {
 			}
 		}
 	}
-	return out
 }
 
 // refineSizes exhausts the per-layer size vectors around the annealed
@@ -209,14 +212,13 @@ func (ev *evaluator) refineSizes(c candidate, bestObj float64, baseCost CostBrea
 		}
 		if li == L {
 			nodes++
-			cand := work.clone()
-			cost, err := ev.evaluate(cand)
+			cost, err := ev.evaluate(work)
 			if err != nil {
 				return
 			}
 			if obj := ev.objective(cost, baseCost); obj < bestObj {
 				bestObj = obj
-				best = cand
+				best.copyFrom(work)
 			}
 			return
 		}

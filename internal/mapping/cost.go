@@ -176,6 +176,13 @@ func (c candidate) clone() candidate {
 	}
 }
 
+// copyFrom overwrites c with src, reusing c's slices.
+func (c *candidate) copyFrom(src candidate) {
+	c.size = append(c.size[:0], src.size...)
+	c.align = append(c.align[:0], src.align...)
+	c.cuts = append(c.cuts[:0], src.cuts...)
+}
+
 // stepCost is one (layer, size) pairing's position-independent activity on
 // one probe timestep: what the chip accountant counts replaying the same
 // gather.

@@ -32,6 +32,19 @@ func Clamp(workers, n int) int {
 	return workers
 }
 
+// Chunk splits n items for a pool of workers (clamped via Clamp) into
+// contiguous chunks of size = min(group, ⌈n/workers⌉) items — at least one
+// — so every worker gets work whenever n allows and no chunk exceeds group.
+// It returns the chunk size, the chunk count ⌈n/size⌉ and the pool size,
+// which never exceeds the chunk count. Chunk c covers items
+// [c*size, min(n, (c+1)*size)).
+func Chunk(n, workers, group int) (size, chunks, pool int) {
+	pool = Clamp(workers, n)
+	size = max(1, min(group, (n+pool-1)/pool))
+	chunks = (n + size - 1) / size
+	return size, chunks, min(pool, chunks)
+}
+
 // ForEach runs fn(worker, i) for every i in [0, n) across the given number
 // of workers (clamped via Clamp). The worker id in [0, workers) lets callers
 // maintain per-worker scratch state (simulation State, membrane buffers)

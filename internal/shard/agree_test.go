@@ -115,7 +115,7 @@ func BenchmarkMakespan(b *testing.B) {
 	for i, r := range multi.ranges {
 		chips[i] = columns(srep.Detail.(Report).Chip.Stages, r)
 	}
-	hops := s.steps
+	hops := s.imgs[0].steps
 
 	var p cost.Pipeline
 	p.Makespan(chips, hops, multi.cfg.Link.RecvBuf)

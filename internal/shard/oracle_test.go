@@ -124,7 +124,9 @@ func (o *oracle) runStage(s int, st *snn.State, acct *core.Accountant, intensity
 		enc = &snn.ReplayEncoder{Raster: in}
 		intensity = nil
 	}
-	steps, predicted := sim.Run(st, intensity, enc, chip.Opt.Steps, chip.Opt.BlockSize, opt, obs)
+	var r [1]snn.RunResult
+	sim.Run([]snn.Member{{State: st, Input: intensity, Enc: enc, Obs: obs}}, chip.Opt.Steps, chip.Opt.BlockSize, opt, r[:])
+	steps, predicted := r[0].Steps, r[0].Prediction
 	_, rep := acct.Report(predicted, steps)
 	if opt.EventEngine {
 		rep.Pipeline(chip.Opt.Params.NCCycle())

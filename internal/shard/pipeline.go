@@ -11,29 +11,45 @@ import (
 	"resparc/internal/tensor"
 )
 
-// session is one worker's reusable state: the whole network's functional
-// State, its whole-chip accountant and the current image's link tallies.
-// It is the run's observer: every timestep goes to the accountant, and the
-// boundary raster of every non-final range — the output of its last layer —
-// is priced on that range's hop, in timestep order. Sessions are pooled
+// session is one worker's reusable state: a group of Net.GroupSize()
+// functional States of the whole network that run a chunk of images in
+// lockstep (sim.Run), each observed by its own image. Sessions are pooled
 // across calls, so a stream of small batches does not rebuild them.
 type session struct {
+	ms   []snn.Member // member i runs on its own State, observed by imgs[i]
+	imgs []*image
+	runs []snn.RunResult
+}
+
+// image is one member's observer: its whole-chip accountant and its link
+// tallies. Every timestep goes to the accountant, and the boundary raster
+// of every non-final range — the output of its last layer — is priced on
+// that range's hop, in timestep order.
+type image struct {
 	m     *Multi
-	st    *snn.State
 	acct  *core.Accountant
 	hops  []LinkStats // hops[h]: the image's traffic from shard h to shard h+1
 	steps [][]int64   // steps[h][t]: hop h's transfer cycles at timestep t
 }
 
 // ObserveStep implements snn.Observer.
-func (s *session) ObserveStep(t int, input *bitvec.Bits, layers []*bitvec.Bits) {
-	s.acct.ObserveStep(t, input, layers)
-	for h := range s.hops {
-		c := s.m.cfg.Link.Raster(layers[s.m.ranges[h].Hi-1])
-		s.hops[h] = addLink(s.hops[h], LinkStats{
+func (o *image) ObserveStep(t int, input *bitvec.Bits, layers []*bitvec.Bits) {
+	o.acct.ObserveStep(t, input, layers)
+	for h := range o.hops {
+		c := o.m.cfg.Link.Raster(layers[o.m.ranges[h].Hi-1])
+		o.hops[h] = addLink(o.hops[h], LinkStats{
 			FlitsSent: c.Sent, FlitsSuppressed: c.Suppressed, Cycles: c.Cycles, EnergyJ: c.EnergyJ,
 		})
-		s.steps[h] = append(s.steps[h], int64(c.Cycles))
+		o.steps[h] = append(o.steps[h], int64(c.Cycles))
+	}
+}
+
+// reset clears the image's accounting for the next classification.
+func (o *image) reset() {
+	o.acct.Reset()
+	clear(o.hops)
+	for h := range o.steps {
+		o.steps[h] = o.steps[h][:0]
 	}
 }
 
@@ -41,31 +57,51 @@ func (m *Multi) getSession() *session {
 	if s, ok := m.sessions.Get().(*session); ok {
 		return s
 	}
-	acct, err := m.chip.NewAccountant(0, len(m.chip.Net.Layers))
-	if err != nil {
-		panic("shard: " + err.Error()) // a network has at least one layer
+	g := m.chip.Net.GroupSize()
+	s := &session{ms: make([]snn.Member, g), imgs: make([]*image, g), runs: make([]snn.RunResult, g)}
+	for i := range s.ms {
+		acct, err := m.chip.NewAccountant(0, len(m.chip.Net.Layers))
+		if err != nil {
+			panic("shard: " + err.Error()) // a network has at least one layer
+		}
+		s.imgs[i] = &image{
+			m: m, acct: acct,
+			hops:  make([]LinkStats, len(m.ranges)-1),
+			steps: make([][]int64, len(m.ranges)-1),
+		}
+		s.ms[i] = snn.Member{State: snn.NewState(m.chip.Net), Obs: s.imgs[i]}
 	}
-	return &session{
-		m: m, st: snn.NewState(m.chip.Net), acct: acct,
-		hops:  make([]LinkStats, len(m.ranges)-1),
-		steps: make([][]int64, len(m.ranges)-1),
+	return s
+}
+
+// classifyGroup runs a chunk of at most the session's group size, each
+// image once through the whole network, on a worker's session and reads
+// each multi-chip result off its run under the per-call options (see
+// finish) into ress[i] and reps[i].
+func (m *Multi) classifyGroup(s *session, inputs []tensor.Vec, encs []snn.Encoder, opt sim.Options, ress []perf.Result, reps []sim.Report) {
+	ms := s.ms[:len(inputs)]
+	for i := range ms {
+		ms[i].Input, ms[i].Enc = inputs[i], encs[i]
+		s.imgs[i].reset()
+	}
+	sim.Run(ms, m.chip.Opt.Steps, m.chip.Opt.BlockSize, opt, s.runs)
+	for i := range ms {
+		o := s.imgs[i]
+		res, chip := o.acct.Report(s.runs[i].Prediction, s.runs[i].Steps)
+		hops := make([]LinkStats, len(o.hops))
+		copy(hops, o.hops)
+		ress[i], reps[i] = m.finish(res, chip, hops, o.steps, opt.EventEngine)
+		// A pooled session must not keep the caller's inputs alive.
+		ms[i].Input, ms[i].Enc = nil, nil
 	}
 }
 
-// classifyOne runs one image once through the whole network on a worker's
-// session and reads the multi-chip result off that run under the per-call
-// options (see finish).
+// classifyOne runs one image — a group of one — on a worker's session.
 func (m *Multi) classifyOne(s *session, intensity tensor.Vec, enc snn.Encoder, opt sim.Options) (perf.Result, sim.Report) {
-	s.acct.Reset()
-	clear(s.hops)
-	for h := range s.steps {
-		s.steps[h] = s.steps[h][:0]
-	}
-	steps, predicted := sim.Run(s.st, intensity, enc, m.chip.Opt.Steps, m.chip.Opt.BlockSize, opt, s)
-	res, chip := s.acct.Report(predicted, steps)
-	hops := make([]LinkStats, len(s.hops))
-	copy(hops, s.hops)
-	return m.finish(res, chip, hops, s.steps, opt.EventEngine)
+	var res [1]perf.Result
+	var rep [1]sim.Report
+	m.classifyGroup(s, []tensor.Vec{intensity}, []snn.Encoder{enc}, opt, res[:], rep[:])
+	return res[0], rep[0]
 }
 
 // Classify implements sim.Backend: one image through all shards.
@@ -78,7 +114,7 @@ func (m *Multi) Classify(intensity tensor.Vec, enc snn.Encoder) (perf.Result, si
 // ClassifyEach implements sim.Backend through the shared sim.Each fan-out,
 // like the single-chip backends: images run in parallel across
 // Options.Workers, each once through the whole network on one worker's
-// session. Host execution is therefore image-parallel; the chips' layer
+// session, in groups of Net.GroupSize() images. Host execution is therefore image-parallel; the chips' layer
 // pipeline is modeled, not executed — Report.Interval bounds its
 // steady-state throughput and, under Options.EventEngine, the chip's Cycles
 // and Latency come from the global pipeline simulation (cost.Pipeline)
@@ -106,11 +142,11 @@ func (m *Multi) ClassifyEach(inputs []tensor.Vec, enc sim.EncoderFactory, opt si
 			m.sessions.Put(s)
 		}
 	}()
-	return sim.Each(inputs, enc, opt, func() sim.Session {
+	return sim.Each(inputs, enc, opt, m.chip.Net.GroupSize(), func() sim.Session {
 		s := m.getSession()
 		held = append(held, s)
-		return func(in tensor.Vec, e snn.Encoder) (perf.Result, sim.Report) {
-			return m.classifyOne(s, in, e, opt)
+		return func(in []tensor.Vec, encs []snn.Encoder, ress []perf.Result, reps []sim.Report) {
+			m.classifyGroup(s, in, encs, opt, ress, reps)
 		}
 	})
 }

@@ -52,6 +52,14 @@ func oracleEarlyExit(st *snn.State, intensity tensor.Vec, enc snn.Encoder, maxSt
 	return maxSteps, -1
 }
 
+// runOne runs one input through Run as a group of one (no configured block)
+// and returns the steps executed and the prediction.
+func runOne(st *snn.State, input tensor.Vec, enc snn.Encoder, maxSteps int, opt Options, obs snn.Observer) (steps, predicted int) {
+	var out [1]snn.RunResult
+	Run([]snn.Member{{State: st, Input: input, Enc: enc, Obs: obs}}, maxSteps, 0, opt, out[:])
+	return out[0].Steps, out[0].Prediction
+}
+
 // stepTrace records every observed step as (t, fingerprint of the input
 // and every layer's spikes), so two runs can be compared step for step.
 type stepTrace struct{ steps []string }
@@ -125,7 +133,7 @@ func TestRunEarlyExitMatchesStepOracle(t *testing.T) {
 		blocks := []int{1, 7, 0, wantSteps - 1, wantSteps, wantSteps + 1}
 		for _, k := range blocks {
 			var got stepTrace
-			steps, pred := Run(st, in, enc(), maxSteps, 0, Options{EarlyExit: true, BlockSize: k}, &got)
+			steps, pred := runOne(st, in, enc(), maxSteps, Options{EarlyExit: true, BlockSize: k}, &got)
 			if steps != wantSteps || pred != wantPred {
 				t.Errorf("%s K=%d: steps %d pred %d, oracle %d %d", b.Name, k, steps, pred, wantSteps, wantPred)
 			}
@@ -139,7 +147,7 @@ func TestRunEarlyExitMatchesStepOracle(t *testing.T) {
 
 		silent := make(tensor.Vec, len(in))
 		var got, ref stepTrace
-		steps, pred := Run(st, silent, enc(), maxSteps, 0, Options{EarlyExit: true}, &got)
+		steps, pred := runOne(st, silent, enc(), maxSteps, Options{EarlyExit: true}, &got)
 		oSteps, oPred := oracleEarlyExit(snn.NewState(net), silent, enc(), maxSteps, &ref)
 		if steps != maxSteps || pred != -1 || oSteps != maxSteps || oPred != -1 {
 			t.Errorf("%s silent: steps %d pred %d (oracle %d %d), want %d -1", b.Name, steps, pred, oSteps, oPred, maxSteps)
@@ -178,7 +186,7 @@ func BenchmarkEarlyExitBlock(b *testing.B) {
 		run := func(k int) func(i int) {
 			return func(i int) {
 				in := inputs[i%len(inputs)]
-				Run(st, in, snn.NewPoissonEncoder(0.8, int64(i)), maxSteps, 0, Options{EarlyExit: true, BlockSize: k}, nil)
+				runOne(st, in, snn.NewPoissonEncoder(0.8, int64(i)), maxSteps, Options{EarlyExit: true, BlockSize: k}, nil)
 			}
 		}
 		type benchCase struct {

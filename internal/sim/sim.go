@@ -5,9 +5,10 @@
 // the serving layer, the experiment drivers and the command-line tools never
 // special-case a backend type.
 //
-// The batch fan-out is expressed exactly once (Each): worker clamping,
-// per-worker session state and the deterministic per-sample encoder contract
-// live here, and backends supply only the per-image classification closure.
+// The batch fan-out is expressed exactly once (Each): worker clamping, the
+// chunking of a worker's images into groups, per-worker session state and
+// the deterministic per-sample encoder contract live here, and backends
+// supply only the closure that classifies one chunk.
 // Aggregation stays with the backend (ClassifyBatch), because the reduction
 // is architecture-specific: the chip averages energies and sums counters,
 // the baseline averages counters and recomputes energy.
@@ -96,32 +97,42 @@ type Backend interface {
 	ClassifyBatch(inputs []tensor.Vec, enc EncoderFactory, opt Options) (perf.Result, Report, error)
 }
 
-// Session classifies one input on worker-owned state. Backends hand Each a
-// session constructor; each worker gets its own session, so simulation
-// state is never shared across goroutines.
-type Session func(input tensor.Vec, enc snn.Encoder) (perf.Result, Report)
+// Session classifies a chunk of inputs — at most the group size handed to
+// Each — on worker-owned state, writing input i's outcome to ress[i] and
+// reps[i]; encs[i] is input i's encoder. Backends hand Each a session
+// constructor; each worker gets its own session, so simulation state is
+// never shared across goroutines.
+type Session func(inputs []tensor.Vec, encs []snn.Encoder, ress []perf.Result, reps []Report)
 
 // Each is the one shared batch fan-out behind every Backend.ClassifyEach:
 // it validates the batch, clamps the worker count, builds one session per
-// worker and classifies every input in input order across the pool. Image
-// i's outcome depends only on (inputs[i], enc(i)), so results are
-// bit-identical for any worker count.
-func Each(inputs []tensor.Vec, enc EncoderFactory, opt Options, newSession func() Session) ([]perf.Result, []Report, error) {
+// worker and classifies every input in input order across the pool. Each
+// worker takes contiguous chunks of min(group, ⌈n/workers⌉) images, which
+// its session runs as one group (snn.RunGroup); group is the backend's
+// snn.Network.GroupSize. Image i's outcome depends only on (inputs[i],
+// enc(i)), so results are bit-identical for any worker count and chunking.
+func Each(inputs []tensor.Vec, enc EncoderFactory, opt Options, group int, newSession func() Session) ([]perf.Result, []Report, error) {
 	if len(inputs) == 0 {
 		return nil, nil, fmt.Errorf("sim: empty batch")
 	}
 	if enc == nil {
 		return nil, nil, fmt.Errorf("sim: nil encoder factory")
 	}
-	workers := parallel.Clamp(opt.Workers, len(inputs))
+	n := len(inputs)
+	chunk, chunks, workers := parallel.Chunk(n, opt.Workers, group)
 	sessions := make([]Session, workers)
 	for w := range sessions {
 		sessions[w] = newSession()
 	}
-	ress := make([]perf.Result, len(inputs))
-	reps := make([]Report, len(inputs))
-	parallel.ForEach(len(inputs), workers, func(worker, i int) {
-		ress[i], reps[i] = sessions[worker](inputs[i], enc(i))
+	ress := make([]perf.Result, n)
+	reps := make([]Report, n)
+	encs := make([]snn.Encoder, n)
+	parallel.ForEach(chunks, workers, func(worker, c int) {
+		lo, hi := c*chunk, min(n, (c+1)*chunk)
+		for i := lo; i < hi; i++ {
+			encs[i] = enc(i)
+		}
+		sessions[worker](inputs[lo:hi], encs[lo:hi], ress[lo:hi], reps[lo:hi])
 	})
 	return ress, reps, nil
 }
@@ -134,15 +145,17 @@ func Each(inputs []tensor.Vec, enc EncoderFactory, opt Options, newSession func(
 // (BenchmarkEarlyExitBlock).
 const earlyExitBlock = 16
 
-// Run is the one functional runner behind every backend: it classifies one
-// input on st within maxSteps timesteps, feeding every executed step to obs,
-// and returns the steps executed and the prediction. Full runs decode by
-// spike count over blocks of configuredBlock steps (<= 0 leaves the choice to
-// snn.DefaultBlockSize); with opt.EarlyExit the run stops at the first output
-// spike and decodes by time to first spike (-1 when no output neuron fired),
-// over blocks of earlyExitBlock steps. A set opt.BlockSize overrides either
-// block length; results are bit-identical for any block length.
-func Run(st *snn.State, input tensor.Vec, enc snn.Encoder, maxSteps, configuredBlock int, opt Options, obs snn.Observer) (steps, predicted int) {
+// Run is the one functional runner behind every backend: it classifies the
+// members' inputs as one group (snn.RunGroup) within maxSteps timesteps,
+// feeding every executed step of member i to its observer, and stores
+// member i's result — Steps executed and Prediction — in out[i]. Full runs
+// decode by spike count over blocks of configuredBlock steps (<= 0 leaves
+// the choice to snn.DefaultBlockSize); with opt.EarlyExit each member stops
+// at its first output spike and decodes by time to first spike (-1 when no
+// output neuron fired), over blocks of earlyExitBlock steps. A set
+// opt.BlockSize overrides either block length; results are bit-identical for
+// any block length and any grouping. A single image is a group of one.
+func Run(ms []snn.Member, maxSteps, configuredBlock int, opt Options, out []snn.RunResult) {
 	k := configuredBlock
 	if opt.EarlyExit {
 		k = earlyExitBlock
@@ -150,11 +163,5 @@ func Run(st *snn.State, input tensor.Vec, enc snn.Encoder, maxSteps, configuredB
 	if opt.BlockSize > 0 {
 		k = opt.BlockSize
 	}
-	var r snn.RunResult
-	if opt.EarlyExit {
-		r = st.RunToFirstSpike(input, enc, maxSteps, k, obs)
-	} else {
-		r = st.RunBlockedK(input, enc, maxSteps, k, obs)
-	}
-	return r.Steps, r.Prediction
+	snn.RunGroup(ms, maxSteps, k, opt.EarlyExit, out)
 }

@@ -26,9 +26,11 @@ type Options struct {
 }
 
 // RunBatch classifies every input across a worker pool and returns the
-// per-image RunResults in input order. Each worker owns one State (reused
-// across its images; each run resets it) and each image gets its own
-// encoder from enc, so the results are bit-identical for any worker count:
+// per-image RunResults in input order. Each worker owns a group of
+// net.GroupSize() States (reused across its images; each run resets them)
+// and takes contiguous chunks of min(GroupSize, ⌈n/workers⌉) images, which
+// it runs as one group (RunGroup); each image gets its own encoder from enc.
+// The results are therefore bit-identical for any worker count:
 // Options{Workers: 1} is the serial reference and any other pool size must
 // match it exactly.
 func RunBatch(net *Network, inputs []tensor.Vec, enc EncoderFactory, steps int, opt Options) ([]RunResult, error) {
@@ -38,28 +40,28 @@ func RunBatch(net *Network, inputs []tensor.Vec, enc EncoderFactory, steps int, 
 	if steps < 1 {
 		return nil, fmt.Errorf("snn: steps %d", steps)
 	}
-	workers := parallel.Clamp(opt.Workers, len(inputs))
-	runOne := func(st *State, i int) RunResult {
-		return st.RunBlockedK(inputs[i], enc(i), steps, opt.BlockSize, nil)
-	}
-	results := make([]RunResult, len(inputs))
-	if workers == 1 {
-		// Serial fast path: one State on the calling goroutine, no worker
-		// pool or per-worker state fan-out.
-		st := NewState(net)
-		for i := range inputs {
-			results[i] = runOne(st, i).Clone()
+	n := len(inputs)
+	chunk, chunks, workers := parallel.Chunk(n, opt.Workers, net.GroupSize())
+	groups := make([][]Member, workers)
+	for w := range groups {
+		groups[w] = make([]Member, chunk)
+		for i := range groups[w] {
+			groups[w][i].State = NewState(net)
 		}
-		return results, nil
 	}
-	states := make([]*State, workers)
-	for w := range states {
-		states[w] = NewState(net)
-	}
-	parallel.ForEach(len(inputs), workers, func(worker, i int) {
-		// States are reused across a worker's share, so detach the result
-		// from the State scratch before the next image overwrites it.
-		results[i] = runOne(states[worker], i).Clone()
+	results := make([]RunResult, n)
+	parallel.ForEach(chunks, workers, func(worker, c int) {
+		lo, hi := c*chunk, min(n, (c+1)*chunk)
+		ms := groups[worker][:hi-lo]
+		for i := range ms {
+			ms[i].Input, ms[i].Enc = inputs[lo+i], enc(lo+i)
+		}
+		RunGroup(ms, steps, opt.BlockSize, false, results[lo:hi])
+		// States are reused across a worker's chunks, so detach the results
+		// from the State scratch before the next chunk overwrites it.
+		for i := lo; i < hi; i++ {
+			results[i] = results[i].Clone()
+		}
 	})
 	return results, nil
 }

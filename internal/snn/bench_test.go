@@ -133,14 +133,28 @@ func BenchmarkRunBlockedCifarMLP(b *testing.B) {
 	}
 }
 
-// RunLayerBlock advances layer li alone over a block raster in (one input
-// vector per step) through runLayerBlock, the blocked runner's per-layer
-// kernel dispatch, leaving the layer's potentials in s.Vmem[li]. It is
-// exported to the external test package, whose per-layer benchmarks build
-// the Fig 10 networks from internal/bench (which imports this package).
-func (s *State) RunLayerBlock(li int, in []*bitvec.Bits) {
+// LoadLayerInput copies a recorded block raster (one input vector per step)
+// into the block buffer layer li reads, sizing the block for it. It and
+// RunLayer are exported to the external test package, whose per-layer
+// benchmarks build the Fig 10 networks from internal/bench (which imports
+// this package).
+func (s *State) LoadLayerInput(li int, in []*bitvec.Bits) {
 	s.ensureBlock(len(in))
-	s.runLayerBlock(li, s.Net.Layers[li], in, len(in))
+	dst := s.layerIn(li)
+	for k, b := range in {
+		dst[k].CopyFrom(b)
+	}
+}
+
+// RunLayer advances layer li alone over a kn-step block for every member
+// through runLayer, the blocked runner's per-layer dispatch (a dense no-leak
+// layer runs the members as one group), leaving the layer's potentials in
+// each member's Vmem[li].
+func RunLayer(ms []Member, li, kn int) {
+	for _, m := range ms {
+		m.State.exited = false
+	}
+	runLayer(ms, li, kn)
 }
 
 // nopObserver is an observer that does nothing, so allocation tests see the
@@ -168,6 +182,23 @@ func TestRunObservedAllocFree(t *testing.T) {
 	allocs = testing.AllocsPerRun(5, func() { st.RunToFirstSpike(img, enc, 24, 8, nopObserver{}) })
 	if allocs != 0 {
 		t.Fatalf("RunToFirstSpike allocates %.0f objects per classification on a warm State, want 0", allocs)
+	}
+
+	// A warm group of four, full and early exit.
+	ms := make([]Member, 4)
+	out := make([]RunResult, len(ms))
+	for i := range ms {
+		ms[i] = Member{State: NewState(net), Input: benchImage(net.Input.Size()), Enc: NewPoissonEncoder(0.8, int64(i)), Obs: nopObserver{}}
+	}
+	for _, early := range []bool{false, true} {
+		RunGroup(ms, 24, 8, early, out)
+		if early && out[0].Steps >= 24 {
+			t.Fatalf("group early exit did not exit (steps %d); the case needs an exit", out[0].Steps)
+		}
+		allocs = testing.AllocsPerRun(5, func() { RunGroup(ms, 24, 8, early, out) })
+		if allocs != 0 {
+			t.Fatalf("RunGroup(early=%v) allocates %.0f objects per group on warm States, want 0", early, allocs)
+		}
 	}
 }
 

@@ -34,9 +34,9 @@ const DefaultBlockSize = 64
 // Observers still see the step-major view: the per-layer rasters of each
 // block are buffered and replayed through ObserveStep in timestep order, so
 // the architecture simulators consume blocked runs unchanged. A warm State
-// runs without allocating.
+// runs without allocating. RunBlockedK is RunGroup with a group of one.
 func (s *State) RunBlockedK(intensity tensor.Vec, enc Encoder, steps, blockK int, obs Observer) RunResult {
-	return s.run(intensity, enc, steps, blockK, obs, false)
+	return s.runOne(intensity, enc, steps, blockK, obs, false)
 }
 
 // RunToFirstSpike is RunBlockedK with time-to-first-spike early exit: the
@@ -52,76 +52,157 @@ func (s *State) RunBlockedK(intensity tensor.Vec, enc Encoder, steps, blockK int
 // Results are therefore identical to stepping the network until the first
 // output spike whenever the encoder's remaining frames are not reused.
 func (s *State) RunToFirstSpike(intensity tensor.Vec, enc Encoder, maxSteps, blockK int, obs Observer) RunResult {
-	return s.run(intensity, enc, maxSteps, blockK, obs, true)
+	return s.runOne(intensity, enc, maxSteps, blockK, obs, true)
 }
 
-// run is the one functional loop behind RunBlockedK and RunToFirstSpike.
-func (s *State) run(intensity tensor.Vec, enc Encoder, steps, blockK int, obs Observer, early bool) RunResult {
+func (s *State) runOne(intensity tensor.Vec, enc Encoder, steps, blockK int, obs Observer, early bool) RunResult {
+	ms := [1]Member{{State: s, Input: intensity, Enc: enc, Obs: obs}}
+	var out [1]RunResult
+	RunGroup(ms[:], steps, blockK, early, out[:])
+	return out[0]
+}
+
+// Member is one image of a group run (RunGroup): the State it runs on, its
+// input and encoder, and the observer of its steps (nil for none).
+type Member struct {
+	State *State
+	Input tensor.Vec
+	Enc   Encoder
+	Obs   Observer
+}
+
+// RunGroup classifies the members' inputs in lockstep, one block at a time:
+// each member encodes its own block; dense no-leak layers then run
+// weight-stationary — each packed weight panel is streamed once for the
+// whole group while it is hot in cache (denseGroup) — and every other layer
+// runs member by member; finally each member's block is replayed to its
+// observer in step order. out[i] receives member i's result, exactly what
+// RunBlockedK (or, with early set, RunToFirstSpike) returns for it on its
+// own: members share weights but no state, and each neuron's operations
+// keep their order, so grouping is bit-identical to running the members one
+// by one. Under early exit a member that has exited leaves the group's
+// later blocks.
+//
+// The members run on distinct States of one network; their results alias
+// those States' scratch (see RunResult). out must hold len(ms) results.
+// The same encoder must not serve two members: the frames are drawn block
+// by block, member after member.
+func RunGroup(ms []Member, steps, blockK int, early bool, out []RunResult) {
+	if len(ms) == 0 {
+		return
+	}
 	if blockK <= 0 {
 		blockK = DefaultBlockSize
 	}
 	if blockK > steps && steps > 0 {
 		blockK = steps
 	}
-	s.Reset()
-	s.ensureBlock(blockK)
-	counts, first := s.resetResult()
-	inputSpikes := 0
-	last := len(s.Net.Layers) - 1
-	for t0 := 0; t0 < steps; t0 += blockK {
-		kn := blockK
-		if steps-t0 < kn {
-			kn = steps - t0
-		}
-		// Encode the block's input raster. The encoder is invoked once per
+	for _, m := range ms {
+		s := m.State
+		s.Reset()
+		s.ensureBlock(blockK)
+		s.resetResult()
+		s.inputSpikes = 0
+		s.exited = false
+	}
+	live := len(ms)
+	for t0 := 0; t0 < steps && live > 0; t0 += blockK {
+		kn := min(blockK, steps-t0)
+		// Encode each member's block. A member's encoder is invoked once per
 		// timestep in timestep order — the identical call sequence (and so
-		// the identical spike streams) as a Step loop.
-		for k := 0; k < kn; k++ {
-			enc.Encode(intensity, s.blockIn[k])
-		}
-		// Layer-major sweep: each layer consumes the full block of its
-		// predecessor before the next layer is touched.
-		cur := s.blockIn
-		for li, l := range s.Net.Layers {
-			s.runLayerBlock(li, l, cur, kn)
-			cur = s.blockOut[li]
-		}
-		// Step-major replay for observers and output decoding.
-		finalR := s.blockIn
-		if last >= 0 {
-			finalR = s.blockOut[last]
-		}
-		for k := 0; k < kn; k++ {
-			t := t0 + k
-			// Point the last-step views (InputSpikes/LayerSpikes) at the
-			// latest replayed timestep, the views a Step loop would leave.
-			s.last = k
-			inputSpikes += s.blockIn[k].Count()
-			if obs != nil {
-				for li := range s.stepView {
-					s.stepView[li] = s.blockOut[li][k]
-				}
-				obs.ObserveStep(t, s.blockIn[k], s.stepView)
-			}
-			s.idx = finalR[k].AppendSet(s.idx[:0])
-			for _, i := range s.idx {
-				counts[i]++
-				if first[i] < 0 {
-					first[i] = t
+		// the identical spike stream) as a Step loop.
+		for _, m := range ms {
+			if !m.State.exited {
+				for k := 0; k < kn; k++ {
+					m.Enc.Encode(m.Input, m.State.blockIn[k])
 				}
 			}
-			if early && len(s.idx) > 0 {
-				r := s.finishResult(t+1, inputSpikes)
-				r.Prediction = int(s.idx[0])
-				return r
+		}
+		runBlock(ms, kn)
+		for i, m := range ms {
+			if s := m.State; !s.exited && s.replay(t0, kn, m.Obs, early, &out[i]) {
+				s.exited = true
+				live--
 			}
 		}
 	}
-	r := s.finishResult(steps, inputSpikes)
-	if early {
-		r.Prediction = -1
+	for i, m := range ms {
+		if s := m.State; !s.exited {
+			out[i] = s.finishResult(steps, s.inputSpikes)
+			if early {
+				out[i].Prediction = -1
+			}
+		}
 	}
-	return r
+}
+
+// replay feeds steps t0..t0+kn-1 of the current block to obs in step order
+// and decodes the output spikes. Under early exit it stops at the first
+// step on which an output neuron fires, stores the TTFS result in r and
+// reports true.
+func (s *State) replay(t0, kn int, obs Observer, early bool, r *RunResult) bool {
+	finalR := s.layerIn(len(s.Net.Layers))
+	for k := 0; k < kn; k++ {
+		t := t0 + k
+		// Point the last-step views (InputSpikes/LayerSpikes) at the latest
+		// replayed timestep, the views a Step loop would leave.
+		s.last = k
+		s.inputSpikes += s.blockIn[k].Count()
+		if obs != nil {
+			for li := range s.stepView {
+				s.stepView[li] = s.blockOut[li][k]
+			}
+			obs.ObserveStep(t, s.blockIn[k], s.stepView)
+		}
+		s.idx = finalR[k].AppendSet(s.idx[:0])
+		for _, i := range s.idx {
+			s.counts[i]++
+			if s.first[i] < 0 {
+				s.first[i] = t
+			}
+		}
+		if early && len(s.idx) > 0 {
+			*r = s.finishResult(t+1, s.inputSpikes)
+			r.Prediction = int(s.idx[0])
+			return true
+		}
+	}
+	return false
+}
+
+// runBlock advances every live member across the kn buffered timesteps of
+// the current block, layer by layer (layer-major: each layer consumes the
+// full block of its predecessor before the next layer is touched).
+func runBlock(ms []Member, kn int) {
+	for li := range ms[0].State.Net.Layers {
+		runLayer(ms, li, kn)
+	}
+}
+
+// runLayer advances layer li of every live member across kn steps. Dense
+// no-leak layers run as one group (denseGroup); every other layer runs
+// member by member.
+func runLayer(ms []Member, li, kn int) {
+	l := ms[0].State.Net.Layers[li]
+	if l.Kind == DenseLayer && l.Leak == 0 && kn <= 64 {
+		denseGroup(ms, li, l, kn)
+		return
+	}
+	for _, m := range ms {
+		if s := m.State; !s.exited {
+			s.runLayerBlock(li, l, s.layerIn(li), kn)
+		}
+	}
+}
+
+// layerIn returns the block raster layer li reads: the input raster for
+// layer 0, else layer li-1's output raster (li == len(Layers) gives the
+// network's output raster).
+func (s *State) layerIn(li int) []*bitvec.Bits {
+	if li == 0 {
+		return s.blockIn
+	}
+	return s.blockOut[li-1]
 }
 
 // ensureBlock sizes the raster buffers for a block of k timesteps. Buffers
@@ -150,7 +231,8 @@ func (s *State) ensureBlock(k int) {
 
 // runLayerBlock advances one layer across the kn buffered timesteps of the
 // current block, reading the predecessor raster cur and writing the layer's
-// raster into s.blockOut[li].
+// raster into s.blockOut[li]. Dense no-leak layers go through denseGroup
+// instead (see runLayer).
 func (s *State) runLayerBlock(li int, l *Layer, cur []*bitvec.Bits, kn int) {
 	v := s.Vmem[li]
 	outR := s.blockOut[li]
@@ -159,19 +241,7 @@ func (s *State) runLayerBlock(li int, l *Layer, cur []*bitvec.Bits, kn int) {
 	}
 	switch l.Kind {
 	case DenseLayer:
-		// Dense layers flip to output-major order: collect the block's spike
-		// lists once (concatenated into one flat buffer with per-step offsets),
-		// then walk each output neuron's weight row across every timestep of
-		// the block while the row sits in the innermost cache.
-		flat := s.blockFlat[:0]
-		offs := s.blockOffs
-		offs[0] = 0
-		for k := 0; k < kn; k++ {
-			flat = cur[k].AppendSet(flat)
-			offs[k+1] = int32(len(flat))
-		}
-		s.blockFlat = flat
-		denseBlock(l, v, flat, offs[:kn+1], s.blockFires, outR)
+		denseBlock(l, v, s.spikeLists(cur, kn), s.blockOffs[:kn+1], outR)
 	case ConvLayer:
 		// Conv flips to output-location-major order: per receptive field the
 		// block's spiking taps are enumerated once (flat/offsets lists, or
@@ -190,28 +260,76 @@ func (s *State) runLayerBlock(li int, l *Layer, cur []*bitvec.Bits, kn int) {
 	}
 }
 
+// spikeLists collects the spike lists of a dense layer's input block once,
+// concatenated into s.blockFlat with step k at
+// flat[s.blockOffs[k]:s.blockOffs[k+1]], so each output neuron's weight row
+// can then be walked across every timestep of the block while it sits in
+// cache (output-major order).
+func (s *State) spikeLists(cur []*bitvec.Bits, kn int) []int32 {
+	flat := s.blockFlat[:0]
+	offs := s.blockOffs
+	offs[0] = 0
+	for k := 0; k < kn; k++ {
+		flat = cur[k].AppendSet(flat)
+		offs[k+1] = int32(len(flat))
+	}
+	s.blockFlat = flat
+	return flat
+}
+
+// denseGroup runs no-leak dense layer li over the current block (kn <= 64
+// steps) for every live member, weight-stationary: each member's spike
+// lists are built once, then blockGroups walks the layer's packed panels
+// quad by quad and integrates each quad for every member in turn, so a
+// panel is streamed from memory once per group instead of once per image.
+// The hidden layers of the MLPs hold 15-30 MB of panels against a 2 MB L2;
+// they are bound by that stream, not by the adds. Members share only the
+// weights, and each member's neurons see the same kernel calls in the same
+// order as in a run of its own, so the result is bit-identical to running
+// the members one by one.
+func denseGroup(ms []Member, li int, l *Layer, kn int) {
+	s0 := ms[0].State
+	jobs := s0.jobs[:0]
+	for _, m := range ms {
+		s := m.State
+		if s.exited {
+			continue
+		}
+		outR := s.blockOut[li]
+		for k := 0; k < kn; k++ {
+			outR[k].Reset()
+		}
+		flat := s.spikeLists(s.layerIn(li), kn)
+		offs := s.blockOffs[:kn+1]
+		jobs = append(jobs, panelJob{
+			v: s.Vmem[li], flat: flat, offs: offs, stepmask: stepMask(offs),
+			fires: s.blockFires, outR: outR,
+		})
+	}
+	blockGroups(l.panelW(), l.W.Cols, jobs, 0, l.Threshold, l.HardReset)
+	// Keep the scratch, not the other members' buffers.
+	clear(jobs)
+	s0.jobs = jobs[:0]
+}
+
 // denseBlock runs one dense layer over a block of timesteps in output-major
-// order. Neurons are independent, so per output neuron j it replays the
-// exact step-major sequence — leak, accumulate the spiking inputs of step k
-// in ascending index order (weight W[j][i] per spike i), threshold, reset —
-// across all kn steps with W's row j held in cache. Outputs are processed
-// in 8-lane groups purely for data-level parallelism: without leak,
-// blockGroups integrates the whole block in the panel kernels; leaky layers
-// accumulate each panel-step with accumPanel (SSE2 on amd64, pure Go
-// elsewhere). Every kernel adds each spike's packed 8-lane weight line into
-// eight independent accumulators, so each neuron's own operation order (the
-// only order float rounding depends on) is unchanged and results stay
-// bit-identical to the step-major reference. fires is scratch of at least
-// quadGroups*kn bytes.
-func denseBlock(l *Layer, v tensor.Vec, flat, offs []int32, fires []uint8, outR []*bitvec.Bits) {
+// order for the layers denseGroup does not take: leaky layers, and blocks
+// longer than the panel kernels' 64-step fire mask. Neurons are
+// independent, so per output neuron j it replays the exact step-major
+// sequence — leak, accumulate the spiking inputs of step k in ascending
+// index order (weight W[j][i] per spike i), threshold, reset — across all
+// kn steps with W's row j held in cache. Outputs are processed in 8-lane
+// groups purely for data-level parallelism: each panel-step accumulates
+// with accumPanel (SSE2 on amd64, pure Go elsewhere), which adds each
+// spike's packed 8-lane weight line into eight independent accumulators, so
+// each neuron's own operation order (the only order float rounding depends
+// on) is unchanged and results stay bit-identical to the step-major
+// reference.
+func denseBlock(l *Layer, v tensor.Vec, flat, offs []int32, outR []*bitvec.Bits) {
 	cols := l.W.Cols
 	th := l.Threshold
 	pan := l.panelW()
 	kn := len(offs) - 1
-	if l.Leak == 0 && kn <= 64 {
-		blockGroups(pan, cols, v, flat, offs, stepMask(offs), fires, outR, 0, th, l.HardReset)
-		return
-	}
 	decay := 1 - l.Leak
 	leaky := l.Leak > 0
 	hard := l.HardReset
@@ -258,60 +376,87 @@ func denseBlock(l *Layer, v tensor.Vec, flat, offs []int32, fires []uint8, outR 
 	}
 }
 
-// blockGroups integrates the neurons v of one output location (a dense
-// layer's rows, or one conv location's channels, raster bits [j0,
-// j0+len(v))) over a block without leak: step k adds the panel lines of
-// flat[offs[k]:offs[k+1]], then thresholds and resets, for kn =
-// len(offs)-1 <= 64 steps. pan holds ⌈len(v)/8⌉ packed panels of lines
-// weight lines each. Consecutive groups run four at a time through
-// blockQuad, one pass over the lists per 32 neurons; the last < 4 groups
-// run one at a time through blockPanel. stepmask has bit k set when step k
-// has spikes (stepMask), and fires is scratch of at least quadGroups*kn
-// bytes.
+// panelJob is one image's operands of blockGroups: the potentials v of one
+// output location (raster bits [j0, j0+len(v))), its block spike lists
+// (step k at flat[offs[k]:offs[k+1]], kn = len(offs)-1 <= 64 steps), their
+// stepMask, fire-byte scratch of at least quadGroups*kn bytes and the
+// output raster.
+type panelJob struct {
+	v          tensor.Vec
+	flat, offs []int32
+	stepmask   uint64
+	fires      []uint8
+	outR       []*bitvec.Bits
+}
+
+// blockGroups integrates the neurons of one output location (a dense
+// layer's rows, or one conv location's channels) over a block without leak,
+// for each job — one per image of a group: step k adds the panel lines of
+// the job's step-k list, then thresholds and resets. pan holds
+// ⌈len(v)/8⌉ packed panels of lines weight lines each. Consecutive groups
+// run four at a time through blockQuad, one pass over a job's lists per 32
+// neurons; the last < 4 groups run one at a time through blockPanel. The
+// loop order is weight-stationary — for each quad (or single group), for
+// each job — so a group of images streams each panel once while it is hot
+// in cache; jobs are independent, so the order among them cannot change a
+// result.
 //
 // A silent block is an exact no-op for a group with no lane at threshold
 // (none can fire), so it is skipped; a quad is skipped only when all four
 // of its groups are cold. A cold group run through the kernel anyway is
 // still exact: it has no adds, no lane fires, and the reset leaves every
 // lane's bits as they were (p - 0.0 == p, ^0 & p == p).
-func blockGroups(pan []float64, lines int, v tensor.Vec, flat, offs []int32, stepmask uint64, fires []uint8, outR []*bitvec.Bits, j0 int, th float64, hard bool) {
-	kn := len(offs) - 1
+func blockGroups(pan []float64, lines int, jobs []panelJob, j0 int, th float64, hard bool) {
+	if len(jobs) == 0 {
+		return
+	}
+	nv := len(jobs[0].v)
 	span := lines * panelLanes // doubles per panel
-	groups := (len(v) + panelLanes - 1) / panelLanes
+	groups := (nv + panelLanes - 1) / panelLanes
 	// A last group of n < 8 neurons runs as a full group whose extra lanes
 	// have zero weights; they are never written back or committed.
 	gi := 0
 	for ; gi+quadGroups <= groups; gi += quadGroups {
-		var acc [quadGroups][panelLanes]float64
-		cold := stepmask == 0
-		for g := range acc {
-			j := (gi + g) * panelLanes
-			copy(acc[g][:], v[j:min(j+panelLanes, len(v))])
-			cold = cold && !groupHot(&acc[g], th)
-		}
-		if cold {
-			continue
-		}
-		fq := fires[:quadGroups*kn]
-		fs := blockQuad(pan[gi*span:(gi+quadGroups)*span], flat, offs, fq, &acc, th, hard)
-		for g := range acc {
-			j := (gi + g) * panelLanes
-			n := min(panelLanes, len(v)-j)
-			commitFires(outR, fs[g], fq[g*kn:(g+1)*kn], j0+j, n)
-			copy(v[j:j+n], acc[g][:n])
+		quad := pan[gi*span : (gi+quadGroups)*span]
+		for m := range jobs {
+			jb := &jobs[m]
+			var acc [quadGroups][panelLanes]float64
+			cold := jb.stepmask == 0
+			for g := range acc {
+				j := (gi + g) * panelLanes
+				copy(acc[g][:], jb.v[j:min(j+panelLanes, nv)])
+				cold = cold && !groupHot(&acc[g], th)
+			}
+			if cold {
+				continue
+			}
+			kn := len(jb.offs) - 1
+			fq := jb.fires[:quadGroups*kn]
+			fs := blockQuad(quad, jb.flat, jb.offs, fq, &acc, th, hard)
+			for g := range acc {
+				j := (gi + g) * panelLanes
+				n := min(panelLanes, nv-j)
+				commitFires(jb.outR, fs[g], fq[g*kn:(g+1)*kn], j0+j, n)
+				copy(jb.v[j:j+n], acc[g][:n])
+			}
 		}
 	}
 	for ; gi < groups; gi++ {
+		panel := pan[gi*span : (gi+1)*span]
 		j := gi * panelLanes
-		n := min(panelLanes, len(v)-j)
-		var acc [panelLanes]float64
-		copy(acc[:], v[j:j+n])
-		if stepmask == 0 && !groupHot(&acc, th) {
-			continue
+		n := min(panelLanes, nv-j)
+		for m := range jobs {
+			jb := &jobs[m]
+			var acc [panelLanes]float64
+			copy(acc[:], jb.v[j:j+n])
+			if jb.stepmask == 0 && !groupHot(&acc, th) {
+				continue
+			}
+			kn := len(jb.offs) - 1
+			fs := blockPanel(panel, jb.flat, jb.offs, jb.fires[:kn], &acc, th, hard)
+			commitFires(jb.outR, fs, jb.fires[:kn], j0+j, n)
+			copy(jb.v[j:j+n], acc[:n])
 		}
-		fs := blockPanel(pan[gi*span:(gi+1)*span], flat, offs, fires[:kn], &acc, th, hard)
-		commitFires(outR, fs, fires[:kn], j0+j, n)
-		copy(v[j:j+n], acc[:n])
 	}
 }
 
@@ -486,7 +631,11 @@ func convBlock(l *Layer, v tensor.Vec, cur, outR []*bitvec.Bits, flat0, offs []i
 			if useBP && gs == nil {
 				// The location's channel groups share its lists: quads of
 				// them integrate the block in one pass (blockGroups).
-				blockGroups(pan, fanIn, v[out0:out0+outC], flat, offs[:kn+1], stepmask, fires, outR, out0, th, hard)
+				job := [1]panelJob{{
+					v: v[out0 : out0+outC], flat: flat, offs: offs[:kn+1],
+					stepmask: stepmask, fires: fires, outR: outR,
+				}}
+				blockGroups(pan, fanIn, job[:], out0, th, hard)
 				continue
 			}
 			for gi := 0; gi < groups; gi++ {

@@ -399,3 +399,78 @@ func TestBlockedStateReuse(t *testing.T) {
 		}
 	}
 }
+
+// TestRunGroupMatchesAlone pins RunGroup to running each member alone:
+// for groups of one to five images of different brightness, full runs and
+// early exit, block sizes 3 and 64, on dense no-leak (grouped), leaky and
+// hard-reset MLPs and a conv/pool/dense network, every member's RunResult,
+// observed rasters and final potentials must equal those of its own
+// RunBlockedK (or RunToFirstSpike) bit for bit.
+func TestRunGroupMatchesAlone(t *testing.T) {
+	const steps = 20
+	nets := []*snn.Network{
+		mlpFixture(t, 0, false),
+		mlpFixture(t, 0.12, false),
+		mlpFixture(t, 0, true),
+		convPoolFixture(t),
+	}
+	for ni, net := range nets {
+		inputs := make([]tensor.Vec, 5)
+		for m := range inputs {
+			inputs[m] = make(tensor.Vec, net.Input.Size())
+			for i := range inputs[m] {
+				inputs[m][i] = float64((i*13+5*m)%100) / 99 * (1 - 0.15*float64(m))
+			}
+		}
+		for _, early := range []bool{false, true} {
+			for _, k := range []int{3, 64} {
+				for g := 1; g <= len(inputs); g++ {
+					what := fmt.Sprintf("net %d early=%v K=%d G=%d", ni, early, k, g)
+					ms := make([]snn.Member, g)
+					recs := make([]rasterRecorder, g)
+					for m := range ms {
+						ms[m] = snn.Member{State: snn.NewState(net), Input: inputs[m], Enc: snn.NewPoissonEncoder(0.8, int64(40+m)), Obs: &recs[m]}
+					}
+					out := make([]snn.RunResult, g)
+					snn.RunGroup(ms, steps, k, early, out)
+					if early && g == len(inputs) {
+						exits := map[int]bool{}
+						for _, r := range out {
+							exits[r.Steps] = true
+						}
+						if len(exits) < 2 {
+							t.Fatalf("%s: every member exits at the same step; the case needs members leaving the group apart", what)
+						}
+					}
+					for m := range ms {
+						var rec rasterRecorder
+						st := snn.NewState(net)
+						run := st.RunBlockedK
+						if early {
+							run = st.RunToFirstSpike
+						}
+						want := run(inputs[m], snn.NewPoissonEncoder(0.8, int64(40+m)), steps, k, &rec)
+						got := out[m]
+						if got.Steps != want.Steps || got.Prediction != want.Prediction || got.InputSpikes != want.InputSpikes {
+							t.Fatalf("%s member %d: steps/prediction/input spikes %d/%d/%d, alone %d/%d/%d", what, m,
+								got.Steps, got.Prediction, got.InputSpikes, want.Steps, want.Prediction, want.InputSpikes)
+						}
+						for c := range want.OutCounts {
+							if got.OutCounts[c] != want.OutCounts[c] || got.FirstSpike[c] != want.FirstSpike[c] {
+								t.Fatalf("%s member %d class %d: counts/first spike differ", what, m, c)
+							}
+						}
+						assertRastersEqual(t, fmt.Sprintf("%s member %d", what, m), &rec, &recs[m], want.Steps)
+						for li := range net.Layers {
+							for j, v := range st.Vmem[li] {
+								if math.Float64bits(ms[m].State.Vmem[li][j]) != math.Float64bits(v) {
+									t.Fatalf("%s member %d layer %d neuron %d: potential differs", what, m, li, j)
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}

@@ -206,6 +206,36 @@ func (n *Network) Neurons() int {
 	return total
 }
 
+// groupImages is the group size of the networks whose dense weights
+// dominate (see GroupSize). Measured on the Fig 10 MLPs (48-step blocks, one
+// thread, 2 MB L2): dense-layer time per image fell about 19% from one
+// image to four, and eight were no faster than four.
+const groupImages = 4
+
+// GroupSize is how many images a worker runs in lockstep (RunGroup). It is
+// groupImages when the packed weight panels of the network's no-leak dense
+// layers outweigh that many States: streaming each panel once per group
+// instead of once per image then saves more memory traffic than the extra
+// States cost (the Fig 10 MLPs hold 15-30 MB of panels against States of
+// about 0.05 MB). Otherwise it is 1 (the Fig 10 CNNs: at most 3.4 MB of
+// dense panels against 1-4 MB States), where a group would multiply State
+// memory for little weight reuse.
+func (n *Network) GroupSize() int {
+	panels := 0
+	for _, l := range n.Layers {
+		if l.Kind == DenseLayer && l.Leak == 0 {
+			panels += (l.W.Rows + panelLanes - 1) / panelLanes * panelLanes * l.W.Cols * 8
+		}
+	}
+	// A State holds a float64 potential per neuron and a block raster of
+	// DefaultBlockSize bits per neuron, input included.
+	state := 8*n.HiddenNeurons() + n.Neurons()*DefaultBlockSize/8
+	if panels > groupImages*state {
+		return groupImages
+	}
+	return 1
+}
+
 // HiddenNeurons returns the neuron count excluding the input layer.
 func (n *Network) HiddenNeurons() int { return n.Neurons() - n.Input.Size() }
 

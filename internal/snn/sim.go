@@ -39,6 +39,13 @@ type State struct {
 	blockCounts []uint64         // pool per-(group, step) lane tap counts of one location
 	stepView    []*bitvec.Bits   // per-step layer view for observer replay
 	last        int              // block slot of the last executed timestep
+
+	// Group-run state (see RunGroup): the input spikes counted so far, and
+	// whether this member has left the run (early exit). jobs is the
+	// dense-layer operand scratch of a group whose first member this is.
+	inputSpikes int
+	exited      bool
+	jobs        []panelJob
 }
 
 // NewState allocates simulation state for the network.
@@ -81,12 +88,10 @@ func (s *State) Step(in *bitvec.Bits) *bitvec.Bits {
 		s.blockIn[0].CopyFrom(in)
 	}
 	s.last = 0
-	cur := s.blockIn
-	for li, l := range s.Net.Layers {
-		s.runLayerBlock(li, l, cur, 1)
-		cur = s.blockOut[li]
-	}
-	return cur[0]
+	s.exited = false
+	ms := [1]Member{{State: s}}
+	runBlock(ms[:], 1)
+	return s.layerIn(len(s.Net.Layers))[0]
 }
 
 // Encoder converts an analog input vector into per-timestep spike vectors.
@@ -276,13 +281,12 @@ func (c *CaptureObserver) ObserveStep(t int, input *bitvec.Bits, layers []*bitve
 	c.Out[t].CopyFrom(layers[len(layers)-1])
 }
 
-// resetResult clears the per-run output counters and returns them.
-func (s *State) resetResult() (counts, first []int) {
+// resetResult clears the per-run output counters.
+func (s *State) resetResult() {
 	for i := range s.counts {
 		s.counts[i] = 0
 		s.first[i] = -1
 	}
-	return s.counts, s.first
 }
 
 // finishResult decodes the rate prediction from the accumulated counters.

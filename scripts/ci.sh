@@ -17,11 +17,12 @@ go vet ./...
 # The panel kernels have amd64 assembly and pure-Go twins that other
 # architectures, pre-AVX2 amd64 CPUs and purego builds run. The purego pass
 # runs the twins through the kernel tests and every backend that runs the
-# kernels (chip, CMOS baseline, multi-chip) on this host; the arm64 vet
+# kernels (chip, CMOS baseline, multi-chip) and the grouped fan-out
+# (internal/sim) on this host; the arm64 vet
 # keeps the non-amd64 wiring compiling (no cross toolchain needed, it works
 # offline).
 echo "== go test -tags purego (pure-Go kernels)"
-go test -tags purego ./internal/snn ./internal/core ./internal/cmosbase ./internal/shard
+go test -tags purego ./internal/snn ./internal/core ./internal/cmosbase ./internal/shard ./internal/sim
 
 echo "== GOARCH=arm64 go vet (pure-Go kernels)"
 GOARCH=arm64 go vet ./internal/snn/ ./internal/bitvec/
@@ -81,13 +82,13 @@ if ! diff -u scripts/mapping_api_surface.golden "$mapping_surface"; then
     exit 1
 fi
 
-# One iteration of the per-layer and panel kernel, mapper, makespan,
-# multi-chip executor, switch fabric and cycle-level NeuroCell benchmarks:
-# nothing is timed or compared, it only keeps the benchmark code compiling
-# and running (their fixtures build real Fig 10 networks, which plain go
-# test never reaches for benchmarks).
+# One iteration of the per-layer (alone and grouped) and panel kernel,
+# mapper, makespan, multi-chip executor, switch fabric and cycle-level
+# NeuroCell benchmarks: nothing is timed or compared, it only keeps the
+# benchmark code compiling and running (their fixtures build real Fig 10
+# networks, which plain go test never reaches for benchmarks).
 echo "== benchmark smoke (snn layers and panel kernels, mapper, pipeline makespan, multi-chip executor, NeuroCell)"
-go test -run '^$' -bench 'Layer$|Panel|Plan|LayerMapping|Makespan|MultiClassifyEach|SwitchNet|CycleStep' -benchtime 1x \
+go test -run '^$' -bench 'Layer$|LayerGroup|Panel|Plan|LayerMapping|Makespan|MultiClassifyEach|SwitchNet|CycleStep' -benchtime 1x \
     ./internal/snn ./internal/mapping ./internal/shard ./internal/neurocell
 
 # resparc-noc has no tests of its own: its output for the default cell and a
