@@ -181,6 +181,15 @@ func (b *Bits) ZeroPackets(width int) (zero, total int) {
 	if width <= 0 {
 		panic(fmt.Sprintf("bitvec: packet width %d", width))
 	}
+	if width == 64 {
+		// A packet is one storage word (bits past Len are zero).
+		for _, w := range b.words {
+			if w == 0 {
+				zero++
+			}
+		}
+		return zero, len(b.words)
+	}
 	for start := 0; start < b.n; start += width {
 		end := start + width
 		if end > b.n {

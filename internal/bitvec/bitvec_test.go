@@ -116,6 +116,32 @@ func TestZeroPacketsPartialTail(t *testing.T) {
 	}
 }
 
+// The width-64 fast path (one packet per storage word) must count what the
+// general per-packet range check counts, partial last word included.
+func TestZeroPacketsWordAligned(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, n := range []int{0, 1, 63, 64, 65, 100, 128, 200, 1000} {
+		for _, p := range []float64{0, 0.005, 0.05, 0.5} {
+			b := New(n)
+			for i := 0; i < n; i++ {
+				if rng.Float64() < p {
+					b.Set(i)
+				}
+			}
+			wantZero, wantTotal := 0, 0
+			for start := 0; start < n; start += 64 {
+				wantTotal++
+				if b.rangeZero(start, min(start+64, n)) {
+					wantZero++
+				}
+			}
+			if zero, total := b.ZeroPackets(64); zero != wantZero || total != wantTotal {
+				t.Fatalf("n=%d p=%v: zero=%d total=%d, want %d/%d", n, p, zero, total, wantZero, wantTotal)
+			}
+		}
+	}
+}
+
 func TestZeroPacketsWidthPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -129,7 +129,7 @@ func recordRasters(tb testing.TB, name string, steps int) (*Chip, *rasters) {
 // recorded 48-step rasters replayed through a reused whole-chip observer,
 // with no functional network run in the loop.
 func BenchmarkObserve(b *testing.B) {
-	for _, name := range []string{"mnist-cnn", "cifar-cnn", "cifar-mlp"} {
+	for _, name := range []string{"mnist-cnn", "svhn-cnn", "cifar-cnn", "mnist-mlp", "cifar-mlp"} {
 		b.Run(name, func(b *testing.B) {
 			chip, rec := recordRasters(b, name, 48)
 			obs := newObserver(chip, 0, len(chip.Net.Layers))

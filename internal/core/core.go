@@ -231,21 +231,20 @@ func (c *Chip) Name() string { return "resparc" }
 // Network implements sim.Backend.
 func (c *Chip) Network() *snn.Network { return c.Net }
 
-// observer accumulates events and energy for the global layer range
-// [lo, hi) during a run. The full chip observes [0, len(layers)); an
-// Accountant may charge a sub-range.
+// observer tallies events for the global layer range [lo, hi) during a
+// run and prices them when it reports. The full chip observes [0,
+// len(layers)); an Accountant may charge a sub-range.
 type observer struct {
 	chip        *Chip
 	lo, hi      int // global layer range [lo, hi)
 	plans       []layerPlan
-	cnt         Counters
-	layerE      []perf.RESPARCEnergy // per local layer
-	layerCycles []int                // per local layer
-	layerSpikes []int                // per local layer
+	tally       []cost.Tally // per local layer
+	cycles      int          // serial sum of every stage
+	layerCycles []int        // per local layer
 	busCycles   int
 	breakdown   CycleBreakdown
-	scratch     [][]int32 // per local layer: active-MCA count per group
-	occ         []bool    // per packet word of the visited layer's input: holds a spike
+	scratch     mapping.GatherScratch
+	prev, delta cost.Tally // a layer's tally before the traced visit, and the visit's
 	traceErr    error
 	stages      [][]cost.Stage
 	nsteps      int
@@ -253,21 +252,13 @@ type observer struct {
 
 func newObserver(c *Chip, lo, hi int) *observer {
 	n := hi - lo
-	return &observer{
+	o := &observer{
 		chip: c, lo: lo, hi: hi,
-		plans:       c.layerPlans(),
-		layerE:      make([]perf.RESPARCEnergy, n),
+		tally:       make([]cost.Tally, n),
 		layerCycles: make([]int, n),
-		layerSpikes: make([]int, n),
-		scratch:     make([][]int32, n),
 	}
-}
-
-func (o *observer) groupScratch(j, groups int) []int32 {
-	if o.scratch[j] == nil {
-		o.scratch[j] = make([]int32, groups)
-	}
-	return o.scratch[j]
+	o.reset()
+	return o
 }
 
 // reset clears the accumulated accounting, keeping the scratch allocations,
@@ -275,45 +266,53 @@ func (o *observer) groupScratch(j, groups int) []int32 {
 // picks up the chip's current layer plans (see Remapped).
 func (o *observer) reset() {
 	o.plans = o.chip.layerPlans()
-	o.cnt = Counters{}
-	clear(o.layerE)
+	for j := range o.tally {
+		o.tally[j].Reset(len(o.plans[o.lo+j].g.Factors))
+	}
+	o.cycles = 0
 	clear(o.layerCycles)
-	clear(o.layerSpikes)
 	o.busCycles = 0
 	o.breakdown = CycleBreakdown{}
 	o.traceErr = nil
 	o.nsteps = 0
 }
 
-// writeTrace emits one per-(step, layer) trace event from the accounting
-// deltas since the snapshot.
-func (o *observer) writeTrace(step, gi int, cur, out *bitvec.Bits, prevCnt Counters, prevE perf.RESPARCEnergy) {
+// layerEnergy prices local layer j's tally.
+func (o *observer) layerEnergy(j int, t *cost.Tally) perf.RESPARCEnergy {
 	c := o.chip
-	lm := &c.Map.Layers[gi]
-	le := &o.layerE[gi-o.lo]
-	dc := o.cnt
-	de := le.Total() - prevE.Total()
+	return cost.Energy(c.Opt.Params, c.sram.AccessEnergy(), o.lo+j == 0, o.plans[o.lo+j].g.Factors, t)
+}
+
+// writeTrace emits one per-(step, layer) trace event from the difference
+// of the layer's tally and its snapshot before the visit.
+func (o *observer) writeTrace(step, gi int, cur, out *bitvec.Bits) {
+	c := o.chip
+	j := gi - o.lo
+	d := &o.delta
+	d.CopyFrom(&o.tally[j])
+	d.Sub(&o.prev)
 	err := c.Opt.Trace.Write(trace.Event{
-		Step: step, Layer: gi, Name: lm.Layer.Name,
+		Step: step, Layer: gi, Name: c.Map.Layers[gi].Layer.Name,
 		InputSpikes:  cur.Count(),
 		OutputSpikes: out.Count(),
-		Packets:      dc.PacketsDelivered - prevCnt.PacketsDelivered,
-		Suppressed:   dc.PacketsSuppressed - prevCnt.PacketsSuppressed,
-		BusWords:     dc.BusWords - prevCnt.BusWords,
-		Activations:  dc.MCAActivations - prevCnt.MCAActivations,
-		RowsDriven:   dc.RowsDriven - prevCnt.RowsDriven,
-		EnergyJ:      de,
+		Packets:      d.Delivered,
+		Suppressed:   d.Checked - d.Delivered,
+		BusWords:     d.BusSent,
+		Activations:  d.Active,
+		RowsDriven:   d.RowsDriven(),
+		EnergyJ:      o.layerEnergy(j, d).Total(),
 	})
 	if err != nil && o.traceErr == nil {
 		o.traceErr = err
 	}
 }
 
-// report reduces the accumulated accounting to a result/report pair, with
-// Cycles/Latency the serial sum of the recorded stage grid — or, when
-// pipelined is set, its pipelined makespan (Report.Pipeline). The per-layer
-// slices and the stage grid are copies: observers are reused across
-// classifications (reset), so reports must not alias their buffers.
+// report prices the tallies and reduces the accumulated accounting to a
+// result/report pair, with Cycles/Latency the serial sum of the recorded
+// stage grid — or, when pipelined is set, its pipelined makespan
+// (Report.Pipeline). The per-layer slices and the stage grid are copies:
+// observers are reused across classifications (reset), so reports must
+// not alias their buffers.
 func (o *observer) report(predicted, steps int, pipelined bool) (perf.Result, Report) {
 	ncc := o.chip.Opt.Params.NCCycle()
 	n := o.hi - o.lo
@@ -323,12 +322,29 @@ func (o *observer) report(predicted, steps int, pipelined bool) (perf.Result, Re
 		stages[t] = grid[t*n : (t+1)*n : (t+1)*n]
 		copy(stages[t], o.stages[t])
 	}
+	cnt := Counters{Cycles: o.cycles}
+	layerE := make([]perf.RESPARCEnergy, n)
+	layerSpikes := make([]int, n)
+	for j := range o.tally {
+		t := &o.tally[j]
+		cnt.BusWords += t.BusSent
+		cnt.BusWordsSuppressed += t.BusChecked - t.BusSent
+		cnt.PacketsDelivered += t.Delivered
+		cnt.PacketsSuppressed += t.Checked - t.Delivered
+		cnt.MCAActivations += t.Active
+		cnt.RowsDriven += t.RowsDriven()
+		cnt.Integrations += t.Integrations
+		cnt.Spikes += t.Spikes
+		cnt.ExtTransfers += t.Ext
+		layerE[j] = o.layerEnergy(j, t)
+		layerSpikes[j] = t.Spikes
+	}
 	rep := Report{
-		Energy: perf.SumRESPARC(o.layerE), Latency: float64(o.cnt.Cycles) * ncc,
-		Counts: o.cnt, Predicted: predicted,
+		Energy: perf.SumRESPARC(layerE), Latency: float64(o.cycles) * ncc,
+		Counts: cnt, Predicted: predicted,
 		LayerCycles:   append([]int(nil), o.layerCycles...),
-		LayerEnergies: append([]perf.RESPARCEnergy(nil), o.layerE...),
-		LayerSpikes:   append([]int(nil), o.layerSpikes...),
+		LayerEnergies: layerE,
+		LayerSpikes:   layerSpikes,
 		Stages:        stages,
 		BusCycles:     o.busCycles, Breakdown: o.breakdown, TraceError: o.traceErr,
 	}
@@ -342,7 +358,7 @@ func (o *observer) report(predicted, steps int, pipelined bool) (perf.Result, Re
 		Latency: rep.Latency,
 		Steps:   steps,
 	}
-	res.SpikesPerStep, res.LayerOccupancy = sparsity(o.chip.Net.Layers[o.lo:o.hi], o.layerSpikes, 1, steps)
+	res.SpikesPerStep, res.LayerOccupancy = sparsity(o.chip.Net.Layers[o.lo:o.hi], layerSpikes, 1, steps)
 	return res, rep
 }
 

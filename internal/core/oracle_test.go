@@ -8,6 +8,7 @@ import (
 
 	"resparc/internal/bench"
 	"resparc/internal/bitvec"
+	"resparc/internal/cost"
 	"resparc/internal/dataset"
 	"resparc/internal/mapping"
 	"resparc/internal/perf"
@@ -19,16 +20,20 @@ import (
 // oracle is the original step-major chip accountant, kept as a test-only
 // reference. Each timestep it walks every MCA's input list against the
 // spike vector and dedupes packet words per mPE run through a map, summing
-// every phase's cycles serially. The chip's accountant must reproduce its
-// energies, counters and per-layer accounting bit for bit.
+// every phase's cycles serially and tallying each layer's events as
+// integers: driven rows per crossbar-factor class (the factors computed per
+// MCA from its own taps, classes numbered in order of first appearance).
+// Its energies are its tallies priced by cost.Energy. The chip's
+// accountant must reproduce its energies, counters and per-layer accounting
+// bit for bit.
 type oracle struct {
 	chip        *Chip
 	lo, hi      int
 	owner       [][]int32 // per layer per group: the owner mPE
 	cnt         Counters
-	layerE      []perf.RESPARCEnergy
+	tally       []cost.Tally
+	factors     [][]float64 // per layer: the crossbar-factor classes
 	layerCycles []int
-	layerSpikes []int
 	busCycles   int
 	breakdown   CycleBreakdown
 	scratch     [][]int32
@@ -39,11 +44,32 @@ func newOracle(c *Chip) *oracle {
 	return &oracle{
 		chip: c, lo: 0, hi: n,
 		owner:       groupOwners(c.Map),
-		layerE:      make([]perf.RESPARCEnergy, n),
+		tally:       make([]cost.Tally, n),
+		factors:     make([][]float64, n),
 		layerCycles: make([]int, n),
-		layerSpikes: make([]int, n),
 		scratch:     make([][]int32, n),
 	}
+}
+
+// groupOwners returns, per layer per neuron group, the mPE holding the
+// group's first MCA — the group's owner, to which every other mPE serving
+// the group transfers its partial sums.
+func groupOwners(m *mapping.Mapping) [][]int32 {
+	owners := make([][]int32, len(m.Layers))
+	for li := range m.Layers {
+		lm := &m.Layers[li]
+		owner := make([]int32, lm.Groups)
+		for i := range owner {
+			owner[i] = -1
+		}
+		for ai := range lm.MCAs {
+			if g := lm.MCAs[ai].Group; owner[g] < 0 {
+				owner[g] = int32(lm.MCAs[ai].MPE)
+			}
+		}
+		owners[li] = owner
+	}
+	return owners
 }
 
 func (o *oracle) groupScratch(j, groups int) []int32 {
@@ -53,7 +79,20 @@ func (o *oracle) groupScratch(j, groups int) []int32 {
 	return o.scratch[j]
 }
 
-// ObserveStep implements snn.Observer: the stepped charge loop.
+// addRows tallies rows driven on an MCA whose crossbar factor is f into
+// layer j's class of f, opening the class on its first appearance.
+func (o *oracle) addRows(j int, f float64, rows int) {
+	t := &o.tally[j]
+	c := slices.Index(o.factors[j], f)
+	if c < 0 {
+		c = len(o.factors[j])
+		o.factors[j] = append(o.factors[j], f)
+		t.Rows = append(t.Rows, 0)
+	}
+	t.Rows[c] += rows
+}
+
+// ObserveStep implements snn.Observer: the stepped tally loop.
 func (o *oracle) ObserveStep(step int, input *bitvec.Bits, layers []*bitvec.Bits) {
 	c := o.chip
 	p := c.Opt.Params
@@ -63,7 +102,7 @@ func (o *oracle) ObserveStep(step int, input *bitvec.Bits, layers []*bitvec.Bits
 	for j := 0; j < o.hi-o.lo; j++ {
 		gi := o.lo + j
 		lm := &c.Map.Layers[gi]
-		le := &o.layerE[j]
+		t := &o.tally[j]
 		prevCnt := o.cnt
 
 		// ---- Global control: event-flag synchronization (flags are read
@@ -80,15 +119,8 @@ func (o *oracle) ObserveStep(step int, input *bitvec.Bits, layers []*bitvec.Bits
 				sent = total
 				zero = 0
 			}
-			le.Peripherals += float64(total) * p.ZeroCheck
-			// Producer write to SRAM + broadcast read: two bus transactions
-			// and two SRAM accesses per surviving word (layer 0 is loaded by
-			// the host, so only the broadcast read applies).
-			per := 2.0
-			if gi == 0 {
-				per = 1.0
-			}
-			le.Peripherals += float64(sent) * per * (p.BusWord + c.sram.AccessEnergy())
+			t.BusChecked += total
+			t.BusSent += sent
 			o.cnt.BusWords += sent
 			o.cnt.BusWordsSuppressed += zero
 			// Broadcast serializes on the bus, several words per cycle.
@@ -111,26 +143,18 @@ func (o *oracle) ObserveStep(step int, input *bitvec.Bits, layers []*bitvec.Bits
 			ga[i] = 0
 		}
 		// Per-mPE delivery accounting: MCAs of one mPE are contiguous in
-		// allocation order.
-		// Words are deduped with a set but charged in insertion order: energy
-		// is a float sum, and ranging over the map directly would make the
-		// total depend on Go's randomized map order from run to run.
+		// allocation order; each mPE checks each of its source words once.
 		curMPE := -1
 		mpeSeen := map[int]bool{}
-		var mpeWords []int
 		flushMPE := func() {
-			for _, word := range mpeWords {
-				le.Peripherals += p.ZeroCheck
+			for word := range mpeSeen {
+				t.Checked++
 				if nonzeroWord[word] || !ed {
 					delivered++
-					le.Peripherals += p.SwitchHop + 2*p.BufferAccess
 				} else {
 					o.cnt.PacketsSuppressed++
 				}
-			}
-			mpeWords = mpeWords[:0]
-			for w := range mpeSeen {
-				delete(mpeSeen, w)
+				delete(mpeSeen, word)
 			}
 		}
 		for ai := range lm.MCAs {
@@ -141,31 +165,13 @@ func (o *oracle) ObserveStep(step int, input *bitvec.Bits, layers []*bitvec.Bits
 			}
 			rows := 0
 			ins := mca.Inputs
-			lastWord := -1
 			for _, in := range ins {
-				word := int(in) / w
-				if word != lastWord {
-					lastWord = word
-					if !mpeSeen[word] {
-						mpeSeen[word] = true
-						mpeWords = append(mpeWords, word)
-					}
-				}
+				mpeSeen[int(in)/w] = true
 				if cur.Get(int(in)) {
 					rows++
 				}
 			}
 
-			active := rows > 0
-			if !ed {
-				active = true
-			}
-			if !active {
-				continue
-			}
-			o.cnt.MCAActivations++
-			o.cnt.RowsDriven += rows
-			le.Peripherals += p.MPEControl
 			// Crossbar: every cross-point on a driven row conducts; used
 			// cells at programmed conductance, idle cells at the GMin pair
 			// (unless the counterfactual column gating is enabled).
@@ -177,12 +183,24 @@ func (o *oracle) ObserveStep(step int, input *bitvec.Bits, layers []*bitvec.Bits
 			if p.GateIdleColumns {
 				idlePerRow = 0
 			}
-			le.Crossbar += float64(rows) * (usedPerRow*p.XbarCellActive + idlePerRow*p.XbarCellActive*p.XbarIdleFrac)
+			o.addRows(j, usedPerRow*p.XbarCellActive+idlePerRow*p.XbarCellActive*p.XbarIdleFrac, rows)
+
+			active := rows > 0
+			if !ed {
+				active = true
+			}
+			if !active {
+				continue
+			}
+			o.cnt.MCAActivations++
+			o.cnt.RowsDriven += rows
+			t.Active++
 			// Neuron integration of this MCA's columns.
 			o.cnt.Integrations += len(mca.Outputs)
-			le.Neuron += float64(len(mca.Outputs)) * p.NeuronIntegrate
+			t.Integrations += len(mca.Outputs)
 			if int32(mca.MPE) != o.owner[gi][mca.Group] {
 				o.cnt.ExtTransfers++
+				t.Ext++
 			}
 			if ga[mca.Group]++; ga[mca.Group] > maxMux {
 				maxMux = ga[mca.Group]
@@ -190,6 +208,7 @@ func (o *oracle) ObserveStep(step int, input *bitvec.Bits, layers []*bitvec.Bits
 		}
 		flushMPE()
 		o.cnt.PacketsDelivered += delivered
+		t.Delivered += delivered
 		sw := lm.Switches(c.Map.Cfg)
 		deliveryCycles := (delivered + sw - 1) / sw
 		o.cnt.Cycles += deliveryCycles
@@ -202,11 +221,7 @@ func (o *oracle) ObserveStep(step int, input *bitvec.Bits, layers []*bitvec.Bits
 		out := layers[j]
 		spikes := out.Count()
 		o.cnt.Spikes += spikes
-		o.layerSpikes[j] += spikes
-		le.Neuron += float64(spikes) * p.NeuronSpike
-		// Every spike is handled by the peripherals: oBUFF write, tBUFF
-		// target lookup, packet assembly.
-		le.Peripherals += float64(spikes) * p.SpikeHandling
+		t.Spikes += spikes
 		// Spikes drain through the mPEs' output ports in parallel, one per
 		// mPE per cycle.
 		if spikes > 0 || maxMux > 0 {
@@ -232,14 +247,21 @@ func wordOccupancy(v *bitvec.Bits, width int) []bool {
 	return out
 }
 
-// report reduces the oracle's accounting the way the chip reports it, with
-// Cycles the serial sum of every stage.
+// report prices the oracle's tallies and reduces its accounting the way
+// the chip reports it, with Cycles the serial sum of every stage.
 func (o *oracle) report(predicted int) Report {
-	e := perf.SumRESPARC(o.layerE)
+	c := o.chip
+	layerE := make([]perf.RESPARCEnergy, len(o.tally))
+	layerSpikes := make([]int, len(o.tally))
+	for j := range o.tally {
+		t := &o.tally[j]
+		layerE[j] = cost.Energy(c.Opt.Params, c.sram.AccessEnergy(), o.lo+j == 0, o.factors[j], t)
+		layerSpikes[j] = t.Spikes
+	}
 	return Report{
-		Energy: e, Latency: float64(o.cnt.Cycles) * o.chip.Opt.Params.NCCycle(),
+		Energy: perf.SumRESPARC(layerE), Latency: float64(o.cnt.Cycles) * c.Opt.Params.NCCycle(),
 		Counts: o.cnt, Predicted: predicted,
-		LayerCycles: o.layerCycles, LayerEnergies: o.layerE, LayerSpikes: o.layerSpikes,
+		LayerCycles: o.layerCycles, LayerEnergies: layerE, LayerSpikes: layerSpikes,
 		BusCycles: o.busCycles, Breakdown: o.breakdown,
 	}
 }

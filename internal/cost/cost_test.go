@@ -127,3 +127,64 @@ func TestCheckCapacity(t *testing.T) {
 		t.Fatalf("got %v", err)
 	}
 }
+
+// Energy prices every count once by its per-event energy: checked against
+// the charges written out term by term, on the first layer (host-loaded
+// input: one bus transaction per broadcast word) and a later one (two).
+func TestEnergyPricesTally(t *testing.T) {
+	p := energy.Default45nm()
+	const sram = 3e-12
+	factors := []float64{2e-13, 5e-14}
+	tl := Tally{
+		BusChecked: 40, BusSent: 7, Checked: 90, Delivered: 31,
+		Active: 12, Integrations: 700, Ext: 3, Spikes: 19, Rows: []int{211, 17},
+	}
+	for _, first := range []bool{true, false} {
+		per := 2.0
+		if first {
+			per = 1
+		}
+		got := Energy(p, sram, first, factors, &tl)
+		if want := 211*factors[0] + 17*factors[1]; got.Crossbar != want {
+			t.Fatalf("first=%v: crossbar %v, want %v", first, got.Crossbar, want)
+		}
+		if want := 700*p.NeuronIntegrate + 19*p.NeuronSpike; got.Neuron != want {
+			t.Fatalf("first=%v: neuron %v, want %v", first, got.Neuron, want)
+		}
+		want := 130*p.ZeroCheck + 7*per*(p.BusWord+sram) + 31*(p.SwitchHop+2*p.BufferAccess) +
+			12*p.MPEControl + 19*p.SpikeHandling
+		if got.Peripherals != want {
+			t.Fatalf("first=%v: peripherals %v, want %v", first, got.Peripherals, want)
+		}
+	}
+	if e := Energy(p, sram, false, nil, &Tally{}); e.Total() != 0 {
+		t.Fatalf("an empty tally prices to %+v", e)
+	}
+}
+
+// Reset, CopyFrom and Sub keep a tally's counts apart from the one it was
+// copied from, so a visit's difference is its own activity.
+func TestTallyArithmetic(t *testing.T) {
+	var a Tally
+	a.Reset(2)
+	if len(a.Rows) != 2 || a.Rows[0] != 0 || a.RowsDriven() != 0 {
+		t.Fatalf("reset tally %+v", a)
+	}
+	a.Active, a.Spikes, a.Rows[0], a.Rows[1] = 3, 5, 7, 11
+	var prev Tally
+	prev.CopyFrom(&a)
+	a.Active, a.Spikes, a.Rows[0], a.Rows[1] = 4, 9, 8, 20
+	if prev.Active != 3 || prev.Rows[1] != 11 {
+		t.Fatalf("copy aliases its source: %+v", prev)
+	}
+	var d Tally
+	d.CopyFrom(&a)
+	d.Sub(&prev)
+	if d.Active != 1 || d.Spikes != 4 || d.Rows[0] != 1 || d.Rows[1] != 9 || d.RowsDriven() != 10 {
+		t.Fatalf("difference %+v", d)
+	}
+	a.Reset(1)
+	if len(a.Rows) != 1 || a.Rows[0] != 0 || a.Active != 0 {
+		t.Fatalf("reset to one class: %+v", a)
+	}
+}

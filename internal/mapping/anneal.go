@@ -237,12 +237,7 @@ func (ev *evaluator) refineSizes(c candidate, bestObj float64, baseCost CostBrea
 				mpeFirst: cur, mpeSpan: span,
 				ncFirst: cur / perNC, ncLast: (cur + span - 1) / perNC,
 			}
-			e := 0.0
-			cross := ev.crossNC(li, pos)
-			for t := 0; t < ev.cons.Steps; t++ {
-				et, _ := ev.layerStep(li, t, s, cross, pos[li])
-				e += et
-			}
+			e := ev.layerEnergy(li, s, ev.crossNC(li, pos)).Total()
 			dfs(li+1, cur+span, prefixE+e, pos)
 		}
 		work.size[li] = c.size[li]

@@ -2,7 +2,6 @@ package mapping
 
 import (
 	"fmt"
-	"math/bits"
 	"sync"
 
 	"resparc/internal/bitvec"
@@ -10,20 +9,23 @@ import (
 	"resparc/internal/energy"
 	"resparc/internal/packet"
 	"resparc/internal/parallel"
+	"resparc/internal/perf"
 	"resparc/internal/snn"
 	"resparc/internal/tensor"
 )
 
 // This file is the mapper's cost model: it prices a candidate placement —
 // per-layer MCA sizes, NeuroCell alignment, shard cuts — without building a
-// chip, on the architecture's own model: the row gather (Gather), the
-// stage-duration formula, the link model and the pipeline makespan are the
-// ones internal/core and internal/shard simulate with (internal/cost). It
+// chip, on the architecture's own model: the row gather and its tally
+// (Gather.Visit), the pricing of tallies (cost.Energy), the stage-duration
+// formula, the link model and the pipeline makespan are the ones
+// internal/core and internal/shard simulate with (internal/cost). It
 // replays a probe input's spike rasters: rasters depend only on (input,
-// encoder), never on the mapping, so they are captured once and every
-// candidate is a cheap walk over cached per-(layer, size) packing statistics
-// plus one pipeline makespan. Predictions are untouched by mapping, so the
-// mapper only ever trades modeled energy/latency/traffic.
+// encoder), never on the mapping, so they are captured once, each (layer,
+// size) pairing's probe is tallied once, and every candidate is a cheap
+// walk over the cached tallies — priced once per layer — plus one pipeline
+// makespan. Predictions are untouched by mapping, so the mapper only ever
+// trades modeled energy/latency/traffic.
 
 // Weights blend the normalized cost terms into the scalar objective the
 // mapper minimizes: each term is the candidate's value relative to the
@@ -184,27 +186,20 @@ func (c *candidate) copyFrom(src candidate) {
 }
 
 // stepCost is one (layer, size) pairing's position-independent activity on
-// one probe timestep: what the chip accountant counts replaying the same
-// gather.
-type stepCost struct {
-	// words is the deduped per-mPE source-word count (each pays a
-	// zero-check); delivered is the occupied subset (each pays the switch
-	// hop and buffer accesses).
-	words, delivered int32
-	// active MCAs, spiking rows driven, neuron integrations, and the
-	// time-multiplexing depth reached.
-	active, rows, integrations, maxMux int32
-	// crossbarE is the summed crossbar conduction energy (rows x the
-	// per-MCA factor the observer uses).
-	crossbarE float64
-}
+// one probe timestep that the stage-duration formula reads: the packets
+// delivered and the time-multiplexing depth reached.
+type stepCost struct{ delivered, maxMux int32 }
 
 // sizeStats caches everything position-independent about mapping one layer
-// onto one candidate MCA size: the packing's footprint and its per-probe-step
-// activity. Layers always start on a fresh mPE, so none of this depends on
-// where the layer lands.
+// onto one candidate MCA size: the packing's footprint, its crossbar-factor
+// classes, its activity tallied over the whole probe (bus words aside: they
+// depend on where the layer lands) and what each probe step's stage
+// duration needs. Layers always start on a fresh mPE, so none of this
+// depends on where the layer lands.
 type sizeStats struct {
 	mcas, mpeSpan int
+	factors       []float64
+	tally         cost.Tally
 	step          []stepCost
 }
 
@@ -218,12 +213,14 @@ type evaluator struct {
 	// in[li][t] is layer li's input raster on probe step t (layer 0 sees the
 	// encoded input); out[li][t] its output raster.
 	in, out [][]*bitvec.Bits
-	// busSent/busTotal: packet words of in[li][t] surviving/total at the
-	// chip packet width. spikes: out[li][t] popcount. hop: out[li][t]
-	// priced on the chip-to-chip link.
-	busSent, busTotal [][]int32
-	spikes            [][]int32
-	hop               [][]cost.Hop
+	// busSent: packet words of in[li][t] surviving at the chip packet
+	// width; busSentSum and busTotalSum: the surviving and all packet words
+	// of in[li] summed over the probe. spikes: out[li][t] popcount. hop:
+	// out[li][t] priced on the chip-to-chip link.
+	busSent                 [][]int32
+	busSentSum, busTotalSum []int
+	spikes                  [][]int32
+	hop                     [][]cost.Hop
 	// stats[li][szIdx] is the cached packing of layer li at Sizes[szIdx].
 	stats [][]*sizeStats
 	// scratch recycles evaluate's per-candidate buffers (*evalScratch).
@@ -232,14 +229,15 @@ type evaluator struct {
 
 // evalScratch is the scratch of one evaluate call: the pipeline-makespan
 // state, the candidate's layer positions and capacity spans, its bus
-// flags, the (step, layer) stage grid with each chip's row headers into
-// it, and the per-hop link cycles. Concurrent chains each take their own
-// from the evaluator's pool.
+// flags and per-layer energies, the (step, layer) stage grid with each
+// chip's row headers into it, and the per-hop link cycles. Concurrent
+// chains each take their own from the evaluator's pool.
 type evalScratch struct {
 	pipe     cost.Pipeline
 	pos      []layerPos
 	spans    []int
 	cross    []bool
+	layerE   []perf.RESPARCEnergy
 	grid     []cost.Stage
 	chips    [][][]cost.Stage
 	chipRows [][]cost.Stage // backing of every chips[s]: steps headers per chip
@@ -318,12 +316,12 @@ func newEvaluator(net *snn.Network, cons Constraints) (*evaluator, error) {
 	// Raster-only statistics (independent of any mapping decision).
 	w := cons.PacketWidth
 	ev.busSent = make([][]int32, L)
-	ev.busTotal = make([][]int32, L)
+	ev.busSentSum = make([]int, L)
+	ev.busTotalSum = make([]int, L)
 	ev.spikes = make([][]int32, L)
 	ev.hop = make([][]cost.Hop, L)
 	for li := 0; li < L; li++ {
 		ev.busSent[li] = make([]int32, cons.Steps)
-		ev.busTotal[li] = make([]int32, cons.Steps)
 		ev.spikes[li] = make([]int32, cons.Steps)
 		ev.hop[li] = make([]cost.Hop, cons.Steps)
 		for t := 0; t < cons.Steps; t++ {
@@ -333,7 +331,8 @@ func newEvaluator(net *snn.Network, cons Constraints) (*evaluator, error) {
 				sent = total
 			}
 			ev.busSent[li][t] = int32(sent)
-			ev.busTotal[li][t] = int32(total)
+			ev.busSentSum[li] += sent
+			ev.busTotalSum[li] += total
 			ev.spikes[li][t] = int32(ev.out[li][t].Count())
 			ev.hop[li][t] = cons.Link.Raster(ev.out[li][t])
 		}
@@ -367,9 +366,9 @@ func newEvaluator(net *snn.Network, cons Constraints) (*evaluator, error) {
 	return ev, nil
 }
 
-// buildStats packs layer li at Sizes[szIdx] (position-free) and replays the
-// probe rasters through the packing's Gather — the row gather the chip
-// accountant charges through — recording each step's activity.
+// buildStats packs layer li at Sizes[szIdx] (position-free) and tallies
+// the probe rasters through the packing's Gather — the same Visit the chip
+// accountant tallies every step with — recording each step's stage inputs.
 func (ev *evaluator) buildStats(li, szIdx int) (*sizeStats, error) {
 	cfg := ev.cons.Hierarchy
 	n := ev.cons.Sizes[szIdx]
@@ -384,52 +383,18 @@ func (ev *evaluator) buildStats(li, szIdx int) (*sizeStats, error) {
 		lm.MCAs[ai].MPE = ai / cfg.MCAsPerMPE
 	}
 	g := NewGather(&lm, n, ev.cons.Params, ev.cons.PacketWidth)
-	w := ev.cons.PacketWidth
-	ed := ev.cons.EventDriven
-	insz := l.InSize()
-
 	st := &sizeStats{
 		mcas:    len(lm.MCAs),
 		mpeSpan: (len(lm.MCAs) + cfg.MCAsPerMPE - 1) / cfg.MCAsPerMPE,
+		factors: g.Factors,
 		step:    make([]stepCost, ev.cons.Steps),
 	}
-	occ := make([]bool, g.NWords)
-	ga := make([]int32, lm.Groups)
+	st.tally.Reset(len(g.Factors))
+	var scratch GatherScratch
 	for t := 0; t < ev.cons.Steps; t++ {
-		v := ev.in[li][t]
-		spikeWords := v.Words()
-		for k := range occ {
-			lo := k * w
-			occ[k] = v.LoadBits(lo, min(w, insz-lo)) != 0
-		}
-		sc := &st.step[t]
-		clear(ga)
-		for _, r := range g.Runs {
-			for mi := r.MCALo; mi < r.MCAHi; mi++ {
-				var rr int32
-				gm := g.Mask[g.Off[mi]:g.Off[mi+1]]
-				for k, sw := range g.Word[g.Off[mi]:g.Off[mi+1]] {
-					rr += int32(bits.OnesCount64(spikeWords[sw] & gm[k]))
-				}
-				if rr == 0 && ed {
-					continue
-				}
-				gc := &g.MCAs[mi]
-				sc.active++
-				sc.rows += rr
-				sc.crossbarE += float64(rr) * gc.FactorXbar
-				sc.integrations += gc.Outs
-				if ga[gc.Group]++; ga[gc.Group] > sc.maxMux {
-					sc.maxMux = ga[gc.Group]
-				}
-			}
-			for wi := r.WordLo; wi < r.WordHi; wi++ {
-				sc.words++
-				if !ed || occ[g.Words[wi]] {
-					sc.delivered++
-				}
-			}
-		}
+		v := g.Visit(ev.in[li][t], ev.cons.EventDriven, &scratch, &st.tally)
+		st.tally.Spikes += int(ev.spikes[li][t])
+		st.step[t] = stepCost{delivered: int32(v.Delivered), maxMux: int32(v.MaxMux)}
 	}
 	return st, nil
 }
@@ -464,40 +429,31 @@ func (ev *evaluator) crossNC(li int, pos []layerPos) bool {
 	return transportOf(li, ev.net.Layers[li], prev, pos[li]) == Bus
 }
 
-// layerStep prices one (layer, timestep) stage of a candidate: its energy
-// and its duration by the shared stage-duration formula.
-func (ev *evaluator) layerStep(li, t int, szIdx int, cross bool, pos layerPos) (e float64, st cost.Stage) {
-	p := ev.cons.Params
-	sc := &ev.stats[li][szIdx].step[t]
+// layerEnergy prices layer li's probe tally at candidate size szIdx, with
+// the bus words when its input crosses NeuroCells.
+func (ev *evaluator) layerEnergy(li, szIdx int, cross bool) perf.RESPARCEnergy {
+	ss := ev.stats[li][szIdx]
+	t := ss.tally
+	if cross {
+		t.BusChecked, t.BusSent = ev.busTotalSum[li], ev.busSentSum[li]
+	}
+	return cost.Energy(ev.cons.Params, ev.sramAccess, li == 0, ss.factors, &t)
+}
 
+// layerStep is the duration of one (layer, timestep) stage of a candidate
+// by the shared stage-duration formula.
+func (ev *evaluator) layerStep(li, t int, szIdx int, cross bool, pos layerPos) cost.Stage {
+	sc := &ev.stats[li][szIdx].step[t]
 	busWords := 0
 	if cross {
-		total := ev.busTotal[li][t]
-		sent := ev.busSent[li][t]
-		e += float64(total) * p.ZeroCheck
-		per := 2.0
-		if li == 0 {
-			per = 1.0
-		}
-		e += float64(sent) * per * (p.BusWord + ev.sramAccess)
-		busWords = int(sent)
+		busWords = int(ev.busSent[li][t])
 	}
-
-	e += float64(sc.words) * p.ZeroCheck
-	e += float64(sc.delivered) * (p.SwitchHop + 2*p.BufferAccess)
-	e += float64(sc.active) * p.MPEControl
-	e += sc.crossbarE
-	e += float64(sc.integrations) * p.NeuronIntegrate
-
-	sp := ev.spikes[li][t]
-	e += float64(sp) * (p.NeuronSpike + p.SpikeHandling)
-
 	ncs := pos.ncLast - pos.ncFirst + 1
-	ph := cost.StagePhases(p, cost.Activity{
+	ph := cost.StagePhases(ev.cons.Params, cost.Activity{
 		NCs: ncs, MPEs: pos.mpeSpan, Switches: ev.cons.Hierarchy.switches(ncs),
-		BusWords: busWords, Delivered: int(sc.delivered), MaxMux: int(sc.maxMux), Spikes: int(sp),
+		BusWords: busWords, Delivered: int(sc.delivered), MaxMux: int(sc.maxMux), Spikes: int(ev.spikes[li][t]),
 	})
-	return e, ph.Stage()
+	return ph.Stage()
 }
 
 // evaluate prices a full candidate. The Objective field is left zero — it is
@@ -527,15 +483,21 @@ func (ev *evaluator) evaluate(c candidate) (CostBreakdown, error) {
 		cross[li] = ev.crossNC(li, pos)
 	}
 
+	// Chip energy: each layer's probe tally priced once and reduced in
+	// layer order, as the chip accountant reports it.
+	layerE := grow(sc.layerE, L)
+	sc.layerE = layerE
+	for li := range layerE {
+		layerE[li] = ev.layerEnergy(li, c.size[li], cross[li])
+	}
+	energyJ := perf.SumRESPARC(layerE).Total()
+
 	steps := ev.cons.Steps
-	energyJ := 0.0
 	grid := grow(sc.grid, steps*L)
 	sc.grid = grid
 	for t := 0; t < steps; t++ {
 		for li := 0; li < L; li++ {
-			e, st := ev.layerStep(li, t, c.size[li], cross[li], pos[li])
-			energyJ += e
-			grid[t*L+li] = st
+			grid[t*L+li] = ev.layerStep(li, t, c.size[li], cross[li], pos[li])
 		}
 	}
 	// Chip s's stage grid is its layer range of every grid row.
@@ -556,7 +518,8 @@ func (ev *evaluator) evaluate(c candidate) (CostBreakdown, error) {
 	}
 
 	// Inter-chip hops: each cut's boundary raster crosses as zero-checked
-	// flits, priced by the link model.
+	// flits, priced by the link model and summed hop by hop, as the
+	// multi-chip backend reports them.
 	linkFlits := 0
 	linkE := 0.0
 	hops := grow(sc.hops, len(c.cuts))
@@ -565,12 +528,14 @@ func (ev *evaluator) evaluate(c candidate) (CostBreakdown, error) {
 	for h, cut := range c.cuts {
 		bl := cut - 1 // boundary layer: its output raster crosses the hop
 		hops[h] = hopSteps[h*steps : (h+1)*steps : (h+1)*steps]
+		hopE := 0.0
 		for t := 0; t < steps; t++ {
 			hp := &ev.hop[bl][t]
 			linkFlits += hp.Sent
-			linkE += hp.EnergyJ
+			hopE += hp.EnergyJ
 			hops[h][t] = int64(hp.Cycles)
 		}
+		linkE += hopE
 	}
 
 	makespan, _, _ := sc.pipe.Makespan(chips, hops, ev.cons.Link.RecvBuf)

@@ -23,7 +23,10 @@ import (
 // reports were merged in global layer order. The code is that executor
 // verbatim apart from the session pooling (the oracle keeps one session and
 // runs images one at a time). TestMatchesRangeOracle pins every per-image
-// and batch perf.Result and Report of Multi to it bit for bit.
+// and batch perf.Result and Report of Multi to it bit for bit: each range
+// accountant tallies its layers' integer counts and prices every layer
+// once (cost.Energy), so the ranges' layer energies are the whole chip's
+// exactly.
 
 // oracle is the per-range executor over one Multi's partition.
 type oracle struct {

@@ -161,7 +161,10 @@ func TestRunEarlyExitMatchesStepOracle(t *testing.T) {
 // BenchmarkEarlyExitBlock times one early-exit classification of mnist-mlp
 // and mnist-cnn (48-step budget, the ablation's inputs and encoder rate) with
 // the step-at-a-time oracle and with the blocked runner at several block
-// sizes — the measurement behind earlyExitBlock.
+// sizes — the measurement behind earlyExitBlock. Image i gets fork i of one
+// base encoder, made before the timer starts as an encoder factory would
+// hand it over; the runner lends each fork its State's reused source, so a
+// warm runner classification allocates nothing.
 func BenchmarkEarlyExitBlock(b *testing.B) {
 	const maxSteps = 48
 	for _, name := range []string{"mnist-mlp", "mnist-cnn"} {
@@ -183,29 +186,33 @@ func BenchmarkEarlyExitBlock(b *testing.B) {
 			inputs[i] = bench.NormalizeIntensity(in)
 		}
 		st := snn.NewState(net)
-		run := func(k int) func(i int) {
-			return func(i int) {
-				in := inputs[i%len(inputs)]
-				runOne(st, in, snn.NewPoissonEncoder(0.8, int64(i)), maxSteps, Options{EarlyExit: true, BlockSize: k}, nil)
+		base := snn.NewPoissonEncoder(0.8, 0)
+		run := func(k int) func(i int, enc snn.Encoder) {
+			return func(i int, enc snn.Encoder) {
+				runOne(st, inputs[i%len(inputs)], enc, maxSteps, Options{EarlyExit: true, BlockSize: k}, nil)
 			}
 		}
 		type benchCase struct {
 			name string
-			fn   func(i int)
+			fn   func(i int, enc snn.Encoder)
 		}
-		cases := []benchCase{{"step-oracle", func(i int) {
-			oracleEarlyExit(st, inputs[i%len(inputs)], snn.NewPoissonEncoder(0.8, int64(i)), maxSteps, nil)
+		cases := []benchCase{{"step-oracle", func(i int, enc snn.Encoder) {
+			oracleEarlyExit(st, inputs[i%len(inputs)], enc, maxSteps, nil)
 		}}}
 		for _, k := range []int{1, 4, 8, 16, maxSteps} {
 			cases = append(cases, benchCase{fmt.Sprintf("K=%d", k), run(k)})
 		}
 		for _, c := range cases {
 			b.Run(name+"/"+c.name, func(b *testing.B) {
-				c.fn(0) // warm the State's block buffers and weight panels
+				c.fn(0, base.ForkSeed(0)) // warm the State's block buffers, source and weight panels
+				encs := make([]snn.Encoder, b.N)
+				for i := range encs {
+					encs[i] = base.ForkSeed(i)
+				}
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					c.fn(i)
+					c.fn(i, encs[i])
 				}
 			})
 		}

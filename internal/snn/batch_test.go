@@ -194,6 +194,56 @@ func TestPoissonForkSeedContract(t *testing.T) {
 	}
 }
 
+// inputRecorder records the input raster a run observes.
+type inputRecorder struct{ frames [][]int }
+
+func (r *inputRecorder) ObserveStep(_ int, input *bitvec.Bits, _ []*bitvec.Bits) {
+	r.frames = append(r.frames, input.Slice())
+}
+
+// A fork run through a State draws from the State's reused source: every
+// image of a stream of forks on one State (each group run on its own State)
+// must see the spike train an encoder with its own fresh source gives, and
+// no fork may keep the State's source after its run.
+func TestForkSeedOnStateSource(t *testing.T) {
+	net := testMLP(t)
+	in := batchInputs(1, net.Input.Size(), 3)[0]
+	const steps = 12
+	base := NewPoissonEncoder(0.8, 40)
+	record := func(st *State, enc Encoder, blockK int) [][]int {
+		rec := &inputRecorder{}
+		st.RunBlockedK(in, enc, steps, blockK, rec)
+		return rec.frames
+	}
+	st := NewState(net)
+	for i := range 5 {
+		want := record(NewState(net), NewPoissonEncoder(0.8, 40+int64(i)), 0)
+		fork := base.ForkSeed(i)
+		if got := record(st, fork, 1+i%3); !reflect.DeepEqual(got, want) {
+			t.Fatalf("fork %d: spike train on a reused State differs from a fresh source's", i)
+		}
+		if fork.Rng != nil {
+			t.Fatalf("fork %d kept the State's source after its run", i)
+		}
+	}
+
+	// A group of forks, one State each, in lockstep.
+	ms := make([]Member, 3)
+	recs := make([]*inputRecorder, len(ms))
+	for i := range ms {
+		recs[i] = &inputRecorder{}
+		ms[i] = Member{State: NewState(net), Input: in, Enc: base.ForkSeed(7 + i), Obs: recs[i]}
+	}
+	out := make([]RunResult, len(ms))
+	RunGroup(ms, steps, 5, false, out)
+	for i := range ms {
+		want := record(NewState(net), NewPoissonEncoder(0.8, 47+int64(i)), 0)
+		if !reflect.DeepEqual(recs[i].frames, want) {
+			t.Fatalf("group member %d: spike train differs from a fresh source's", i)
+		}
+	}
+}
+
 // The dense panel kernel behind Step must integrate exactly the naive
 // column walk over W (the threshold is out of reach, so nothing fires and
 // Vmem holds the integrated currents).

@@ -104,6 +104,7 @@ func RunGroup(ms []Member, steps, blockK int, early bool, out []RunResult) {
 		s.resetResult()
 		s.inputSpikes = 0
 		s.exited = false
+		s.bindEncoder(m.Enc)
 	}
 	live := len(ms)
 	for t0 := 0; t0 < steps && live > 0; t0 += blockK {
@@ -127,12 +128,14 @@ func RunGroup(ms []Member, steps, blockK int, early bool, out []RunResult) {
 		}
 	}
 	for i, m := range ms {
-		if s := m.State; !s.exited {
+		s := m.State
+		if !s.exited {
 			out[i] = s.finishResult(steps, s.inputSpikes)
 			if early {
 				out[i].Prediction = -1
 			}
 		}
+		s.releaseEncoder()
 	}
 }
 

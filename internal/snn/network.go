@@ -12,6 +12,7 @@ package snn
 
 import (
 	"fmt"
+	"math/bits"
 	"strings"
 	"sync/atomic"
 
@@ -504,8 +505,12 @@ func (l *Layer) ActiveSynOps(in *bitvec.Bits) int {
 	}
 	fo := l.fanOut()
 	ops := 0
-	in.ForEachSet(func(i int) {
-		ops += int(fo[i])
-	})
+	for wi, w := range in.Words() {
+		base := wi << 6
+		for w != 0 {
+			ops += int(fo[base+bits.TrailingZeros64(w)])
+			w &= w - 1
+		}
+	}
 	return ops
 }

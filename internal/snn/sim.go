@@ -46,6 +46,35 @@ type State struct {
 	inputSpikes int
 	exited      bool
 	jobs        []panelJob
+
+	// rng is the State's reused spike source: a run re-seeds it for a
+	// PoissonEncoder fork that has not drawn yet (see bindEncoder), so a
+	// worker's stream of images allocates no source per image. bound is
+	// the fork it serves during the current run.
+	rng   *rand.Rand
+	bound *PoissonEncoder
+}
+
+// bindEncoder lends s's source to enc for one run when enc is a
+// PoissonEncoder fork that has no source yet, re-seeded with the fork's
+// seed; releaseEncoder takes it back.
+func (s *State) bindEncoder(enc Encoder) {
+	e, ok := enc.(*PoissonEncoder)
+	if !ok || e.Rng != nil {
+		return
+	}
+	if s.rng == nil {
+		s.rng = rand.New(rand.NewSource(e.seed))
+	} else {
+		s.rng.Seed(e.seed)
+	}
+	e.Rng, s.bound = s.rng, e
+}
+
+func (s *State) releaseEncoder() {
+	if s.bound != nil {
+		s.bound.Rng, s.bound = nil, nil
+	}
 }
 
 // NewState allocates simulation state for the network.
@@ -105,7 +134,10 @@ type Encoder interface {
 // intensity*MaxProb — the rate coding used for image inputs to SNNs.
 type PoissonEncoder struct {
 	MaxProb float64 // spike probability at intensity 1 (0 < MaxProb <= 1)
-	Rng     *rand.Rand
+	// Rng draws the spikes. A fork (ForkSeed) starts without one: a run
+	// lends it its State's source, re-seeded, for the run's duration;
+	// encoding outside a run gives it its own.
+	Rng *rand.Rand
 
 	seed int64 // base seed, retained for ForkSeed
 }
@@ -129,14 +161,24 @@ func NewPoissonEncoder(maxProb float64, seed int64) *PoissonEncoder {
 // evaluations key forks by image index, which makes per-image spike trains
 // identical between serial and parallel evaluation regardless of worker
 // count or scheduling.
+//
+// A fork allocates no source: the run that first encodes it (RunGroup and
+// every runner over it) re-seeds its State's reused source with the fork's
+// seed — the same stream a fresh source gives — and takes it back when the
+// run ends, so a worker classifying a stream of images allocates one
+// source, not one per image. A fork is meant for one classification:
+// encoding it again after its run restarts its stream.
 func (e *PoissonEncoder) ForkSeed(i int) *PoissonEncoder {
-	return NewPoissonEncoder(e.MaxProb, e.seed+int64(i))
+	return &PoissonEncoder{MaxProb: e.MaxProb, seed: e.seed + int64(i)}
 }
 
 // Encode implements Encoder.
 func (e *PoissonEncoder) Encode(intensity tensor.Vec, dst *bitvec.Bits) {
 	if len(intensity) != dst.Len() {
 		panic(fmt.Sprintf("snn: Encode %d intensities into %d bits", len(intensity), dst.Len()))
+	}
+	if e.Rng == nil {
+		e.Rng = rand.New(rand.NewSource(e.seed))
 	}
 	dst.Reset()
 	for i, x := range intensity {

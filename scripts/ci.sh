@@ -83,13 +83,13 @@ if ! diff -u scripts/mapping_api_surface.golden "$mapping_surface"; then
 fi
 
 # One iteration of the per-layer (alone and grouped) and panel kernel,
-# mapper, makespan, multi-chip executor, switch fabric and cycle-level
-# NeuroCell benchmarks: nothing is timed or compared, it only keeps the
-# benchmark code compiling and running (their fixtures build real Fig 10
-# networks, which plain go test never reaches for benchmarks).
-echo "== benchmark smoke (snn layers and panel kernels, mapper, pipeline makespan, multi-chip executor, NeuroCell)"
-go test -run '^$' -bench 'Layer$|LayerGroup|Panel|Plan|LayerMapping|Makespan|MultiClassifyEach|SwitchNet|CycleStep' -benchtime 1x \
-    ./internal/snn ./internal/mapping ./internal/shard ./internal/neurocell
+# chip accountant, mapper, makespan, multi-chip executor, switch fabric and
+# cycle-level NeuroCell benchmarks: nothing is timed or compared, it only
+# keeps the benchmark code compiling and running (their fixtures build real
+# Fig 10 networks, which plain go test never reaches for benchmarks).
+echo "== benchmark smoke (snn layers and panel kernels, chip accountant, mapper, pipeline makespan, multi-chip executor, NeuroCell)"
+go test -run '^$' -bench 'Layer$|LayerGroup|Panel|Observe|Plan|LayerMapping|Makespan|MultiClassifyEach|SwitchNet|CycleStep' -benchtime 1x \
+    ./internal/snn ./internal/core ./internal/mapping ./internal/shard ./internal/neurocell
 
 # resparc-noc has no tests of its own: its output for the default cell and a
 # congested 6x6 cell with one-flit FIFOs must match the committed golden
