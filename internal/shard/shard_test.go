@@ -400,3 +400,17 @@ func TestClassifyBatchAggregate(t *testing.T) {
 		t.Fatalf("aggregate counters %+v, want %+v", rep.Chip.Counts, wantCounts)
 	}
 }
+
+func addCounters(a, b core.Counters) core.Counters {
+	a.Cycles += b.Cycles
+	a.BusWords += b.BusWords
+	a.BusWordsSuppressed += b.BusWordsSuppressed
+	a.PacketsDelivered += b.PacketsDelivered
+	a.PacketsSuppressed += b.PacketsSuppressed
+	a.MCAActivations += b.MCAActivations
+	a.RowsDriven += b.RowsDriven
+	a.Integrations += b.Integrations
+	a.Spikes += b.Spikes
+	a.ExtTransfers += b.ExtTransfers
+	return a
+}
