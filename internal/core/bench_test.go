@@ -132,7 +132,7 @@ func BenchmarkObserve(b *testing.B) {
 	for _, name := range []string{"mnist-cnn", "svhn-cnn", "cifar-cnn", "mnist-mlp", "cifar-mlp"} {
 		b.Run(name, func(b *testing.B) {
 			chip, rec := recordRasters(b, name, 48)
-			obs := newObserver(chip, 0, len(chip.Net.Layers))
+			obs := newObserver(chip)
 			rec.replay(obs) // grow the stage grid and scratch
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -149,7 +149,7 @@ func BenchmarkObserve(b *testing.B) {
 func TestObserveStepAllocs(t *testing.T) {
 	for _, name := range []string{"mnist-mlp", "mnist-cnn"} {
 		chip, rec := recordRasters(t, name, 8)
-		obs := newObserver(chip, 0, len(chip.Net.Layers))
+		obs := newObserver(chip)
 		rec.replay(obs)
 		if allocs := testing.AllocsPerRun(5, func() {
 			obs.reset()

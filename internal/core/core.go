@@ -16,8 +16,10 @@
 // Chip implements sim.Backend; all batch entry points route through the
 // shared fan-out in internal/sim. Accounting is kept per layer (LayerCycles,
 // LayerEnergies, the Stages grid) and totals are reduced in ascending layer
-// order, which is what lets internal/shard read a multi-chip pipeline off
-// one whole-chip run by slicing it by layer range.
+// order. The multi-chip backend (internal/shard) is a model over the chip's
+// own run: it classifies on the chip and cuts each report's Stages grid by
+// layer range (cost.Shards), each stage carrying the nonzero words a hop
+// into its layer would carry.
 package core
 
 import (
@@ -120,12 +122,10 @@ type Report struct {
 	Predicted int
 	// LayerCycles accumulates cycles per layer stage over the run — the
 	// basis of the pipelined-throughput analysis (Fig 7a: layers inside
-	// NeuroCells process different timesteps concurrently). For a range
-	// accountant (see Accountant) the slice covers only the charged range.
+	// NeuroCells process different timesteps concurrently).
 	LayerCycles []int
 	// LayerEnergies is the per-layer energy breakdown; Energy is its
-	// layer-order sum (perf.SumRESPARC), which is what makes multi-chip
-	// accounting slices recombine to the bit-identical single-chip total.
+	// layer-order sum (perf.SumRESPARC).
 	LayerEnergies []perf.RESPARCEnergy
 	// BusCycles is the portion of Cycles spent on the shared global bus;
 	// bus phases of different stages cannot overlap.
@@ -134,14 +134,15 @@ type Report struct {
 	// Counts.Cycles unless Pipeline replaced Cycles with the smaller
 	// pipelined makespan — the difference is the overlap the pipeline wins.
 	Breakdown CycleBreakdown
-	// LayerSpikes counts output spikes per (local) layer over the run — the
+	// LayerSpikes counts output spikes per layer over the run — the
 	// sparsity record behind perf.Result's occupancy stats.
 	LayerSpikes []int
 	// Stages holds the per-(timestep, layer) stage durations the accountant
-	// recorded, indexed [step][local layer]: the grid both latency
-	// reductions read. Counts.Cycles is its serial sum; Pipeline reduces it
-	// to the pipelined makespan, and internal/shard feeds its column slices
-	// (one per chip) to one global pipeline simulation.
+	// recorded, indexed [step][layer], each with the nonzero 64-bit words of
+	// the layer's input (cost.Stage.Words): the grid both latency reductions
+	// read. Counts.Cycles is its serial sum; Pipeline reduces it to the
+	// pipelined makespan, and the multi-chip model (cost.Shards) cuts it
+	// into one column slice per chip and prices each cut's raster off it.
 	Stages [][]cost.Stage
 	// BusWait is the total cycles stages spent queued for the shared global
 	// bus in the pipelined reduction (zero unless Pipeline ran: the serial
@@ -231,16 +232,14 @@ func (c *Chip) Name() string { return "resparc" }
 // Network implements sim.Backend.
 func (c *Chip) Network() *snn.Network { return c.Net }
 
-// observer tallies events for the global layer range [lo, hi) during a
-// run and prices them when it reports. The full chip observes [0,
-// len(layers)); an Accountant may charge a sub-range.
+// observer tallies the events of every layer during a run and prices them
+// when it reports.
 type observer struct {
 	chip        *Chip
-	lo, hi      int // global layer range [lo, hi)
 	plans       []layerPlan
-	tally       []cost.Tally // per local layer
+	tally       []cost.Tally // per layer
 	cycles      int          // serial sum of every stage
-	layerCycles []int        // per local layer
+	layerCycles []int
 	busCycles   int
 	breakdown   CycleBreakdown
 	scratch     mapping.GatherScratch
@@ -250,10 +249,10 @@ type observer struct {
 	nsteps      int
 }
 
-func newObserver(c *Chip, lo, hi int) *observer {
-	n := hi - lo
+func newObserver(c *Chip) *observer {
+	n := len(c.Net.Layers)
 	o := &observer{
-		chip: c, lo: lo, hi: hi,
+		chip:        c,
 		tally:       make([]cost.Tally, n),
 		layerCycles: make([]int, n),
 	}
@@ -267,7 +266,7 @@ func newObserver(c *Chip, lo, hi int) *observer {
 func (o *observer) reset() {
 	o.plans = o.chip.layerPlans()
 	for j := range o.tally {
-		o.tally[j].Reset(len(o.plans[o.lo+j].g.Factors))
+		o.tally[j].Reset(len(o.plans[j].g.Factors))
 	}
 	o.cycles = 0
 	clear(o.layerCycles)
@@ -277,22 +276,21 @@ func (o *observer) reset() {
 	o.nsteps = 0
 }
 
-// layerEnergy prices local layer j's tally.
+// layerEnergy prices layer j's tally.
 func (o *observer) layerEnergy(j int, t *cost.Tally) perf.RESPARCEnergy {
 	c := o.chip
-	return cost.Energy(c.Opt.Params, c.sram.AccessEnergy(), o.lo+j == 0, o.plans[o.lo+j].g.Factors, t)
+	return cost.Energy(c.Opt.Params, c.sram.AccessEnergy(), j == 0, o.plans[j].g.Factors, t)
 }
 
 // writeTrace emits one per-(step, layer) trace event from the difference
 // of the layer's tally and its snapshot before the visit.
-func (o *observer) writeTrace(step, gi int, cur, out *bitvec.Bits) {
+func (o *observer) writeTrace(step, j int, cur, out *bitvec.Bits) {
 	c := o.chip
-	j := gi - o.lo
 	d := &o.delta
 	d.CopyFrom(&o.tally[j])
 	d.Sub(&o.prev)
 	err := c.Opt.Trace.Write(trace.Event{
-		Step: step, Layer: gi, Name: c.Map.Layers[gi].Layer.Name,
+		Step: step, Layer: j, Name: c.Map.Layers[j].Layer.Name,
 		InputSpikes:  cur.Count(),
 		OutputSpikes: out.Count(),
 		Packets:      d.Delivered,
@@ -315,7 +313,7 @@ func (o *observer) writeTrace(step, gi int, cur, out *bitvec.Bits) {
 // not alias their buffers.
 func (o *observer) report(predicted, steps int, pipelined bool) (perf.Result, Report) {
 	ncc := o.chip.Opt.Params.NCCycle()
-	n := o.hi - o.lo
+	n := len(o.tally)
 	grid := make([]cost.Stage, o.nsteps*n)
 	stages := make([][]cost.Stage, o.nsteps)
 	for t := range stages {
@@ -358,32 +356,29 @@ func (o *observer) report(predicted, steps int, pipelined bool) (perf.Result, Re
 		Latency: rep.Latency,
 		Steps:   steps,
 	}
-	res.SpikesPerStep, res.LayerOccupancy = sparsity(o.chip.Net.Layers[o.lo:o.hi], layerSpikes, 1, steps)
+	res.SpikesPerStep, res.LayerOccupancy = sparsity(o.chip.Net.Layers, layerSpikes, 1, steps)
 	return res, rep
 }
 
-// Accountant charges the chip's event/energy accounting for a contiguous
-// global layer range [lo, hi) — the chip's observer as a reusable value
-// (internal/shard drives one over the whole network). It implements
-// snn.Observer over the spike vectors of that range (local indices, input =
-// the range's boundary spikes), and its Report slices the single-chip
-// accounting exactly: concatenating the per-layer cycles/energies of
-// adjacent ranges and reducing in layer order reproduces the whole chip's
-// report bit for bit.
+// Accountant is the chip's observer as a reusable value: it charges the
+// chip's event/energy accounting of every layer over the steps it observes
+// (snn.Observer), and its Report is what Classify reports for the same run.
 type Accountant struct {
 	obs *observer
 }
 
-// NewAccountant returns an accountant for global layers [lo, hi).
+// NewAccountant returns an accountant for layers [lo, hi), which must be
+// the whole network [0, len(Net.Layers)): the accountant charges every
+// layer, and the multi-chip model reads each chip's share off that one
+// report (cost.Shards).
 func (c *Chip) NewAccountant(lo, hi int) (*Accountant, error) {
-	if lo < 0 || hi > len(c.Net.Layers) || lo >= hi {
-		return nil, fmt.Errorf("core: accountant range [%d,%d) of %d layers", lo, hi, len(c.Net.Layers))
+	if lo != 0 || hi != len(c.Net.Layers) {
+		return nil, fmt.Errorf("core: accountant range [%d,%d) is not the whole network of %d layers", lo, hi, len(c.Net.Layers))
 	}
-	return &Accountant{obs: newObserver(c, lo, hi)}, nil
+	return &Accountant{obs: newObserver(c)}, nil
 }
 
-// ObserveStep implements snn.Observer; layers holds the range's spike
-// vectors only.
+// ObserveStep implements snn.Observer.
 func (a *Accountant) ObserveStep(step int, input *bitvec.Bits, layers []*bitvec.Bits) {
 	a.obs.ObserveStep(step, input, layers)
 }
@@ -392,8 +387,8 @@ func (a *Accountant) ObserveStep(step int, input *bitvec.Bits, layers []*bitvec.
 // are retained).
 func (a *Accountant) Reset() { a.obs.reset() }
 
-// Report reduces the range's accounting with the serial-sum latency of the
-// charged range's cycles (Report.Pipeline applies the pipelined reduction).
+// Report reduces the accounting with the serial-sum latency
+// (Report.Pipeline applies the pipelined reduction).
 // The per-layer slices and the stage grid are copies: the accountant is
 // reused across classifications (Reset), so reports must not alias its
 // buffers.
@@ -422,7 +417,7 @@ func (c *Chip) getSession() *session {
 		runs: make([]snn.RunResult, g), reps: make([]Report, g),
 	}
 	for i := range s.ms {
-		s.obs[i] = newObserver(c, 0, len(c.Net.Layers))
+		s.obs[i] = newObserver(c)
 		s.ms[i] = snn.Member{State: snn.NewState(c.Net), Obs: s.obs[i]}
 	}
 	return s

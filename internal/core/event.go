@@ -86,32 +86,40 @@ func buildPlans(m *mapping.Mapping, opt Options) []layerPlan {
 // growing the grid as steps are observed.
 func (o *observer) stageRow(step int) []cost.Stage {
 	for len(o.stages) <= step {
-		o.stages = append(o.stages, make([]cost.Stage, o.hi-o.lo))
+		o.stages = append(o.stages, make([]cost.Stage, len(o.tally)))
 	}
 	o.nsteps = max(o.nsteps, step+1)
 	return o.stages[step]
 }
 
 // ObserveStep implements snn.Observer: it tallies one timestep's events.
-// layers holds the spike vectors of the observed range only (local indices);
-// input is the spike vector feeding the range's first layer. Per layer, one
-// gather visit tallies the MCA activity and packet deliveries, the bus words
-// and output spikes are added, and the stage's duration is recorded.
+// layers holds every layer's output spike vector; input is the spike vector
+// feeding the first layer. Per layer, one gather visit tallies the MCA
+// activity and packet deliveries, the bus words and output spikes are
+// added, and the stage's duration is recorded with the nonzero 64-bit words
+// of the layer's input (Stage.Words).
 func (o *observer) ObserveStep(step int, input *bitvec.Bits, layers []*bitvec.Bits) {
 	c := o.chip
 	p := c.Opt.Params
 	ed := c.Opt.EventDriven
+	// At the architecture's packet width with gating on, a visit's sent
+	// packets are exactly the input's nonzero words.
+	sentIsWords := ed && c.Opt.PacketWidth == cost.PacketWidth
 	tracing := c.Opt.Trace != nil
 	cur := input
 	row := o.stageRow(step)
-	for j := range o.hi - o.lo {
-		gi := o.lo + j
-		pl := &o.plans[gi]
+	for j := range o.tally {
+		pl := &o.plans[j]
 		t := &o.tally[j]
 		if tracing {
 			o.prev.CopyFrom(t)
 		}
 		v := pl.g.Visit(cur, ed, &o.scratch, t)
+		words := v.Sent
+		if !sentIsWords {
+			zero, total := cur.ZeroPackets(cost.PacketWidth)
+			words = total - zero
+		}
 
 		// ---- Global bus & SRAM (§3.1.3) ----
 		busWords := 0
@@ -133,12 +141,13 @@ func (o *observer) ObserveStep(step int, input *bitvec.Bits, layers []*bitvec.Bi
 		o.breakdown.add(ph)
 		o.busCycles += ph.Bus
 		row[j] = ph.Stage()
+		row[j].Words = int32(words)
 		stage := ph.Total()
 		o.layerCycles[j] += stage
 		o.cycles += stage
 
 		if tracing {
-			o.writeTrace(step, gi, cur, out)
+			o.writeTrace(step, j, cur, out)
 		}
 		cur = out
 	}

@@ -1,5 +1,5 @@
 //go:build !race
 
-package shard
+package core
 
 const raceEnabled = false

@@ -46,7 +46,7 @@ func TestEnergyIsPricedTallies(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				obs := newObserver(chip, 0, len(net.Layers))
+				obs := newObserver(chip)
 				run := snn.NewState(net).RunBlockedK(in, snn.NewPoissonEncoder(0.8, int64(bi)), steps, 0, obs)
 				res, rep := obs.report(run.Prediction, steps, false)
 

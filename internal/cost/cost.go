@@ -1,11 +1,11 @@
 // Package cost holds the architecture's cost decisions that the chip
-// accountant (internal/core), the multi-chip pipeline (internal/shard) and
-// the mapper's cost model (internal/mapping) share: the integer
-// stage-duration formula, the Fig 7(a) pipeline makespan, the inter-chip
-// link model and the minimax shard partition. One implementation of each is
-// what makes the mapper's modeled cost of a placement equal the simulated
-// cost of the same probe classification; internal/shard's agreement test
-// pins that equality.
+// accountant (internal/core), the multi-chip model (internal/shard) and the
+// mapper's cost model (internal/mapping) share: the integer stage-duration
+// formula, the Fig 7(a) pipeline makespan, the inter-chip link model, the
+// multi-chip model of one classification's stage grid (Shards) and the
+// minimax shard partition. One implementation of each is what makes the
+// mapper's modeled cost of a placement equal the simulated cost of the same
+// probe classification; internal/shard's agreement test pins that equality.
 package cost
 
 import "resparc/internal/energy"
@@ -15,8 +15,10 @@ import "resparc/internal/energy"
 // Bus the shared global-bus occupancy (serializes across all stages of a
 // chip), Local the NeuroCell-internal phases (switch delivery,
 // time-multiplexed integration, spike drain) that overlap freely across
-// layers.
-type Stage struct{ Sync, Bus, Local int32 }
+// layers. Words is not a duration: it counts the nonzero 64-bit words
+// (PacketWidth-bit packets) of the layer's input spike vector, the flits a
+// chip-to-chip hop into the layer carries (see Shards).
+type Stage struct{ Sync, Bus, Local, Words int32 }
 
 // Activity is what one (timestep, layer) visit did, in the terms the
 // stage-duration formula prices.

@@ -40,8 +40,9 @@ func TestLinkRaster(t *testing.T) {
 	b.Set(3)
 	b.Set(130)
 	b.Set(199)
-	h := l.Raster(b)
-	if h.Sent != 3 || h.Suppressed != 1 {
+	zero, total := b.ZeroPackets(PacketWidth)
+	h := l.Raster(total-zero, total)
+	if h.FlitsSent != 3 || h.FlitsSuppressed != 1 {
 		t.Fatalf("flits %+v", h)
 	}
 	if want := 4*l.ZeroCheck + 3*l.FlitEnergy; h.EnergyJ != want {
@@ -50,11 +51,14 @@ func TestLinkRaster(t *testing.T) {
 	if want := l.SyncCycles + 1; h.Cycles != want { // 3 flits fit one 4-flit cycle
 		t.Fatalf("cycles %d, want %d", h.Cycles, want)
 	}
-	if got, err := (Link{}).OrDefault(p); err != nil || got != l {
-		t.Fatalf("zero link defaults to %+v, %v", got, err)
+	if h.WaitCycles != 0 {
+		t.Fatalf("a priced raster waits %d cycles", h.WaitCycles)
 	}
-	if _, err := (Link{FlitsPerCycle: 1}).OrDefault(p); err == nil {
-		t.Fatal("zero flit width accepted")
+	if got := (Link{}).OrDefault(p); got != l {
+		t.Fatalf("zero link defaults to %+v", got)
+	}
+	if narrow := (Link{FlitsPerCycle: 1}); narrow.OrDefault(p) != narrow {
+		t.Fatal("a set link was replaced by the default")
 	}
 }
 

@@ -1,20 +1,28 @@
 package cost
 
-import (
-	"fmt"
+import "resparc/internal/energy"
 
-	"resparc/internal/bitvec"
-	"resparc/internal/energy"
-)
+// PacketWidth is the spike-packet payload width in bits: one 64-bit spike
+// word (Fig 8). Spike packets move through RESPARC's programmable switch
+// network and global IO bus (Fig 6), and their zero check (§3.2) suppresses
+// the transfer of all-zero packets — the architectural hook for SNN
+// event-drivenness. Event-driven studies also sweep narrower packets (Fig
+// 13's run-length discussion); the chip-to-chip link always moves
+// PacketWidth-bit flits.
+//
+// Address formats (Fig 6):
+//
+//	input address (iAddress):  SW_ID | mPE_ID | MCA_ID
+//	output address (oAddress): mPE_ID | MCA_ID   (switch -> mPE)
+//	                           MCA_ID            (switch -> switch)
+const PacketWidth = 64
 
 // Link models one chip-to-chip hop. A hop carries the boundary layer's
-// spike raster once per timestep, sliced into FlitWidth-bit flits that are
-// zero-checked at the sending pad exactly like on-chip packets (§3.2): an
-// all-zero flit pays only the check, a surviving flit pays the serializer,
-// the off-chip traversal and the deserializer.
+// spike raster once per timestep, sliced into PacketWidth-bit flits that
+// are zero-checked at the sending pad exactly like on-chip packets (§3.2):
+// an all-zero flit pays only the check, a surviving flit pays the
+// serializer, the off-chip traversal and the deserializer.
 type Link struct {
-	// FlitWidth is the flit payload in spike bits.
-	FlitWidth int
 	// FlitEnergy is the joules to move one surviving flit across the hop.
 	FlitEnergy float64
 	// ZeroCheck is the joules to zero-check one flit (paid for every flit).
@@ -38,7 +46,6 @@ type Link struct {
 // handshake per timestep.
 func DefaultLink(p energy.Params) Link {
 	return Link{
-		FlitWidth:     64, // one spike packet (packet.Width)
 		FlitEnergy:    6 * p.BusWord,
 		ZeroCheck:     p.ZeroCheck,
 		FlitsPerCycle: 4,
@@ -47,40 +54,50 @@ func DefaultLink(p energy.Params) Link {
 	}
 }
 
-// OrDefault returns l, or DefaultLink of p when l is the zero value, and
-// rejects a flit width below one bit.
-func (l Link) OrDefault(p energy.Params) (Link, error) {
+// OrDefault returns l, or DefaultLink of p when l is the zero value.
+func (l Link) OrDefault(p energy.Params) Link {
 	if l == (Link{}) {
-		l = DefaultLink(p)
+		return DefaultLink(p)
 	}
-	if l.FlitWidth < 1 {
-		return Link{}, fmt.Errorf("link flit width %d", l.FlitWidth)
-	}
-	return l, nil
+	return l
 }
 
-// Hop is the price of one timestep's raster crossing a hop.
-type Hop struct {
-	// Sent and Suppressed count the flits that survive and fail the zero
-	// check.
-	Sent, Suppressed int
+// LinkStats is inter-chip traffic: one raster's on one hop (Link.Raster),
+// a hop's over a classification, or a sum of those.
+type LinkStats struct {
+	// FlitsSent and FlitsSuppressed count the flits that survive and fail
+	// the zero check.
+	FlitsSent, FlitsSuppressed int
+	// Cycles is the transfers' occupancy of the hop: per raster, the
+	// handshake plus the surviving flits at the hop's width.
+	Cycles int
 	// EnergyJ is the zero checks of every flit plus the transfer of the
 	// surviving ones.
 	EnergyJ float64
-	// Cycles is the transfer's occupancy of the hop: the handshake plus the
-	// surviving flits at the hop's width.
-	Cycles int
+	// WaitCycles is the time rasters sat at the sender pad after being ready
+	// — channel serialization plus receive-buffer backpressure. Only the
+	// pipelined makespan models flow control; it is zero otherwise.
+	WaitCycles int
 }
 
-// Raster prices one timestep's boundary raster on the hop.
-func (l Link) Raster(b *bitvec.Bits) Hop {
-	zero, total := b.ZeroPackets(l.FlitWidth)
-	sent := total - zero
+// Add returns the sum of a and b.
+func (a LinkStats) Add(b LinkStats) LinkStats {
+	a.FlitsSent += b.FlitsSent
+	a.FlitsSuppressed += b.FlitsSuppressed
+	a.Cycles += b.Cycles
+	a.EnergyJ += b.EnergyJ
+	a.WaitCycles += b.WaitCycles
+	return a
+}
+
+// Raster prices one timestep's boundary raster on the hop: nonzero of its
+// total PacketWidth-bit flits hold a spike.
+func (l Link) Raster(nonzero, total int) LinkStats {
 	fpc := max(l.FlitsPerCycle, 1)
-	return Hop{
-		Sent:       sent,
-		Suppressed: zero,
-		EnergyJ:    float64(total)*l.ZeroCheck + float64(sent)*l.FlitEnergy,
-		Cycles:     l.SyncCycles + (sent+fpc-1)/fpc,
+	return LinkStats{
+		FlitsSent:       nonzero,
+		FlitsSuppressed: total - nonzero,
+		EnergyJ:         float64(total)*l.ZeroCheck + float64(nonzero)*l.FlitEnergy,
+		Cycles:          l.SyncCycles + (nonzero+fpc-1)/fpc,
 	}
 }

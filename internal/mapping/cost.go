@@ -7,7 +7,6 @@ import (
 	"resparc/internal/bitvec"
 	"resparc/internal/cost"
 	"resparc/internal/energy"
-	"resparc/internal/packet"
 	"resparc/internal/parallel"
 	"resparc/internal/perf"
 	"resparc/internal/snn"
@@ -100,7 +99,7 @@ func DefaultConstraints(cfg Config) Constraints {
 		Seed:        1,
 		MaxProb:     0.8,
 		Params:      energy.Default45nm(),
-		PacketWidth: packet.Width,
+		PacketWidth: cost.PacketWidth,
 		EventDriven: true,
 	}
 }
@@ -139,11 +138,7 @@ func (c *Constraints) normalize() error {
 	if c.PacketWidth < 1 || c.PacketWidth > 64 {
 		return fmt.Errorf("mapping: packet width %d out of [1,64]", c.PacketWidth)
 	}
-	link, err := c.Link.OrDefault(c.Params)
-	if err != nil {
-		return fmt.Errorf("mapping: %w", err)
-	}
-	c.Link = link
+	c.Link = c.Link.OrDefault(c.Params)
 	if (c.Weights == Weights{}) {
 		c.Weights = DefaultWeights()
 	}
@@ -215,34 +210,31 @@ type evaluator struct {
 	in, out [][]*bitvec.Bits
 	// busSent: packet words of in[li][t] surviving at the chip packet
 	// width; busSentSum and busTotalSum: the surviving and all packet words
-	// of in[li] summed over the probe. spikes: out[li][t] popcount. hop:
-	// out[li][t] priced on the chip-to-chip link.
+	// of in[li] summed over the probe. spikes: out[li][t] popcount. words:
+	// the nonzero 64-bit words of in[li][t] (cost.Stage.Words); inWords[li]:
+	// all 64-bit words of in[li].
 	busSent                 [][]int32
 	busSentSum, busTotalSum []int
-	spikes                  [][]int32
-	hop                     [][]cost.Hop
+	spikes, words           [][]int32
+	inWords                 []int
 	// stats[li][szIdx] is the cached packing of layer li at Sizes[szIdx].
 	stats [][]*sizeStats
 	// scratch recycles evaluate's per-candidate buffers (*evalScratch).
 	scratch sync.Pool
 }
 
-// evalScratch is the scratch of one evaluate call: the pipeline-makespan
-// state, the candidate's layer positions and capacity spans, its bus
-// flags and per-layer energies, the (step, layer) stage grid with each
-// chip's row headers into it, and the per-hop link cycles. Concurrent
-// chains each take their own from the evaluator's pool.
+// evalScratch is the scratch of one evaluate call: the multi-chip model's
+// state, the candidate's layer positions and capacity spans, its bus flags
+// and per-layer energies, and the (step, layer) stage grid with its row
+// headers. Concurrent chains each take their own from the evaluator's pool.
 type evalScratch struct {
-	pipe     cost.Pipeline
-	pos      []layerPos
-	spans    []int
-	cross    []bool
-	layerE   []perf.RESPARCEnergy
-	grid     []cost.Stage
-	chips    [][][]cost.Stage
-	chipRows [][]cost.Stage // backing of every chips[s]: steps headers per chip
-	hops     [][]int64
-	hopSteps []int64 // backing of every hops[h]: steps cycles per hop
+	shards cost.Shards
+	pos    []layerPos
+	spans  []int
+	cross  []bool
+	layerE []perf.RESPARCEnergy
+	grid   []cost.Stage
+	rows   [][]cost.Stage
 }
 
 // grow returns s resized to n elements, reallocating only when its capacity
@@ -319,12 +311,14 @@ func newEvaluator(net *snn.Network, cons Constraints) (*evaluator, error) {
 	ev.busSentSum = make([]int, L)
 	ev.busTotalSum = make([]int, L)
 	ev.spikes = make([][]int32, L)
-	ev.hop = make([][]cost.Hop, L)
+	ev.words = make([][]int32, L)
+	ev.inWords = make([]int, L)
+	n := cons.Steps
+	tables := make([]int32, 3*L*n) // every layer's busSent, spikes and words
 	for li := 0; li < L; li++ {
-		ev.busSent[li] = make([]int32, cons.Steps)
-		ev.spikes[li] = make([]int32, cons.Steps)
-		ev.hop[li] = make([]cost.Hop, cons.Steps)
-		for t := 0; t < cons.Steps; t++ {
+		lt := tables[3*li*n : 3*(li+1)*n : 3*(li+1)*n]
+		ev.busSent[li], ev.spikes[li], ev.words[li] = lt[:n:n], lt[n:2*n:2*n], lt[2*n:]
+		for t := 0; t < n; t++ {
 			zero, total := ev.in[li][t].ZeroPackets(w)
 			sent := total - zero
 			if !cons.EventDriven {
@@ -334,7 +328,8 @@ func newEvaluator(net *snn.Network, cons Constraints) (*evaluator, error) {
 			ev.busSentSum[li] += sent
 			ev.busTotalSum[li] += total
 			ev.spikes[li][t] = int32(ev.out[li][t].Count())
-			ev.hop[li][t] = cons.Link.Raster(ev.out[li][t])
+			zero, total = ev.in[li][t].ZeroPackets(cost.PacketWidth)
+			ev.words[li][t], ev.inWords[li] = int32(total-zero), total
 		}
 	}
 
@@ -453,7 +448,9 @@ func (ev *evaluator) layerStep(li, t int, szIdx int, cross bool, pos layerPos) c
 		NCs: ncs, MPEs: pos.mpeSpan, Switches: ev.cons.Hierarchy.switches(ncs),
 		BusWords: busWords, Delivered: int(sc.delivered), MaxMux: int(sc.maxMux), Spikes: int(ev.spikes[li][t]),
 	})
-	return ph.Stage()
+	st := ph.Stage()
+	st.Words = ev.words[li][t]
+	return st
 }
 
 // evaluate prices a full candidate. The Objective field is left zero — it is
@@ -494,55 +491,30 @@ func (ev *evaluator) evaluate(c candidate) (CostBreakdown, error) {
 
 	steps := ev.cons.Steps
 	grid := grow(sc.grid, steps*L)
-	sc.grid = grid
-	for t := 0; t < steps; t++ {
+	rows := grow(sc.rows, steps)
+	sc.grid, sc.rows = grid, rows
+	for t := range rows {
+		rows[t] = grid[t*L : (t+1)*L : (t+1)*L]
 		for li := 0; li < L; li++ {
-			grid[t*L+li] = ev.layerStep(li, t, c.size[li], cross[li], pos[li])
+			rows[t][li] = ev.layerStep(li, t, c.size[li], cross[li], pos[li])
 		}
 	}
-	// Chip s's stage grid is its layer range of every grid row.
-	chips := grow(sc.chips, len(c.cuts)+1)
-	rows := grow(sc.chipRows, len(chips)*steps)
-	sc.chips, sc.chipRows = chips, rows
-	lo := 0
-	for s := range chips {
-		hi := L
-		if s < len(c.cuts) {
-			hi = c.cuts[s]
-		}
-		chips[s] = rows[s*steps : (s+1)*steps : (s+1)*steps]
-		for t := range chips[s] {
-			chips[s][t] = grid[t*L+lo : t*L+hi : t*L+hi]
-		}
-		lo = hi
-	}
-
-	// Inter-chip hops: each cut's boundary raster crosses as zero-checked
-	// flits, priced by the link model and summed hop by hop, as the
-	// multi-chip backend reports them.
+	// The multi-chip model the simulator reads off the same grid: each
+	// cut's boundary raster crosses its hop as zero-checked flits, and the
+	// chips and hops run as one pipeline.
+	sh := &sc.shards
+	sh.Run(rows, ev.inWords, c.cuts, ev.cons.Link, true)
 	linkFlits := 0
 	linkE := 0.0
-	hops := grow(sc.hops, len(c.cuts))
-	hopSteps := grow(sc.hopSteps, len(c.cuts)*steps)
-	sc.hops, sc.hopSteps = hops, hopSteps
-	for h, cut := range c.cuts {
-		bl := cut - 1 // boundary layer: its output raster crosses the hop
-		hops[h] = hopSteps[h*steps : (h+1)*steps : (h+1)*steps]
-		hopE := 0.0
-		for t := 0; t < steps; t++ {
-			hp := &ev.hop[bl][t]
-			linkFlits += hp.Sent
-			hopE += hp.EnergyJ
-			hops[h][t] = int64(hp.Cycles)
-		}
-		linkE += hopE
+	for _, h := range sh.Hops {
+		linkFlits += h.FlitsSent
+		linkE += h.EnergyJ
 	}
 
-	makespan, _, _ := sc.pipe.Makespan(chips, hops, ev.cons.Link.RecvBuf)
 	perNC := ev.cons.Hierarchy.MPEsPerNC
 	return CostBreakdown{
 		EnergyJ:     energyJ + linkE,
-		LatencyS:    float64(makespan) * ev.cons.Params.NCCycle(),
+		LatencyS:    float64(sh.Makespan) * ev.cons.Params.NCCycle(),
 		LinkFlits:   linkFlits,
 		LinkEnergyJ: linkE,
 		MPEs:        cursor,

@@ -229,19 +229,6 @@ func (p *Placement) Apply(net *snn.Network) (*Mapping, error) {
 	return mapLayers(net, cfg, sizes, align)
 }
 
-// ShardRanges converts the cut points to contiguous [lo, hi) layer ranges
-// over an L-layer network (one range when there are no cuts).
-func (p *Placement) ShardRanges(layers int) [][2]int {
-	out := make([][2]int, 0, len(p.ShardCuts)+1)
-	lo := 0
-	for _, c := range p.ShardCuts {
-		out = append(out, [2]int{lo, c})
-		lo = c
-	}
-	out = append(out, [2]int{lo, layers})
-	return out
-}
-
 // Sizes returns the per-layer MCA sizes in layer order.
 func (p *Placement) Sizes() []int {
 	out := make([]int, len(p.Layers))

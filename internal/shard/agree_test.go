@@ -84,10 +84,11 @@ func simulateProbe(t *testing.T, net *snn.Network, p *mapping.Placement, cons ma
 	return res[0].Energy, res[0].Latency
 }
 
-// BenchmarkMakespan times one warm pipelined makespan of the cifar-cnn x4
-// probe classification (the balanced four-chip partition, the mapper's
-// 16-step mid-gray probe): the call the annealer makes for every candidate
-// it prices.
+// BenchmarkMakespan times one warm pipelined multi-chip model of the
+// cifar-cnn x4 probe classification (the balanced four-chip partition, the
+// mapper's 16-step mid-gray probe): the call the annealer makes for every
+// candidate it prices — the hops priced off the stage grid plus the global
+// makespan.
 func BenchmarkMakespan(b *testing.B) {
 	bm, err := bench.ByName("cifar-cnn")
 	if err != nil {
@@ -100,24 +101,14 @@ func BenchmarkMakespan(b *testing.B) {
 	}
 	probe := tensor.NewVec(chip.Net.Input.Size())
 	probe.Fill(0.5)
-	enc := snn.NewPoissonEncoder(0.8, 8).ForkSeed(0)
+	_, srep := chip.Classify(probe, snn.NewPoissonEncoder(0.8, 8).ForkSeed(0))
+	grid := srep.Detail.(core.Report).Stages
 
-	// Run the probe once on the whole chip and slice its stage grid by
-	// shard; the session keeps each hop's per-raster occupancy (what
-	// classifyOne hands to finish).
-	s := multi.getSession()
-	_, srep := multi.classifyOne(s, probe, enc, sim.Options{})
-	chips := make([][][]cost.Stage, len(multi.ranges))
-	for i, r := range multi.ranges {
-		chips[i] = columns(srep.Detail.(Report).Chip.Stages, r)
-	}
-	hops := s.imgs[0].steps
-
-	var p cost.Pipeline
-	p.Makespan(chips, hops, multi.cfg.Link.RecvBuf)
+	var sh cost.Shards
+	sh.Run(grid, multi.inWords, multi.cuts, multi.cfg.Link, true)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.Makespan(chips, hops, multi.cfg.Link.RecvBuf)
+		sh.Run(grid, multi.inWords, multi.cuts, multi.cfg.Link, true)
 	}
 }

@@ -15,7 +15,7 @@ import (
 // predictions, chip event counters (except Cycles) and chip energies under
 // sim.Options.EventEngine are bit-identical to stepped sharded accounting,
 // and the global makespan respects its structural bounds. Run with -race:
-// images fan out across workers that share the Multi's session pool.
+// images fan out across workers that share the chip's session pool.
 func TestShardEventSteppedEquivalence(t *testing.T) {
 	for _, b := range bench.All() {
 		b := b
@@ -90,6 +90,16 @@ func TestShardEventSteppedEquivalence(t *testing.T) {
 	}
 }
 
+// columns returns shard r's part of a whole-chip stage grid: the stages of
+// layers [r.Lo, r.Hi) at every timestep.
+func columns(grid [][]cost.Stage, r Range) [][]cost.Stage {
+	out := make([][]cost.Stage, len(grid))
+	for t, row := range grid {
+		out[t] = row[r.Lo:r.Hi]
+	}
+	return out
+}
+
 // TestShardEventMatchesSingleChipEvent: with one shard the global DES reduces
 // to the single-chip pipeline simulation — Cycles, BusWait and stage grids
 // must match core's event path exactly.
@@ -121,7 +131,7 @@ func TestShardEventMatchesSingleChipEvent(t *testing.T) {
 		if ress[i].Latency != refRess[i].Latency || ress[i].Energy != refRess[i].Energy {
 			t.Fatalf("image %d: result diverged: %+v vs %+v", i, ress[i], refRess[i])
 		}
-		if !reflect.DeepEqual(columns(got.Chip.Stages, got.Ranges[0]), ref.Stages) {
+		if !reflect.DeepEqual(got.Chip.Stages, ref.Stages) {
 			t.Fatalf("image %d: stage grids diverged", i)
 		}
 	}

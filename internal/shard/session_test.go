@@ -7,13 +7,15 @@ import (
 	"testing"
 
 	"resparc/internal/bench"
+	"resparc/internal/core"
 	"resparc/internal/sim"
 )
 
-// TestSessionReuseLeaksNothing: pooled sessions carry the functional state,
-// the accountant and the per-hop link buffers from one call into the next. Back-to-back calls on one Multi
-// with different batch sizes, toggling the event engine between them, must
-// report exactly what a freshly built Multi reports for the same call.
+// TestSessionReuseLeaksNothing: the chip's pooled sessions carry the
+// functional state and the accountant from one call into the next.
+// Back-to-back calls on one Multi with different batch sizes, toggling the
+// event engine between them, must report exactly what a freshly built chip
+// and Multi report for the same call.
 func TestSessionReuseLeaksNothing(t *testing.T) {
 	b, err := bench.ByName("mnist-cnn")
 	if err != nil {
@@ -35,7 +37,11 @@ func TestSessionReuseLeaksNothing(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fresh, err := New(chip, Config{Shards: 4})
+		freshChip, err := core.New(chip.Net, chip.Map, chip.Opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := New(freshChip, Config{Shards: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -49,39 +55,10 @@ func TestSessionReuseLeaksNothing(t *testing.T) {
 	}
 }
 
-// TestClassifyRecyclesSessions bounds the steady-state allocations of one
-// Classify well below what building a session costs (a State of the whole
-// network and its accountant), so a Classify that stopped recycling
-// sessions fails it.
-func TestClassifyRecyclesSessions(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops Puts at random under the race detector")
-	}
-	b, err := bench.ByName("mnist-cnn")
-	if err != nil {
-		t.Fatal(err)
-	}
-	chip := chipFor(t, b)
-	inputs := benchInputs(t, b, chip.Net, 1)
-	multi, err := New(chip, Config{Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	enc := factoryFor(3)(0)
-	multi.Classify(inputs[0], enc)
-	steady := testing.AllocsPerRun(20, func() { multi.Classify(inputs[0], enc) })
-	fresh := testing.AllocsPerRun(5, func() {
-		multi.getSession()
-	})
-	t.Logf("steady-state Classify %.0f allocs, fresh session %.0f allocs", steady, fresh)
-	if steady >= fresh {
-		t.Fatalf("steady-state Classify allocates %.0f times, a fresh session %.0f", steady, fresh)
-	}
-}
-
-// BenchmarkMultiClassifyEach measures the multi-chip backend's host
-// executor on mnist-cnn across four chips, serially and at one worker per
-// CPU, so its scaling with Workers can be checked in isolation.
+// BenchmarkMultiClassifyEach measures the multi-chip backend's host path
+// (the chip's run plus the multi-chip model) on mnist-cnn across four
+// chips, serially and at one worker per CPU, so its scaling with Workers
+// can be checked in isolation.
 func BenchmarkMultiClassifyEach(b *testing.B) {
 	bm, err := bench.ByName("mnist-cnn")
 	if err != nil {

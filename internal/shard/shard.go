@@ -1,66 +1,34 @@
 // Package shard models one mapped network across N RESPARC chips as a layer
 // pipeline — the paper's scaling story (§3.1.3 tiles mPEs into cores and
-// chips over a hierarchical interconnect) in the style of ISAAC's inter-tile
-// pipelining and PUMA's device-agnostic graph partitioning.
+// chips over a hierarchical interconnect), in the style of ISAAC's
+// inter-tile pipelining and PUMA's graph partitioning.
 //
 // The partitioner cuts the layer stack into N contiguous ranges balanced by
-// per-chip mPE load (taken from the existing internal/mapping placement), an
-// inter-chip link model prices each boundary layer's spike raster as
-// zero-checked packet flits with per-hop energy/latency accounting, and the
-// chips' layer pipeline is modeled: Report.Interval bounds its steady-state
-// throughput and, under sim.Options.EventEngine, the shared pipeline
-// makespan (cost.Pipeline) composes the shards' stage grids and the hops
-// into one pipelined latency.
-//
-// A multi-chip run is a model placed over the one functional run of the
-// network, not a different run. Each image runs once through the whole
-// network on a whole-chip accountant (core.Accountant) while an observer
-// prices every boundary raster on its hop, and every shard figure is read
-// off that run by layer range: shard s owns layers [Lo, Hi) of the chip's
-// per-layer cycles and columns [Lo, Hi) of its stage grid. The chip
-// accounting is therefore the single-chip report itself — predictions,
-// event counters and chip energy are bit-identical to single-chip
-// execution, with the link cost reported separately on top.
-//
-// Host execution is independent of that model. ClassifyEach fans images out
-// over sim.Options.Workers through sim.Each, like the single-chip backends,
-// each image on one worker's pooled session — no goroutine or channel per
-// shard.
+// per-chip mPE load (taken from the chip's mapping). A sharded chip is a
+// model over the chip's own run, not a second backend: every call
+// classifies on the chip (core.Chip) and reads each image's report through
+// cost.Shards, the function the mapper prices placements with. Shard s owns
+// columns [Lo, Hi) of the report's stage grid; each hop prices its boundary
+// raster from the nonzero words the grid records for the next shard's first
+// layer. Predictions, event counters and chip energy are the single-chip
+// report itself, with the link cost reported on top; host execution
+// (pooled sessions, sim.Options.Workers) is the chip's.
 package shard
 
 import (
 	"fmt"
-	"sync"
 
 	"resparc/internal/core"
 	"resparc/internal/cost"
 	"resparc/internal/perf"
 	"resparc/internal/sim"
 	"resparc/internal/snn"
+	"resparc/internal/tensor"
 )
 
 // LinkStats accumulate inter-chip traffic for one classification (or, from
 // ClassifyBatch, summed over a batch).
-type LinkStats struct {
-	FlitsSent       int
-	FlitsSuppressed int
-	Cycles          int
-	EnergyJ         float64
-	// WaitCycles is the time rasters sat at the sender pad after being ready
-	// — channel serialization plus receive-buffer backpressure. Only the
-	// pipelined reduction (sim.Options.EventEngine) models flow control; it
-	// is zero otherwise.
-	WaitCycles int
-}
-
-func addLink(a, b LinkStats) LinkStats {
-	a.FlitsSent += b.FlitsSent
-	a.FlitsSuppressed += b.FlitsSuppressed
-	a.Cycles += b.Cycles
-	a.EnergyJ += b.EnergyJ
-	a.WaitCycles += b.WaitCycles
-	return a
-}
+type LinkStats = cost.LinkStats
 
 // Config selects the shard topology.
 type Config struct {
@@ -71,9 +39,8 @@ type Config struct {
 	// of 0) — typically the ShardCuts of an optimized mapping.Placement.
 	// Shards is ignored; the chip count is len(Cuts)+1.
 	Cuts []int
-	// MaxMPEsPerChip, when positive, is the per-chip capacity: the
-	// partitioner fails if the balanced cut would place more mPEs than this
-	// on any one chip.
+	// MaxMPEsPerChip, when positive, is the per-chip capacity: New fails
+	// if the partition places more mPEs than this on any one chip.
 	MaxMPEsPerChip int
 	// Link models each chip-to-chip hop (zero value selects
 	// cost.DefaultLink of the chip's energy parameters).
@@ -81,9 +48,7 @@ type Config struct {
 }
 
 // Range is a contiguous global layer range [Lo, Hi) placed on one chip.
-type Range struct {
-	Lo, Hi int
-}
+type Range struct{ Lo, Hi int }
 
 // Multi runs one mapped network across N chips. It implements sim.Backend
 // under the name "<chip>-xN" (e.g. "resparc-x4").
@@ -92,18 +57,17 @@ type Multi struct {
 	cfg    Config
 	name   string
 	ranges []Range
-	// sessions recycles worker sessions across classification calls.
-	sessions sync.Pool
+	cuts   []int
+	// inWords[j] is the 64-bit word count of layer j's input: the flits a
+	// hop into layer j zero-checks per raster.
+	inWords []int
 }
 
 var _ sim.Backend = (*Multi)(nil)
 
-// New partitions the chip's layer stack into cfg.Shards balanced ranges.
-// The partitioner minimizes the maximum per-chip mPE count (the placement
-// span each layer already occupies in the chip's mapping) over all
-// contiguous cuts (cost.MinimaxCuts) — the capacity heuristic: mPEs are the
-// unit of crossbar real estate, so the widest chip bounds both silicon and
-// the pipeline's slowest stage.
+// New partitions the chip's layer stack into cfg.Shards ranges that
+// minimize the maximum per-chip mPE count (cost.MinimaxCuts over the
+// placement span of each layer), or into the ranges cfg.Cuts gives.
 func New(chip *core.Chip, cfg Config) (*Multi, error) {
 	if chip == nil {
 		return nil, fmt.Errorf("shard: nil chip")
@@ -112,15 +76,13 @@ func New(chip *core.Chip, cfg Config) (*Multi, error) {
 		return nil, fmt.Errorf("shard: %d shards", cfg.Shards)
 	}
 	layers := chip.Net.Layers
-	link, err := cfg.Link.OrDefault(chip.Opt.Params)
-	if err != nil {
-		return nil, fmt.Errorf("shard: %w", err)
-	}
-	cfg.Link = link
+	cfg.Link = cfg.Link.OrDefault(chip.Opt.Params)
 	spans := make([]int, len(layers))
-	for li := range layers {
+	inWords := make([]int, len(layers))
+	for li, l := range layers {
 		lm := &chip.Map.Layers[li]
 		spans[li] = lm.MPELast - lm.MPEFirst + 1
+		inWords[li] = (l.InSize() + cost.PacketWidth - 1) / cost.PacketWidth
 	}
 	cuts := cfg.Cuts
 	if len(cuts) == 0 {
@@ -140,7 +102,7 @@ func New(chip *core.Chip, cfg Config) (*Multi, error) {
 		return nil, fmt.Errorf("shard: %w", err)
 	}
 	return &Multi{
-		chip: chip, cfg: cfg, ranges: ranges,
+		chip: chip, cfg: cfg, ranges: ranges, cuts: append([]int(nil), cuts...), inWords: inWords,
 		name: fmt.Sprintf("%s-x%d", chip.Name(), len(ranges)),
 	}, nil
 }
@@ -155,16 +117,9 @@ func (m *Multi) Network() *snn.Network { return m.chip.Net }
 // shards slice the same chip's run, so its fault state gates them all).
 func (m *Multi) Healthy() error { return m.chip.Healthy() }
 
-// Chip returns the underlying single-chip simulator whose accounting the
-// shards slice.
-func (m *Multi) Chip() *core.Chip { return m.chip }
-
-// Ranges returns the partition (one contiguous global layer range per
-// shard).
+// Ranges returns the partition: one contiguous layer range per shard.
 func (m *Multi) Ranges() []Range {
-	out := make([]Range, len(m.ranges))
-	copy(out, m.ranges)
-	return out
+	return append([]Range(nil), m.ranges...)
 }
 
 // Report is the multi-chip outcome of one classification.
@@ -177,17 +132,15 @@ type Report struct {
 	// global pipeline of shards and hops. Its Stages grid covers every layer;
 	// shard s owns columns [Ranges[s].Lo, Ranges[s].Hi) of each timestep.
 	Chip core.Report
-	// Link is the inter-chip traffic summed over every hop (reported
-	// separately so the chip accounting stays comparable to single-chip
-	// runs).
+	// Link is the inter-chip traffic summed over every hop, apart from
+	// Chip so that the chip accounting stays comparable to one chip's.
 	Link LinkStats
 	// Hops is the per-boundary accounting: Hops[s] carries shard s's
 	// boundary spikes to shard s+1.
 	Hops []LinkStats
 	// Interval is the modeled pipeline initiation interval in seconds per
-	// image: the slowest of the shard stages and the busiest single hop
-	// (each hop is its own point-to-point channel), which bounds the
-	// steady-state throughput of the modeled chip pipeline.
+	// image (cost.Shards.Interval): the slowest shard or the busiest single
+	// hop, which bounds the chips' steady-state throughput.
 	Interval float64
 	// Predicted is the decoded class from the final shard.
 	Predicted int
@@ -201,74 +154,96 @@ func (r Report) ImagesPerSec() float64 {
 	return 1 / r.Interval
 }
 
-// columns returns shard r's part of a whole-chip stage grid: the stages of
-// global layers [r.Lo, r.Hi) at every timestep.
-func columns(grid [][]cost.Stage, r Range) [][]cost.Stage {
-	out := make([][]cost.Stage, len(grid))
-	for t, row := range grid {
-		out[t] = row[r.Lo:r.Hi]
+// model reads the multi-chip result of one image off the chip's result and
+// report of it (cost.Shards on sh's buffers) into a Report that owns the
+// ranges and hops buffers. The hops' link cycles ride on top of the serial
+// latency; when pipelined (sim.Options.EventEngine) Cycles, Latency and
+// BusWait come from one pipeline over the shards and the credit-limited
+// hops, where link time overlaps computation.
+func (m *Multi) model(sh *cost.Shards, res perf.Result, srep sim.Report, pipelined bool, ranges []Range, hops []LinkStats) (perf.Result, sim.Report) {
+	chip := srep.Detail.(core.Report)
+	ncc := m.chip.Opt.Params.NCCycle()
+	sh.Run(chip.Stages, m.inWords, m.cuts, m.cfg.Link, pipelined)
+	copy(ranges, m.ranges)
+	rep := Report{Ranges: ranges, Hops: hops, Interval: float64(sh.Interval()) * ncc, Predicted: chip.Predicted}
+	for h, hs := range sh.Hops {
+		hops[h], rep.Link = hs, rep.Link.Add(hs)
 	}
-	return out
+	linkSeconds := float64(rep.Link.Cycles) * ncc
+	if pipelined {
+		chip.Counts.Cycles, chip.BusWait = int(sh.Makespan), sh.BusWait
+		chip.Latency = float64(sh.Makespan) * ncc
+		linkSeconds = 0
+	}
+	rep.Chip = chip
+	res.Arch, res.Energy, res.Latency = m.name, chip.Energy.Total()+rep.Link.EnergyJ, chip.Latency+linkSeconds
+	srep.Detail = rep
+	return res, srep
 }
 
-// finish reads the multi-chip result of one image off its whole-chip run:
-// res and chip are the accountant's serial-sum reduction, hops the image's
-// per-hop traffic and hopSteps each hop's per-timestep transfer cycles.
-// Shard s's stage latency is the serial sum of its layers' cycles, or, when
-// pipelined, the makespan of its stage-grid columns alone.
+// Classify implements sim.Backend: one image through all shards.
+func (m *Multi) Classify(intensity tensor.Vec, enc snn.Encoder) (perf.Result, sim.Report) {
+	res, srep := m.chip.Classify(intensity, enc)
+	var sh cost.Shards
+	return m.model(&sh, res, srep, false, make([]Range, len(m.ranges)), make([]LinkStats, len(m.cuts)))
+}
+
+// ClassifyEach implements sim.Backend: the chip classifies every image
+// (core.Chip.ClassifyEach, so results are bit-identical for any worker
+// count) and each report is read as a multi-chip result (see model). The
+// chips' layer pipeline is modeled, not executed.
 //
-// By default Cycles stay the serial sum of every stage and the hops'
-// closed-form link cycles ride on top of the latency. When pipelined
-// (sim.Options.EventEngine) Cycles and Latency come from one global pipeline
-// DES over every shard's stage-grid columns plus the serialized,
-// credit-limited inter-chip hops — link time overlaps computation instead of
-// being added on top, and each hop's WaitCycles records the backpressure it
-// suffered.
-func (m *Multi) finish(res perf.Result, chip core.Report, hops []LinkStats, hopSteps [][]int64, pipelined bool) (perf.Result, sim.Report) {
-	ncc := m.chip.Opt.Params.NCCycle()
-	// Hops are independent point-to-point channels, so the initiation
-	// interval is bounded by the slowest shard stage and the busiest single
-	// hop.
-	interval := 0.0
-	if pipelined {
-		grids := make([][][]cost.Stage, len(m.ranges))
-		var pipe cost.Pipeline
-		for s, r := range m.ranges {
-			grids[s] = columns(chip.Stages, r)
-			own, _, _ := pipe.Makespan(grids[s:s+1], nil, 0)
-			interval = max(interval, float64(own)*ncc)
+// Options.EarlyExit is rejected: time-to-first-spike decoding needs the
+// output layer's verdict before upstream shards stop, which a chip pipeline
+// cannot know retroactively.
+func (m *Multi) ClassifyEach(inputs []tensor.Vec, enc sim.EncoderFactory, opt sim.Options) ([]perf.Result, []sim.Report, error) {
+	if opt.EarlyExit {
+		return nil, nil, fmt.Errorf("shard: early exit is not supported on the multi-chip pipeline")
+	}
+	// The chip's own makespan would be discarded: the shards' pipeline
+	// replaces it.
+	pipelined := opt.EventEngine
+	opt.EventEngine = false
+	ress, sreps, err := m.chip.ClassifyEach(inputs, enc, opt)
+	if err != nil {
+		return nil, nil, err
+	}
+	// One backing array each holds every image's Ranges and Hops.
+	var sh cost.Shards
+	S, H := len(m.ranges), len(m.cuts)
+	ranges, hops := make([]Range, len(ress)*S), make([]LinkStats, len(ress)*H)
+	for i := range ress {
+		ress[i], sreps[i] = m.model(&sh, ress[i], sreps[i], pipelined, ranges[i*S:(i+1)*S:(i+1)*S], hops[i*H:(i+1)*H:(i+1)*H])
+	}
+	return ress, sreps, nil
+}
+
+// ClassifyBatch implements sim.Backend: it classifies every input through
+// ClassifyEach and reduces the chip reports as core.Chip.ClassifyBatch does
+// (core.Chip.Reduce), with link traffic summed over the batch and the
+// interval, energy and latency (link included) averaged per image.
+func (m *Multi) ClassifyBatch(inputs []tensor.Vec, enc sim.EncoderFactory, opt sim.Options) (perf.Result, sim.Report, error) {
+	ress, sreps, err := m.ClassifyEach(inputs, enc, opt)
+	if err != nil {
+		return perf.Result{}, sim.Report{}, err
+	}
+	rep := Report{Ranges: m.Ranges(), Hops: make([]LinkStats, len(m.cuts)), Predicted: -1}
+	chips := make([]core.Report, len(sreps))
+	var energy, latency float64
+	for i, sr := range sreps {
+		d := sr.Detail.(Report)
+		chips[i] = d.Chip
+		for h, hs := range d.Hops {
+			rep.Hops[h] = rep.Hops[h].Add(hs)
 		}
-		makespan, lw, busWait := pipe.Makespan(grids, hopSteps, m.cfg.Link.RecvBuf)
-		for h := range lw {
-			hops[h].WaitCycles = int(lw[h])
-		}
-		chip.Counts.Cycles = int(makespan)
-		chip.BusWait = busWait
-		chip.Latency = float64(makespan) * ncc
-	} else {
-		for _, r := range m.ranges {
-			cyc := 0
-			for _, c := range chip.LayerCycles[r.Lo:r.Hi] {
-				cyc += c
-			}
-			interval = max(interval, float64(cyc)*ncc)
-		}
+		rep.Link = rep.Link.Add(d.Link)
+		rep.Interval += d.Interval
+		energy += ress[i].Energy
+		latency += ress[i].Latency
 	}
-	var link LinkStats
-	for _, h := range hops {
-		link = addLink(link, h)
-		interval = max(interval, float64(h.Cycles)*ncc)
-	}
-	linkSeconds := 0.0
-	if !pipelined {
-		linkSeconds = float64(link.Cycles) * ncc
-	}
-	res.Arch = m.name
-	res.Energy = chip.Energy.Total() + link.EnergyJ
-	res.Latency = chip.Latency + linkSeconds
-	rep := Report{
-		Ranges: m.Ranges(), Chip: chip, Link: link, Hops: hops,
-		Interval: interval, Predicted: chip.Predicted,
-	}
-	return res, sim.Report{Predicted: chip.Predicted, Steps: res.Steps, Detail: rep}
+	n := float64(len(sreps))
+	res, avg := m.chip.Reduce(chips)
+	rep.Chip, rep.Interval = avg, rep.Interval/n
+	res.Arch, res.Energy, res.Latency = m.name, energy/n, latency/n
+	return res, sim.Report{Predicted: -1, Steps: m.chip.Opt.Steps, Detail: rep}, nil
 }

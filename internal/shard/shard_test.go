@@ -59,7 +59,7 @@ func factoryFor(seed int64) sim.EncoderFactory {
 // The sharded pipeline's defining contract: for every Fig 10 benchmark and
 // every shard count, predictions, chip event counters, and the summed
 // chip energy are bit-identical to the single-chip simulation. Run with
-// -race: images fan out across workers that share the Multi's session pool.
+// -race: images fan out across workers that share the chip's session pool.
 func TestShardedMatchesSingleChip(t *testing.T) {
 	for _, b := range bench.All() {
 		b := b
@@ -151,7 +151,7 @@ func TestPipelineMatchesSequential(t *testing.T) {
 // one at a time — the full per-image perf.Result and shard Report (Chip,
 // Hops, Link, Interval, prediction), with and without the event engine. The
 // Chip must also match the single-chip reference.
-// Run with -race: workers share the Multi and its session pool.
+// Run with -race: workers share the chip and its session pool.
 func TestClassifyEachWorkerEquivalence(t *testing.T) {
 	for _, b := range bench.All() {
 		b := b

@@ -92,7 +92,7 @@ func NewState(net *Network) *State {
 // Reset zeroes all membrane potentials (between classifications).
 func (s *State) Reset() {
 	for _, v := range s.Vmem {
-		v.Fill(0)
+		clear(v)
 	}
 }
 

@@ -60,8 +60,9 @@ go test -race \
 # cannot overwrite each other's diff input.
 sim_surface=$(mktemp)
 mapping_surface=$(mktemp)
+cost_surface=$(mktemp)
 noc_out=$(mktemp)
-trap 'rm -f "$sim_surface" "$mapping_surface" "$noc_out"' EXIT
+trap 'rm -f "$sim_surface" "$mapping_surface" "$cost_surface" "$noc_out"' EXIT
 echo "== API surface check (internal/sim)"
 go doc -all resparc/internal/sim > "$sim_surface"
 if ! diff -u scripts/sim_api_surface.golden "$sim_surface"; then
@@ -82,12 +83,24 @@ if ! diff -u scripts/mapping_api_surface.golden "$mapping_surface"; then
     exit 1
 fi
 
+# internal/cost is the seam the chip accountant, the multi-chip model and
+# the mapper's cost model all call (stage durations, makespan, link, shard
+# model), so a change there moves simulator and mapper together; its
+# surface is golden-checked the same way.
+echo "== API surface check (internal/cost)"
+go doc -all resparc/internal/cost > "$cost_surface"
+if ! diff -u scripts/cost_api_surface.golden "$cost_surface"; then
+    echo "internal/cost API surface changed; review the diff and refresh with:" >&2
+    echo "  go doc -all resparc/internal/cost > scripts/cost_api_surface.golden" >&2
+    exit 1
+fi
+
 # One iteration of the per-layer (alone and grouped) and panel kernel,
-# chip accountant, mapper, makespan, multi-chip executor, switch fabric and
+# chip accountant, mapper, makespan, multi-chip backend, switch fabric and
 # cycle-level NeuroCell benchmarks: nothing is timed or compared, it only
 # keeps the benchmark code compiling and running (their fixtures build real
 # Fig 10 networks, which plain go test never reaches for benchmarks).
-echo "== benchmark smoke (snn layers and panel kernels, chip accountant, mapper, pipeline makespan, multi-chip executor, NeuroCell)"
+echo "== benchmark smoke (snn layers and panel kernels, chip accountant, mapper, pipeline makespan, multi-chip backend, NeuroCell)"
 go test -run '^$' -bench 'Layer$|LayerGroup|Panel|Observe|Plan|LayerMapping|Makespan|MultiClassifyEach|SwitchNet|CycleStep' -benchtime 1x \
     ./internal/snn ./internal/core ./internal/mapping ./internal/shard ./internal/neurocell
 
